@@ -1,6 +1,6 @@
 """Discrete-time optimal control driven by fractional Gaussian noise.
 
-The package builds a recombining quadrature lattice for correlated
+The package builds a full q-ary quadrature tree for correlated
 Gaussian increments, solves backward stochastic difference equations on
 it, and uses those solutions to check and compute optimal controls:
 

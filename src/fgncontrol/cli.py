@@ -37,7 +37,7 @@ from .lattice import lattice_for_hurst
 from .lq import as_model, lq_fixed_point, verify_sufficiency, verify_uniqueness
 from .noise import custom_covariance, fgn_covariance, whiten
 from .selftest import run_all
-from .smp import check_stationarity, classify_nodes, optimize, smp_residual, solve_adjoint
+from .smp import _gradient, check_stationarity, classify_nodes, optimize, solve_adjoint
 
 ORTHOGONALITY_TOL = 1e-10
 STATIONARITY_TOL = 1e-8
@@ -152,7 +152,7 @@ def cmd_lq(args) -> int:
     lat = lattice_for_hurst(cfg.hurst, cfg.spec.horizon, cfg.quadrature_order)
     sol = lq_fixed_point(cfg.spec, lat, lat.basis, damping=args.damping)
     model = as_model(cfg.spec)
-    residual = smp_residual(model, sol.control, sol.adjoint, lat, lat.basis)
+    residual = _gradient(model, sol.control, sol.state, sol.adjoint, lat, lat.basis)
     reporting.ensure_out_dir(out)
     station, station_report = _stationarity_artifacts(
         out, lat, model, sol.control, residual, STATIONARITY_TOL
@@ -196,7 +196,7 @@ def cmd_smp_check(args) -> int:
     control = reporting.read_control_csv(args.control, lat, cfg.horizon)
     control.validate_in(model.control_set)
     x, adj = solve_adjoint(model, control, lat, lat.basis)
-    residual = smp_residual(model, control, adj, lat, lat.basis)
+    residual = _gradient(model, control, x, adj, lat, lat.basis)
     reporting.ensure_out_dir(out)
     station, station_report = _stationarity_artifacts(
         out, lat, model, control, residual, args.tol

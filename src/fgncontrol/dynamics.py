@@ -226,14 +226,6 @@ class StateProcess(_StagedProcess):
         return len(self.stages) - 1
 
 
-class VariationProcess(_StagedProcess):
-    """First variation of the state path, same shape as StateProcess."""
-
-    @property
-    def horizon(self) -> int:
-        return len(self.stages) - 1
-
-
 def constant_control(lat: NoiseLattice, horizon: int, value: float) -> ControlProcess:
     return ControlProcess(lat.constant(value, n) for n in range(horizon))
 
@@ -305,7 +297,7 @@ def variation(
     x_star: StateProcess,
     v: ControlProcess,
     lat: NoiseLattice,
-) -> VariationProcess:
+) -> StateProcess:
     """First variation of the state in direction v around (u*, X*).
 
     V_0 = 0 and
@@ -325,7 +317,7 @@ def variation(
         if not np.all(np.isfinite(nxt.values)):
             raise NonFiniteValue(f"variation became non-finite at stage {n + 1}")
         out.append(nxt)
-    return VariationProcess(out)
+    return StateProcess(out)
 
 
 def perturb(

@@ -170,11 +170,12 @@ class AdaptedValue:
         if isinstance(other, AdaptedValue):
             if other.lattice is not self.lattice:
                 raise LevelMismatch("operands live on different lattices")
-            level = max(self.level, other.level)
+            # one row per coarse node; the coarser operand broadcasts along it
+            rows = self.lattice.rule.q ** min(self.level, other.level)
             return AdaptedValue(
                 self.lattice,
-                level,
-                op(self.at_level(level).values, other.at_level(level).values),
+                max(self.level, other.level),
+                op(self.values.reshape(rows, -1), other.values.reshape(rows, -1)),
             )
         return AdaptedValue(self.lattice, self.level, op(self.values, float(other)))
 
@@ -205,9 +206,9 @@ class AdaptedValue:
 
 
 def as_adapted(lat: NoiseLattice, level: int, raw) -> AdaptedValue:
-    """Wrap a scalar or dense array as a level-`level` value."""
+    """Lift a scalar, dense array or no-finer adapted value to level `level`."""
     if isinstance(raw, AdaptedValue):
-        return raw.at_level(level) if raw.level < level else raw
+        return raw.at_level(level)
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim == 0:
         return lat.constant(float(arr), level)
@@ -222,26 +223,29 @@ def white_value(lat: NoiseLattice, n: int) -> AdaptedValue:
     return AdaptedValue(lat, n + 1, np.tile(lat.rule.nodes, q**n))
 
 
+def _noise_table(lat: NoiseLattice, row: np.ndarray, level: int) -> np.ndarray:
+    """sum_{k<level} row[k] eta_k as a flat level-`level` table."""
+    acc = np.zeros(1)
+    for k in range(level):
+        acc = (acc[:, None] + row[k] * lat.rule.nodes).reshape(-1)
+    return acc
+
+
 def noise_value(lat: NoiseLattice, n: int) -> AdaptedValue:
     """The correlated increment xi_n = sum_{k<=n} b[n,k] eta_k, level n+1."""
     if not 0 <= n <= lat.depth - 1:
         raise IndexOutOfRange(f"noise stage {n} outside [0, {lat.depth - 1}]")
-    b = lat.basis.b_mat
-    acc = lat.constant(0.0, n + 1)
-    for k in range(n + 1):
-        acc = acc + white_value(lat, k) * b[n, k]
-    return acc
+    return AdaptedValue(lat, n + 1, _noise_table(lat, lat.basis.b_mat[n], n + 1))
 
 
 def noise_conditional_mean(lat: NoiseLattice, n: int) -> AdaptedValue:
-    """E[xi_n | first n noises] = sum_{k<n} c[n,k] xi_k, a level-n value."""
+    """E[xi_n | first n noises] = sum_{k<n} b[n,k] eta_k, a level-n value.
+
+    Equivalent to the memory form sum_{k<n} c[n,k] xi_k.
+    """
     if not 0 <= n <= lat.depth - 1:
         raise IndexOutOfRange(f"noise stage {n} outside [0, {lat.depth - 1}]")
-    c = lat.basis.c_mat
-    acc = lat.constant(0.0, n)
-    for k in range(n):
-        acc = acc + noise_value(lat, k).at_level(n) * c[n, k]
-    return acc
+    return AdaptedValue(lat, n, _noise_table(lat, lat.basis.b_mat[n], n))
 
 
 def condexp(value: AdaptedValue, level: int) -> AdaptedValue:

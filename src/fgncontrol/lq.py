@@ -7,11 +7,11 @@ stationarity condition
 
     u_n = -R_n^{-1} [ B_n p_n + D_n p_n E[xi_n | level n] + b[n,n] D_n q_n ]
 
-characterises the unique optimum.  The c(n,k) xi_k memory term makes the
-feedback gain path dependent, so the coupled system is solved by damped
-fixed-point iteration on this control law rather than a Riccati
-recursion: each sweep rolls the state forward, solves the adjoint
-backward equation, and relaxes the control toward the candidate.
+characterises the unique optimum.  The bracket plus R_n u_n is the SMP
+gradient representative rho_n, so the law reads u = u - rho / R.  The
+coupled system is solved by damped fixed-point iteration: each sweep
+rolls the state forward, solves the adjoint backward equation, and
+relaxes the control toward u - rho / R.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from .dynamics import (
     random_control,
 )
 from .errors import InvalidSpec, NotConverged, WrongHorizon
-from .lattice import AdaptedValue, NoiseLattice, expectation, noise_conditional_mean
+from .lattice import AdaptedValue, NoiseLattice, expectation
 from .noise import WhiteningBasis
+from .smp import _gradient
 
 # Damping is halved when a sweep fails to shrink the update residual;
 # below this floor the iteration is declared non-convergent.
@@ -129,22 +130,6 @@ class LqSolution:
         return self.adjoint.z
 
 
-def _candidate(
-    spec: LqSpec, adj: BsdeSolution, lat: NoiseLattice, basis: WhiteningBasis
-) -> ControlProcess:
-    b_diag = np.diag(basis.b_mat)
-    stages = []
-    for n in range(spec.horizon):
-        p_n, q_n = adj.y[n], adj.z[n]
-        gain = (
-            spec.B[n] * p_n
-            + spec.D[n] * (p_n * noise_conditional_mean(lat, n))
-            + b_diag[n] * spec.D[n] * q_n
-        )
-        stages.append(gain * (-1.0 / spec.R[n]))
-    return ControlProcess(stages)
-
-
 def lq_fixed_point(
     spec: LqSpec,
     lat: NoiseLattice,
@@ -156,11 +141,13 @@ def lq_fixed_point(
 ) -> LqSolution:
     """Damped fixed-point iteration on the optimal control law.
 
-    Stops when the update residual max_n max_node |u_n - candidate_n|
-    drops to `tol`; the returned adjoint pair is the one solved at the
-    returned control.  When a sweep fails to shrink the residual the
-    damping is halved (the undamped map can be expansive for small R_n),
-    and NotConverged is raised if max_iter or the damping floor is hit.
+    Each sweep steps u <- u - damping * rho / R toward the candidate
+    u - rho / R and stops when the update residual max_n max_node
+    |rho_n| / R_n drops to `tol`; the returned adjoint pair is the one
+    solved at the returned control.  When a sweep fails to shrink the
+    residual the damping is halved (the undamped map can be expansive
+    for small R_n), and NotConverged is raised if max_iter or the
+    damping floor is hit.
     """
     if not 0.0 < damping <= 1.0:
         raise InvalidSpec(f"damping must lie in (0, 1], got {damping}")
@@ -173,10 +160,9 @@ def lq_fixed_point(
     for it in range(max_iter + 1):
         x = forward(model, u, lat)
         adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
-        cand = _candidate(spec, adj, lat, basis)
+        rho = _gradient(model, u, x, adj, lat, basis)
         residual = max(
-            float(np.max(np.abs(u[n].values - cand[n].values)))
-            for n in range(spec.horizon)
+            float(np.max(np.abs(rho[n].values)) / spec.R[n]) for n in range(spec.horizon)
         )
         trace.append(LqIterationPoint(it, cost(model, u, x, lat), residual))
         if residual <= tol:
@@ -195,9 +181,7 @@ def lq_fixed_point(
                     residual=residual,
                 )
         prev_residual = residual
-        u = ControlProcess(
-            u[n] * (1.0 - damping) + cand[n] * damping for n in range(spec.horizon)
-        )
+        u = ControlProcess(u[n] - rho[n] * (damping / spec.R[n]) for n in range(spec.horizon))
     raise NotConverged(
         f"no fixed point within {max_iter} iterations; residual {residual:.3e}",
         residual=float(residual),

@@ -39,6 +39,7 @@ from .lattice import (
 from .lq import LqSpec, as_model, lq_fixed_point, one_step_closed_form, verify_sufficiency, verify_uniqueness
 from .noise import fgn_covariance, whiten
 from .smp import (
+    _gradient,
     check_stationarity,
     classify_nodes,
     directional_derivative,
@@ -601,7 +602,7 @@ def write_artifacts(seed: int, out_dir: str) -> list[str]:
     reporting.write_control_csv(path("u_star.csv"), lq_lat, sol.control)
     reporting.write_adjoint_csv(path("adjoint.csv"), sol.adjoint)
     reporting.write_lq_trace_csv(path("lq_trace.csv"), sol.trace)
-    res = smp_residual(model, sol.control, sol.adjoint, lq_lat, lq_lat.basis)
+    res = _gradient(model, sol.control, sol.state, sol.adjoint, lq_lat, lq_lat.basis)
     station = check_stationarity(res, sol.control, model.control_set, tol=1e-8)
     suff = verify_sufficiency(spec, sol.control, lq_lat, lq_lat.basis, seed=seed)
     uniq = verify_uniqueness(spec, lq_lat, lq_lat.basis, seed=seed)

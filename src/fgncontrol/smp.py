@@ -72,6 +72,28 @@ def solve_adjoint(
     return x, solve_bsde(adjoint_driver(model, u, x, basis), lat)
 
 
+def _gradient(
+    model: ModelSpec,
+    u: ControlProcess,
+    x: StateProcess,
+    adjoint: BsdeSolution,
+    lat: NoiseLattice,
+    basis: WhiteningBasis,
+) -> SmpResidual:
+    """rho_n along (u, X), with X = forward(u) and the adjoint solved there."""
+    b_diag = np.diag(basis.b_mat)
+    stages = []
+    for n in range(model.horizon):
+        xn, un = x[n], u[n]
+        bu = _stage_value(lat, n, model.b_u(n, xn.values, un.values))
+        su = _stage_value(lat, n, model.sigma_u(n, xn.values, un.values))
+        lu = _stage_value(lat, n, model.l_u(n, xn.values, un.values))
+        p_n, q_n = adjoint.y[n], adjoint.z[n]
+        rho = bu * p_n + su * p_n * noise_conditional_mean(lat, n) + b_diag[n] * (su * q_n) + lu
+        stages.append(rho)
+    return SmpResidual(tuple(stages))
+
+
 def smp_residual(
     model: ModelSpec,
     u_star: ControlProcess,
@@ -80,18 +102,7 @@ def smp_residual(
     basis: WhiteningBasis,
 ) -> SmpResidual:
     """Gradient representative along u*, using an adjoint solved at u*."""
-    x_star = forward(model, u_star, lat)
-    b_diag = np.diag(basis.b_mat)
-    stages = []
-    for n in range(model.horizon):
-        xn, un = x_star[n], u_star[n]
-        bu = _stage_value(lat, n, model.b_u(n, xn.values, un.values))
-        su = _stage_value(lat, n, model.sigma_u(n, xn.values, un.values))
-        lu = _stage_value(lat, n, model.l_u(n, xn.values, un.values))
-        p_n, q_n = adjoint.y[n], adjoint.z[n]
-        rho = bu * p_n + su * p_n * noise_conditional_mean(lat, n) + b_diag[n] * (su * q_n) + lu
-        stages.append(rho)
-    return SmpResidual(tuple(stages))
+    return _gradient(model, u_star, forward(model, u_star, lat), adjoint, lat, basis)
 
 
 def directional_derivative(
@@ -264,7 +275,7 @@ def optimize(
     iterations = 0
 
     for _ in range(max_iter + 1):
-        residual = smp_residual(model, u, adj, lat, basis)
+        residual = _gradient(model, u, x, adj, lat, basis)
         report = check_stationarity(residual, u, model.control_set, tol)
         trace.append(TracePoint(iterations, j_curr, step, report.worst_violation))
         if report.passed:
@@ -295,7 +306,7 @@ def optimize(
                 # the Armijo margin is swamped by rounding in J: fall back
                 # to the stationarity residual as the line-search merit
                 adj_new = solve_bsde(adjoint_driver(model, candidate, x_new, basis), lat)
-                res_new = smp_residual(model, candidate, adj_new, lat, basis)
+                res_new = _gradient(model, candidate, x_new, adj_new, lat, basis)
                 rep_new = check_stationarity(res_new, candidate, model.control_set, tol)
                 if rep_new.worst_violation < report.worst_violation:
                     u, x, j_curr, adj = candidate, x_new, j_new, adj_new

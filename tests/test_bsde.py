@@ -16,7 +16,7 @@ from fgncontrol.bsde import (
     solve_bsde,
 )
 from fgncontrol.dynamics import ModelSpec, constant_control, forward, sin_drift_model
-from fgncontrol.errors import DepthMismatch, TerminalConditionViolated
+from fgncontrol.errors import DepthMismatch, LevelMismatch, TerminalConditionViolated
 from fgncontrol.lattice import (
     condexp,
     lattice_for_hurst,
@@ -250,6 +250,19 @@ class TestSolutionStructure:
         a, b = solve_bsde(driver, lat), solve_bsde(driver, lat)
         for n in range(3):
             assert np.array_equal(a.y[n].values, b.y[n].values)
+
+    def test_driver_finer_than_its_stage_rejected(self, lat):
+        # xi_s is not measurable at stage s; projecting it away would
+        # silently give Y_0 = 0
+        driver = DriverSpec(
+            horizon=2,
+            terminal=lat.constant(0.0, 2),
+            f=lambda s, y, z: noise_value(lat, s),
+            g=lambda s, y, z: 0.0,
+            terminal_noise_free=True,
+        )
+        with pytest.raises(LevelMismatch):
+            solve_bsde(driver, lat)
 
 
 class TestAdjointDriver:

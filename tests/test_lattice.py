@@ -152,12 +152,27 @@ class TestAdaptedValue:
         with pytest.raises(LevelMismatch):
             lat_h07.constant(1.0, 2).at_level(1)
 
-    def test_arithmetic_lifts_to_finer_level(self, lat_h07):
-        v1 = AdaptedValue(lat_h07, 1, [1.0, 2.0, 3.0])
-        v2 = white_value(lat_h07, 1)  # level 2
-        total = v1 + v2
-        assert total.level == 2
-        assert np.array_equal(total.values, v1.at_level(2).values + v2.values)
+    @pytest.mark.parametrize(
+        "levels", [(1, 2), (0, 3), (1, 3), (3, 1)], ids=lambda lv: f"{lv[0]}-{lv[1]}"
+    )
+    @pytest.mark.parametrize(
+        "method, expected",
+        [
+            ("__add__", np.add),
+            ("__sub__", np.subtract),
+            ("__rsub__", lambda a, b: b - a),
+            ("__mul__", np.multiply),
+            ("__truediv__", np.divide),
+        ],
+        ids=["add", "sub", "rsub", "mul", "div"],
+    )
+    def test_arithmetic_lifts_to_finer_level(self, lat_h07, levels, method, expected):
+        rng = np.random.default_rng(5)
+        v1, v2 = (AdaptedValue(lat_h07, n, 1.0 + rng.random(3**n)) for n in levels)
+        out = getattr(v1, method)(v2)
+        top = max(levels)
+        assert out.level == top
+        assert np.array_equal(out.values, expected(v1.at_level(top).values, v2.at_level(top).values))
 
     def test_scalar_ops(self, lat_h07):
         v = AdaptedValue(lat_h07, 1, [1.0, 2.0, 3.0])
@@ -239,28 +254,46 @@ class TestNoiseValues:
         )
         assert np.allclose(xi1.values, expected.values, atol=1e-14)
 
-    @pytest.mark.parametrize("h", [0.3, 0.7])
-    def test_noise_covariance_matches_sigma(self, h):
-        lat = lattice_for_hurst(h, depth=3, order=2)
-        sigma = fgn_covariance(h, 3).sigma
-        for n in range(3):
-            for m in range(3):
+    @pytest.mark.parametrize(
+        "h, q, depth",
+        [
+            pytest.param(0.3, 2, 3, id="0.3"),
+            pytest.param(0.7, 2, 3, id="0.7"),
+            pytest.param(0.3, 3, 6, id="0.3-q3-depth6"),
+            pytest.param(0.7, 3, 6, id="0.7-q3-depth6"),
+            pytest.param(0.3, 5, 5, id="0.3-q5-depth5"),
+            pytest.param(0.7, 5, 5, id="0.7-q5-depth5"),
+        ],
+    )
+    def test_noise_covariance_matches_sigma(self, h, q, depth):
+        lat = lattice_for_hurst(h, depth=depth, order=q)
+        sigma = fgn_covariance(h, depth).sigma
+        for n in range(depth):
+            for m in range(depth):
                 prod = noise_value(lat, n) * noise_value(lat, m)
                 assert expectation(prod) == pytest.approx(sigma[n][m], abs=1e-12), (
                     f"(n,m)=({n},{m})"
                 )
 
-    def test_conditional_mean_of_noise(self, lat_h07):
-        # three routes: c-mix, b-mix of past whites, and direct condexp
-        for n in range(3):
-            via_c = noise_conditional_mean(lat_h07, n)
-            via_condexp = condexp(noise_value(lat_h07, n), n)
-            b = lat_h07.basis.b_mat
-            via_b = lat_h07.constant(0.0, n)
+    @pytest.mark.parametrize(
+        "q, depth", [(3, 3), (3, 6), (5, 5)], ids=["q3-depth3", "q3-depth6", "q5-depth5"]
+    )
+    def test_conditional_mean_of_noise(self, q, depth):
+        # three oracles: c-mix of past increments, b-mix of past whites,
+        # and direct condexp
+        lat = lattice_for_hurst(0.7, depth=depth, order=q)
+        b, c = lat.basis.b_mat, lat.basis.c_mat
+        for n in range(depth):
+            mean = noise_conditional_mean(lat, n)
+            via_condexp = condexp(noise_value(lat, n), n)
+            via_b = lat.constant(0.0, n)
+            via_c = lat.constant(0.0, n)
             for k in range(n):
-                via_b = via_b + b[n, k] * white_value(lat_h07, k).at_level(n)
-            assert np.max(np.abs(via_c.values - via_condexp.values)) <= 1e-12
-            assert np.max(np.abs(via_c.values - via_b.values)) <= 1e-12
+                via_b = via_b + b[n, k] * white_value(lat, k).at_level(n)
+                via_c = via_c + c[n, k] * noise_value(lat, k).at_level(n)
+            assert np.max(np.abs(mean.values - via_condexp.values)) <= 1e-12
+            assert np.max(np.abs(mean.values - via_b.values)) <= 1e-12
+            assert np.max(np.abs(mean.values - via_c.values)) <= 1e-12
 
     def test_eta_xi_cross_moment_is_diagonal_entry(self, lat_h07):
         # E[eta_n xi_n | level n] = b[n,n] for q >= 2
