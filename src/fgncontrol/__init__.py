@@ -20,7 +20,7 @@ it, and uses those solutions to check and compute optimal controls:
     Adjoint-based stationarity residuals, duality and gradient checks,
     and a projected-descent optimizer.
 ``lq``
-    Linear-quadratic specializations: fixed-point solver, one-step
+    Linear-quadratic specializations: one-pass Riccati solver, one-step
     closed form, and sufficiency/uniqueness certificates.
 ``selftest``
     The acceptance criteria, runnable in bulk with deterministic

@@ -150,7 +150,7 @@ def cmd_lq(args) -> int:
     out = _require_out(args)
     cfg = configs.load_lq_config(args.config, order_override=args.quadrature_order)
     lat = lattice_for_hurst(cfg.hurst, cfg.spec.horizon, cfg.quadrature_order)
-    sol = lq_fixed_point(cfg.spec, lat, lat.basis, damping=args.damping)
+    sol = lq_fixed_point(cfg.spec, lat, lat.basis)
     model = as_model(cfg.spec)
     residual = _gradient(model, sol.control, sol.state, sol.adjoint, lat, lat.basis)
     reporting.ensure_out_dir(out)
@@ -178,8 +178,6 @@ def cmd_lq(args) -> int:
             },
             "uniqueness": {
                 "passed": uniq.passed,
-                "starts": uniq.starts,
-                "max_control_spread": uniq.max_control_spread,
                 "worst_parallelogram_slack": uniq.worst_parallelogram_slack,
             },
             "passed": passed,
@@ -273,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lq", parents=[common], help="linear-quadratic optimal control")
     p.add_argument("--config", required=True, help="JSON problem file")
-    p.add_argument("--damping", type=float, default=0.5, help="fixed-point damping in (0, 1]")
     p.set_defaults(func=cmd_lq)
 
     p = sub.add_parser("smp-check", parents=[common], help="stationarity check of a control")

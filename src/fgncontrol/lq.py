@@ -8,10 +8,11 @@ stationarity condition
     u_n = -R_n^{-1} [ B_n p_n + D_n p_n E[xi_n | level n] + b[n,n] D_n q_n ]
 
 characterises the unique optimum.  The bracket plus R_n u_n is the SMP
-gradient representative rho_n, so the law reads u = u - rho / R.  The
-coupled system is solved by damped fixed-point iteration: each sweep
-rolls the state forward, solves the adjoint backward equation, and
-relaxes the control toward u - rho / R.
+gradient representative rho_n, so the optimum is the fixed point of
+u = u - rho / R.  On the lattice it is computed directly: one backward
+Riccati pass over the tree gives a per-node feedback gain, and the SMP
+residual of the resulting control is checked as an independent
+certificate.
 """
 
 from __future__ import annotations
@@ -26,20 +27,15 @@ from .dynamics import (
     ModelSpec,
     StateProcess,
     Unconstrained,
-    constant_control,
     cost,
     forward,
     perturb,
     random_control,
 )
 from .errors import InvalidSpec, NotConverged, WrongHorizon
-from .lattice import AdaptedValue, NoiseLattice, expectation
+from .lattice import AdaptedValue, NoiseLattice, condexp, expectation, noise_value
 from .noise import WhiteningBasis
 from .smp import _gradient
-
-# Damping is halved when a sweep fails to shrink the update residual;
-# below this floor the iteration is declared non-convergent.
-_DAMPING_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -134,57 +130,53 @@ def lq_fixed_point(
     spec: LqSpec,
     lat: NoiseLattice,
     basis: WhiteningBasis,
-    damping: float = 0.5,
     tol: float = 1e-10,
-    max_iter: int = 500,
-    u_init: ControlProcess | None = None,
 ) -> LqSolution:
-    """Damped fixed-point iteration on the optimal control law.
+    """The optimal control, computed directly by one backward Riccati pass.
 
-    Each sweep steps u <- u - damping * rho / R toward the candidate
-    u - rho / R and stops when the update residual max_n max_node
-    |rho_n| / R_n drops to `tol`; the returned adjoint pair is the one
-    solved at the returned control.  When a sweep fails to shrink the
-    residual the damping is halved (the undamped map can be expansive
-    for small R_n), and NotConverged is raised if max_iter or the
-    damping floor is hit.
+    It is the fixed point of u = u - rho / R.  Each node fixes its whole
+    history, so given level n the increment is xi_n = mu_node + b[n,n] eta_n
+    and the value function is 0.5 P_node x^2.  With P_N = G,
+    alpha = 1 + A_n + C_n xi_n and gamma = B_n + D_n xi_n, stage n gives
+    K_n = E[P alpha gamma | n] / (R_n + E[P gamma^2 | n]),
+    P_n = Q_n + E[P alpha^2 | n] - K_n E[P alpha gamma | n] and u_n = -K_n X_n.
+    The state and the adjoint pair are then solved at that control, and
+    the SMP residual max_n max_node |rho_n| / R_n certifies it:
+    NotConverged is raised when it exceeds `tol`.
     """
-    if not 0.0 < damping <= 1.0:
-        raise InvalidSpec(f"damping must lie in (0, 1], got {damping}")
     model = as_model(spec)
-    u = u_init if u_init is not None else constant_control(lat, spec.horizon, 0.0)
-    trace: list[LqIterationPoint] = []
-    prev_residual = np.inf
-    residual = np.inf
+    p = lat.constant(spec.G, spec.horizon)
+    feedback = []
+    for n in reversed(range(spec.horizon)):
+        xi = noise_value(lat, n)
+        alpha = xi * spec.C[n] + (1.0 + spec.A[n])
+        gamma = xi * spec.D[n] + spec.B[n]
+        s_ag = condexp(p * alpha * gamma, n)
+        k = s_ag / (condexp(p * gamma * gamma, n) + spec.R[n])
+        p = condexp(p * alpha * alpha, n) + spec.Q[n] - k * s_ag
+        feedback.insert(0, (k, alpha - gamma * k))
 
-    for it in range(max_iter + 1):
-        x = forward(model, u, lat)
-        adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
-        rho = _gradient(model, u, x, adj, lat, basis)
-        residual = max(
-            float(np.max(np.abs(rho[n].values)) / spec.R[n]) for n in range(spec.horizon)
+    # closed loop: X_{n+1} = X_n (alpha_n - gamma_n K_n)
+    stages, x_n = [], lat.constant(spec.x, 0)
+    for k, loop in feedback:
+        stages.append(-(k * x_n))
+        x_n = x_n * loop
+    u = ControlProcess(stages)
+    x = forward(model, u, lat)
+    adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
+    rho = _gradient(model, u, x, adj, lat, basis)
+    residual = max(
+        float(np.max(np.abs(rho[n].values)) / spec.R[n]) for n in range(spec.horizon)
+    )
+    if residual > tol:
+        raise NotConverged(
+            f"Riccati control fails the SMP check: residual {residual:.3e} > tol {tol:.1e}",
+            residual=residual,
         )
-        trace.append(LqIterationPoint(it, cost(model, u, x, lat), residual))
-        if residual <= tol:
-            return LqSolution(
-                control=u, state=x, adjoint=adj, cost=trace[-1].cost,
-                iterations=it, residual=residual, trace=tuple(trace),
-            )
-        if it == max_iter:
-            break
-        if residual >= prev_residual:
-            damping *= 0.5
-            if damping < _DAMPING_FLOOR:
-                raise NotConverged(
-                    f"damping collapsed below {_DAMPING_FLOOR} at iteration {it}; "
-                    f"residual {residual:.3e}",
-                    residual=residual,
-                )
-        prev_residual = residual
-        u = ControlProcess(u[n] - rho[n] * (damping / spec.R[n]) for n in range(spec.horizon))
-    raise NotConverged(
-        f"no fixed point within {max_iter} iterations; residual {residual:.3e}",
-        residual=float(residual),
+    j = cost(model, u, x, lat)
+    return LqSolution(
+        control=u, state=x, adjoint=adj, cost=j, iterations=0,
+        residual=residual, trace=(LqIterationPoint(0, j, residual),),
     )
 
 
@@ -254,8 +246,6 @@ def verify_sufficiency(
 @dataclass(frozen=True)
 class UniquenessReport:
     passed: bool
-    starts: int
-    max_control_spread: float
     worst_parallelogram_slack: float
 
 
@@ -263,39 +253,16 @@ def verify_uniqueness(
     spec: LqSpec,
     lat: NoiseLattice,
     basis: WhiteningBasis,
-    starts: int = 2,
     seed: int = 0,
-    damping: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 500,
 ) -> UniquenessReport:
-    """Fixed point from several starts, plus the convexity inequality.
+    """Strict convexity of the cost, hence a unique optimum.
 
-    All runs must land on the same control (nodewise <= 1e-6).  For
-    random control pairs the strict-convexity bound
+    For random control pairs the bound
     J(u1) + J(u2) >= 2 J((u1+u2)/2) + (min_n R_n / 4) E sum (u1-u2)^2
-    must hold with 1e-9 slack; both follow from R_n >= theta > 0.
+    must hold with 1e-9 slack; it follows from R_n >= theta > 0.
     """
-    if starts < 2:
-        raise InvalidSpec(f"need at least 2 starts, got {starts}")
     model = as_model(spec)
     rng = np.random.default_rng(seed)
-    inits = [constant_control(lat, spec.horizon, 0.0), constant_control(lat, spec.horizon, 1.0)]
-    while len(inits) < starts:
-        inits.append(random_control(lat, spec.horizon, rng))
-    solutions = [
-        lq_fixed_point(spec, lat, basis, damping=damping, tol=tol, max_iter=max_iter, u_init=u0)
-        for u0 in inits[:starts]
-    ]
-    spread = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            for n in range(spec.horizon):
-                diff = np.max(
-                    np.abs(solutions[i].control[n].values - solutions[j].control[n].values)
-                )
-                spread = max(spread, float(diff))
-
     theta = float(np.min(spec.R))
     worst_slack = np.inf
     for _ in range(5):
@@ -310,8 +277,6 @@ def verify_uniqueness(
         )
         worst_slack = min(worst_slack, j1 + j2 - 2.0 * jm - 0.25 * theta * sq)
     return UniquenessReport(
-        passed=bool(spread <= 1e-6 and worst_slack >= -1e-9),
-        starts=starts,
-        max_control_spread=spread,
+        passed=bool(worst_slack >= -1e-9),
         worst_parallelogram_slack=float(worst_slack),
     )

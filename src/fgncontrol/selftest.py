@@ -467,7 +467,7 @@ def criterion_variation_rate(seed: int) -> CriterionResult:
 
 
 def criterion_lq_closed_form(seed: int) -> CriterionResult:
-    """Horizon-1 fixed point matches the exact one-variable optimum to
+    """Horizon-1 Riccati solve matches the exact one-variable optimum to
     1e-10 over 20 coefficient draws with R_0 in [0.1, 2]."""
     lat = lattice_for_hurst(0.7, depth=1, order=3)
     rng = _rng(seed, 9)
@@ -484,7 +484,7 @@ def criterion_lq_closed_form(seed: int) -> CriterionResult:
             G=rng.uniform(0.1, 1.5),
             x=rng.uniform(-2.0, 2.0),
         )
-        sol = lq_fixed_point(spec, lat, lat.basis, max_iter=2000)
+        sol = lq_fixed_point(spec, lat, lat.basis)
         worst = max(worst, float(np.max(np.abs(sol.control[0].values - one_step_closed_form(spec)))))
     passed = worst <= 1e-10
     return CriterionResult(
@@ -496,8 +496,9 @@ def criterion_lq_closed_form(seed: int) -> CriterionResult:
 
 
 def criterion_lq_certificates(seed: int) -> CriterionResult:
-    """Fixed-point output is stationary at 1e-8, never beaten by more
-    than 1e-10 over 50 perturbations, and start-independent to 1e-6."""
+    """Riccati solve is stationary at 1e-8, never beaten by more than
+    1e-10 over 50 perturbations, and the cost is strictly convex (the
+    parallelogram inequality holds with 1e-9 slack)."""
     lat = lattice_for_hurst(0.7, depth=3, order=3)
     spec = _random_lq_spec(_rng(seed, 10), 3)
     sol = lq_fixed_point(spec, lat, lat.basis)
@@ -510,7 +511,8 @@ def criterion_lq_certificates(seed: int) -> CriterionResult:
     return CriterionResult(
         10, "lq-stationarity-sufficiency-uniqueness", passed,
         f"worst residual={station.worst_violation:.3e}, "
-        f"min cost gap={suff.min_cost_gap:.3e}, spread={uniq.max_control_spread:.3e}",
+        f"min cost gap={suff.min_cost_gap:.3e}, "
+        f"parallelogram slack={uniq.worst_parallelogram_slack:.3e}",
     )
 
 
@@ -518,7 +520,7 @@ def criterion_lq_certificates(seed: int) -> CriterionResult:
 
 
 def criterion_cross_solver(seed: int) -> CriterionResult:
-    """Projected gradient from u = 0 lands on the LQ fixed point
+    """Projected gradient from u = 0 lands on the Riccati LQ solution
     nodewise to 1e-6, N = 3, q = 3, h = 0.7."""
     lat = lattice_for_hurst(0.7, depth=3, order=3)
     rng = _rng(seed, 11)
@@ -614,7 +616,10 @@ def write_artifacts(seed: int, out_dir: str) -> list[str]:
             "residual": sol.residual,
             "stationarity": {"passed": station.passed, "worst_violation": station.worst_violation},
             "sufficiency": {"passed": suff.passed, "min_cost_gap": suff.min_cost_gap},
-            "uniqueness": {"passed": uniq.passed, "max_control_spread": uniq.max_control_spread},
+            "uniqueness": {
+                "passed": uniq.passed,
+                "worst_parallelogram_slack": uniq.worst_parallelogram_slack,
+            },
         },
     )
     classification = [

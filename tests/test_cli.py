@@ -199,14 +199,6 @@ class TestLq:
         for name in sorted(os.listdir(out_a)):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_bad_damping_exits_2(self, tmp_path):
-        cfg = write_json_file(tmp_path / "lq.json", LQ_CONFIG)
-        assert run("lq", "--config", cfg, "--damping", 2.0, "--out", tmp_path / "o") == 2
-
-    def test_stalled_iteration_exits_5(self, tmp_path):
-        cfg = write_json_file(tmp_path / "lq.json", LQ_CONFIG)
-        assert run("lq", "--config", cfg, "--damping", 1e-9, "--out", tmp_path / "o") == 5
-
     def test_negative_weight_exits_2(self, tmp_path):
         cfg = dict(LQ_CONFIG)
         cfg["R"] = [1.0, -0.5]

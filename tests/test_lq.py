@@ -1,8 +1,9 @@
-"""Linear-quadratic solver: fixed point, closed forms, certificates.
+"""Linear-quadratic solver: one-pass tree Riccati, closed forms, certificates.
 
 Oracles: the horizon-1 closed form (single-variable quadratic), and for
-white noise a dynamic-programming Riccati recursion coded here from
-scratch, giving exact feedback gains the fixed point must reproduce.
+white noise a scalar dynamic-programming Riccati recursion coded here
+from scratch, giving exact feedback gains the tree solve must reproduce.
+Projected descent and the SMP residual check the solve independently.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from fgncontrol.lq import (
     verify_sufficiency,
     verify_uniqueness,
 )
+from fgncontrol.selftest import _random_lq_spec
 from fgncontrol.smp import check_stationarity, optimize, smp_residual
 
 
@@ -105,12 +107,6 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             LqSpec(**kwargs)
 
-    def test_bad_damping_rejected(self, spec3, lat7):
-        with pytest.raises(InvalidSpec):
-            lq_fixed_point(spec3, lat7, lat7.basis, damping=0.0)
-        with pytest.raises(InvalidSpec):
-            lq_fixed_point(spec3, lat7, lat7.basis, damping=1.5)
-
 
 class TestOneStepClosedForm:
     def test_reference_value(self):
@@ -147,7 +143,7 @@ class TestOneStepClosedForm:
                 G=rng.uniform(0.1, 1.5),
                 x=rng.uniform(-2.0, 2.0),
             )
-            sol = lq_fixed_point(spec, lat, lat.basis, max_iter=2000)
+            sol = lq_fixed_point(spec, lat, lat.basis)
             expected = one_step_closed_form(spec)
             assert np.max(np.abs(sol.control[0].values - expected)) <= 1e-10
 
@@ -177,26 +173,39 @@ class TestFixedPointStructure:
         assert sol.q is sol.adjoint.z
 
     def test_not_converged_carries_residual(self, spec3, lat7):
+        # the adjoint sees h = 0.3 while the lattice noise is h = 0.7, so
+        # the Riccati control cannot pass the SMP check
+        wrong = lattice_for_hurst(0.3, 3, 3).basis
         with pytest.raises(NotConverged) as info:
-            lq_fixed_point(spec3, lat7, lat7.basis, tol=1e-15, max_iter=1)
+            lq_fixed_point(spec3, lat7, wrong)
         assert info.value.residual > 0.0
 
-    def test_trace_records_descent_to_tolerance(self, spec3, lat7):
-        sol = lq_fixed_point(spec3, lat7, lat7.basis)
-        assert sol.trace[-1].residual <= 1e-10
-        assert sol.trace[0].residual > sol.trace[-1].residual
+    @pytest.mark.parametrize("q, horizon, draw", [(3, 6, 1), (3, 8, 0)])
+    def test_certified_at_benchmark_depth(self, q, horizon, draw):
+        # lq-certify draws that a 500-sweep damped iteration does not solve
+        lat = lattice_for_hurst(0.7, depth=horizon, order=q)
+        spec = _random_lq_spec(np.random.default_rng([0, q, horizon, draw]), horizon)
+        sol = lq_fixed_point(spec, lat, lat.basis)
         assert sol.residual <= 1e-10
+        model = as_model(spec)
+        res = smp_residual(model, sol.control, sol.adjoint, lat, lat.basis)
+        assert check_stationarity(res, sol.control, model.control_set, tol=1e-8).passed
+        assert verify_sufficiency(spec, sol.control, lat, lat.basis).passed
 
 
 class TestWhiteNoiseRiccati:
-    @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_feedback_gains_reproduced(self, seed):
-        lat = lattice_for_hurst(0.5, depth=3, order=3)
+    @pytest.mark.parametrize(
+        "seed, depth",
+        [pytest.param(seed, 3, id=str(seed)) for seed in (21, 22, 23)]
+        + [pytest.param(seed, 6, id=f"{seed}-depth6") for seed in (21, 22, 23)],
+    )
+    def test_feedback_gains_reproduced(self, seed, depth):
+        lat = lattice_for_hurst(0.5, depth=depth, order=3)
         rng = np.random.default_rng(seed)
-        spec = random_spec(rng, 3)
+        spec = random_spec(rng, depth)
         sol = lq_fixed_point(spec, lat, lat.basis)
         gains, p0 = riccati_gains(spec)
-        for n in range(3):
+        for n in range(depth):
             expected = gains[n] * sol.state[n].values
             assert np.max(np.abs(sol.control[n].values - expected)) <= 1e-9
         assert sol.cost == pytest.approx(0.5 * p0 * spec.x**2, abs=1e-9)
@@ -256,7 +265,7 @@ class TestSufficiency:
         lat = lattice_for_hurst(0.7, depth=1, order=3)
         spec = LqSpec(horizon=1, A=[0.3], B=[0.9], C=[0.2], D=[0.7],
                       Q=[0.4], R=[1.1], G=0.9, x=1.4)
-        sol = lq_fixed_point(spec, lat, lat.basis, max_iter=2000)
+        sol = lq_fixed_point(spec, lat, lat.basis)
         model = as_model(spec)
         eps, v0 = 0.01, 0.7
         v = constant_control(lat, 1, v0)
@@ -294,25 +303,4 @@ class TestUniqueness:
     def test_distinct_starts_agree(self, spec3, lat7):
         report = verify_uniqueness(spec3, lat7, lat7.basis)
         assert report.passed
-        assert report.starts == 2
-        assert report.max_control_spread <= 1e-6
         assert report.worst_parallelogram_slack >= -1e-9
-
-    def test_explicit_two_starts(self, lat7):
-        spec = LqSpec(horizon=1, A=[0.0], B=[1.0], C=[0.0], D=[1.0],
-                      Q=[0.0], R=[1.0], G=1.0, x=1.0)
-        lat = lattice_for_hurst(0.7, depth=1, order=3)
-        from_zero = lq_fixed_point(spec, lat, lat.basis,
-                                   u_init=constant_control(lat, 1, 0.0))
-        from_far = lq_fixed_point(spec, lat, lat.basis,
-                                  u_init=constant_control(lat, 1, 5.0))
-        assert from_zero.control[0].values[0] == pytest.approx(-1.0 / 3.0, abs=1e-10)
-        assert from_far.control[0].values[0] == pytest.approx(-1.0 / 3.0, abs=1e-10)
-
-    def test_more_starts_supported(self, spec3, lat7):
-        report = verify_uniqueness(spec3, lat7, lat7.basis, starts=3)
-        assert report.passed
-
-    def test_too_few_starts_rejected(self, spec3, lat7):
-        with pytest.raises(InvalidSpec):
-            verify_uniqueness(spec3, lat7, lat7.basis, starts=1)
