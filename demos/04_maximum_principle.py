@@ -30,7 +30,8 @@ horizon = 3
 lat = lattice_for_hurst(0.7, depth=horizon, order=3)
 model = sin_drift_model(horizon, initial_state=1.0, noise_gain=0.5)
 
-# start from the zero control and descend along projected residuals
+# start from the zero control and take Newton (DDP) steps: a backward pass
+# gives per-node gains, a closed-loop rollout applies them
 result = optimize(model, constant_control(lat, horizon, 0.0), lat, lat.basis,
                   tol=1e-8, max_iter=2000)
 print("converged:", result.converged, "after", result.iterations, "iterations")
@@ -66,8 +67,9 @@ for _ in range(5):
     changes.append(cost(model, u_eps, forward(model, u_eps, lat), lat) - result.cost)
 print("worst nearby cost change (should be ~>= 0):", min(changes))
 
-# with box bounds the optimizer clips and the stationarity check uses
-# projected violations instead of raw residuals
+# with box bounds a node whose Newton step leaves the box is clamped to
+# it, and the stationarity check uses projected violations instead of
+# raw residuals
 boxed = sin_drift_model(horizon, initial_state=1.0, noise_gain=0.5,
                         control_set=Box(-0.05, 0.05))
 boxed_result = optimize(boxed, constant_control(lat, horizon, 0.0), lat, lat.basis,

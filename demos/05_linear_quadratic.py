@@ -38,8 +38,8 @@ print("u_0 =", sol.control[0].values[0])
 # certificates: stationarity is the residual above; sufficiency perturbs
 # the optimum and checks the cost never drops; uniqueness checks strict
 # convexity of the cost in the control
-suff = verify_sufficiency(spec, sol.control, lat, lat.basis, trials=25, seed=1)
-uniq = verify_uniqueness(spec, lat, lat.basis, seed=1)
+suff = verify_sufficiency(spec, sol.control, lat, trials=25, seed=1)
+uniq = verify_uniqueness(spec, lat, seed=1)
 print("sufficiency:", suff.passed, " min cost gap:", suff.min_cost_gap)
 print("uniqueness:", uniq.passed, " parallelogram slack:", uniq.worst_parallelogram_slack)
 

@@ -18,7 +18,7 @@ it, and uses those solutions to check and compute optimal controls:
     processes for affine drivers.
 ``smp``
     Adjoint-based stationarity residuals, duality and gradient checks,
-    and a projected-descent optimizer.
+    and a DDP (Newton-step) optimizer.
 ``lq``
     Linear-quadratic specializations: one-pass Riccati solver, one-step
     closed form, and sufficiency/uniqueness certificates.

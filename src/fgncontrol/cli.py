@@ -152,13 +152,12 @@ def cmd_lq(args) -> int:
     lat = lattice_for_hurst(cfg.hurst, cfg.spec.horizon, cfg.quadrature_order)
     sol = lq_fixed_point(cfg.spec, lat, lat.basis)
     model = as_model(cfg.spec)
-    residual = _gradient(model, sol.control, sol.state, sol.adjoint, lat, lat.basis)
     reporting.ensure_out_dir(out)
     station, station_report = _stationarity_artifacts(
-        out, lat, model, sol.control, residual, STATIONARITY_TOL
+        out, lat, model, sol.control, sol.rho, STATIONARITY_TOL
     )
-    suff = verify_sufficiency(cfg.spec, sol.control, lat, lat.basis, seed=args.seed)
-    uniq = verify_uniqueness(cfg.spec, lat, lat.basis, seed=args.seed)
+    suff = verify_sufficiency(cfg.spec, sol.control, lat, seed=args.seed)
+    uniq = verify_uniqueness(cfg.spec, lat, seed=args.seed)
     reporting.write_control_csv(os.path.join(out, "u_star.csv"), lat, sol.control)
     reporting.write_adjoint_csv(os.path.join(out, "adjoint.csv"), sol.adjoint)
     reporting.write_lq_trace_csv(os.path.join(out, "iterations.csv"), sol.trace)
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=STATIONARITY_TOL, help="violation tolerance")
     p.set_defaults(func=cmd_smp_check)
 
-    p = sub.add_parser("optimize", parents=[common], help="projected gradient descent")
+    p = sub.add_parser("optimize", parents=[common], help="DDP (Newton) steps to a stationary control")
     p.add_argument("--config", required=True, help="JSON model file")
     p.add_argument("--tol", type=float, default=STATIONARITY_TOL, help="stationarity tolerance")
     p.add_argument("--max-iter", type=int, default=1000, help="iteration cap")

@@ -35,7 +35,7 @@ from .dynamics import (
 from .errors import InvalidSpec, NotConverged, WrongHorizon
 from .lattice import AdaptedValue, NoiseLattice, condexp, expectation, noise_value
 from .noise import WhiteningBasis
-from .smp import _gradient
+from .smp import SmpResidual, _gradient
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,13 @@ class LqIterationPoint:
 
 @dataclass(frozen=True)
 class LqSolution:
-    """Optimal system: control, state, adjoint pair, iteration record."""
+    """Optimal system: control, state, adjoint pair, its SMP gradient
+    representative rho, iteration record."""
 
     control: ControlProcess
     state: StateProcess
     adjoint: BsdeSolution
+    rho: SmpResidual
     cost: float
     iterations: int
     residual: float
@@ -175,7 +177,7 @@ def lq_fixed_point(
         )
     j = cost(model, u, x, lat)
     return LqSolution(
-        control=u, state=x, adjoint=adj, cost=j, iterations=0,
+        control=u, state=x, adjoint=adj, rho=rho, cost=j, iterations=0,
         residual=residual, trace=(LqIterationPoint(0, j, residual),),
     )
 
@@ -207,7 +209,6 @@ def verify_sufficiency(
     spec: LqSpec,
     u_star: ControlProcess,
     lat: NoiseLattice,
-    basis: WhiteningBasis,
     trials: int = 50,
     seed: int = 0,
 ) -> SufficiencyReport:
@@ -252,7 +253,6 @@ class UniquenessReport:
 def verify_uniqueness(
     spec: LqSpec,
     lat: NoiseLattice,
-    basis: WhiteningBasis,
     seed: int = 0,
 ) -> UniquenessReport:
     """Strict convexity of the cost, hence a unique optimum.

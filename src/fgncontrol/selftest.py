@@ -39,7 +39,6 @@ from .lattice import (
 from .lq import LqSpec, as_model, lq_fixed_point, one_step_closed_form, verify_sufficiency, verify_uniqueness
 from .noise import fgn_covariance, whiten
 from .smp import (
-    _gradient,
     check_stationarity,
     classify_nodes,
     directional_derivative,
@@ -505,8 +504,8 @@ def criterion_lq_certificates(seed: int) -> CriterionResult:
     model = as_model(spec)
     res = smp_residual(model, sol.control, sol.adjoint, lat, lat.basis)
     station = check_stationarity(res, sol.control, model.control_set, tol=1e-8)
-    suff = verify_sufficiency(spec, sol.control, lat, lat.basis, trials=50, seed=seed)
-    uniq = verify_uniqueness(spec, lat, lat.basis, seed=seed)
+    suff = verify_sufficiency(spec, sol.control, lat, trials=50, seed=seed)
+    uniq = verify_uniqueness(spec, lat, seed=seed)
     passed = station.passed and suff.passed and uniq.passed
     return CriterionResult(
         10, "lq-stationarity-sufficiency-uniqueness", passed,
@@ -520,7 +519,7 @@ def criterion_lq_certificates(seed: int) -> CriterionResult:
 
 
 def criterion_cross_solver(seed: int) -> CriterionResult:
-    """Projected gradient from u = 0 lands on the Riccati LQ solution
+    """The DDP optimizer from u = 0 lands on the Riccati LQ solution
     nodewise to 1e-6, N = 3, q = 3, h = 0.7."""
     lat = lattice_for_hurst(0.7, depth=3, order=3)
     rng = _rng(seed, 11)
@@ -604,10 +603,9 @@ def write_artifacts(seed: int, out_dir: str) -> list[str]:
     reporting.write_control_csv(path("u_star.csv"), lq_lat, sol.control)
     reporting.write_adjoint_csv(path("adjoint.csv"), sol.adjoint)
     reporting.write_lq_trace_csv(path("lq_trace.csv"), sol.trace)
-    res = _gradient(model, sol.control, sol.state, sol.adjoint, lq_lat, lq_lat.basis)
-    station = check_stationarity(res, sol.control, model.control_set, tol=1e-8)
-    suff = verify_sufficiency(spec, sol.control, lq_lat, lq_lat.basis, seed=seed)
-    uniq = verify_uniqueness(spec, lq_lat, lq_lat.basis, seed=seed)
+    station = check_stationarity(sol.rho, sol.control, model.control_set, tol=1e-8)
+    suff = verify_sufficiency(spec, sol.control, lq_lat, seed=seed)
+    uniq = verify_uniqueness(spec, lq_lat, seed=seed)
     reporting.write_json(
         path("lq_report.json"),
         {
@@ -625,11 +623,11 @@ def write_artifacts(seed: int, out_dir: str) -> list[str]:
     classification = [
         (ok, viol)
         for viol, ok in (
-            classify_nodes(res[n].values, sol.control[n].values, model.control_set, 1e-8)
+            classify_nodes(sol.rho[n].values, sol.control[n].values, model.control_set, 1e-8)
             for n in range(2)
         )
     ]
-    reporting.write_residual_csv(path("residual.csv"), res, sol.control, classification)
+    reporting.write_residual_csv(path("residual.csv"), sol.rho, sol.control, classification)
 
     opt_model = sin_drift_model(2, initial_state=1.0)
     result = optimize(

@@ -1,4 +1,4 @@
-"""Stochastic maximum principle: gradient, stationarity, descent.
+"""Stochastic maximum principle: gradient, stationarity, optimization.
 
 For an admissible control u with state X and adjoint pair (p, q) solved
 backward along (u, X), the cost gradient representative at stage n is
@@ -11,8 +11,9 @@ admissible direction v equals sum_n E[rho_n v_n]; it is computed here by
 two independent routes (state variation vs adjoint pairing) and the two
 must agree, otherwise something upstream is broken and we refuse to
 continue.  Stationarity of a candidate control is classified nodewise
-against the control set, and `optimize` runs projected gradient descent
-with Armijo backtracking on top of the same residual.
+against the control set.  `optimize` takes second-order steps from
+differential dynamic programming on the tree, with Armijo backtracking,
+and stops only when the same residual passes the stationarity check.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .dynamics import (
     StateProcess,
     Unconstrained,
     BOUNDARY_TOL,
+    _central_diff,
     _stage_value,
     cost,
     forward,
@@ -38,6 +40,7 @@ from .errors import DualityMismatch, NoDescent
 from .lattice import (
     AdaptedValue,
     NoiseLattice,
+    condexp,
     expectation,
     noise_conditional_mean,
     noise_value,
@@ -207,7 +210,8 @@ def check_stationarity(
 
 @dataclass(frozen=True)
 class ArmijoRule:
-    """Backtracking parameters: accept when the decrease beats
+    """Backtracking parameters for the step length alpha of a Newton
+    rollout: accept when the decrease beats
     slope_constant * <rho, u - u_new> in the path inner product."""
 
     initial_step: float = 1.0
@@ -235,16 +239,100 @@ class OptimizeResult:
     trace: tuple[TracePoint, ...]
 
 
+# Levenberg regularisation mu added to Q_uu: raised x10 (from at least
+# _MU_MIN) while some node has Q_uu + mu <= 0, lowered x10 after an
+# accepted step, and reset to 0 once it falls below _MU_MIN.
+_MU_MIN = 1e-6
+_MU_FACTOR = 10.0
+
+
 def _inner(lhs, rhs) -> float:
     """Path inner product sum_n E[a_n b_n]."""
     return sum(expectation(a * b) for a, b in zip(lhs, rhs))
 
 
-def _project(u: ControlProcess, control_set) -> ControlProcess:
-    lat = u.lattice
-    return ControlProcess(
-        AdaptedValue(lat, n, control_set.project(u[n].values)) for n in range(u.horizon)
-    )
+def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, xn, un):
+    """(_x, _u, _xx, _uu, _ux) of b, sigma and l at stage n, each level n.
+
+    Second derivatives are central differences of the supplied first
+    derivatives.
+    """
+    x, u = xn.values, un.values
+    out = []
+    for name in ("b", "sigma", "l"):
+        d_x, d_u = getattr(model, name + "_x"), getattr(model, name + "_u")
+        raw = (
+            d_x(n, x, u),
+            d_u(n, x, u),
+            _central_diff(d_x, n, x, u, "x"),
+            _central_diff(d_u, n, x, u, "u"),
+            _central_diff(d_u, n, x, u, "x"),
+        )
+        out.append(tuple(_stage_value(lat, n, r) for r in raw))
+    return out
+
+
+def _backward_pass(model, u, x, lat, xi, rho, mu):
+    """DDP gains (k_n, K_n) for n = 0..N-1 along (u, X), or None when some
+    node has Q_uu + mu <= 0.
+
+    V_x and V_xx start from phi_x and phi_xx at X_N.  With
+    f = x + b + sigma xi_n, stage n contracts the children into Q_x, Q_u,
+    Q_xx, Q_uu, Q_ux (the V_x f_xx, f_uu, f_ux terms included), and takes
+    k = -Q_u / (Q_uu + mu), K = -Q_ux / (Q_uu + mu).  A node where u + k
+    leaves the control set is clamped to it and gets K = 0.  Alongside,
+    the open-loop adjoint lambda (V_x without the policy terms) gives
+    l_u + E[lambda f_u | n], which must reproduce rho_n.
+    """
+    n_stages = model.horizon
+    x_final = x[n_stages].values
+    v_x = lam = _stage_value(lat, n_stages, model.phi_x(x_final))
+    phi_xx = _central_diff(lambda n, x, u: model.phi_x(x), n_stages, x_final, x_final, "x")
+    v_xx = _stage_value(lat, n_stages, phi_xx)
+    gains = []
+    for n in reversed(range(n_stages)):
+        (bx, bu, bxx, buu, bux), (sx, su, sxx, suu, sux), (lx, lu, lxx, luu, lux) = (
+            _stage_derivatives(model, lat, n, x[n], u[n])
+        )
+        f_x = 1.0 + bx + sx * xi[n]
+        f_u = bu + su * xi[n]
+        q_x = lx + condexp(v_x * f_x, n)
+        q_u = lu + condexp(v_x * f_u, n)
+        q_xx = lxx + condexp(v_xx * f_x * f_x + v_x * (bxx + sxx * xi[n]), n)
+        q_uu = luu + condexp(v_xx * f_u * f_u + v_x * (buu + suu * xi[n]), n)
+        q_ux = lux + condexp(v_xx * f_u * f_x + v_x * (bux + sux * xi[n]), n)
+
+        gap = np.max(np.abs((lu + condexp(lam * f_u, n)).values - rho[n].values))
+        if gap > DUALITY_TOL * max(1.0, float(np.max(np.abs(rho[n].values)))):
+            raise DualityMismatch(
+                f"backward pass and adjoint disagree on rho_{n} by {gap:.3e}"
+            )
+        lam = lx + condexp(lam * f_x, n)
+
+        q_uu_reg = q_uu + mu
+        if np.any(q_uu_reg.values <= 0.0):
+            return None
+        newton = (u[n] - q_u / q_uu_reg).values
+        target = model.control_set.project(newton)
+        k = AdaptedValue(lat, n, target - u[n].values)
+        gain = AdaptedValue(lat, n, np.where(target == newton, -(q_ux / q_uu_reg).values, 0.0))
+        v_x = q_x + gain * (q_uu * k + q_u) + q_ux * k
+        v_xx = q_xx + gain * (q_uu * gain + q_ux * 2.0)
+        gains.append((k, gain))
+    return gains[::-1]
+
+
+def _rollout(model, u, x, gains, step, lat, xi) -> ControlProcess:
+    """Closed-loop control u_n + step k_n + K_n (x_new_n - X_n), projected."""
+    stages, x_new = [], x[0]
+    for n, (k, gain) in enumerate(gains):
+        raw = u[n] + step * k + gain * (x_new - x[n])
+        un = AdaptedValue(lat, n, model.control_set.project(raw.values))
+        stages.append(un)
+        drift = _stage_value(lat, n, model.b(n, x_new.values, un.values))
+        vol = _stage_value(lat, n, model.sigma(n, x_new.values, un.values))
+        x_new = x_new + drift + vol * xi[n]
+    return ControlProcess(stages)
 
 
 def optimize(
@@ -256,22 +344,32 @@ def optimize(
     tol: float = 1e-8,
     max_iter: int = 1000,
 ) -> OptimizeResult:
-    """Projected gradient descent on the control, Armijo backtracking.
+    """Differential dynamic programming on the tree, Armijo backtracking.
 
-    Terminates when the stationarity check passes at `tol` (immediately,
-    with zero iterations, if u_init already passes).  Cost never
-    increases beyond float64 rounding of J; once the Armijo margin drops
-    below that rounding, steps are accepted on strict decrease of the
-    stationarity residual instead.  Raises NoDescent when backtracking
-    exhausts its halvings, and NotConverged never: hitting max_iter
-    returns converged=False so the caller can inspect the trace.
+    Each iteration runs one backward pass for per-node Newton gains
+    (Jacobson & Mayne; clamped gains on a Box, after Tassa, Mansard &
+    Todorov) and closed-loop rollouts u + alpha k + K (x_new - x), alpha
+    backtracked by `step_rule`.  A Newton step is scale-free per node, so
+    nodes of small probability converge as fast as the root.  Q_uu gets a
+    Levenberg term mu while some node has Q_uu + mu <= 0.
+
+    Terminates when the stationarity check of rho from the adjoint passes
+    at `tol` (immediately, with zero iterations, if u_init already
+    passes); the Newton steps only propose moves.  Cost never increases
+    beyond float64 rounding of J; once the Armijo margin drops below that
+    rounding, steps are accepted on strict decrease of the stationarity
+    residual instead.  Raises NoDescent when backtracking exhausts its
+    halvings, and NotConverged never: hitting max_iter returns
+    converged=False so the caller can inspect the trace.
     """
     u = u_init
     u.validate_in(model.control_set)
+    xi = [noise_value(lat, n) for n in range(model.horizon)]
     x, adj = solve_adjoint(model, u, lat, basis)
     j_curr = cost(model, u, x, lat)
     trace: list[TracePoint] = []
     step = 0.0
+    mu = 0.0
     iterations = 0
 
     for _ in range(max_iter + 1):
@@ -286,14 +384,16 @@ def optimize(
         if iterations >= max_iter:
             break
 
+        gains = _backward_pass(model, u, x, lat, xi, residual, mu)
+        while gains is None:
+            mu = max(mu * _MU_FACTOR, _MU_MIN)
+            gains = _backward_pass(model, u, x, lat, xi, residual, mu)
+
         # below this, a cost decrease cannot be resolved in float64
         resolution = 8.0 * np.finfo(float).eps * max(1.0, abs(j_curr))
         step = step_rule.initial_step
         for _halving in range(step_rule.max_halvings + 1):
-            candidate = _project(
-                ControlProcess(u[n] - step * residual[n] for n in range(u.horizon)),
-                model.control_set,
-            )
+            candidate = _rollout(model, u, x, gains, step, lat, xi)
             gap = _inner(residual, (u[n] - candidate[n] for n in range(u.horizon)))
             x_new = forward(model, candidate, lat)
             j_new = cost(model, candidate, x_new, lat)
@@ -317,6 +417,7 @@ def optimize(
                 f"no sufficient decrease after {step_rule.max_halvings} halvings "
                 f"at iteration {iterations}"
             )
+        mu = mu / _MU_FACTOR if mu / _MU_FACTOR >= _MU_MIN else 0.0
         iterations += 1
 
     return OptimizeResult(

@@ -1,4 +1,4 @@
-"""Directional derivatives, stationarity residual, projected gradient.
+"""Directional derivatives, stationarity residual, DDP optimizer.
 
 The duality check is the load-bearing test: the variation route and the
 adjoint route to dJ/deps are computed independently and must coincide to
@@ -259,21 +259,47 @@ class TestOptimize:
             dd = directional_derivative(model, result.control, v, lat, lat.basis)
             assert dd >= -1e-7
 
-    def test_box_constrained_descent(self, lat):
+    @pytest.mark.parametrize("depth", [3, 5])
+    def test_box_constrained_descent(self, depth):
+        lat = lattice_for_hurst(0.7, depth=depth, order=3)
         box = Box(-0.15, 0.15)
-        model = sin_drift_model(3, initial_state=1.0, control_set=box)
-        u0 = constant_control(lat, 3, 0.0)
+        model = sin_drift_model(depth, initial_state=1.0, control_set=box)
+        u0 = constant_control(lat, depth, 0.0)
         result = optimize(model, u0, lat, lat.basis, tol=1e-8, max_iter=2000)
         assert result.converged
-        for n in range(3):
+        # a clamped node has no feedback gain; keeping one slows this threefold
+        assert result.iterations <= 10
+        for n in range(depth):
             assert box.contains(result.control[n].values)
         # directions pointing inward from the iterate never improve J
         rng = np.random.default_rng(9)
         for _ in range(20):
-            target = random_control(lat, 3, rng, scale=5.0, control_set=box)
-            v = ControlProcess(target[n] - result.control[n] for n in range(3))
+            target = random_control(lat, depth, rng, scale=5.0, control_set=box)
+            v = ControlProcess(target[n] - result.control[n] for n in range(depth))
             dd = directional_derivative(model, result.control, v, lat, lat.basis)
             assert dd >= -1e-7
+
+    @pytest.mark.parametrize("horizon, max_iterations", [(3, 50), (4, 30), (6, 30), (7, 30)])
+    def test_sin_drift_newton_steps_reach_tolerance(self, horizon, max_iterations):
+        # E[cost] cannot resolve a residual at a node of probability ~3^-N:
+        # first-order descent stalled at N = 4, 6, 7 and took 702 steps at N = 3
+        lat = lattice_for_hurst(0.7, depth=horizon, order=3)
+        model = sin_drift_model(horizon, initial_state=1.0)
+        u0 = constant_control(lat, horizon, 0.0)
+        result = optimize(model, u0, lat, lat.basis, tol=1e-8)
+        assert result.converged
+        assert result.iterations <= max_iterations
+        _, adj = solve_adjoint(model, result.control, lat, lat.basis)
+        res = smp_residual(model, result.control, adj, lat, lat.basis)
+        assert check_stationarity(res, result.control, model.control_set, tol=1e-8).passed
+
+    def test_sin_drift_depth4_reference_cost(self):
+        lat = lattice_for_hurst(0.7, depth=4, order=3)
+        model = sin_drift_model(4, initial_state=1.0)
+        result = optimize(model, constant_control(lat, 4, 0.0), lat, lat.basis, tol=1e-8)
+        assert result.converged
+        # the cost first-order descent stalled at, 4e-7 from stationary
+        assert result.cost == pytest.approx(2.739681754239858, rel=1e-10)
 
     def test_no_descent_raised_when_backtracking_disabled(self, lat):
         model = sin_drift_model(2, initial_state=1.0)
