@@ -33,7 +33,7 @@ model = sin_drift_model(horizon, initial_state=1.0, noise_gain=0.5)
 # start from the zero control and take Newton (DDP) steps: a backward pass
 # gives per-node gains, a closed-loop rollout applies them
 result = optimize(model, constant_control(lat, horizon, 0.0), lat, lat.basis,
-                  tol=1e-8, max_iter=2000)
+                  tol=1e-8)
 print("converged:", result.converged, "after", result.iterations, "iterations")
 print("cost J(u*) =", result.cost)
 print("last trace entries (iter, J, step, worst residual):")
@@ -73,7 +73,7 @@ print("worst nearby cost change (should be ~>= 0):", min(changes))
 boxed = sin_drift_model(horizon, initial_state=1.0, noise_gain=0.5,
                         control_set=Box(-0.05, 0.05))
 boxed_result = optimize(boxed, constant_control(lat, horizon, 0.0), lat, lat.basis,
-                        tol=1e-8, max_iter=2000)
+                        tol=1e-8)
 u_max = max(float(np.max(np.abs(boxed_result.control[n].values)))
             for n in range(horizon))
 print("boxed optimum max |u| =", u_max, "(bound 0.05)")

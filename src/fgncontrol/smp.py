@@ -12,8 +12,10 @@ two independent routes (state variation vs adjoint pairing) and the two
 must agree, otherwise something upstream is broken and we refuse to
 continue.  Stationarity of a candidate control is classified nodewise
 against the control set.  `optimize` takes second-order steps from
-differential dynamic programming on the tree, with Armijo backtracking,
-and stops only when the same residual passes the stationarity check.
+differential dynamic programming on the tree, dividing by |Q_uu| floored
+at 1e-8 per node so that a non-convex node still gets a descent step,
+with Armijo backtracking, and stops only when the same residual passes
+the stationarity check.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .dynamics import (
     ControlProcess,
     ModelSpec,
     StateProcess,
-    Unconstrained,
     BOUNDARY_TOL,
     _central_diff,
     _stage_value,
@@ -108,19 +109,18 @@ def smp_residual(
     return _gradient(model, u_star, forward(model, u_star, lat), adjoint, lat, basis)
 
 
-def directional_derivative(
+def _derivative_routes(
     model: ModelSpec,
     u_star: ControlProcess,
     v: ControlProcess,
     lat: NoiseLattice,
     basis: WhiteningBasis,
-) -> float:
-    """d/de J(u* + e v) at e = 0, cross-checked through the adjoint.
+) -> tuple[float, float]:
+    """Both routes to d/de J(u* + e v) at e = 0, as (primal, dual).
 
-    Computes the primal form sum_n E[l_x V_n + l_u v_n] + E[phi_x V_N]
-    with V the first variation, and the adjoint form
+    The primal form is sum_n E[l_x V_n + l_u v_n] + E[phi_x V_N] with V
+    the first variation; the adjoint form is
     sum_n E[(b_u p_n + sigma_u p_n xi_n + sigma_u q_n eta_n xi_n + l_u) v_n].
-    Raises DualityMismatch when they differ by more than 1e-9.
     """
     x_star = forward(model, u_star, lat)
     var = variation(model, u_star, x_star, v, lat)
@@ -146,7 +146,22 @@ def directional_derivative(
         p_n, q_n = adj.y[n], adj.z[n]
         integrand = bu * p_n + su * p_n * xi + su * q_n * eta * xi + lu
         dual += expectation(integrand * v[n])
+    return primal, dual
 
+
+def directional_derivative(
+    model: ModelSpec,
+    u_star: ControlProcess,
+    v: ControlProcess,
+    lat: NoiseLattice,
+    basis: WhiteningBasis,
+) -> float:
+    """d/de J(u* + e v) at e = 0, cross-checked through the adjoint.
+
+    Returns the primal (state variation) route and raises DualityMismatch
+    when the adjoint route differs from it by more than DUALITY_TOL.
+    """
+    primal, dual = _derivative_routes(model, u_star, v, lat, basis)
     if abs(primal - dual) > DUALITY_TOL:
         raise DualityMismatch(
             f"variation route {primal!r} vs adjoint route {dual!r} "
@@ -239,11 +254,10 @@ class OptimizeResult:
     trace: tuple[TracePoint, ...]
 
 
-# Levenberg regularisation mu added to Q_uu: raised x10 (from at least
-# _MU_MIN) while some node has Q_uu + mu <= 0, lowered x10 after an
-# accepted step, and reset to 0 once it falls below _MU_MIN.
-_MU_MIN = 1e-6
-_MU_FACTOR = 10.0
+# Nodewise floor on |Q_uu| in the Newton step: a node with Q_uu <= 0
+# (non-convex there) still gets a descent direction, and no other node
+# is damped on its account.
+_CURVATURE_FLOOR = 1e-8
 
 
 def _inner(lhs, rhs) -> float:
@@ -272,17 +286,20 @@ def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, xn, un):
     return out
 
 
-def _backward_pass(model, u, x, lat, xi, rho, mu):
-    """DDP gains (k_n, K_n) for n = 0..N-1 along (u, X), or None when some
-    node has Q_uu + mu <= 0.
+def _backward_pass(model, u, x, lat, xi, rho):
+    """DDP gains (k_n, K_n) for n = 0..N-1 along (u, X).
 
     V_x and V_xx start from phi_x and phi_xx at X_N.  With
     f = x + b + sigma xi_n, stage n contracts the children into Q_x, Q_u,
     Q_xx, Q_uu, Q_ux (the V_x f_xx, f_uu, f_ux terms included), and takes
-    k = -Q_u / (Q_uu + mu), K = -Q_ux / (Q_uu + mu).  A node where u + k
-    leaves the control set is clamped to it and gets K = 0.  Alongside,
-    the open-loop adjoint lambda (V_x without the policy terms) gives
-    l_u + E[lambda f_u | n], which must reproduce rho_n.
+    the modified Newton step k = -Q_u / c, K = -Q_ux / c with
+    c = max(|Q_uu|, _CURVATURE_FLOOR) per node (Nocedal & Wright, Numerical
+    Optimization, 3.4): where Q_uu <= 0 the step is still a descent
+    direction, and the curvature of every other node is left exact.  A
+    node where u + k leaves the control set is clamped to it and gets
+    K = 0.  Alongside, the open-loop adjoint lambda (V_x without the
+    policy terms) gives l_u + E[lambda f_u | n], which must reproduce
+    rho_n.
     """
     n_stages = model.horizon
     x_final = x[n_stages].values
@@ -309,9 +326,7 @@ def _backward_pass(model, u, x, lat, xi, rho, mu):
             )
         lam = lx + condexp(lam * f_x, n)
 
-        q_uu_reg = q_uu + mu
-        if np.any(q_uu_reg.values <= 0.0):
-            return None
+        q_uu_reg = q_uu.apply(lambda v: np.maximum(np.abs(v), _CURVATURE_FLOOR))
         newton = (u[n] - q_u / q_uu_reg).values
         target = model.control_set.project(newton)
         k = AdaptedValue(lat, n, target - u[n].values)
@@ -350,17 +365,16 @@ def optimize(
     (Jacobson & Mayne; clamped gains on a Box, after Tassa, Mansard &
     Todorov) and closed-loop rollouts u + alpha k + K (x_new - x), alpha
     backtracked by `step_rule`.  A Newton step is scale-free per node, so
-    nodes of small probability converge as fast as the root.  Q_uu gets a
-    Levenberg term mu while some node has Q_uu + mu <= 0.
+    nodes of small probability converge as fast as the root.  Where
+    Q_uu <= 0 the step divides by max(|Q_uu|, 1e-8) at that node only.
 
     Terminates when the stationarity check of rho from the adjoint passes
     at `tol` (immediately, with zero iterations, if u_init already
-    passes); the Newton steps only propose moves.  Cost never increases
-    beyond float64 rounding of J; once the Armijo margin drops below that
-    rounding, steps are accepted on strict decrease of the stationarity
-    residual instead.  Raises NoDescent when backtracking exhausts its
-    halvings, and NotConverged never: hitting max_iter returns
-    converged=False so the caller can inspect the trace.
+    passes); the Newton steps only propose moves.  A step is accepted
+    only on Armijo decrease of J, so the cost never increases.  Raises
+    NoDescent when backtracking exhausts its halvings, and NotConverged
+    never: hitting max_iter returns converged=False so the caller can
+    inspect the trace.
     """
     u = u_init
     u.validate_in(model.control_set)
@@ -369,7 +383,6 @@ def optimize(
     j_curr = cost(model, u, x, lat)
     trace: list[TracePoint] = []
     step = 0.0
-    mu = 0.0
     iterations = 0
 
     for _ in range(max_iter + 1):
@@ -384,40 +397,25 @@ def optimize(
         if iterations >= max_iter:
             break
 
-        gains = _backward_pass(model, u, x, lat, xi, residual, mu)
-        while gains is None:
-            mu = max(mu * _MU_FACTOR, _MU_MIN)
-            gains = _backward_pass(model, u, x, lat, xi, residual, mu)
-
-        # below this, a cost decrease cannot be resolved in float64
-        resolution = 8.0 * np.finfo(float).eps * max(1.0, abs(j_curr))
+        gains = _backward_pass(model, u, x, lat, xi, residual)
         step = step_rule.initial_step
         for _halving in range(step_rule.max_halvings + 1):
             candidate = _rollout(model, u, x, gains, step, lat, xi)
             gap = _inner(residual, (u[n] - candidate[n] for n in range(u.horizon)))
             x_new = forward(model, candidate, lat)
             j_new = cost(model, candidate, x_new, lat)
-            required = step_rule.slope_constant * gap
-            if gap > 0.0 and j_new <= j_curr - required:
+            if gap > 0.0 and j_new <= j_curr - step_rule.slope_constant * gap:
                 u, x, j_curr = candidate, x_new, j_new
                 adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
                 break
-            if gap > 0.0 and required <= resolution and j_new <= j_curr + resolution:
-                # the Armijo margin is swamped by rounding in J: fall back
-                # to the stationarity residual as the line-search merit
-                adj_new = solve_bsde(adjoint_driver(model, candidate, x_new, basis), lat)
-                res_new = _gradient(model, candidate, x_new, adj_new, lat, basis)
-                rep_new = check_stationarity(res_new, candidate, model.control_set, tol)
-                if rep_new.worst_violation < report.worst_violation:
-                    u, x, j_curr, adj = candidate, x_new, j_new, adj_new
-                    break
             step *= step_rule.shrink
         else:
             raise NoDescent(
                 f"no sufficient decrease after {step_rule.max_halvings} halvings "
-                f"at iteration {iterations}"
+                f"at iteration {iterations}: J={j_curr!r}, worst residual "
+                f"{report.worst_violation:.3e} at stage {report.worst_stage} "
+                f"node {report.worst_node}"
             )
-        mu = mu / _MU_FACTOR if mu / _MU_FACTOR >= _MU_MIN else 0.0
         iterations += 1
 
     return OptimizeResult(

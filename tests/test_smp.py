@@ -11,6 +11,7 @@ import pytest
 from fgncontrol.dynamics import (
     Box,
     ControlProcess,
+    ModelSpec,
     Unconstrained,
     constant_control,
     cost,
@@ -41,6 +42,30 @@ from fgncontrol.smp import (
 
 def shift(u: ControlProcess, v: ControlProcess, t: float) -> ControlProcess:
     return ControlProcess(u[n] + t * v[n] for n in range(u.horizon))
+
+
+def double_well_model(horizon: int, initial_state: float, noise_gain: float = 1.0) -> ModelSpec:
+    """Sin drift dynamics with the double-well terminal cost (x^2 - 1)^2 / 4."""
+    c = noise_gain
+
+    def active(n):
+        return 1.0 if n < horizon else 0.0
+
+    return ModelSpec(
+        horizon=horizon,
+        initial_state=initial_state,
+        b=lambda n, x, u: active(n) * (np.sin(x) + u),
+        sigma=lambda n, x, u: active(n) * c * u,
+        l=lambda n, x, u: active(n) * 0.5 * u**2,
+        phi=lambda x: 0.25 * (x**2 - 1.0) ** 2,
+        b_x=lambda n, x, u: active(n) * np.cos(x),
+        b_u=lambda n, x, u: active(n) * np.ones_like(u),
+        sigma_x=lambda n, x, u: np.zeros_like(x),
+        sigma_u=lambda n, x, u: active(n) * c * np.ones_like(u),
+        l_x=lambda n, x, u: np.zeros_like(x),
+        l_u=lambda n, x, u: active(n) * u,
+        phi_x=lambda x: x**3 - x,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -267,8 +292,10 @@ class TestOptimize:
         u0 = constant_control(lat, depth, 0.0)
         result = optimize(model, u0, lat, lat.basis, tol=1e-8, max_iter=2000)
         assert result.converged
-        # a clamped node has no feedback gain; keeping one slows this threefold
-        assert result.iterations <= 10
+        # one Newton step with clamped nodes lands on the box optimum; a
+        # clamped node keeping its feedback gain, or curvature damped at
+        # every node on account of one, needs several more
+        assert result.iterations <= 2
         for n in range(depth):
             assert box.contains(result.control[n].values)
         # directions pointing inward from the iterate never improve J
@@ -279,10 +306,12 @@ class TestOptimize:
             dd = directional_derivative(model, result.control, v, lat, lat.basis)
             assert dd >= -1e-7
 
-    @pytest.mark.parametrize("horizon, max_iterations", [(3, 50), (4, 30), (6, 30), (7, 30)])
+    @pytest.mark.parametrize("horizon, max_iterations", [(3, 10), (4, 30), (6, 30), (7, 30)])
     def test_sin_drift_newton_steps_reach_tolerance(self, horizon, max_iterations):
         # E[cost] cannot resolve a residual at a node of probability ~3^-N:
-        # first-order descent stalled at N = 4, 6, 7 and took 702 steps at N = 3
+        # first-order descent stalled at N = 4, 6, 7 and took 702 steps at N = 3;
+        # at N = 3 some nodes have Q_uu <= 0, and damping every node on
+        # their account took 23 Newton iterations
         lat = lattice_for_hurst(0.7, depth=horizon, order=3)
         model = sin_drift_model(horizon, initial_state=1.0)
         u0 = constant_control(lat, horizon, 0.0)
@@ -301,11 +330,26 @@ class TestOptimize:
         # the cost first-order descent stalled at, 4e-7 from stationary
         assert result.cost == pytest.approx(2.739681754239858, rel=1e-10)
 
+    @pytest.mark.parametrize("initial_state", [0.3, 0.05])
+    def test_double_well_reaches_stationarity(self, initial_state):
+        # non-convex terminal cost (x^2 - 1)^2 / 4: from x0 = 0.05 many node
+        # visits have Q_uu <= 0 and take the curvature floor
+        lat = lattice_for_hurst(0.7, depth=6, order=3)
+        model = double_well_model(6, initial_state)
+        u0 = constant_control(lat, 6, 0.0)
+        j0 = cost(model, u0, forward(model, u0, lat), lat)
+        result = optimize(model, u0, lat, lat.basis, tol=1e-8, max_iter=100)
+        assert result.converged
+        assert result.cost < j0
+        _, adj = solve_adjoint(model, result.control, lat, lat.basis)
+        res = smp_residual(model, result.control, adj, lat, lat.basis)
+        assert check_stationarity(res, result.control, model.control_set, tol=1e-8).passed
+
     def test_no_descent_raised_when_backtracking_disabled(self, lat):
         model = sin_drift_model(2, initial_state=1.0)
         u0 = constant_control(lat, 2, 0.0)
         rule = ArmijoRule(initial_step=1e6, max_halvings=0)
-        with pytest.raises(NoDescent):
+        with pytest.raises(NoDescent, match="after 0 halvings at iteration 0: J="):
             optimize(model, u0, lat, lat.basis, step_rule=rule, tol=1e-10)
 
     def test_max_iter_returns_unconverged(self, lat):
