@@ -24,9 +24,10 @@ from fgncontrol import (
 
 horizon = 3
 
-# the stage-3 driver g multiplies xi_3, so the lattice needs one level
-# beyond the horizon
-lat = lattice_for_hurst(0.3, depth=horizon + 1, order=3)
+# the stage-3 driver g multiplies xi_3, which enters only through
+# E[xi_3 | F_3]; that reads row 3 of the whitening basis (sized
+# depth + 1 by lattice_for_hurst), so a depth-3 lattice suffices
+lat = lattice_for_hurst(0.3, depth=horizon, order=3)
 
 # terminal data: a nonlinear function of the accumulated increments,
 # adapted to level 3
@@ -34,8 +35,8 @@ xi_sum = sum(noise_value(lat, s) for s in range(horizon))
 terminal = xi_sum * xi_sum
 
 
-# drivers are called per stage as f(n, y, z); the stage-horizon f must
-# ignore z (the solver passes a zero there)
+# drivers are called per stage as f(n, y, z); the stage-horizon f and g
+# must ignore z (the solver passes a zero there)
 def f(n, y, z):
     return 0.1 * y + 0.05 * z
 
@@ -44,13 +45,7 @@ def g(n, y, z):
     return 0.2 * y
 
 
-spec = DriverSpec(
-    horizon=horizon,
-    terminal=terminal,
-    f=f,
-    g=g,
-    terminal_noise_free=False,
-)
+spec = DriverSpec(horizon=horizon, terminal=terminal, f=f, g=g)
 sol = solve_bsde(spec, lat)
 
 print("Y_0 =", sol.y[0].values[0])

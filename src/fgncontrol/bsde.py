@@ -7,7 +7,12 @@ Solves, for given terminal data y measurable at stage N,
 
 with Z_N = 0.  The right-hand side is generally not representable as an
 affine function of eta_n given level-n information, so the solver uses
-projections: with M = E[RHS | level n+1],
+projections.  With s = n + 1 the drivers are level-s values, so the
+projection of the right-hand side onto level s is the closed form
+
+    M = Y_s + f(s, .) + g(s, .) E[xi_s | level s],
+
+and
 
     Y_n = E[M | level n],   Z_n = E[eta_n M | level n],
     R_n = M - Y_n - Z_n eta_n.
@@ -16,9 +21,9 @@ R_n is the representation residual at level n+1; by construction
 E[R_n | level n] = 0 and E[eta_n R_n | level n] = 0, and both are
 reported so violations of the affine representation never pass silently.
 
-When the stage-N noise coefficient vanishes (`terminal_noise_free`) a
-depth-N lattice suffices; otherwise xi_N is needed and the lattice must
-extend one stage past the horizon.
+A depth-N lattice always suffices.  A nonzero stage-N g needs
+E[xi_N | level N], which reads row N of the whitening basis;
+`lattice_for_hurst` sizes its basis one stage past the depth for this.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ from .errors import DepthMismatch, NonFiniteValue, TerminalConditionViolated
 from .lattice import (
     AdaptedValue,
     NoiseLattice,
+    _conditional_mean,
     as_adapted,
     condexp,
-    noise_value,
+    noise_conditional_mean,
     white_value,
 )
 from .noise import WhiteningBasis
@@ -48,16 +54,15 @@ class DriverSpec:
     """Terminal data plus stage drivers f, g for stages 1..horizon.
 
     f and g are called as f(n, y, z) with y, z adapted values; the stage-
-    horizon f must not depend on z (the solver passes Z_N = 0 there).
-    Set `terminal_noise_free` when g at the final stage vanishes
-    identically, which drops the xi_N term and the extra lattice stage.
+    horizon f and g must not depend on z (the solver passes Z_N = 0
+    there).  A g that is zero at every node of its stage adds no noise
+    term, so no basis row is read for it.
     """
 
     horizon: int
     terminal: AdaptedValue
     f: Driver
     g: Driver
-    terminal_noise_free: bool
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -85,14 +90,14 @@ class BsdeSolution:
 
 
 def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
-    """Solve the backward equation on the lattice by exact projections."""
+    """Solve the backward equation on the lattice by exact projections.
+
+    Needs lattice depth >= horizon.  A nonzero stage-N g on a depth-N
+    lattice also needs basis row N and raises DepthMismatch without it.
+    """
     n_stages = driver.horizon
-    needed = n_stages if driver.terminal_noise_free else n_stages + 1
-    if lat.depth < needed:
-        raise DepthMismatch(
-            f"lattice depth {lat.depth} < {needed} required "
-            f"(terminal_noise_free={driver.terminal_noise_free})"
-        )
+    if lat.depth < n_stages:
+        raise DepthMismatch(f"lattice depth {lat.depth} < horizon {n_stages}")
     if driver.terminal.lattice is not lat:
         raise DepthMismatch("terminal data lives on a different lattice")
 
@@ -104,10 +109,12 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
     for n in range(n_stages - 1, -1, -1):
         s = n + 1
         z_arg = lat.constant(0.0, n_stages) if s == n_stages else z[s]
-        rhs = y[s] + as_adapted(lat, s, driver.f(s, y[s], z_arg))
-        if s < n_stages or not driver.terminal_noise_free:
-            rhs = rhs + noise_value(lat, s) * as_adapted(lat, s, driver.g(s, y[s], z_arg))
-        projected = condexp(rhs, s)
+        projected = y[s] + as_adapted(lat, s, driver.f(s, y[s], z_arg))
+        g = as_adapted(lat, s, driver.g(s, y[s], z_arg))
+        if np.any(g.values):
+            # E[g xi_s | level s] = g E[xi_s | level s]: g is level s
+            mean = noise_conditional_mean(lat, s) if s < lat.depth else _conditional_mean(lat, s)
+            projected = projected + g * mean
         eta = white_value(lat, n)
         y[n] = condexp(projected, n)
         z[n] = condexp(eta * projected, n)
@@ -188,6 +195,4 @@ def adjoint_driver(
         return coeff["sigma_x"][k] * p
 
     terminal = _stage_value(lat, n_stages, model.phi_x(x_star[n_stages].values))
-    return DriverSpec(
-        horizon=n_stages, terminal=terminal, f=f, g=g, terminal_noise_free=True
-    )
+    return DriverSpec(horizon=n_stages, terminal=terminal, f=f, g=g)

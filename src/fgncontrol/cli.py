@@ -128,7 +128,7 @@ def cmd_whiten(args) -> int:
 def cmd_solve_bsde(args) -> int:
     out = _require_out(args)
     cfg = configs.load_bsde_config(args.config, order_override=args.quadrature_order)
-    lat = lattice_for_hurst(cfg.hurst, cfg.depth, cfg.quadrature_order)
+    lat = lattice_for_hurst(cfg.hurst, cfg.horizon, cfg.quadrature_order)
     sol = solve_bsde(cfg.build_driver(lat), lat)
     worst_mean, worst_eta = residual_orthogonality(sol, lat)
     passed = worst_mean <= ORTHOGONALITY_TOL and worst_eta <= ORTHOGONALITY_TOL

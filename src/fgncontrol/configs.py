@@ -223,9 +223,8 @@ class BsdeConfig:
     """Affine-driver backward equation.
 
     Terminal value c0 + sum_k coeff[k] xi_k; at stage s in 1..N the
-    drivers are f = f_constant + f_y y + f_z z and likewise for g.  When
-    the stage-N g coefficients vanish the equation needs lattice depth N,
-    otherwise depth N + 1.
+    drivers are f = f_constant + f_y y + f_z z and likewise for g.  It is
+    solved on a depth-N lattice whatever the stage-N g coefficients.
     """
 
     horizon: int
@@ -234,15 +233,6 @@ class BsdeConfig:
     terminal_constant: float
     terminal_coefficients: np.ndarray
     stages: tuple[dict, ...]
-
-    @property
-    def terminal_noise_free(self) -> bool:
-        last = self.stages[-1]
-        return all(last[k] == 0.0 for k in ("g_constant", "g_y", "g_z"))
-
-    @property
-    def depth(self) -> int:
-        return self.horizon if self.terminal_noise_free else self.horizon + 1
 
     def build_driver(self, lat: NoiseLattice) -> DriverSpec:
         terminal = lat.constant(self.terminal_constant, self.horizon)
@@ -258,13 +248,7 @@ class BsdeConfig:
             coeff = self.stages[s - 1]
             return coeff["g_constant"] + coeff["g_y"] * y + coeff["g_z"] * z
 
-        return DriverSpec(
-            horizon=self.horizon,
-            terminal=terminal,
-            f=f,
-            g=g,
-            terminal_noise_free=self.terminal_noise_free,
-        )
+        return DriverSpec(horizon=self.horizon, terminal=terminal, f=f, g=g)
 
 
 def parse_bsde_config(obj, where: str = "config", order_override: int | None = None) -> BsdeConfig:

@@ -254,6 +254,16 @@ def _stage_value(lat, level, raw) -> AdaptedValue:
     return out
 
 
+def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> AdaptedValue:
+    """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n, checked finite."""
+    drift = _stage_value(lat, n, model.b(n, xn.values, un.values))
+    vol = _stage_value(lat, n, model.sigma(n, xn.values, un.values))
+    nxt = xn + drift + vol * noise_value(lat, n)
+    if not np.all(np.isfinite(nxt.values)):
+        raise NonFiniteValue(f"state became non-finite at stage {n + 1}")
+    return nxt
+
+
 def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProcess:
     """Roll the state forward under control u.
 
@@ -268,13 +278,7 @@ def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProc
     u.validate_in(model.control_set)
     states = [lat.constant(model.initial_state, 0)]
     for n in range(n_stages):
-        xn, un = states[n], u[n]
-        drift = _stage_value(lat, n, model.b(n, xn.values, un.values))
-        vol = _stage_value(lat, n, model.sigma(n, xn.values, un.values))
-        nxt = xn + drift + vol * noise_value(lat, n)
-        if not np.all(np.isfinite(nxt.values)):
-            raise NonFiniteValue(f"state became non-finite at stage {n + 1}")
-        states.append(nxt)
+        states.append(_step(model, lat, n, states[n], u[n]))
     return StateProcess(states)
 
 

@@ -11,13 +11,16 @@ property, linearity and taking-out-what-is-known hold to machine
 precision, and moments of each white noise are exact up to degree 2q-1.
 
 The correlated increments xi_n = sum_{k<=n} b[n,k] eta_k are produced by
-mixing the white node values through a `WhiteningBasis`.
+mixing the white node values through a `WhiteningBasis`; each lattice
+builds the conditional means E[xi_n | first n noises] once and derives
+xi_n from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -107,22 +110,20 @@ class NoiseLattice:
             p = (p[:, None] * self.rule.weights[None, :]).ravel()
         return p
 
-    @property
-    def path_probabilities(self) -> np.ndarray:
-        return self.node_probabilities(self.depth)
+    @cached_property
+    def _noise_means(self) -> tuple["AdaptedValue", ...]:
+        """E[xi_n | first n noises] for n = 0..depth-1, built once."""
+        return tuple(_conditional_mean(self, n) for n in range(self.depth))
 
 
-def lattice_for_hurst(h, depth: int, order: int, basis_size: int | None = None) -> NoiseLattice:
+def lattice_for_hurst(h, depth: int, order: int) -> NoiseLattice:
     """Build a lattice over the fractional-increment covariance for `h`.
 
-    The basis is sized depth + 1 by default so drivers carrying noise at
-    the terminal stage can be handled without rebuilding.
+    The basis covers depth + 1 stages: a backward equation over `depth`
+    stages whose stage-`depth` driver multiplies xi_depth needs
+    E[xi_depth | first depth noises], which reads basis row `depth`.
     """
-    if basis_size is None:
-        basis_size = depth + 1
-    if basis_size < depth:
-        raise DepthMismatch(f"basis_size {basis_size} < depth {depth}")
-    basis = whiten(fgn_covariance(h, basis_size))
+    basis = whiten(fgn_covariance(h, depth + 1))
     return NoiseLattice(depth, gauss_hermite(order), basis)
 
 
@@ -162,9 +163,6 @@ class AdaptedValue:
         return AdaptedValue(
             self.lattice, level, np.repeat(self.values, q ** (level - self.level))
         )
-
-    def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "AdaptedValue":
-        return AdaptedValue(self.lattice, self.level, fn(self.values))
 
     def _binary(self, other, op) -> "AdaptedValue":
         if isinstance(other, AdaptedValue):
@@ -223,29 +221,40 @@ def white_value(lat: NoiseLattice, n: int) -> AdaptedValue:
     return AdaptedValue(lat, n + 1, np.tile(lat.rule.nodes, q**n))
 
 
-def _noise_table(lat: NoiseLattice, row: np.ndarray, level: int) -> np.ndarray:
-    """sum_{k<level} row[k] eta_k as a flat level-`level` table."""
+def _conditional_mean(lat: NoiseLattice, n: int) -> AdaptedValue:
+    """sum_{k<n} b[n,k] eta_k as a level-n value; needs basis row n."""
+    if n >= lat.basis.size:
+        raise DepthMismatch(f"basis covers {lat.basis.size} stages, stage {n} needs {n + 1}")
+    row = lat.basis.b_mat[n]
     acc = np.zeros(1)
-    for k in range(level):
+    for k in range(n):
         acc = (acc[:, None] + row[k] * lat.rule.nodes).reshape(-1)
-    return acc
+    return AdaptedValue(lat, n, acc)
 
 
 def noise_value(lat: NoiseLattice, n: int) -> AdaptedValue:
-    """The correlated increment xi_n = sum_{k<=n} b[n,k] eta_k, level n+1."""
+    """The correlated increment xi_n = sum_{k<=n} b[n,k] eta_k, level n+1.
+
+    Broadcast from the lattice's cached E[xi_n | first n noises] plus
+    b[n,n] eta_n; the level-(n+1) table itself is not cached.
+    """
     if not 0 <= n <= lat.depth - 1:
         raise IndexOutOfRange(f"noise stage {n} outside [0, {lat.depth - 1}]")
-    return AdaptedValue(lat, n + 1, _noise_table(lat, lat.basis.b_mat[n], n + 1))
+    mean = lat._noise_means[n].values
+    return AdaptedValue(
+        lat, n + 1, (mean[:, None] + lat.basis.b_mat[n, n] * lat.rule.nodes).reshape(-1)
+    )
 
 
 def noise_conditional_mean(lat: NoiseLattice, n: int) -> AdaptedValue:
     """E[xi_n | first n noises] = sum_{k<n} b[n,k] eta_k, a level-n value.
 
-    Equivalent to the memory form sum_{k<n} c[n,k] xi_k.
+    Equivalent to the memory form sum_{k<n} c[n,k] xi_k.  Built once per
+    lattice, so repeated calls return the same object.
     """
     if not 0 <= n <= lat.depth - 1:
         raise IndexOutOfRange(f"noise stage {n} outside [0, {lat.depth - 1}]")
-    return AdaptedValue(lat, n, _noise_table(lat, lat.basis.b_mat[n], n))
+    return lat._noise_means[n]
 
 
 def condexp(value: AdaptedValue, level: int) -> AdaptedValue:

@@ -239,7 +239,6 @@ def criterion_bsde_oracle(seed: int) -> CriterionResult:
             terminal=terminal,
             f=lambda s, y, z, c=stage: c[s][0] + c[s][1] * y + c[s][2] * z,
             g=lambda s, y, z, c=stage: c[s][3] + c[s][4] * y + c[s][5] * z,
-            terminal_noise_free=True,
         )
         sol = solve_bsde(driver, lat)
 
@@ -283,15 +282,16 @@ def criterion_orthogonality(seed: int) -> CriterionResult:
     solves = 0
 
     for h in (0.3, 0.7):
-        for noise_free in (True, False):
+        for terminal_noise in (False, True):
+            # depth N either way: a stage-N g reads basis row N only
             horizon = 3
-            lat = lattice_for_hurst(h, depth=horizon + (0 if noise_free else 1), order=3)
+            lat = lattice_for_hurst(h, depth=horizon, order=3)
             for _ in range(5):
                 coeffs = {
                     s: rng.uniform(-1.0, 1.0, 6) for s in range(1, horizon + 1)
                 }
                 coeffs[horizon][2] = 0.0
-                if noise_free:
+                if not terminal_noise:
                     coeffs[horizon][3:] = 0.0
                 terminal = lat.constant(float(rng.uniform(-1.0, 1.0)), horizon)
                 for k in range(horizon):
@@ -303,7 +303,6 @@ def criterion_orthogonality(seed: int) -> CriterionResult:
                     terminal=terminal,
                     f=lambda s, y, z, c=coeffs: c[s][0] + c[s][1] * y + c[s][2] * z,
                     g=lambda s, y, z, c=coeffs: c[s][3] + c[s][4] * y + c[s][5] * z,
-                    terminal_noise_free=noise_free,
                 )
                 sol = solve_bsde(driver, lat)
                 worst = max(worst, *residual_orthogonality(sol, lat))
@@ -557,7 +556,6 @@ def write_artifacts(seed: int, out_dir: str) -> list[str]:
         terminal=terminal,
         f=lambda s, y, z: 0.1 + 0.3 * y + (0.2 * z if s < 2 else 0.0 * z),
         g=lambda s, y, z: (0.4 * y if s < 2 else 0.0 * y),
-        terminal_noise_free=True,
     )
     reporting.write_bsde_csv(path("bsde_solution.csv"), bs_lat, solve_bsde(driver, bs_lat))
 

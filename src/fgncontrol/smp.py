@@ -33,6 +33,8 @@ from .dynamics import (
     BOUNDARY_TOL,
     _central_diff,
     _stage_value,
+    _StagedProcess,
+    _step,
     cost,
     forward,
     variation,
@@ -52,20 +54,8 @@ from .noise import WhiteningBasis
 DUALITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SmpResidual:
+class SmpResidual(_StagedProcess):
     """Stagewise gradient representative rho_n, each at level n."""
-
-    stages: tuple[AdaptedValue, ...]
-
-    def __len__(self):
-        return len(self.stages)
-
-    def __getitem__(self, n) -> AdaptedValue:
-        return self.stages[n]
-
-    def __iter__(self):
-        return iter(self.stages)
 
 
 def solve_adjoint(
@@ -95,7 +85,7 @@ def _gradient(
         p_n, q_n = adjoint.y[n], adjoint.z[n]
         rho = bu * p_n + su * p_n * noise_conditional_mean(lat, n) + b_diag[n] * (su * q_n) + lu
         stages.append(rho)
-    return SmpResidual(tuple(stages))
+    return SmpResidual(stages)
 
 
 def smp_residual(
@@ -286,7 +276,7 @@ def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, xn, un):
     return out
 
 
-def _backward_pass(model, u, x, lat, xi, rho):
+def _backward_pass(model, u, x, lat, rho):
     """DDP gains (k_n, K_n) for n = 0..N-1 along (u, X).
 
     V_x and V_xx start from phi_x and phi_xx at X_N.  With
@@ -311,13 +301,14 @@ def _backward_pass(model, u, x, lat, xi, rho):
         (bx, bu, bxx, buu, bux), (sx, su, sxx, suu, sux), (lx, lu, lxx, luu, lux) = (
             _stage_derivatives(model, lat, n, x[n], u[n])
         )
-        f_x = 1.0 + bx + sx * xi[n]
-        f_u = bu + su * xi[n]
+        xi = noise_value(lat, n)
+        f_x = 1.0 + bx + sx * xi
+        f_u = bu + su * xi
         q_x = lx + condexp(v_x * f_x, n)
         q_u = lu + condexp(v_x * f_u, n)
-        q_xx = lxx + condexp(v_xx * f_x * f_x + v_x * (bxx + sxx * xi[n]), n)
-        q_uu = luu + condexp(v_xx * f_u * f_u + v_x * (buu + suu * xi[n]), n)
-        q_ux = lux + condexp(v_xx * f_u * f_x + v_x * (bux + sux * xi[n]), n)
+        q_xx = lxx + condexp(v_xx * f_x * f_x + v_x * (bxx + sxx * xi), n)
+        q_uu = luu + condexp(v_xx * f_u * f_u + v_x * (buu + suu * xi), n)
+        q_ux = lux + condexp(v_xx * f_u * f_x + v_x * (bux + sux * xi), n)
 
         gap = np.max(np.abs((lu + condexp(lam * f_u, n)).values - rho[n].values))
         if gap > DUALITY_TOL * max(1.0, float(np.max(np.abs(rho[n].values)))):
@@ -326,27 +317,25 @@ def _backward_pass(model, u, x, lat, xi, rho):
             )
         lam = lx + condexp(lam * f_x, n)
 
-        q_uu_reg = q_uu.apply(lambda v: np.maximum(np.abs(v), _CURVATURE_FLOOR))
-        newton = (u[n] - q_u / q_uu_reg).values
+        curvature = np.maximum(np.abs(q_uu.values), _CURVATURE_FLOOR)
+        newton = u[n].values - q_u.values / curvature
         target = model.control_set.project(newton)
         k = AdaptedValue(lat, n, target - u[n].values)
-        gain = AdaptedValue(lat, n, np.where(target == newton, -(q_ux / q_uu_reg).values, 0.0))
+        gain = AdaptedValue(lat, n, np.where(target == newton, -q_ux.values / curvature, 0.0))
         v_x = q_x + gain * (q_uu * k + q_u) + q_ux * k
         v_xx = q_xx + gain * (q_uu * gain + q_ux * 2.0)
         gains.append((k, gain))
     return gains[::-1]
 
 
-def _rollout(model, u, x, gains, step, lat, xi) -> ControlProcess:
+def _rollout(model, u, x, gains, step, lat) -> ControlProcess:
     """Closed-loop control u_n + step k_n + K_n (x_new_n - X_n), projected."""
     stages, x_new = [], x[0]
     for n, (k, gain) in enumerate(gains):
         raw = u[n] + step * k + gain * (x_new - x[n])
         un = AdaptedValue(lat, n, model.control_set.project(raw.values))
         stages.append(un)
-        drift = _stage_value(lat, n, model.b(n, x_new.values, un.values))
-        vol = _stage_value(lat, n, model.sigma(n, x_new.values, un.values))
-        x_new = x_new + drift + vol * xi[n]
+        x_new = _step(model, lat, n, x_new, un)
     return ControlProcess(stages)
 
 
@@ -378,7 +367,6 @@ def optimize(
     """
     u = u_init
     u.validate_in(model.control_set)
-    xi = [noise_value(lat, n) for n in range(model.horizon)]
     x, adj = solve_adjoint(model, u, lat, basis)
     j_curr = cost(model, u, x, lat)
     trace: list[TracePoint] = []
@@ -397,10 +385,10 @@ def optimize(
         if iterations >= max_iter:
             break
 
-        gains = _backward_pass(model, u, x, lat, xi, residual)
+        gains = _backward_pass(model, u, x, lat, residual)
         step = step_rule.initial_step
         for _halving in range(step_rule.max_halvings + 1):
-            candidate = _rollout(model, u, x, gains, step, lat, xi)
+            candidate = _rollout(model, u, x, gains, step, lat)
             gap = _inner(residual, (u[n] - candidate[n] for n in range(u.horizon)))
             x_new = forward(model, candidate, lat)
             j_new = cost(model, candidate, x_new, lat)

@@ -18,6 +18,7 @@ from fgncontrol.bsde import (
 from fgncontrol.dynamics import ModelSpec, constant_control, forward, sin_drift_model
 from fgncontrol.errors import DepthMismatch, LevelMismatch, TerminalConditionViolated
 from fgncontrol.lattice import (
+    NoiseLattice,
     condexp,
     lattice_for_hurst,
     noise_value,
@@ -28,7 +29,7 @@ from fgncontrol.noise import fgn_covariance, whiten
 
 @pytest.fixture(scope="module")
 def lat():
-    # depth 3 on a size-4 basis: enough for N = 2 with terminal noise
+    # depth 3 for the N = 2 drivers below: one stage to spare
     return lattice_for_hurst(0.7, depth=3, order=3)
 
 
@@ -37,8 +38,7 @@ def affine_driver(lat, coeffs, terminal_coeffs):
 
     coeffs[s] = (alpha, beta, gamma, delta, eps, zeta) for stages s = 1, 2:
     f = alpha y + beta z + gamma, g = delta y + eps z + zeta.  Stage 2
-    must not use z, and stage-2 g must vanish for a depth-2 solve.
-    terminal y = c0 + c1 xi_0 + c2 xi_1.
+    must not use z.  terminal y = c0 + c1 xi_0 + c2 xi_1.
     """
     c0, c1, c2 = terminal_coeffs
 
@@ -51,8 +51,7 @@ def affine_driver(lat, coeffs, terminal_coeffs):
         return delta * y + eps * z + zeta
 
     terminal = c0 + c1 * noise_value(lat, 0).at_level(2) + c2 * noise_value(lat, 1)
-    noise_free = all(abs(v) == 0.0 for v in coeffs[2][3:])
-    return DriverSpec(horizon=2, terminal=terminal, f=f, g=g, terminal_noise_free=noise_free)
+    return DriverSpec(horizon=2, terminal=terminal, f=f, g=g)
 
 
 def oracle_two_stage(basis, rule, coeffs, terminal_coeffs):
@@ -105,7 +104,6 @@ class TestTrivialEquations:
             terminal=lat.constant(3.7, 2),
             f=lambda s, y, z: 0.0,
             g=lambda s, y, z: 0.0,
-            terminal_noise_free=True,
         )
         sol = solve_bsde(driver, lat)
         for n in range(3):
@@ -121,7 +119,6 @@ class TestTrivialEquations:
             terminal=white_value(lat, 1),
             f=lambda s, y, z: 0.0,
             g=lambda s, y, z: 0.0,
-            terminal_noise_free=True,
         )
         sol = solve_bsde(driver, lat)
         assert np.allclose(sol.y[1].values, 0.0, atol=1e-14)
@@ -137,7 +134,6 @@ class TestTrivialEquations:
             terminal=noise_value(lat, 1),
             f=lambda s, y, z: 0.0,
             g=lambda s, y, z: 0.0,
-            terminal_noise_free=True,
         )
         sol = solve_bsde(driver, lat)
         eta0 = white_value(lat, 0)
@@ -171,16 +167,20 @@ class TestBruteForceOracle:
             assert np.max(np.abs(sol.z[1].values - z1)) <= 1e-12, f"trial {trial}: Z_1"
             assert_orthogonal(sol, lat)
 
-    def test_terminal_noise_requires_deeper_lattice(self, lat):
-        coeffs = {1: (0.1, 0.2, 0.0, 0.0, 0.0, 0.3), 2: (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)}
-        driver = affine_driver(lat, coeffs, (0.0, 0.0, 0.0))
-        assert not driver.terminal_noise_free
-        sol = solve_bsde(driver, lat)  # depth 3 >= N + 1
-        assert_orthogonal(sol, lat)
+    def test_terminal_noise_solved_on_horizon_depth(self, lat):
+        # a nonzero stage-N g reads basis row N, never lattice stage N + 1
+        coeffs = {1: (0.1, 0.2, -0.1, 0.3, -0.2, 0.3), 2: (0.2, 0.0, 0.1, 0.5, 0.0, 1.0)}
+        terminal_coeffs = (0.1, 0.4, -0.3)
         shallow = lattice_for_hurst(0.7, depth=2, order=3)
-        shallow_driver = affine_driver(shallow, coeffs, (0.0, 0.0, 0.0))
+        sol = solve_bsde(affine_driver(shallow, coeffs, terminal_coeffs), shallow)
+        deep = solve_bsde(affine_driver(lat, coeffs, terminal_coeffs), lat)
+        for n in range(2):
+            assert np.max(np.abs(sol.y[n].values - deep.y[n].values)) <= 1e-14
+            assert np.max(np.abs(sol.z[n].values - deep.z[n].values)) <= 1e-14
+        assert_orthogonal(sol, shallow)
+        rowless = NoiseLattice(2, shallow.rule, whiten(fgn_covariance(0.7, 2)))
         with pytest.raises(DepthMismatch):
-            solve_bsde(shallow_driver, shallow)
+            solve_bsde(affine_driver(rowless, coeffs, terminal_coeffs), rowless)
 
     def test_terminal_stage_noise_hand_expansion(self, lat):
         # f = 0, g = 1 at stage 2 only, terminal 0:
@@ -191,7 +191,6 @@ class TestBruteForceOracle:
             terminal=lat.constant(0.0, 2),
             f=lambda s, y, z: 0.0,
             g=lambda s, y, z: 1.0 if s == 2 else 0.0,
-            terminal_noise_free=False,
         )
         sol = solve_bsde(driver, lat)
         eta0 = white_value(lat, 0)
@@ -209,7 +208,6 @@ class TestSolutionStructure:
             terminal=noise_value(lat, 1),
             f=lambda s, y, z: 0.1 * y,
             g=lambda s, y, z: 0.0,
-            terminal_noise_free=True,
         )
         sol = solve_bsde(driver, lat)
         assert [v.level for v in sol.y] == [0, 1, 2]
@@ -225,7 +223,6 @@ class TestSolutionStructure:
                 terminal=lat.from_values(2, values),
                 f=lambda s, y, z: 0.3 * y + (0.2 * z if s < 2 else 0.0),
                 g=lambda s, y, z: (0.5 * y - 0.1 * z) if s < 2 else 0.0,
-                terminal_noise_free=True,
             )
             return solve_bsde(driver, lat)
 
@@ -245,7 +242,6 @@ class TestSolutionStructure:
             terminal=noise_value(lat, 1),
             f=lambda s, y, z: 0.2 * y + 0.1,
             g=lambda s, y, z: 0.3 * y if s < 2 else 0.0,
-            terminal_noise_free=True,
         )
         a, b = solve_bsde(driver, lat), solve_bsde(driver, lat)
         for n in range(3):
@@ -259,7 +255,6 @@ class TestSolutionStructure:
             terminal=lat.constant(0.0, 2),
             f=lambda s, y, z: noise_value(lat, s),
             g=lambda s, y, z: 0.0,
-            terminal_noise_free=True,
         )
         with pytest.raises(LevelMismatch):
             solve_bsde(driver, lat)

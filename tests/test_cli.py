@@ -157,9 +157,9 @@ class TestSolveBsde:
     def test_missing_config_file_exits_4(self, tmp_path):
         assert run("solve-bsde", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 4
 
-    def test_terminal_noise_extends_lattice(self, tmp_path):
+    def test_terminal_noise_solved_at_horizon_depth(self, tmp_path):
         cfg = json.loads(json.dumps(BSDE_CONFIG))
-        cfg["driver"][1]["g_constant"] = 0.5  # stage-2 noise term needs depth 3
+        cfg["driver"][1]["g_constant"] = 0.5  # reads basis row 2 on a depth-2 lattice
         path = write_json_file(tmp_path / "b.json", cfg)
         out = tmp_path / "o"
         assert run("solve-bsde", "--config", path, "--out", out) == 0

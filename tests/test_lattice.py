@@ -295,6 +295,12 @@ class TestNoiseValues:
             assert np.max(np.abs(mean.values - via_b.values)) <= 1e-12
             assert np.max(np.abs(mean.values - via_c.values)) <= 1e-12
 
+    def test_conditional_mean_built_once_per_lattice(self, lat_h07):
+        for n in range(3):
+            assert noise_conditional_mean(lat_h07, n) is noise_conditional_mean(lat_h07, n)
+        other = lattice_for_hurst(0.7, depth=3, order=3)
+        assert noise_conditional_mean(other, 2) is not noise_conditional_mean(lat_h07, 2)
+
     def test_eta_xi_cross_moment_is_diagonal_entry(self, lat_h07):
         # E[eta_n xi_n | level n] = b[n,n] for q >= 2
         b = lat_h07.basis.b_mat
