@@ -35,15 +35,7 @@ import numpy as np
 
 from .dynamics import ControlProcess, ModelSpec, StateProcess, _stage_value
 from .errors import DepthMismatch, NonFiniteValue, TerminalConditionViolated
-from .lattice import (
-    AdaptedValue,
-    NoiseLattice,
-    _conditional_mean,
-    as_adapted,
-    condexp,
-    noise_conditional_mean,
-    white_value,
-)
+from .lattice import AdaptedValue, NoiseLattice, _blocks, _contract, _mean, _white
 from .noise import WhiteningBasis
 
 Driver = Callable[[int, AdaptedValue, AdaptedValue], AdaptedValue | float | np.ndarray]
@@ -101,38 +93,41 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
     if driver.terminal.lattice is not lat:
         raise DepthMismatch("terminal data lives on a different lattice")
 
-    y: list[AdaptedValue | None] = [None] * (n_stages + 1)
-    z: list[AdaptedValue | None] = [None] * n_stages
-    r: list[AdaptedValue | None] = [None] * n_stages
-    y[n_stages] = driver.terminal
-
-    for n in range(n_stages - 1, -1, -1):
+    # built backward; stage s = n + 1 reads y[-1] and z[-1], and z[0] is Z_N = 0
+    y, z, r = [driver.terminal], [lat.constant(0.0, n_stages)], []
+    for n in reversed(range(n_stages)):
         s = n + 1
-        z_arg = lat.constant(0.0, n_stages) if s == n_stages else z[s]
-        projected = y[s] + as_adapted(lat, s, driver.f(s, y[s], z_arg))
-        g = as_adapted(lat, s, driver.g(s, y[s], z_arg))
-        if np.any(g.values):
+        projected = y[-1].values + _driver_table(lat, s, driver.f(s, y[-1], z[-1]))
+        g = _driver_table(lat, s, driver.g(s, y[-1], z[-1]))
+        if np.any(g):
             # E[g xi_s | level s] = g E[xi_s | level s]: g is level s
-            mean = noise_conditional_mean(lat, s) if s < lat.depth else _conditional_mean(lat, s)
-            projected = projected + g * mean
-        eta = white_value(lat, n)
-        y[n] = condexp(projected, n)
-        z[n] = condexp(eta * projected, n)
-        r[n] = projected - y[n] - z[n] * eta
-        for name, val in (("Y", y[n]), ("Z", z[n])):
-            if not np.all(np.isfinite(val.values)):
+            projected = projected + g * _mean(lat, s)
+        blocks = _blocks(lat, projected)
+        y_n = _contract(lat, projected)
+        z_n = _contract(lat, blocks * _white(lat))
+        for name, val in (("Y", y_n), ("Z", z_n)):
+            if not np.all(np.isfinite(val)):
                 raise NonFiniteValue(f"{name}_{n} is non-finite")
-    return BsdeSolution(y=tuple(y), z=tuple(z), r=tuple(r))
+        y.append(AdaptedValue(lat, n, y_n))
+        z.append(AdaptedValue(lat, n, z_n))
+        r.append(AdaptedValue(lat, s, blocks - y_n[:, None] - z_n[:, None] * _white(lat)))
+    return BsdeSolution(y=tuple(y[::-1]), z=tuple(z[:0:-1]), r=tuple(r[::-1]))
+
+
+def _driver_table(lat: NoiseLattice, s: int, raw) -> np.ndarray:
+    """A driver's output (adapted value, array or scalar) as a level-s table."""
+    raw = raw.at_level(s).values if isinstance(raw, AdaptedValue) else raw
+    return np.broadcast_to(np.asarray(raw, dtype=np.float64), (lat.level_size(s),))
 
 
 def residual_orthogonality(sol: BsdeSolution, lat: NoiseLattice) -> tuple[float, float]:
     """Worst nodewise |E[R_n|level n]| and |E[eta_n R_n|level n]|."""
     worst_mean = 0.0
     worst_eta = 0.0
-    for n, res in enumerate(sol.r):
-        eta = white_value(lat, n)
-        worst_mean = max(worst_mean, float(np.max(np.abs(condexp(res, n).values))))
-        worst_eta = max(worst_eta, float(np.max(np.abs(condexp(eta * res, n).values))))
+    for res in sol.r:
+        worst_mean = max(worst_mean, float(np.max(np.abs(_contract(lat, res.values)))))
+        eta_res = _blocks(lat, res.values) * _white(lat)
+        worst_eta = max(worst_eta, float(np.max(np.abs(_contract(lat, eta_res)))))
     return worst_mean, worst_eta
 
 
@@ -172,27 +167,25 @@ def adjoint_driver(
 
     # Coefficients at stage k use (X*_k, u*_k); k runs over 1..N-1 where
     # a control exists.  Stage N never contributes.
-    coeff: dict[str, list[AdaptedValue | None]] = {"b_x": [None] * n_stages,
-                                                   "sigma_x": [None] * n_stages,
-                                                   "l_x": [None] * n_stages}
-    for k in range(1, n_stages):
-        xk, uk = x_star[k], u_star[k]
-        for name in coeff:
-            coeff[name][k] = _stage_value(
-                lat, k, getattr(model, name)(k, xk.values, uk.values)
-            )
+    b_x, sigma_x, l_x = (
+        [None] + [
+            _stage_value(lat, k, getattr(model, name)(k, x_star[k].values, u_star[k].values))
+            for k in range(1, n_stages)
+        ]
+        for name in ("b_x", "sigma_x", "l_x")
+    )
 
     b_diag = np.diag(basis.b_mat)
 
     def f(k, p, q):
         if k == n_stages:
-            return lat.constant(0.0, k)
-        return coeff["b_x"][k] * p + b_diag[k] * (coeff["sigma_x"][k] * q) + coeff["l_x"][k]
+            return 0.0
+        return b_x[k] * p.values + b_diag[k] * (sigma_x[k] * q.values) + l_x[k]
 
     def g(k, p, q):
         if k == n_stages:
-            return lat.constant(0.0, k)
-        return coeff["sigma_x"][k] * p
+            return 0.0
+        return sigma_x[k] * p.values
 
     terminal = _stage_value(lat, n_stages, model.phi_x(x_star[n_stages].values))
-    return DriverSpec(horizon=n_stages, terminal=terminal, f=f, g=g)
+    return DriverSpec(horizon=n_stages, terminal=AdaptedValue(lat, n_stages, terminal), f=f, g=g)

@@ -26,7 +26,7 @@ from .errors import (
     OutOfControlSet,
     TerminalConditionViolated,
 )
-from .lattice import AdaptedValue, NoiseLattice, as_adapted, expectation, noise_value
+from .lattice import AdaptedValue, NoiseLattice, _expect, _noise
 
 _SPOT_POINTS = 16
 _FD_REL_TOL = 1e-5
@@ -247,19 +247,20 @@ def random_control(
     return ControlProcess(stages)
 
 
-def _stage_value(lat, level, raw) -> AdaptedValue:
-    out = as_adapted(lat, level, raw)
-    if not np.all(np.isfinite(out.values)):
+def _stage_value(lat, level, raw) -> np.ndarray:
+    """A coefficient's output as a contiguous level-`level` table, checked finite."""
+    out = np.ascontiguousarray(np.broadcast_to(np.asarray(raw, float), (lat.level_size(level),)))
+    if not np.all(np.isfinite(out)):
         raise NonFiniteValue(f"coefficient produced non-finite values at level {level}")
     return out
 
 
-def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> AdaptedValue:
-    """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n, checked finite."""
-    drift = _stage_value(lat, n, model.b(n, xn.values, un.values))
-    vol = _stage_value(lat, n, model.sigma(n, xn.values, un.values))
-    nxt = xn + drift + vol * noise_value(lat, n)
-    if not np.all(np.isfinite(nxt.values)):
+def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> np.ndarray:
+    """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n as a table, checked finite."""
+    drift = _stage_value(lat, n, model.b(n, xn, un))
+    vol = _stage_value(lat, n, model.sigma(n, xn, un))
+    nxt = ((xn + drift)[:, None] + vol[:, None] * _noise(lat, n)).reshape(-1)
+    if not np.all(np.isfinite(nxt)):
         raise NonFiniteValue(f"state became non-finite at stage {n + 1}")
     return nxt
 
@@ -268,7 +269,7 @@ def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProc
     """Roll the state forward under control u.
 
     Requires lattice depth >= horizon and every control value inside the
-    model's control set.
+    model's control set.  Builds one `AdaptedValue` per stage.
     """
     n_stages = model.horizon
     if u.horizon != n_stages:
@@ -278,7 +279,8 @@ def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProc
     u.validate_in(model.control_set)
     states = [lat.constant(model.initial_state, 0)]
     for n in range(n_stages):
-        states.append(_step(model, lat, n, states[n], u[n]))
+        nxt = _step(model, lat, n, states[n].values, u[n].values)
+        states.append(AdaptedValue(lat, n + 1, nxt))
     return StateProcess(states)
 
 
@@ -286,10 +288,9 @@ def cost(model: ModelSpec, u: ControlProcess, x: StateProcess, lat: NoiseLattice
     """Expected running plus terminal cost of (u, x)."""
     total = 0.0
     for n in range(model.horizon):
-        stage = _stage_value(lat, n, model.l(n, x[n].values, u[n].values))
-        total += expectation(stage)
+        total += _expect(lat, _stage_value(lat, n, model.l(n, x[n].values, u[n].values)), n)
     terminal = _stage_value(lat, model.horizon, model.phi(x[model.horizon].values))
-    total += expectation(terminal)
+    total += _expect(lat, terminal, model.horizon)
     if not np.isfinite(total):
         raise NonFiniteValue("cost is non-finite")
     return total
@@ -312,15 +313,15 @@ def variation(
         raise DepthMismatch(f"direction has {v.horizon} stages, model needs {model.horizon}")
     out = [lat.constant(0.0, 0)]
     for n in range(model.horizon):
-        xn, un, vn = x_star[n], u_star[n], v[n]
-        bx = _stage_value(lat, n, model.b_x(n, xn.values, un.values))
-        bu = _stage_value(lat, n, model.b_u(n, xn.values, un.values))
-        sx = _stage_value(lat, n, model.sigma_x(n, xn.values, un.values))
-        su = _stage_value(lat, n, model.sigma_u(n, xn.values, un.values))
-        nxt = out[n] + bx * out[n] + bu * vn + (sx * out[n] + su * vn) * noise_value(lat, n)
-        if not np.all(np.isfinite(nxt.values)):
+        xn, un, vn, var = x_star[n].values, u_star[n].values, v[n].values, out[n].values
+        bx = _stage_value(lat, n, model.b_x(n, xn, un))
+        bu = _stage_value(lat, n, model.b_u(n, xn, un))
+        sx = _stage_value(lat, n, model.sigma_x(n, xn, un))
+        su = _stage_value(lat, n, model.sigma_u(n, xn, un))
+        nxt = (var + bx * var + bu * vn)[:, None] + (sx * var + su * vn)[:, None] * _noise(lat, n)
+        if not np.all(np.isfinite(nxt)):
             raise NonFiniteValue(f"variation became non-finite at stage {n + 1}")
-        out.append(nxt)
+        out.append(AdaptedValue(lat, n + 1, nxt))
     return StateProcess(out)
 
 

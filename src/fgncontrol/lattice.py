@@ -3,12 +3,13 @@
 A depth-M lattice is the full q-ary tree whose stage-n branching carries
 the nodes and weights of the order-q Gauss-Hermite rule for the standard
 normal weight.  A random variable measurable with respect to the first n
-white noises is stored as a dense table of q^n values (`AdaptedValue` at
-level n); node (i_0, ..., i_{n-1}) is encoded big-endian, index
-``i_0 q^{n-1} + ... + i_{n-1}``.  Conditional expectation onto level n is
-the exact contraction of the trailing axes against the weights, so tower
-property, linearity and taking-out-what-is-known hold to machine
-precision, and moments of each white noise are exact up to degree 2q-1.
+white noises is a dense table of q^n values; node (i_0, ..., i_{n-1}) is
+encoded big-endian, index ``i_0 q^{n-1} + ... + i_{n-1}``.  The solvers
+work on these flat float64 tables: a stage step views a level-(n+1)
+table as (q^n, q) child blocks, where a level-n table broadcasts as
+``[:, None]``, and contracts the children against the weights to get
+E[. | level n] exactly.  The private primitives below own that format;
+`AdaptedValue` is the validated boundary type of the public API.
 
 The correlated increments xi_n = sum_{k<=n} b[n,k] eta_k are produced by
 mixing the white node values through a `WhiteningBasis`; each lattice
@@ -113,7 +114,7 @@ class NoiseLattice:
     @cached_property
     def _noise_means(self) -> tuple["AdaptedValue", ...]:
         """E[xi_n | first n noises] for n = 0..depth-1, built once."""
-        return tuple(_conditional_mean(self, n) for n in range(self.depth))
+        return tuple(AdaptedValue(self, n, _conditional_mean(self, n)) for n in range(self.depth))
 
 
 def lattice_for_hurst(h, depth: int, order: int) -> NoiseLattice:
@@ -203,33 +204,56 @@ class AdaptedValue:
         return f"AdaptedValue(level={self.level}, size={self.values.shape[0]})"
 
 
-def as_adapted(lat: NoiseLattice, level: int, raw) -> AdaptedValue:
-    """Lift a scalar, dense array or no-finer adapted value to level `level`."""
-    if isinstance(raw, AdaptedValue):
-        return raw.at_level(level)
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim == 0:
-        return lat.constant(float(arr), level)
-    return AdaptedValue(lat, level, np.broadcast_to(arr, (lat.level_size(level),)))
+def _blocks(lat: NoiseLattice, table: np.ndarray) -> np.ndarray:
+    """A level-(n+1) table as its (q^n, q) child blocks (a view)."""
+    return table.reshape(-1, lat.rule.q)
 
 
-def white_value(lat: NoiseLattice, n: int) -> AdaptedValue:
-    """The stage-n white noise eta_n as a level n+1 value."""
-    if not 0 <= n <= lat.depth - 1:
-        raise IndexOutOfRange(f"white noise stage {n} outside [0, {lat.depth - 1}]")
-    q = lat.rule.q
-    return AdaptedValue(lat, n + 1, np.tile(lat.rule.nodes, q**n))
+def _contract(lat: NoiseLattice, table: np.ndarray, stages: int = 1) -> np.ndarray:
+    """Conditional expectation `stages` levels down, one exact stage at a time."""
+    for _ in range(stages):
+        table = table.reshape(-1, lat.rule.q) @ lat.rule.weights
+    return table
 
 
-def _conditional_mean(lat: NoiseLattice, n: int) -> AdaptedValue:
-    """sum_{k<n} b[n,k] eta_k as a level-n value; needs basis row n."""
+def _expect(lat: NoiseLattice, table: np.ndarray, level: int) -> float:
+    """Expectation of a level-`level` table."""
+    return float(_contract(lat, table, level)[0])
+
+
+def _white(lat: NoiseLattice) -> np.ndarray:
+    """eta_n over the (q^n, q) child blocks of any stage n: the nodes."""
+    return lat.rule.nodes
+
+
+def _conditional_mean(lat: NoiseLattice, n: int) -> np.ndarray:
+    """sum_{k<n} b[n,k] eta_k as a level-n table; needs basis row n."""
     if n >= lat.basis.size:
         raise DepthMismatch(f"basis covers {lat.basis.size} stages, stage {n} needs {n + 1}")
     row = lat.basis.b_mat[n]
     acc = np.zeros(1)
     for k in range(n):
         acc = (acc[:, None] + row[k] * lat.rule.nodes).reshape(-1)
-    return AdaptedValue(lat, n, acc)
+    return acc
+
+
+def _mean(lat: NoiseLattice, n: int) -> np.ndarray:
+    """E[xi_n | first n noises], 0 <= n <= depth; cached below the depth."""
+    if n < lat.depth:
+        return lat._noise_means[n].values
+    return _conditional_mean(lat, n)
+
+
+def _noise(lat: NoiseLattice, n: int) -> np.ndarray:
+    """xi_n = E[xi_n | first n noises] + b[n,n] eta_n as (q^n, q) child blocks."""
+    return _mean(lat, n)[:, None] + lat.basis.b_mat[n, n] * _white(lat)
+
+
+def white_value(lat: NoiseLattice, n: int) -> AdaptedValue:
+    """The stage-n white noise eta_n as a level n+1 value."""
+    if not 0 <= n <= lat.depth - 1:
+        raise IndexOutOfRange(f"white noise stage {n} outside [0, {lat.depth - 1}]")
+    return AdaptedValue(lat, n + 1, np.broadcast_to(_white(lat), (lat.level_size(n), lat.rule.q)))
 
 
 def noise_value(lat: NoiseLattice, n: int) -> AdaptedValue:
@@ -240,10 +264,7 @@ def noise_value(lat: NoiseLattice, n: int) -> AdaptedValue:
     """
     if not 0 <= n <= lat.depth - 1:
         raise IndexOutOfRange(f"noise stage {n} outside [0, {lat.depth - 1}]")
-    mean = lat._noise_means[n].values
-    return AdaptedValue(
-        lat, n + 1, (mean[:, None] + lat.basis.b_mat[n, n] * lat.rule.nodes).reshape(-1)
-    )
+    return AdaptedValue(lat, n + 1, _noise(lat, n))
 
 
 def noise_conditional_mean(lat: NoiseLattice, n: int) -> AdaptedValue:
@@ -258,23 +279,15 @@ def noise_conditional_mean(lat: NoiseLattice, n: int) -> AdaptedValue:
 
 
 def condexp(value: AdaptedValue, level: int) -> AdaptedValue:
-    """Conditional expectation onto a coarser level.
-
-    Contracts one trailing stage at a time against the quadrature
-    weights; each contraction is exact for the stored table.
-    """
+    """Conditional expectation onto a coarser level."""
     if not 0 <= level <= value.level:
         raise LevelMismatch(f"target level {level} outside [0, {value.level}]")
-    q = value.lattice.rule.q
-    w = value.lattice.rule.weights
-    vals = value.values
-    for _ in range(value.level - level):
-        vals = vals.reshape(-1, q) @ w
-    return AdaptedValue(value.lattice, level, vals)
+    lat = value.lattice
+    return AdaptedValue(lat, level, _contract(lat, value.values, value.level - level))
 
 
 def expectation(value: AdaptedValue) -> float:
-    return float(condexp(value, 0).values[0])
+    return _expect(value.lattice, value.values, value.level)
 
 
 class SamplePaths(NamedTuple):
@@ -307,7 +320,6 @@ __all__ = [
     "NoiseLattice",
     "QuadratureRule",
     "SamplePaths",
-    "as_adapted",
     "condexp",
     "expectation",
     "gauss_hermite",

@@ -33,7 +33,7 @@ from .dynamics import (
     random_control,
 )
 from .errors import InvalidSpec, NotConverged, WrongHorizon
-from .lattice import AdaptedValue, NoiseLattice, condexp, expectation, noise_value
+from .lattice import AdaptedValue, NoiseLattice, _blocks, _contract, _expect, _noise
 from .noise import WhiteningBasis
 from .smp import SmpResidual, _gradient
 
@@ -147,22 +147,22 @@ def lq_fixed_point(
     NotConverged is raised when it exceeds `tol`.
     """
     model = as_model(spec)
-    p = lat.constant(spec.G, spec.horizon)
+    p = np.full(lat.level_size(spec.horizon), float(spec.G))
     feedback = []
     for n in reversed(range(spec.horizon)):
-        xi = noise_value(lat, n)
+        xi, p = _noise(lat, n), _blocks(lat, p)
         alpha = xi * spec.C[n] + (1.0 + spec.A[n])
         gamma = xi * spec.D[n] + spec.B[n]
-        s_ag = condexp(p * alpha * gamma, n)
-        k = s_ag / (condexp(p * gamma * gamma, n) + spec.R[n])
-        p = condexp(p * alpha * alpha, n) + spec.Q[n] - k * s_ag
-        feedback.insert(0, (k, alpha - gamma * k))
+        s_ag = _contract(lat, p * alpha * gamma)
+        k = s_ag / (_contract(lat, p * gamma * gamma) + spec.R[n])
+        p = _contract(lat, p * alpha * alpha) + spec.Q[n] - k * s_ag
+        feedback.insert(0, (k, alpha - gamma * k[:, None]))
 
     # closed loop: X_{n+1} = X_n (alpha_n - gamma_n K_n)
-    stages, x_n = [], lat.constant(spec.x, 0)
-    for k, loop in feedback:
-        stages.append(-(k * x_n))
-        x_n = x_n * loop
+    stages, x_n = [], np.full(1, float(spec.x))
+    for n, (k, loop) in enumerate(feedback):
+        stages.append(AdaptedValue(lat, n, -(k * x_n)))
+        x_n = (x_n[:, None] * loop).reshape(-1)
     u = ControlProcess(stages)
     x = forward(model, u, lat)
     adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
@@ -231,7 +231,7 @@ def verify_sufficiency(
         u = perturb(u_star, v, eps)
         gap = cost(model, u, forward(model, u, lat), lat) - j_star
         quad = 0.5 * sum(
-            spec.R[n] * expectation((u[n] - u_star[n]) * (u[n] - u_star[n]))
+            spec.R[n] * _expect(lat, (u[n].values - u_star[n].values) ** 2, n)
             for n in range(spec.horizon)
         )
         min_gap = min(min_gap, gap)
@@ -268,13 +268,12 @@ def verify_uniqueness(
     for _ in range(5):
         u1 = random_control(lat, spec.horizon, rng)
         u2 = random_control(lat, spec.horizon, rng)
-        mid = ControlProcess((u1[n] + u2[n]) * 0.5 for n in range(spec.horizon))
+        mid = ControlProcess(AdaptedValue(lat, n, (u1[n].values + u2[n].values) * 0.5)
+                             for n in range(spec.horizon))
         j1 = cost(model, u1, forward(model, u1, lat), lat)
         j2 = cost(model, u2, forward(model, u2, lat), lat)
         jm = cost(model, mid, forward(model, mid, lat), lat)
-        sq = sum(
-            expectation((u1[n] - u2[n]) * (u1[n] - u2[n])) for n in range(spec.horizon)
-        )
+        sq = sum(_expect(lat, (u1[n].values - u2[n].values) ** 2, n) for n in range(spec.horizon))
         worst_slack = min(worst_slack, j1 + j2 - 2.0 * jm - 0.25 * theta * sq)
     return UniquenessReport(
         passed=bool(worst_slack >= -1e-9),

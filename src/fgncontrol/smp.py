@@ -40,15 +40,7 @@ from .dynamics import (
     variation,
 )
 from .errors import DualityMismatch, NoDescent
-from .lattice import (
-    AdaptedValue,
-    NoiseLattice,
-    condexp,
-    expectation,
-    noise_conditional_mean,
-    noise_value,
-    white_value,
-)
+from .lattice import AdaptedValue, NoiseLattice, _blocks, _contract, _expect, _mean, _noise, _white
 from .noise import WhiteningBasis
 
 DUALITY_TOL = 1e-9
@@ -78,13 +70,13 @@ def _gradient(
     b_diag = np.diag(basis.b_mat)
     stages = []
     for n in range(model.horizon):
-        xn, un = x[n], u[n]
-        bu = _stage_value(lat, n, model.b_u(n, xn.values, un.values))
-        su = _stage_value(lat, n, model.sigma_u(n, xn.values, un.values))
-        lu = _stage_value(lat, n, model.l_u(n, xn.values, un.values))
-        p_n, q_n = adjoint.y[n], adjoint.z[n]
-        rho = bu * p_n + su * p_n * noise_conditional_mean(lat, n) + b_diag[n] * (su * q_n) + lu
-        stages.append(rho)
+        xn, un = x[n].values, u[n].values
+        bu = _stage_value(lat, n, model.b_u(n, xn, un))
+        su = _stage_value(lat, n, model.sigma_u(n, xn, un))
+        lu = _stage_value(lat, n, model.l_u(n, xn, un))
+        p_n, q_n = adjoint.y[n].values, adjoint.z[n].values
+        rho = bu * p_n + su * p_n * _mean(lat, n) + b_diag[n] * (su * q_n) + lu
+        stages.append(AdaptedValue(lat, n, rho))
     return SmpResidual(stages)
 
 
@@ -118,24 +110,24 @@ def _derivative_routes(
 
     primal = 0.0
     for n in range(n_stages):
-        xn, un = x_star[n], u_star[n]
-        lx = _stage_value(lat, n, model.l_x(n, xn.values, un.values))
-        lu = _stage_value(lat, n, model.l_u(n, xn.values, un.values))
-        primal += expectation(lx * var[n] + lu * v[n])
+        xn, un = x_star[n].values, u_star[n].values
+        lx = _stage_value(lat, n, model.l_x(n, xn, un))
+        lu = _stage_value(lat, n, model.l_u(n, xn, un))
+        primal += _expect(lat, lx * var[n].values + lu * v[n].values, n)
     phi_x = _stage_value(lat, n_stages, model.phi_x(x_star[n_stages].values))
-    primal += expectation(phi_x * var[n_stages])
+    primal += _expect(lat, phi_x * var[n_stages].values, n_stages)
 
     adj = solve_bsde(adjoint_driver(model, u_star, x_star, basis), lat)
     dual = 0.0
     for n in range(n_stages):
-        xn, un = x_star[n], u_star[n]
-        bu = _stage_value(lat, n, model.b_u(n, xn.values, un.values))
-        su = _stage_value(lat, n, model.sigma_u(n, xn.values, un.values))
-        lu = _stage_value(lat, n, model.l_u(n, xn.values, un.values))
-        xi, eta = noise_value(lat, n), white_value(lat, n)
-        p_n, q_n = adj.y[n], adj.z[n]
+        xn, un = x_star[n].values, u_star[n].values
+        bu = _stage_value(lat, n, model.b_u(n, xn, un))[:, None]
+        su = _stage_value(lat, n, model.sigma_u(n, xn, un))[:, None]
+        lu = _stage_value(lat, n, model.l_u(n, xn, un))[:, None]
+        xi, eta = _noise(lat, n), _white(lat)
+        p_n, q_n = adj.y[n].values[:, None], adj.z[n].values[:, None]
         integrand = bu * p_n + su * p_n * xi + su * q_n * eta * xi + lu
-        dual += expectation(integrand * v[n])
+        dual += _expect(lat, integrand * v[n].values[:, None], n + 1)
     return primal, dual
 
 
@@ -195,7 +187,9 @@ class StationarityReport:
 def check_stationarity(
     residual: SmpResidual, u_star: ControlProcess, control_set, tol: float
 ) -> StationarityReport:
-    """Classify every node of the residual against the control set."""
+    """Classify every node of the residual against the control set (tol finite, >= 0)."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     worst = 0.0
     worst_stage = 0
     worst_node = 0
@@ -250,18 +244,12 @@ class OptimizeResult:
 _CURVATURE_FLOOR = 1e-8
 
 
-def _inner(lhs, rhs) -> float:
-    """Path inner product sum_n E[a_n b_n]."""
-    return sum(expectation(a * b) for a, b in zip(lhs, rhs))
-
-
-def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, xn, un):
-    """(_x, _u, _xx, _uu, _ux) of b, sigma and l at stage n, each level n.
+def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, x, u):
+    """(_x, _u, _xx, _uu, _ux) of b, sigma and l at stage n, level-n tables.
 
     Second derivatives are central differences of the supplied first
     derivatives.
     """
-    x, u = xn.values, un.values
     out = []
     for name in ("b", "sigma", "l"):
         d_x, d_u = getattr(model, name + "_x"), getattr(model, name + "_u")
@@ -277,7 +265,7 @@ def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, xn, un):
 
 
 def _backward_pass(model, u, x, lat, rho):
-    """DDP gains (k_n, K_n) for n = 0..N-1 along (u, X).
+    """DDP gains (k_n, K_n), level-n tables for n = 0..N-1, along (u, X).
 
     V_x and V_xx start from phi_x and phi_xx at X_N.  With
     f = x + b + sigma xi_n, stage n contracts the children into Q_x, Q_u,
@@ -299,29 +287,30 @@ def _backward_pass(model, u, x, lat, rho):
     gains = []
     for n in reversed(range(n_stages)):
         (bx, bu, bxx, buu, bux), (sx, su, sxx, suu, sux), (lx, lu, lxx, luu, lux) = (
-            _stage_derivatives(model, lat, n, x[n], u[n])
+            _stage_derivatives(model, lat, n, x[n].values, u[n].values)
         )
-        xi = noise_value(lat, n)
-        f_x = 1.0 + bx + sx * xi
-        f_u = bu + su * xi
-        q_x = lx + condexp(v_x * f_x, n)
-        q_u = lu + condexp(v_x * f_u, n)
-        q_xx = lxx + condexp(v_xx * f_x * f_x + v_x * (bxx + sxx * xi), n)
-        q_uu = luu + condexp(v_xx * f_u * f_u + v_x * (buu + suu * xi), n)
-        q_ux = lux + condexp(v_xx * f_u * f_x + v_x * (bux + sux * xi), n)
+        xi = _noise(lat, n)
+        v_x, v_xx, lam = _blocks(lat, v_x), _blocks(lat, v_xx), _blocks(lat, lam)
+        f_x = (1.0 + bx)[:, None] + sx[:, None] * xi
+        f_u = bu[:, None] + su[:, None] * xi
+        q_x = lx + _contract(lat, v_x * f_x)
+        q_u = lu + _contract(lat, v_x * f_u)
+        q_xx = lxx + _contract(lat, v_xx * f_x * f_x + v_x * (bxx[:, None] + sxx[:, None] * xi))
+        q_uu = luu + _contract(lat, v_xx * f_u * f_u + v_x * (buu[:, None] + suu[:, None] * xi))
+        q_ux = lux + _contract(lat, v_xx * f_u * f_x + v_x * (bux[:, None] + sux[:, None] * xi))
 
-        gap = np.max(np.abs((lu + condexp(lam * f_u, n)).values - rho[n].values))
+        gap = np.max(np.abs(lu + _contract(lat, lam * f_u) - rho[n].values))
         if gap > DUALITY_TOL * max(1.0, float(np.max(np.abs(rho[n].values)))):
             raise DualityMismatch(
                 f"backward pass and adjoint disagree on rho_{n} by {gap:.3e}"
             )
-        lam = lx + condexp(lam * f_x, n)
+        lam = lx + _contract(lat, lam * f_x)
 
-        curvature = np.maximum(np.abs(q_uu.values), _CURVATURE_FLOOR)
-        newton = u[n].values - q_u.values / curvature
+        curvature = np.maximum(np.abs(q_uu), _CURVATURE_FLOOR)
+        newton = u[n].values - q_u / curvature
         target = model.control_set.project(newton)
-        k = AdaptedValue(lat, n, target - u[n].values)
-        gain = AdaptedValue(lat, n, np.where(target == newton, -q_ux.values / curvature, 0.0))
+        k = target - u[n].values
+        gain = np.where(target == newton, -q_ux / curvature, 0.0)
         v_x = q_x + gain * (q_uu * k + q_u) + q_ux * k
         v_xx = q_xx + gain * (q_uu * gain + q_ux * 2.0)
         gains.append((k, gain))
@@ -330,12 +319,12 @@ def _backward_pass(model, u, x, lat, rho):
 
 def _rollout(model, u, x, gains, step, lat) -> ControlProcess:
     """Closed-loop control u_n + step k_n + K_n (x_new_n - X_n), projected."""
-    stages, x_new = [], x[0]
+    stages, x_new = [], x[0].values
     for n, (k, gain) in enumerate(gains):
-        raw = u[n] + step * k + gain * (x_new - x[n])
-        un = AdaptedValue(lat, n, model.control_set.project(raw.values))
+        raw = u[n].values + step * k + gain * (x_new - x[n].values)
+        un = AdaptedValue(lat, n, model.control_set.project(raw))
         stages.append(un)
-        x_new = _step(model, lat, n, x_new, un)
+        x_new = _step(model, lat, n, x_new, un.values)
     return ControlProcess(stages)
 
 
@@ -363,8 +352,10 @@ def optimize(
     only on Armijo decrease of J, so the cost never increases.  Raises
     NoDescent when backtracking exhausts its halvings, and NotConverged
     never: hitting max_iter returns converged=False so the caller can
-    inspect the trace.
+    inspect the trace.  A negative max_iter or bad tol raises ValueError.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     u = u_init
     u.validate_in(model.control_set)
     x, adj = solve_adjoint(model, u, lat, basis)
@@ -389,7 +380,11 @@ def optimize(
         step = step_rule.initial_step
         for _halving in range(step_rule.max_halvings + 1):
             candidate = _rollout(model, u, x, gains, step, lat)
-            gap = _inner(residual, (u[n] - candidate[n] for n in range(u.horizon)))
+            # path inner product sum_n E[rho_n (u_n - candidate_n)]
+            gap = sum(
+                _expect(lat, rho.values * (u[n].values - candidate[n].values), n)
+                for n, rho in enumerate(residual)
+            )
             x_new = forward(model, candidate, lat)
             j_new = cost(model, candidate, x_new, lat)
             if gap > 0.0 and j_new <= j_curr - step_rule.slope_constant * gap:

@@ -260,6 +260,27 @@ class TestSmpCheckAndOptimize:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
 
+    @pytest.mark.parametrize(
+        "flags", [("--max-iter", -1), ("--tol", "nan"), ("--tol", -1.0)]
+    )
+    def test_optimize_invalid_tol_or_max_iter_exits_2(self, tmp_path, flags):
+        cfg = write_json_file(tmp_path / "m.json", MODEL_CONFIG)
+        out = tmp_path / "o"
+        assert run("optimize", "--config", cfg, *flags, "--out", out) == 2
+        assert not out.exists()
+
+    def test_smp_check_nan_tol_exits_2(self, tmp_path):
+        cfg = write_json_file(tmp_path / "m.json", MODEL_CONFIG)
+        control = tmp_path / "u.csv"
+        rows = ["stage,node_index,value,probability", "0,0,0.8,1"]
+        rows += [f"1,{i},0.8,0.1" for i in range(3)]
+        control.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "chk"
+        code = run("smp-check", "--config", cfg, "--control", control, "--tol", "nan", "--out", out)
+        assert code == 2
+        assert not (out / "report.json").exists()
+        assert not (out / "residual.csv").exists()
+
     def test_optimize_respects_box_start_projection(self, tmp_path):
         cfg = dict(MODEL_CONFIG)
         cfg["control_set"] = {"box": [-0.2, 0.2]}

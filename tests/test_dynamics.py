@@ -27,7 +27,13 @@ from fgncontrol.errors import (
     OutOfControlSet,
     TerminalConditionViolated,
 )
-from fgncontrol.lattice import expectation, lattice_for_hurst, noise_value
+from fgncontrol.lattice import (
+    AdaptedValue,
+    expectation,
+    lattice_for_hurst,
+    noise_conditional_mean,
+    noise_value,
+)
 from fgncontrol.noise import fgn_covariance
 
 
@@ -261,6 +267,26 @@ class TestCost:
         # E X_1^2 = ((1+a0)^2 + c0^2) x0^2 using E xi = 0, E xi^2 = 1
         expected = 0.5 * (q0 * x0**2 + g * ((1 + a0) ** 2 + c0**2) * x0**2)
         assert cost(model, u, x, lat) == pytest.approx(expected, abs=1e-12)
+
+
+def test_adapted_values_built_only_at_the_boundary(monkeypatch):
+    # forward wraps each final stage once; cost reads tables and wraps none
+    lat = lattice_for_hurst(0.7, depth=4, order=3)
+    model = sin_drift_model(4)
+    u = random_control(lat, 4, np.random.default_rng(3))
+    noise_conditional_mean(lat, 0)  # builds the lattice's cached means
+    created = []
+    init = AdaptedValue.__init__
+
+    def counted(self, *args, **kwargs):
+        created.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AdaptedValue, "__init__", counted)
+    x = forward(model, u, lat)
+    assert len(created) == model.horizon + 1
+    cost(model, u, x, lat)
+    assert len(created) == model.horizon + 1
 
 
 class TestVariation:

@@ -21,7 +21,6 @@ from fgncontrol.errors import (
 from fgncontrol.lattice import (
     AdaptedValue,
     NoiseLattice,
-    as_adapted,
     condexp,
     expectation,
     gauss_hermite,
@@ -184,11 +183,6 @@ class TestAdaptedValue:
         other = lattice_for_hurst(0.7, depth=3, order=3)
         with pytest.raises(LevelMismatch):
             lat_h07.constant(1.0, 1) + other.constant(1.0, 1)
-
-    def test_as_adapted_broadcasts_scalar(self, lat_h07):
-        v = as_adapted(lat_h07, 2, 2.5)
-        assert v.level == 2
-        assert np.all(v.values == 2.5)
 
 
 class TestConditionalExpectation:

@@ -241,6 +241,12 @@ class TestCheckStationarity:
         assert report.worst_violation == pytest.approx(0.2, abs=1e-15)
         assert check_stationarity(res, u, Unconstrained(), tol=0.25).passed
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12])
+    def test_invalid_tol_rejected(self, lat, tol):
+        res = SmpResidual(tuple(lat.constant(0.0, n) for n in range(2)))
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            check_stationarity(res, constant_control(lat, 2, 0.0), Unconstrained(), tol=tol)
+
 
 class TestOptimize:
     def test_already_stationary_returns_immediately(self, lat):
@@ -358,3 +364,14 @@ class TestOptimize:
         result = optimize(model, u0, lat, lat.basis, tol=1e-12, max_iter=1)
         assert not result.converged
         assert result.iterations == 1
+
+    def test_negative_max_iter_rejected(self, lat):
+        model = sin_drift_model(2, initial_state=1.0)
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            optimize(model, constant_control(lat, 2, 0.0), lat, lat.basis, max_iter=-1)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_invalid_tol_rejected(self, lat, tol):
+        model = sin_drift_model(2, initial_state=1.0)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            optimize(model, constant_control(lat, 2, 0.0), lat, lat.basis, tol=tol)
