@@ -120,14 +120,19 @@ def _driver_table(lat: NoiseLattice, s: int, raw) -> np.ndarray:
     return np.broadcast_to(np.asarray(raw, dtype=np.float64), (lat.level_size(s),))
 
 
+def _residual_moments(lat: NoiseLattice, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E[R_n | level n] and E[eta_n R_n | level n] of a level-(n+1) residual table."""
+    return _contract(lat, r), _contract(lat, _blocks(lat, r) * _white(lat))
+
+
 def residual_orthogonality(sol: BsdeSolution, lat: NoiseLattice) -> tuple[float, float]:
     """Worst nodewise |E[R_n|level n]| and |E[eta_n R_n|level n]|."""
     worst_mean = 0.0
     worst_eta = 0.0
     for res in sol.r:
-        worst_mean = max(worst_mean, float(np.max(np.abs(_contract(lat, res.values)))))
-        eta_res = _blocks(lat, res.values) * _white(lat)
-        worst_eta = max(worst_eta, float(np.max(np.abs(_contract(lat, eta_res)))))
+        mean, eta = _residual_moments(lat, res.values)
+        worst_mean = max(worst_mean, float(np.max(np.abs(mean))))
+        worst_eta = max(worst_eta, float(np.max(np.abs(eta))))
     return worst_mean, worst_eta
 
 

@@ -206,6 +206,8 @@ def cmd_smp_check(args) -> int:
 
 def cmd_optimize(args) -> int:
     out = _require_out(args)
+    if not np.isfinite(args.u0):
+        raise ConfigError(f"--u0 must be finite, got {args.u0}")
     cfg = configs.load_model_config(args.config, order_override=args.quadrature_order)
     model = cfg.build_model()
     lat = lattice_for_hurst(cfg.hurst, cfg.horizon, cfg.quadrature_order)

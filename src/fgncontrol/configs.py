@@ -16,7 +16,7 @@ import numpy as np
 from .bsde import DriverSpec
 from .dynamics import Box, ModelSpec, Unconstrained, sin_drift_model
 from .errors import ConfigError
-from .lattice import NoiseLattice, noise_value
+from .lattice import NoiseLattice, _noise
 from .lq import LqSpec, as_model
 
 __all__ = [
@@ -235,10 +235,10 @@ class BsdeConfig:
     stages: tuple[dict, ...]
 
     def build_driver(self, lat: NoiseLattice) -> DriverSpec:
-        terminal = lat.constant(self.terminal_constant, self.horizon)
+        acc = np.full(1, float(self.terminal_constant))
         for k in range(self.horizon):
-            xi_k = noise_value(lat, k).at_level(self.horizon)
-            terminal = terminal + xi_k * self.terminal_coefficients[k]
+            acc = (acc[:, None] + self.terminal_coefficients[k] * _noise(lat, k)).reshape(-1)
+        terminal = lat.from_values(self.horizon, acc)
 
         def f(s, y, z):
             coeff = self.stages[s - 1]

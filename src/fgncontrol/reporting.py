@@ -1,8 +1,11 @@
 """Deterministic CSV and JSON serialization for solver artifacts.
 
-Floats are written with 17 significant digits so that identical inputs
-produce byte-identical files and values round-trip through float64.
-All writers emit '\n' line endings regardless of platform.
+Every CSV writer goes through `_write_table`: a header, then blocks of
+rows, each printed with one `%` row template such as "%d,%d,%.17g\n".
+Floats get 17 significant digits, so identical inputs produce
+byte-identical files that round-trip through float64; tables enter as
+`(table + 0.0).tolist()`, which turns -0.0 into 0.  Line endings are
+'\n' on every platform.
 """
 
 from __future__ import annotations
@@ -10,16 +13,17 @@ from __future__ import annotations
 import csv
 import json
 import os
+from itertools import repeat
 
 import numpy as np
 
+from .bsde import _residual_moments
 from .dynamics import ControlProcess
 from .errors import ConfigError
-from .lattice import NoiseLattice, SamplePaths, condexp, white_value
+from .lattice import NoiseLattice, SamplePaths
 
 __all__ = [
     "ensure_out_dir",
-    "fmt",
     "read_control_csv",
     "read_matrix_csv",
     "write_adjoint_csv",
@@ -35,27 +39,33 @@ __all__ = [
 ]
 
 
-def fmt(x: float) -> str:
-    """17-significant-digit decimal; adding 0.0 maps -0.0 to 0.0."""
-    return format(float(x) + 0.0, ".17g")
+def _column(table) -> list[float]:
+    """A table flattened to Python floats; adding 0.0 makes -0.0 print as 0."""
+    return (np.asarray(table, dtype=np.float64).reshape(-1) + 0.0).tolist()
 
 
-def _write_rows(path: str, header: tuple[str, ...], rows) -> None:
+def _stage_rows(n: int, *tables):
+    """Rows (n, node_index, *values) from one stage's equal-length tables."""
+    return zip(repeat(n), range(len(tables[0])), *map(_column, tables))
+
+
+def _write_table(path: str, header: str, blocks) -> None:
+    """The header line, then `template % row` for each row of each block.
+
+    Blocks are consumed one at a time, so a generator of blocks holds a
+    single stage's rows in memory.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(header + "\n")
+        for template, rows in blocks:
+            fh.writelines(map(template.__mod__, rows))
 
 
 def write_matrix_csv(path: str, mat: np.ndarray) -> None:
     """Header `n,k,value`, one row per nonzero entry, row-major order."""
-    rows = [
-        (str(n), str(k), fmt(mat[n, k]))
-        for n in range(mat.shape[0])
-        for k in range(mat.shape[1])
-        if mat[n, k] != 0.0
-    ]
-    _write_rows(path, ("n", "k", "value"), rows)
+    n, k = np.nonzero(mat)
+    rows = zip(n.tolist(), k.tolist(), _column(mat[n, k]))
+    _write_table(path, "n,k,value", [("%d,%d,%.17g\n", rows)])
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -93,14 +103,10 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 def write_state_csv(path: str, lat: NoiseLattice, values_by_stage) -> None:
     """Header `stage,node_index,value,probability`; one block per stage."""
-    rows = []
-    for stage, val in enumerate(values_by_stage):
-        probs = lat.node_probabilities(val.level)
-        rows.extend(
-            (str(stage), str(i), fmt(v), fmt(p))
-            for i, (v, p) in enumerate(zip(val.values, probs))
-        )
-    _write_rows(path, ("stage", "node_index", "value", "probability"), rows)
+    _write_table(path, "stage,node_index,value,probability", (
+        ("%d,%d,%.17g,%.17g\n", _stage_rows(n, val.values, lat.node_probabilities(val.level)))
+        for n, val in enumerate(values_by_stage)
+    ))
 
 
 def write_control_csv(path: str, lat: NoiseLattice, control: ControlProcess) -> None:
@@ -156,30 +162,22 @@ def write_bsde_csv(path: str, lat: NoiseLattice, sol) -> None:
     orthogonal residual (all at level n); the terminal stage carries Y
     only, with the remaining fields empty.
     """
-    n_stages = sol.horizon
-    rows = []
-    for n in range(n_stages):
-        r_mean = condexp(sol.r[n], n).values
-        r_eta = condexp(white_value(lat, n) * sol.r[n], n).values
-        y, z = sol.y[n].values, sol.z[n].values
-        rows.extend(
-            (str(n), str(i), fmt(y[i]), fmt(z[i]), fmt(r_mean[i]), fmt(r_eta[i]))
-            for i in range(y.shape[0])
-        )
-    terminal = sol.y[n_stages].values
-    rows.extend(
-        (str(n_stages), str(i), fmt(v), "", "", "") for i, v in enumerate(terminal)
-    )
-    _write_rows(path, ("stage", "node_index", "Y", "Z", "R_mean_check", "R_eta_check"), rows)
+    def blocks():
+        for n in range(sol.horizon):
+            moments = _residual_moments(lat, sol.r[n].values)
+            rows = _stage_rows(n, sol.y[n].values, sol.z[n].values, *moments)
+            yield "%d,%d,%.17g,%.17g,%.17g,%.17g\n", rows
+        yield "%d,%d,%.17g,,,\n", _stage_rows(sol.horizon, sol.y[sol.horizon].values)
+
+    _write_table(path, "stage,node_index,Y,Z,R_mean_check,R_eta_check", blocks())
 
 
 def write_adjoint_csv(path: str, sol) -> None:
     """Header `stage,node_index,p,q` for the adjoint pair."""
-    rows = []
-    for n in range(sol.horizon):
-        p, q = sol.y[n].values, sol.z[n].values
-        rows.extend((str(n), str(i), fmt(p[i]), fmt(q[i])) for i in range(p.shape[0]))
-    _write_rows(path, ("stage", "node_index", "p", "q"), rows)
+    _write_table(path, "stage,node_index,p,q", (
+        ("%d,%d,%.17g,%.17g\n", _stage_rows(n, sol.y[n].values, sol.z[n].values))
+        for n in range(sol.horizon)
+    ))
 
 
 def write_residual_csv(path: str, residual, control, classification) -> None:
@@ -188,37 +186,29 @@ def write_residual_csv(path: str, residual, control, classification) -> None:
     `classification` is a sequence of (passed_array, violation_array)
     per stage; passed nodes print as "pass", others as "fail".
     """
-    rows = []
-    for n, (rho, u_n, (ok, viol)) in enumerate(zip(residual, control, classification)):
-        rows.extend(
-            (
-                str(n),
-                str(i),
-                fmt(rho.values[i]),
-                fmt(u_n.values[i]),
-                "pass" if ok[i] else "fail",
-                fmt(viol[i]),
-            )
-            for i in range(rho.values.shape[0])
-        )
-    _write_rows(
-        path, ("stage", "node_index", "rho", "u_star", "classification", "violation"), rows
-    )
+    _write_table(path, "stage,node_index,rho,u_star,classification,violation", (
+        ("%d,%d,%.17g,%.17g,%s,%.17g\n", zip(
+            repeat(n),
+            range(rho.values.shape[0]),
+            _column(rho.values),
+            _column(u_n.values),
+            np.where(ok, "pass", "fail").tolist(),
+            _column(viol),
+        ))
+        for n, (rho, u_n, (ok, viol)) in enumerate(zip(residual, control, classification))
+    ))
 
 
 def write_optimize_trace_csv(path: str, trace) -> None:
     """Header `iter,J,step,worst_residual`."""
-    rows = [
-        (str(pt.iteration), fmt(pt.cost), fmt(pt.step), fmt(pt.worst_residual))
-        for pt in trace
-    ]
-    _write_rows(path, ("iter", "J", "step", "worst_residual"), rows)
+    rows = ((pt.iteration, pt.cost + 0.0, pt.step + 0.0, pt.worst_residual + 0.0) for pt in trace)
+    _write_table(path, "iter,J,step,worst_residual", [("%d,%.17g,%.17g,%.17g\n", rows)])
 
 
 def write_lq_trace_csv(path: str, trace) -> None:
     """Header `iter,J,residual` for the fixed-point iteration record."""
-    rows = [(str(pt.iteration), fmt(pt.cost), fmt(pt.residual)) for pt in trace]
-    _write_rows(path, ("iter", "J", "residual"), rows)
+    rows = ((pt.iteration, pt.cost + 0.0, pt.residual + 0.0) for pt in trace)
+    _write_table(path, "iter,J,residual", [("%d,%.17g,%.17g\n", rows)])
 
 
 def write_paths_csv(path: str, paths: SamplePaths) -> None:
@@ -226,14 +216,11 @@ def write_paths_csv(path: str, paths: SamplePaths) -> None:
 
     Monte Carlo draws are equiprobable, so probability is 1/n_paths.
     """
-    n_paths, horizon = paths.eta.shape
-    prob = fmt(1.0 / n_paths)
-    rows = [
-        (str(i), str(n), fmt(paths.eta[i, n]), fmt(paths.xi[i, n]), prob)
-        for i in range(n_paths)
-        for n in range(horizon)
-    ]
-    _write_rows(path, ("path_index", "stage", "eta", "xi", "probability"), rows)
+    path_index, stage = np.indices(paths.eta.shape).reshape(2, -1).tolist()
+    prob = 1.0 / paths.eta.shape[0]
+    rows = zip(path_index, stage, _column(paths.eta), _column(paths.xi), repeat(prob))
+    template = "%d,%d,%.17g,%.17g,%.17g\n"
+    _write_table(path, "path_index,stage,eta,xi,probability", [(template, rows)])
 
 
 def _json_default(obj):

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from fgncontrol.cli import main
+from fgncontrol.configs import parse_bsde_config
+from fgncontrol.lattice import lattice_for_hurst, noise_value
 from fgncontrol.reporting import read_matrix_csv, write_matrix_csv
 
 
@@ -166,6 +168,25 @@ class TestSolveBsde:
         last = (out / "solution.csv").read_text().splitlines()[-1]
         assert last.startswith("2,8,")  # terminal stage still has 9 nodes
 
+    @pytest.mark.parametrize("q,horizon", [(3, 5), (4, 4)])
+    def test_build_driver_terminal_equals_lifted_sum(self, q, horizon):
+        rng = np.random.default_rng([q, horizon])
+        coeffs = [float(v) for v in rng.uniform(-1.0, 1.0, horizon)]
+        zero_stage = {k: 0.0 for k in BSDE_CONFIG["driver"][0]}
+        cfg = parse_bsde_config({
+            "horizon": horizon, "hurst": 0.7, "quadrature_order": q,
+            "terminal": {"constant": 0.3, "noise_coefficients": coeffs},
+            "driver": [zero_stage] * horizon,
+        })
+        lat = lattice_for_hurst(0.7, horizon, q)
+        # the route that lifts every xi_k to the leaves and adds, in stage order
+        lifted = lat.constant(0.3, horizon)
+        for k, c in enumerate(coeffs):
+            lifted = lifted + noise_value(lat, k).at_level(horizon) * c
+        terminal = cfg.build_driver(lat).terminal
+        assert terminal.level == horizon
+        assert np.array_equal(terminal.values, lifted.values)
+
     def test_order_override_flag(self, tmp_path):
         cfg = write_json_file(tmp_path / "b.json", BSDE_CONFIG)
         out = tmp_path / "o"
@@ -267,6 +288,14 @@ class TestSmpCheckAndOptimize:
         cfg = write_json_file(tmp_path / "m.json", MODEL_CONFIG)
         out = tmp_path / "o"
         assert run("optimize", "--config", cfg, *flags, "--out", out) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("u0", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("control_set", ["unconstrained", {"box": [-0.2, 0.2]}])
+    def test_optimize_non_finite_u0_exits_2(self, tmp_path, u0, control_set):
+        cfg = write_json_file(tmp_path / "m.json", dict(MODEL_CONFIG, control_set=control_set))
+        out = tmp_path / "o"
+        assert run("optimize", "--config", cfg, f"--u0={u0}", "--out", out) == 2
         assert not out.exists()
 
     def test_smp_check_nan_tol_exits_2(self, tmp_path):
