@@ -9,7 +9,10 @@ producing a plausible wrong gradient later.
 
 Coefficient callables receive ``(n, x, u)`` where x and u are dense node
 arrays; they must vectorise (plain numpy expressions do) and may return
-a scalar when the coefficient is constant.
+a scalar when the coefficient is constant.  The private state step
+`_step` also accepts tables with a leading row axis, (rows, q^n), one
+row per control: `_batch_costs` rolls many controls out in one pass
+this way, and the coefficients then see (rows, q^n) arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     OutOfControlSet,
     TerminalConditionViolated,
 )
-from .lattice import AdaptedValue, NoiseLattice, _expect, _noise
+from .lattice import AdaptedValue, NoiseLattice, _contract, _expect, _noise
 
 _SPOT_POINTS = 16
 _FD_REL_TOL = 1e-5
@@ -247,22 +250,38 @@ def random_control(
     return ControlProcess(stages)
 
 
-def _stage_value(lat, level, raw) -> np.ndarray:
-    """A coefficient's output as a contiguous level-`level` table, checked finite."""
-    out = np.ascontiguousarray(np.broadcast_to(np.asarray(raw, float), (lat.level_size(level),)))
+def _stage_value(lat, level, raw, rows: tuple[int, ...] = ()) -> np.ndarray:
+    """A coefficient's output as a contiguous level-`level` table, checked finite.
+
+    `rows` is the leading row axis of a batched table, () for one table.
+    """
+    shape = (*rows, lat.level_size(level))
+    out = np.ascontiguousarray(np.broadcast_to(np.asarray(raw, float), shape))
     if not np.all(np.isfinite(out)):
         raise NonFiniteValue(f"coefficient produced non-finite values at level {level}")
     return out
 
 
 def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> np.ndarray:
-    """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n as a table, checked finite."""
-    drift = _stage_value(lat, n, model.b(n, xn, un))
-    vol = _stage_value(lat, n, model.sigma(n, xn, un))
-    nxt = ((xn + drift)[:, None] + vol[:, None] * _noise(lat, n)).reshape(-1)
+    """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n as a table, checked finite.
+
+    xn may carry a leading row axis, (rows, q^n); the result keeps it.
+    """
+    rows = xn.shape[:-1]
+    drift = _stage_value(lat, n, model.b(n, xn, un), rows)
+    vol = _stage_value(lat, n, model.sigma(n, xn, un), rows)
+    nxt = ((xn + drift)[..., None] + vol[..., None] * _noise(lat, n)).reshape(*rows, -1)
     if not np.all(np.isfinite(nxt)):
         raise NonFiniteValue(f"state became non-finite at stage {n + 1}")
     return nxt
+
+
+def _check_depth(model: ModelSpec, lat: NoiseLattice, stages: int):
+    """A control of `stages` stages fits the model's horizon and the lattice depth."""
+    if stages != model.horizon:
+        raise DepthMismatch(f"control has {stages} stages, model needs {model.horizon}")
+    if lat.depth < model.horizon:
+        raise DepthMismatch(f"lattice depth {lat.depth} < horizon {model.horizon}")
 
 
 def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProcess:
@@ -271,14 +290,10 @@ def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProc
     Requires lattice depth >= horizon and every control value inside the
     model's control set.  Builds one `AdaptedValue` per stage.
     """
-    n_stages = model.horizon
-    if u.horizon != n_stages:
-        raise DepthMismatch(f"control has {u.horizon} stages, model needs {n_stages}")
-    if lat.depth < n_stages:
-        raise DepthMismatch(f"lattice depth {lat.depth} < horizon {n_stages}")
+    _check_depth(model, lat, u.horizon)
     u.validate_in(model.control_set)
     states = [lat.constant(model.initial_state, 0)]
-    for n in range(n_stages):
+    for n in range(model.horizon):
         nxt = _step(model, lat, n, states[n].values, u[n].values)
         states.append(AdaptedValue(lat, n + 1, nxt))
     return StateProcess(states)
@@ -292,6 +307,29 @@ def cost(model: ModelSpec, u: ControlProcess, x: StateProcess, lat: NoiseLattice
     terminal = _stage_value(lat, model.horizon, model.phi(x[model.horizon].values))
     total += _expect(lat, terminal, model.horizon)
     if not np.isfinite(total):
+        raise NonFiniteValue("cost is non-finite")
+    return total
+
+
+def _batch_costs(model: ModelSpec, lat: NoiseLattice, controls) -> np.ndarray:
+    """J of many controls at once, one per row, without storing the state path.
+
+    Stage n of `controls` is a (rows, q^n) table whose values lie in the
+    model's control set.  Each row gets the same additions as
+    `cost(model, u, forward(model, u, lat), lat)`; only the contractions
+    run over more rows at a time.
+    """
+    _check_depth(model, lat, len(controls))
+    rows = controls[0].shape[:-1]
+    xn = np.full((*rows, 1), float(model.initial_state))
+    total = np.zeros(rows)
+    for n, un in enumerate(controls):
+        running = _stage_value(lat, n, model.l(n, xn, un), rows)
+        total += _contract(lat, running.reshape(-1), n)
+        xn = _step(model, lat, n, xn, un)
+    terminal = _stage_value(lat, model.horizon, model.phi(xn), rows)
+    total += _contract(lat, terminal.reshape(-1), model.horizon)
+    if not np.all(np.isfinite(total)):
         raise NonFiniteValue("cost is non-finite")
     return total
 

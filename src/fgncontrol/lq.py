@@ -18,6 +18,7 @@ certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,15 +28,18 @@ from .dynamics import (
     ModelSpec,
     StateProcess,
     Unconstrained,
+    _batch_costs,
     cost,
     forward,
-    perturb,
-    random_control,
 )
-from .errors import InvalidSpec, NotConverged, WrongHorizon
-from .lattice import AdaptedValue, NoiseLattice, _blocks, _contract, _expect, _noise
+from .errors import InvalidSpec, LevelMismatch, NotConverged, WrongHorizon
+from .lattice import AdaptedValue, NoiseLattice, _blocks, _contract, _noise
 from .noise import WhiteningBasis
 from .smp import SmpResidual, _gradient
+
+# Leaf budget of one stacked certificate pass: rows * q^N stays within it
+# (a single row is still rolled out when q^N alone exceeds it).
+_CHUNK_LEAVES = 2**15
 
 
 @dataclass(frozen=True)
@@ -70,32 +74,38 @@ class LqSpec:
         if np.any(self.R <= 0.0):
             raise InvalidSpec("control weights require R_n > 0")
 
+    @cached_property
+    def _model(self) -> ModelSpec:
+        pad = lambda arr: np.append(arr, 0.0)
+        a, b, c, d = pad(self.A), pad(self.B), pad(self.C), pad(self.D)
+        q, r, g = pad(self.Q), pad(self.R), self.G
+        return ModelSpec(
+            horizon=self.horizon,
+            initial_state=self.x,
+            b=lambda n, x, u: a[n] * x + b[n] * u,
+            sigma=lambda n, x, u: c[n] * x + d[n] * u,
+            l=lambda n, x, u: 0.5 * (q[n] * x**2 + r[n] * u**2),
+            phi=lambda x: 0.5 * g * x**2,
+            b_x=lambda n, x, u: a[n] * np.ones_like(x),
+            b_u=lambda n, x, u: b[n] * np.ones_like(u),
+            sigma_x=lambda n, x, u: c[n] * np.ones_like(x),
+            sigma_u=lambda n, x, u: d[n] * np.ones_like(u),
+            l_x=lambda n, x, u: q[n] * x,
+            l_u=lambda n, x, u: r[n] * u,
+            phi_x=lambda x: g * x,
+            control_set=Unconstrained(),
+        )
+
 
 def as_model(spec: LqSpec) -> ModelSpec:
     """The LQ problem as a generic ModelSpec (unconstrained control).
 
     Coefficient arrays are padded with a zero final stage, which
-    realises the convention that stage-N coefficients vanish.
+    realises the convention that stage-N coefficients vanish.  The model
+    is built (and its derivative guard run) once per spec and kept on it,
+    so every solver and certificate of one spec shares it.
     """
-    pad = lambda arr: np.append(arr, 0.0)
-    a, b, c, d = pad(spec.A), pad(spec.B), pad(spec.C), pad(spec.D)
-    q, r = pad(spec.Q), pad(spec.R)
-    return ModelSpec(
-        horizon=spec.horizon,
-        initial_state=spec.x,
-        b=lambda n, x, u: a[n] * x + b[n] * u,
-        sigma=lambda n, x, u: c[n] * x + d[n] * u,
-        l=lambda n, x, u: 0.5 * (q[n] * x**2 + r[n] * u**2),
-        phi=lambda x: 0.5 * spec.G * x**2,
-        b_x=lambda n, x, u: a[n] * np.ones_like(x),
-        b_u=lambda n, x, u: b[n] * np.ones_like(u),
-        sigma_x=lambda n, x, u: c[n] * np.ones_like(x),
-        sigma_u=lambda n, x, u: d[n] * np.ones_like(u),
-        l_x=lambda n, x, u: q[n] * x,
-        l_u=lambda n, x, u: r[n] * u,
-        phi_x=lambda x: spec.G * x,
-        control_set=Unconstrained(),
-    )
+    return spec._model
 
 
 @dataclass(frozen=True)
@@ -205,6 +215,24 @@ class SufficiencyReport:
     worst_quadratic_slack: float
 
 
+def _chunks(count: int, leaves: int):
+    """[start, stop) ranges over `count` items of `leaves` leaves each,
+    at most _CHUNK_LEAVES leaves (or one item) per range."""
+    size = max(1, _CHUNK_LEAVES // leaves)
+    for start in range(0, count, size):
+        yield start, min(start + size, count)
+
+
+def _draw(lat: NoiseLattice, horizon: int, rng: np.random.Generator, rows: int) -> list:
+    """`rows` successive `random_control(lat, horizon, rng)` draws stacked
+    as (rows, q^n) tables: the same numbers in the same order."""
+    stages = [np.empty((rows, lat.level_size(n))) for n in range(horizon)]
+    for row in range(rows):
+        for n in range(horizon):
+            stages[n][row] = rng.standard_normal(lat.level_size(n))
+    return stages
+
+
 def verify_sufficiency(
     spec: LqSpec,
     u_star: ControlProcess,
@@ -217,25 +245,31 @@ def verify_sufficiency(
     Each trial draws a random adapted direction v and eps from
     {1, 0.1, 0.01}, then requires J(u* + eps v) >= J(u*) - 1e-10 and the
     quadratic lower bound J(u) - J(u*) >= 0.5 E sum R_n (eps v_n)^2 - 1e-9.
+    The trials are rolled out as one stacked pass per chunk of at most
+    _CHUNK_LEAVES leaves; the directions are the draws of a per-trial
+    loop of `random_control` and `perturb` with the same seed.  Raises
+    ValueError unless trials >= 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if u_star.lattice is not lat:
+        raise LevelMismatch("u_star lives on a different lattice")
     model = as_model(spec)
-    x_star = forward(model, u_star, lat)
-    j_star = cost(model, u_star, x_star, lat)
+    j_star = cost(model, u_star, forward(model, u_star, lat), lat)
+    star = [u.values for u in u_star]
     rng = np.random.default_rng(seed)
-    eps_cycle = (1.0, 0.1, 0.01)
-    min_gap = np.inf
-    worst_slack = np.inf
-    for t in range(trials):
-        eps = eps_cycle[t % 3]
-        v = random_control(lat, spec.horizon, rng)
-        u = perturb(u_star, v, eps)
-        gap = cost(model, u, forward(model, u, lat), lat) - j_star
+    eps_cycle = np.array([1.0, 0.1, 0.01])
+    min_gap = worst_slack = np.inf
+    for start, stop in _chunks(trials, lat.rule.q**spec.horizon):
+        eps = eps_cycle[np.arange(start, stop) % 3, None]
+        u = [s + eps * v for s, v in zip(star, _draw(lat, spec.horizon, rng, stop - start))]
+        gap = _batch_costs(model, lat, u) - j_star
         quad = 0.5 * sum(
-            spec.R[n] * _expect(lat, (u[n].values - u_star[n].values) ** 2, n)
+            spec.R[n] * _contract(lat, ((u[n] - star[n]) ** 2).reshape(-1), n)
             for n in range(spec.horizon)
         )
-        min_gap = min(min_gap, gap)
-        worst_slack = min(worst_slack, gap - quad)
+        min_gap = min(min_gap, np.min(gap))
+        worst_slack = min(worst_slack, np.min(gap - quad))
     return SufficiencyReport(
         passed=bool(min_gap >= -1e-10 and worst_slack >= -1e-9),
         trials=trials,
@@ -257,24 +291,27 @@ def verify_uniqueness(
 ) -> UniquenessReport:
     """Strict convexity of the cost, hence a unique optimum.
 
-    For random control pairs the bound
+    For 5 random control pairs the bound
     J(u1) + J(u2) >= 2 J((u1+u2)/2) + (min_n R_n / 4) E sum (u1-u2)^2
-    must hold with 1e-9 slack; it follows from R_n >= theta > 0.
+    must hold with 1e-9 slack; it follows from R_n >= theta > 0.  The
+    pairs and their midpoints are rolled out as one stacked pass per
+    chunk of at most _CHUNK_LEAVES leaves; u1 and u2 are the draws of a
+    per-pair loop of two `random_control` calls with the same seed.
     """
     model = as_model(spec)
     rng = np.random.default_rng(seed)
     theta = float(np.min(spec.R))
     worst_slack = np.inf
-    for _ in range(5):
-        u1 = random_control(lat, spec.horizon, rng)
-        u2 = random_control(lat, spec.horizon, rng)
-        mid = ControlProcess(AdaptedValue(lat, n, (u1[n].values + u2[n].values) * 0.5)
-                             for n in range(spec.horizon))
-        j1 = cost(model, u1, forward(model, u1, lat), lat)
-        j2 = cost(model, u2, forward(model, u2, lat), lat)
-        jm = cost(model, mid, forward(model, mid, lat), lat)
-        sq = sum(_expect(lat, (u1[n].values - u2[n].values) ** 2, n) for n in range(spec.horizon))
-        worst_slack = min(worst_slack, j1 + j2 - 2.0 * jm - 0.25 * theta * sq)
+    for start, stop in _chunks(5, 3 * lat.rule.q**spec.horizon):
+        draws = _draw(lat, spec.horizon, rng, 2 * (stop - start))
+        u1, u2 = [u[0::2] for u in draws], [u[1::2] for u in draws]
+        mid = [(a + b) * 0.5 for a, b in zip(u1, u2)]
+        rows = [np.concatenate(stage) for stage in zip(u1, u2, mid)]
+        j1, j2, jm = np.split(_batch_costs(model, lat, rows), 3)
+        sq = sum(
+            _contract(lat, ((u1[n] - u2[n]) ** 2).reshape(-1), n) for n in range(spec.horizon)
+        )
+        worst_slack = min(worst_slack, np.min(j1 + j2 - 2.0 * jm - 0.25 * theta * sq))
     return UniquenessReport(
         passed=bool(worst_slack >= -1e-9),
         worst_parallelogram_slack=float(worst_slack),

@@ -13,6 +13,7 @@ import pytest
 
 from fgncontrol.cli import main
 from fgncontrol.configs import parse_bsde_config
+from fgncontrol.dynamics import ModelSpec
 from fgncontrol.lattice import lattice_for_hurst, noise_value
 from fgncontrol.reporting import read_matrix_csv, write_matrix_csv
 
@@ -219,6 +220,21 @@ class TestLq:
         assert run("lq", "--config", cfg, "--seed", 7, "--out", out_b) == 0
         for name in sorted(os.listdir(out_a)):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_one_model_build_per_run(self, tmp_path, monkeypatch):
+        # the solve, the stationarity report and both certificates share
+        # one model, so its derivative guard runs once per run
+        builds = []
+        init = ModelSpec.__post_init__
+
+        def counted(self):
+            builds.append(1)
+            init(self)
+
+        monkeypatch.setattr(ModelSpec, "__post_init__", counted)
+        cfg = write_json_file(tmp_path / "lq.json", LQ_CONFIG)
+        assert run("lq", "--config", cfg, "--out", tmp_path / "out") == 0
+        assert len(builds) == 1
 
     def test_negative_weight_exits_2(self, tmp_path):
         cfg = dict(LQ_CONFIG)

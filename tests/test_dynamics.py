@@ -12,6 +12,7 @@ from fgncontrol.dynamics import (
     ControlProcess,
     ModelSpec,
     Unconstrained,
+    _batch_costs,
     constant_control,
     cost,
     forward,
@@ -287,6 +288,21 @@ def test_adapted_values_built_only_at_the_boundary(monkeypatch):
     assert len(created) == model.horizon + 1
     cost(model, u, x, lat)
     assert len(created) == model.horizon + 1
+
+
+def test_batch_costs_match_per_row_rollouts():
+    # stacked rows through the nonlinear sin drift: each row is its own J
+    lat = lattice_for_hurst(0.7, depth=4, order=3)
+    model = sin_drift_model(4, initial_state=0.8, noise_gain=0.7)
+    rng = np.random.default_rng(5)
+    controls = [random_control(lat, 4, rng, scale=1.5) for _ in range(6)]
+    stacked = [np.stack([u[n].values for u in controls]) for n in range(4)]
+    got = _batch_costs(model, lat, stacked)
+    expected = [cost(model, u, forward(model, u, lat), lat) for u in controls]
+    assert got.shape == (6,)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
+    with pytest.raises(DepthMismatch):
+        _batch_costs(model, lat, stacked[:3])
 
 
 class TestVariation:

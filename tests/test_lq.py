@@ -9,8 +9,23 @@ The DDP optimizer and the SMP residual check the solve independently.
 import numpy as np
 import pytest
 
-from fgncontrol.dynamics import constant_control, cost, forward, perturb, random_control
-from fgncontrol.errors import InvalidSpec, NotConverged, WrongHorizon
+from fgncontrol.dynamics import (
+    ControlProcess,
+    constant_control,
+    cost,
+    forward,
+    perturb,
+    random_control,
+)
+from fgncontrol import lq
+from fgncontrol.errors import (
+    DepthMismatch,
+    InvalidSpec,
+    LevelMismatch,
+    NonFiniteValue,
+    NotConverged,
+    WrongHorizon,
+)
 from fgncontrol.lattice import expectation, lattice_for_hurst
 from fgncontrol.lq import (
     LqSpec,
@@ -306,3 +321,124 @@ class TestUniqueness:
         report = verify_uniqueness(spec3, lat7)
         assert report.passed
         assert report.worst_parallelogram_slack >= -1e-9
+
+
+def reference_sufficiency(spec, u_star, lat, trials=50, seed=0):
+    """Gap and quadratic slack of each verify_sufficiency trial, from a
+    per-trial loop of public calls."""
+    model = as_model(spec)
+    j_star = cost(model, u_star, forward(model, u_star, lat), lat)
+    rng = np.random.default_rng(seed)
+    gaps, slacks = [], []
+    for t in range(trials):
+        v = random_control(lat, spec.horizon, rng)
+        u = perturb(u_star, v, (1.0, 0.1, 0.01)[t % 3])
+        gap = cost(model, u, forward(model, u, lat), lat) - j_star
+        quad = 0.5 * sum(
+            spec.R[n] * expectation((u[n] - u_star[n]) * (u[n] - u_star[n]))
+            for n in range(spec.horizon)
+        )
+        gaps.append(gap)
+        slacks.append(gap - quad)
+    return gaps, slacks
+
+
+def reference_uniqueness(spec, lat, seed=0):
+    """Parallelogram slack of each verify_uniqueness pair, from a per-pair
+    loop of public calls."""
+    model = as_model(spec)
+    rng = np.random.default_rng(seed)
+    theta = float(np.min(spec.R))
+    slacks = []
+    for _ in range(5):
+        u1 = random_control(lat, spec.horizon, rng)
+        u2 = random_control(lat, spec.horizon, rng)
+        mid = ControlProcess((u1[n] + u2[n]) * 0.5 for n in range(spec.horizon))
+        j1, j2, jm = (cost(model, u, forward(model, u, lat), lat) for u in (u1, u2, mid))
+        sq = sum(expectation((u1[n] - u2[n]) * (u1[n] - u2[n])) for n in range(spec.horizon))
+        slacks.append(j1 + j2 - 2.0 * jm - 0.25 * theta * sq)
+    return slacks
+
+
+class TestStackedCertificates:
+    """The certificates roll all trials out together; a per-trial loop of
+    public calls on the same seed must give the same report."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(3, 6, 0), (3, 6, 2), (5, 5, 1)],
+        ids=lambda p: "q{}-N{}-d{}".format(*p),
+    )
+    def problem(self, request):
+        q, horizon, draw = request.param
+        lat = lattice_for_hurst(0.7, depth=horizon, order=q)
+        spec = _random_lq_spec(np.random.default_rng([0, q, horizon, draw]), horizon)
+        return spec, lq_fixed_point(spec, lat, lat.basis).control, lat
+
+    @staticmethod
+    def check_sufficiency(report, gaps, slacks):
+        gap, slack = min(gaps), min(slacks)
+        assert report.passed == (gap >= -1e-10 and slack >= -1e-9)
+        assert report.trials == len(gaps)
+        assert report.min_cost_gap == pytest.approx(gap, rel=0.0, abs=1e-13)
+        assert report.worst_quadratic_slack == pytest.approx(slack, rel=0.0, abs=1e-13)
+
+    @staticmethod
+    def check_uniqueness(report, slacks):
+        assert report.passed == (min(slacks) >= -1e-9)
+        assert report.worst_parallelogram_slack == pytest.approx(min(slacks), rel=0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_per_trial_loop(self, problem, seed):
+        spec, u_star, lat = problem
+        self.check_sufficiency(
+            verify_sufficiency(spec, u_star, lat, seed=seed),
+            *reference_sufficiency(spec, u_star, lat, seed=seed),
+        )
+        self.check_uniqueness(verify_uniqueness(spec, lat, seed=seed),
+                              reference_uniqueness(spec, lat, seed=seed))
+
+    def test_matches_per_trial_loop_in_ragged_chunks(self, problem, monkeypatch):
+        # chunks of t trials, where trial t has the smallest gap: the run
+        # of t + 1 trials ends in a ragged chunk of one that decides it
+        spec, u_star, lat = problem
+        gaps, slacks = reference_sufficiency(spec, u_star, lat, seed=3)
+        t = int(np.argmin(gaps))
+        assert t > 0
+        monkeypatch.setattr(lq, "_CHUNK_LEAVES", t * lat.level_size(spec.horizon))
+        self.check_sufficiency(
+            verify_sufficiency(spec, u_star, lat, trials=t + 1, seed=3),
+            gaps[: t + 1], slacks[: t + 1],
+        )
+        # 7 leaf tables per chunk: 2, 2 and 1 pairs of 3 rollouts each
+        monkeypatch.setattr(lq, "_CHUNK_LEAVES", 7 * lat.level_size(spec.horizon))
+        self.check_uniqueness(verify_uniqueness(spec, lat, seed=3),
+                              reference_uniqueness(spec, lat, seed=3))
+
+    @pytest.mark.parametrize("trials", [0, -4])
+    def test_no_trials_rejected(self, spec3, lat7, trials):
+        sol = lq_fixed_point(spec3, lat7, lat7.basis)
+        with pytest.raises(ValueError, match="trials"):
+            verify_sufficiency(spec3, sol.control, lat7, trials=trials)
+
+    def test_candidate_on_another_lattice(self, spec3, lat7):
+        other = lattice_for_hurst(0.7, depth=3, order=3)
+        sol = lq_fixed_point(spec3, other, other.basis)
+        with pytest.raises(LevelMismatch):
+            verify_sufficiency(spec3, sol.control, lat7)
+
+    def test_candidate_with_wrong_horizon(self, spec3, lat7):
+        with pytest.raises(DepthMismatch):
+            verify_sufficiency(spec3, constant_control(lat7, 2, 0.0), lat7)
+
+    def test_overflowing_rollout(self, lat7):
+        # u* = 0 keeps the state at x = 0; any perturbation reaches
+        # X_1 ~ 1e200, whose square overflows the stage-1 running cost
+        spec = LqSpec(horizon=3, A=[0.0, 0.0, 0.0], B=[1e200, 1.0, 1.0],
+                      C=[0.0, 0.0, 0.0], D=[0.0, 0.0, 0.0], Q=[1.0, 0.0, 0.0],
+                      R=[1.0, 1.0, 1.0], G=1.0, x=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteValue):
+                verify_sufficiency(spec, constant_control(lat7, 3, 0.0), lat7)
+            with pytest.raises(NonFiniteValue):
+                verify_uniqueness(spec, lat7)
