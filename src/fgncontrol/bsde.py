@@ -17,6 +17,9 @@ and
     Y_n = E[M | level n],   Z_n = E[eta_n M | level n],
     R_n = M - Y_n - Z_n eta_n.
 
+Y_n and Z_n are the k < 2 moments E[M eta_n^j | level n] of the lattice
+primitive `_moments`, so no eta-weighted leaf table is built for Z.
+
 R_n is the representation residual at level n+1; by construction
 E[R_n | level n] = 0 and E[eta_n R_n | level n] = 0, and both are
 reported so violations of the affine representation never pass silently.
@@ -35,7 +38,7 @@ import numpy as np
 
 from .dynamics import ControlProcess, ModelSpec, StateProcess, _stage_value
 from .errors import DepthMismatch, NonFiniteValue, TerminalConditionViolated
-from .lattice import AdaptedValue, NoiseLattice, _blocks, _contract, _mean, _white
+from .lattice import AdaptedValue, NoiseLattice, _blocks, _frozen, _mean, _moments, _white
 from .noise import WhiteningBasis
 
 Driver = Callable[[int, AdaptedValue, AdaptedValue], AdaptedValue | float | np.ndarray]
@@ -94,23 +97,26 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
         raise DepthMismatch("terminal data lives on a different lattice")
 
     # built backward; stage s = n + 1 reads y[-1] and z[-1], and z[0] is Z_N = 0
-    y, z, r = [driver.terminal], [lat.constant(0.0, n_stages)], []
+    z_final = _frozen(np.zeros(lat.level_size(n_stages)))
+    y, z, r = [driver.terminal], [AdaptedValue(lat, n_stages, z_final)], []
     for n in reversed(range(n_stages)):
         s = n + 1
         projected = y[-1].values + _driver_table(lat, s, driver.f(s, y[-1], z[-1]))
         g = _driver_table(lat, s, driver.g(s, y[-1], z[-1]))
         if np.any(g):
             # E[g xi_s | level s] = g E[xi_s | level s]: g is level s
-            projected = projected + g * _mean(lat, s)
-        blocks = _blocks(lat, projected)
-        y_n = _contract(lat, projected)
-        z_n = _contract(lat, blocks * _white(lat))
+            projected += g * _mean(lat, s)
+        y_n, z_n = _moments(lat, projected, 2)
         for name, val in (("Y", y_n), ("Z", z_n)):
             if not np.all(np.isfinite(val)):
                 raise NonFiniteValue(f"{name}_{n} is non-finite")
-        y.append(AdaptedValue(lat, n, y_n))
-        z.append(AdaptedValue(lat, n, z_n))
-        r.append(AdaptedValue(lat, s, blocks - y_n[:, None] - z_n[:, None] * _white(lat)))
+        y.append(AdaptedValue(lat, n, _frozen(y_n)))
+        z.append(AdaptedValue(lat, n, _frozen(z_n)))
+        # R_n = M - Y_n - Z_n eta_n is written over M, which nothing reads now
+        blocks = _blocks(lat, projected)
+        blocks -= y_n[:, None]
+        blocks -= z_n[:, None] * _white(lat)
+        r.append(AdaptedValue(lat, s, _frozen(projected)))
     return BsdeSolution(y=tuple(y[::-1]), z=tuple(z[:0:-1]), r=tuple(r[::-1]))
 
 
@@ -122,7 +128,7 @@ def _driver_table(lat: NoiseLattice, s: int, raw) -> np.ndarray:
 
 def _residual_moments(lat: NoiseLattice, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E[R_n | level n] and E[eta_n R_n | level n] of a level-(n+1) residual table."""
-    return _contract(lat, r), _contract(lat, _blocks(lat, r) * _white(lat))
+    return _moments(lat, r, 2)
 
 
 def residual_orthogonality(sol: BsdeSolution, lat: NoiseLattice) -> tuple[float, float]:

@@ -193,7 +193,7 @@ def cmd_smp_check(args) -> int:
     control = reporting.read_control_csv(args.control, lat, cfg.horizon)
     control.validate_in(model.control_set)
     x, adj = solve_adjoint(model, control, lat, lat.basis)
-    residual = _gradient(model, control, x, adj, lat, lat.basis)
+    residual = _gradient(model, control, [s.values for s in x], adj, lat, lat.basis)
     reporting.ensure_out_dir(out)
     station, station_report = _stationarity_artifacts(
         out, lat, model, control, residual, args.tol

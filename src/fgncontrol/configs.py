@@ -17,7 +17,7 @@ from .bsde import DriverSpec
 from .dynamics import Box, ModelSpec, Unconstrained, sin_drift_model
 from .errors import ConfigError
 from .lattice import NoiseLattice, _noise
-from .lq import LqSpec, as_model
+from .lq import LqSpec, _lq_model
 
 __all__ = [
     "BsdeConfig",
@@ -129,10 +129,7 @@ class ModelConfig:
             G=self.params["G"],
             **{name: self.params[name] for name in _LQ_COEFFS},
         )
-        model = as_model(spec)
-        if isinstance(self.control_set, Box):
-            model = dataclasses.replace(model, control_set=self.control_set)
-        return model
+        return _lq_model(spec, self.control_set)
 
 
 def parse_model_config(obj, where: str = "config", order_override: int | None = None) -> ModelConfig:

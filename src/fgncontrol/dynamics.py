@@ -25,11 +25,12 @@ import numpy as np
 from .errors import (
     DepthMismatch,
     DerivativeMismatch,
+    LevelMismatch,
     NonFiniteValue,
     OutOfControlSet,
     TerminalConditionViolated,
 )
-from .lattice import AdaptedValue, NoiseLattice, _contract, _expect, _noise
+from .lattice import AdaptedValue, NoiseLattice, _contract, _expect, _frozen, _noise
 
 _SPOT_POINTS = 16
 _FD_REL_TOL = 1e-5
@@ -265,15 +266,18 @@ def _stage_value(lat, level, raw, rows: tuple[int, ...] = ()) -> np.ndarray:
 def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> np.ndarray:
     """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n as a table, checked finite.
 
-    xn may carry a leading row axis, (rows, q^n); the result keeps it.
+    xn may carry a leading row axis, (rows, q^n); the result keeps it and
+    is frozen.  The noise term is the only leaf-sized temporary: the
+    level-n part is added into the product in place.
     """
     rows = xn.shape[:-1]
     drift = _stage_value(lat, n, model.b(n, xn, un), rows)
     vol = _stage_value(lat, n, model.sigma(n, xn, un), rows)
-    nxt = ((xn + drift)[..., None] + vol[..., None] * _noise(lat, n)).reshape(*rows, -1)
+    nxt = vol[..., None] * _noise(lat, n)
+    nxt += (xn + drift)[..., None]
     if not np.all(np.isfinite(nxt)):
         raise NonFiniteValue(f"state became non-finite at stage {n + 1}")
-    return nxt
+    return _frozen(nxt).reshape(*rows, -1)
 
 
 def _check_depth(model: ModelSpec, lat: NoiseLattice, stages: int):
@@ -284,19 +288,33 @@ def _check_depth(model: ModelSpec, lat: NoiseLattice, stages: int):
         raise DepthMismatch(f"lattice depth {lat.depth} < horizon {model.horizon}")
 
 
+def _states(
+    model: ModelSpec, u: ControlProcess, lat: NoiseLattice, stages: int
+) -> list[np.ndarray]:
+    """X_0..X_stages under control u as frozen level-n tables, 0 <= stages <= horizon.
+
+    Runs `forward`'s checks: lattice depth >= horizon, u built on `lat`
+    and every control value inside the model's control set.
+    """
+    _check_depth(model, lat, u.horizon)
+    if u.lattice is not lat:
+        raise LevelMismatch("control lives on a different lattice")
+    u.validate_in(model.control_set)
+    states = [_frozen(np.full(1, float(model.initial_state)))]
+    for n in range(stages):
+        states.append(_step(model, lat, n, states[n], u[n].values))
+    return states
+
+
 def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProcess:
     """Roll the state forward under control u.
 
-    Requires lattice depth >= horizon and every control value inside the
-    model's control set.  Builds one `AdaptedValue` per stage.
+    Requires lattice depth >= horizon, a control built on `lat` and every
+    control value inside the model's control set.  Builds one
+    `AdaptedValue` per stage, sharing the rolled tables.
     """
-    _check_depth(model, lat, u.horizon)
-    u.validate_in(model.control_set)
-    states = [lat.constant(model.initial_state, 0)]
-    for n in range(model.horizon):
-        nxt = _step(model, lat, n, states[n].values, u[n].values)
-        states.append(AdaptedValue(lat, n + 1, nxt))
-    return StateProcess(states)
+    states = _states(model, u, lat, model.horizon)
+    return StateProcess(AdaptedValue(lat, n, x) for n, x in enumerate(states))
 
 
 def cost(model: ModelSpec, u: ControlProcess, x: StateProcess, lat: NoiseLattice) -> float:

@@ -8,8 +8,18 @@ encoded big-endian, index ``i_0 q^{n-1} + ... + i_{n-1}``.  The solvers
 work on these flat float64 tables: a stage step views a level-(n+1)
 table as (q^n, q) child blocks, where a level-n table broadcasts as
 ``[:, None]``, and contracts the children against the weights to get
-E[. | level n] exactly.  The private primitives below own that format;
-`AdaptedValue` is the validated boundary type of the public API.
+E[. | level n] exactly.  `_moments` is the general contraction: the
+moments E[table eta_n^j | level n], j < k, each one (q^n, q) @ (q,)
+product against the weight vector w eta^j cached per lattice, so no
+leaf-sized eta-weighted table is ever built; `_contract` is its k = 1
+case.  The private primitives below own that format; `AdaptedValue` is
+the validated boundary type of the public API.
+
+An `AdaptedValue` owns a read-only table.  It shares its input when no
+array in the input's base chain is writeable (a frozen table, or a view
+of one) and copies anything else, so a caller's array is never frozen
+behind its back and a frozen table is never copied.  The solvers freeze
+(`_frozen`) the tables they build before wrapping them.
 
 The correlated increments xi_n = sum_{k<=n} b[n,k] eta_k are produced by
 mixing the white node values through a `WhiteningBasis`; each lattice
@@ -98,7 +108,7 @@ class NoiseLattice:
             )
 
     def constant(self, value: float, level: int) -> "AdaptedValue":
-        return AdaptedValue(self, level, np.full(self.level_size(level), float(value)))
+        return AdaptedValue(self, level, _frozen(np.full(self.level_size(level), float(value))))
 
     def from_values(self, level: int, values) -> "AdaptedValue":
         return AdaptedValue(self, level, values)
@@ -116,6 +126,12 @@ class NoiseLattice:
         """E[xi_n | first n noises] for n = 0..depth-1, built once."""
         return tuple(AdaptedValue(self, n, _conditional_mean(self, n)) for n in range(self.depth))
 
+    @cached_property
+    def _moment_weights(self) -> tuple[np.ndarray, ...]:
+        """w eta^j for j < 2q, the rule's exact degree; j = 0 is the weights."""
+        w, eta = self.rule.weights, self.rule.nodes
+        return (w,) + tuple(_frozen(w * eta**j) for j in range(1, 2 * self.rule.q))
+
 
 def lattice_for_hurst(h, depth: int, order: int) -> NoiseLattice:
     """Build a lattice over the fractional-increment covariance for `h`.
@@ -131,7 +147,8 @@ def lattice_for_hurst(h, depth: int, order: int) -> NoiseLattice:
 class AdaptedValue:
     """Random variable measurable with respect to the first `level` noises.
 
-    Immutable dense table of q^level float64 values on a fixed lattice.
+    Immutable dense table of q^level float64 values on a fixed lattice;
+    a frozen C-contiguous float64 input is shared, any other is copied.
     Arithmetic between values on the same lattice lifts both operands to
     the finer level (a level-n value is constant across its extensions).
     """
@@ -140,12 +157,12 @@ class AdaptedValue:
 
     def __init__(self, lattice: NoiseLattice, level: int, values):
         lattice._check_level(level)
-        arr = np.array(values, dtype=np.float64).reshape(-1)
+        shared = _is_frozen(values) and values.dtype == np.float64 and values.flags.c_contiguous
+        arr = (values if shared else _frozen(np.array(values, dtype=np.float64))).reshape(-1)
         if arr.shape != (lattice.level_size(level),):
             raise LevelMismatch(
                 f"level {level} needs {lattice.level_size(level)} values, got {arr.shape[0]}"
             )
-        arr.setflags(write=False)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "values", arr)
@@ -204,15 +221,37 @@ class AdaptedValue:
         return f"AdaptedValue(level={self.level}, size={self.values.shape[0]})"
 
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """Mark a table the caller just built, owning its data, read-only so wrapping shares it."""
+    table.setflags(write=False)
+    return table
+
+
+def _is_frozen(values) -> bool:
+    """No array in the base chain of `values` is writeable."""
+    arr = values
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None and isinstance(values, np.ndarray)
+
+
 def _blocks(lat: NoiseLattice, table: np.ndarray) -> np.ndarray:
     """A level-(n+1) table as its (q^n, q) child blocks (a view)."""
     return table.reshape(-1, lat.rule.q)
 
 
+def _moments(lat: NoiseLattice, table: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """E[table eta_n^j | level n] for j < k (k <= 2q) of a level-(n+1) table."""
+    blocks = _blocks(lat, table)
+    return tuple(blocks @ w for w in lat._moment_weights[:k])
+
+
 def _contract(lat: NoiseLattice, table: np.ndarray, stages: int = 1) -> np.ndarray:
     """Conditional expectation `stages` levels down, one exact stage at a time."""
     for _ in range(stages):
-        table = table.reshape(-1, lat.rule.q) @ lat.rule.weights
+        (table,) = _moments(lat, table, 1)
     return table
 
 

@@ -76,25 +76,30 @@ class LqSpec:
 
     @cached_property
     def _model(self) -> ModelSpec:
-        pad = lambda arr: np.append(arr, 0.0)
-        a, b, c, d = pad(self.A), pad(self.B), pad(self.C), pad(self.D)
-        q, r, g = pad(self.Q), pad(self.R), self.G
-        return ModelSpec(
-            horizon=self.horizon,
-            initial_state=self.x,
-            b=lambda n, x, u: a[n] * x + b[n] * u,
-            sigma=lambda n, x, u: c[n] * x + d[n] * u,
-            l=lambda n, x, u: 0.5 * (q[n] * x**2 + r[n] * u**2),
-            phi=lambda x: 0.5 * g * x**2,
-            b_x=lambda n, x, u: a[n] * np.ones_like(x),
-            b_u=lambda n, x, u: b[n] * np.ones_like(u),
-            sigma_x=lambda n, x, u: c[n] * np.ones_like(x),
-            sigma_u=lambda n, x, u: d[n] * np.ones_like(u),
-            l_x=lambda n, x, u: q[n] * x,
-            l_u=lambda n, x, u: r[n] * u,
-            phi_x=lambda x: g * x,
-            control_set=Unconstrained(),
-        )
+        return _lq_model(self, Unconstrained())
+
+
+def _lq_model(spec: LqSpec, control_set) -> ModelSpec:
+    """The LQ dynamics and cost as one ModelSpec on `control_set`."""
+    pad = lambda arr: np.append(arr, 0.0)
+    a, b, c, d = pad(spec.A), pad(spec.B), pad(spec.C), pad(spec.D)
+    q, r, g = pad(spec.Q), pad(spec.R), spec.G
+    return ModelSpec(
+        horizon=spec.horizon,
+        initial_state=spec.x,
+        b=lambda n, x, u: a[n] * x + b[n] * u,
+        sigma=lambda n, x, u: c[n] * x + d[n] * u,
+        l=lambda n, x, u: 0.5 * (q[n] * x**2 + r[n] * u**2),
+        phi=lambda x: 0.5 * g * x**2,
+        b_x=lambda n, x, u: a[n] * np.ones_like(x),
+        b_u=lambda n, x, u: b[n] * np.ones_like(u),
+        sigma_x=lambda n, x, u: c[n] * np.ones_like(x),
+        sigma_u=lambda n, x, u: d[n] * np.ones_like(u),
+        l_x=lambda n, x, u: q[n] * x,
+        l_u=lambda n, x, u: r[n] * u,
+        phi_x=lambda x: g * x,
+        control_set=control_set,
+    )
 
 
 def as_model(spec: LqSpec) -> ModelSpec:
@@ -176,7 +181,7 @@ def lq_fixed_point(
     u = ControlProcess(stages)
     x = forward(model, u, lat)
     adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
-    rho = _gradient(model, u, x, adj, lat, basis)
+    rho = _gradient(model, u, [s.values for s in x], adj, lat, basis)
     residual = max(
         float(np.max(np.abs(rho[n].values)) / spec.R[n]) for n in range(spec.horizon)
     )

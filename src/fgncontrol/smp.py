@@ -34,13 +34,24 @@ from .dynamics import (
     _central_diff,
     _stage_value,
     _StagedProcess,
+    _states,
     _step,
     cost,
     forward,
     variation,
 )
 from .errors import DualityMismatch, NoDescent
-from .lattice import AdaptedValue, NoiseLattice, _blocks, _contract, _expect, _mean, _noise, _white
+from .lattice import (
+    AdaptedValue,
+    NoiseLattice,
+    _blocks,
+    _contract,
+    _expect,
+    _frozen,
+    _mean,
+    _noise,
+    _white,
+)
 from .noise import WhiteningBasis
 
 DUALITY_TOL = 1e-9
@@ -61,22 +72,26 @@ def solve_adjoint(
 def _gradient(
     model: ModelSpec,
     u: ControlProcess,
-    x: StateProcess,
+    x: list[np.ndarray],
     adjoint: BsdeSolution,
     lat: NoiseLattice,
     basis: WhiteningBasis,
 ) -> SmpResidual:
-    """rho_n along (u, X), with X = forward(u) and the adjoint solved there."""
+    """rho_n along (u, X), with the adjoint solved there.
+
+    x holds the level-n state tables X_0..X_{N-1} of forward(u); a
+    stage-N table, if present, is not read.
+    """
     b_diag = np.diag(basis.b_mat)
     stages = []
     for n in range(model.horizon):
-        xn, un = x[n].values, u[n].values
+        xn, un = x[n], u[n].values
         bu = _stage_value(lat, n, model.b_u(n, xn, un))
         su = _stage_value(lat, n, model.sigma_u(n, xn, un))
         lu = _stage_value(lat, n, model.l_u(n, xn, un))
         p_n, q_n = adjoint.y[n].values, adjoint.z[n].values
         rho = bu * p_n + su * p_n * _mean(lat, n) + b_diag[n] * (su * q_n) + lu
-        stages.append(AdaptedValue(lat, n, rho))
+        stages.append(AdaptedValue(lat, n, _frozen(rho)))
     return SmpResidual(stages)
 
 
@@ -87,8 +102,13 @@ def smp_residual(
     lat: NoiseLattice,
     basis: WhiteningBasis,
 ) -> SmpResidual:
-    """Gradient representative along u*, using an adjoint solved at u*."""
-    return _gradient(model, u_star, forward(model, u_star, lat), adjoint, lat, basis)
+    """Gradient representative along u*, using an adjoint solved at u*.
+
+    Rolls out X_0..X_{N-1} only: rho never reads X_N, whose finiteness
+    the `forward` that built the adjoint has already checked.
+    """
+    x = _states(model, u_star, lat, model.horizon - 1)
+    return _gradient(model, u_star, x, adjoint, lat, basis)
 
 
 def _derivative_routes(
@@ -365,7 +385,7 @@ def optimize(
     iterations = 0
 
     for _ in range(max_iter + 1):
-        residual = _gradient(model, u, x, adj, lat, basis)
+        residual = _gradient(model, u, [s.values for s in x], adj, lat, basis)
         report = check_stationarity(residual, u, model.control_set, tol)
         trace.append(TracePoint(iterations, j_curr, step, report.worst_violation))
         if report.passed:

@@ -19,6 +19,7 @@ from fgncontrol.dynamics import ModelSpec, constant_control, forward, sin_drift_
 from fgncontrol.errors import DepthMismatch, LevelMismatch, TerminalConditionViolated
 from fgncontrol.lattice import (
     NoiseLattice,
+    _is_frozen,
     condexp,
     lattice_for_hurst,
     noise_value,
@@ -246,6 +247,25 @@ class TestSolutionStructure:
         a, b = solve_bsde(driver, lat), solve_bsde(driver, lat)
         for n in range(3):
             assert np.array_equal(a.y[n].values, b.y[n].values)
+
+    def test_solution_tables_are_frozen(self, lat):
+        driver = DriverSpec(
+            horizon=2,
+            terminal=noise_value(lat, 1),
+            f=lambda s, y, z: 0.2 * y + (0.1 * z if s < 2 else 0.0),
+            g=lambda s, y, z: 0.3 * y if s < 2 else 0.0,
+        )
+        sol = solve_bsde(driver, lat)
+        for part in (sol.y, sol.z, sol.r):
+            assert all(_is_frozen(v.values) for v in part)
+
+    def test_adjoint_terminal_shares_the_final_state(self, lat):
+        # phi = x^2 / 2, so phi_x(X_N) = X_N is wrapped without a copy
+        model = sin_drift_model(3, initial_state=0.7)
+        u = constant_control(lat, 3, 0.2)
+        x = forward(model, u, lat)
+        sol = solve_bsde(adjoint_driver(model, u, x, lat.basis), lat)
+        assert np.shares_memory(sol.y[3].values, x[3].values)
 
     def test_driver_finer_than_its_stage_rejected(self, lat):
         # xi_s is not measurable at stage s; projecting it away would

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fgncontrol.cli import main
-from fgncontrol.configs import parse_bsde_config
+from fgncontrol.configs import parse_bsde_config, parse_model_config
 from fgncontrol.dynamics import ModelSpec
 from fgncontrol.lattice import lattice_for_hurst, noise_value
 from fgncontrol.reporting import read_matrix_csv, write_matrix_csv
@@ -359,6 +359,27 @@ class TestSmpCheckAndOptimize:
             for line in (out / "u_star.csv").read_text().splitlines()[1:]
         ]
         assert all(-0.05 <= v <= 0.05 for v in values)
+
+
+    def test_lq_model_on_box_built_once(self, monkeypatch):
+        # the Box goes into the one ModelSpec, so its derivative guard runs once
+        builds = []
+        init = ModelSpec.__post_init__
+
+        def counted(self):
+            builds.append(1)
+            init(self)
+
+        monkeypatch.setattr(ModelSpec, "__post_init__", counted)
+        cfg = dict(
+            MODEL_CONFIG,
+            control_set={"box": [-0.05, 0.05]},
+            model={"type": "lq", "A": [0.3, -0.2], "B": [1.0, 0.8], "C": [0.2, 0.3],
+                   "D": [0.5, 0.4], "Q": [0.6, 0.4], "R": [1.0, 1.2], "G": 1.1},
+        )
+        model = parse_model_config(cfg).build_model()
+        assert len(builds) == 1
+        assert model.control_set.lower == -0.05 and model.control_set.upper == 0.05
 
 
 class TestSeedValidation:

@@ -1,34 +1,47 @@
 """Independent oracles at benchmark-like depth, (q, N) = (3, 9) and (4, 7).
 
 Each oracle builds its own Gauss-Hermite rule, its own Cholesky factor
-of the fractional-increment covariance and a plain-numpy recursion over
-all q^N leaf paths (node (i_0, ..., i_{N-1}) at big-endian index).  None
-of it goes through fgncontrol, so a slip in the lattice tables, the
-stage lift or the contraction that only shows at depth fails here.
+of the fractional-increment covariance and a plain-numpy recursion,
+over all q^N leaf paths (node (i_0, ..., i_{N-1}) at big-endian index)
+or level by level over child blocks.  None of it goes through
+fgncontrol, so a slip in the lattice tables, the stage lift or the
+contraction that only shows at depth fails here.  The smp_residual
+check compares the shortened state roll with the full one.
 """
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from fgncontrol.bsde import DriverSpec, solve_bsde
+from fgncontrol.bsde import DriverSpec, adjoint_driver, solve_bsde
 from fgncontrol.dynamics import cost, forward, random_control, sin_drift_model
 from fgncontrol.lattice import lattice_for_hurst
+from fgncontrol.smp import _gradient, smp_residual
 
 CASES = [(3, 9, 0.7), (4, 7, 0.3)]
+CASES_H07 = [(3, 9, 0.7), (4, 7, 0.7)]
+
+
+def rule(q: int):
+    nodes, weights = hermegauss(q)
+    return nodes, weights / weights.sum()
+
+
+def fgn_cholesky(size: int, hurst: float) -> np.ndarray:
+    """Lower Cholesky factor of the covariance of `size` unit fGn increments."""
+    lag = np.arange(size, dtype=np.float64)
+    acov = 0.5 * (
+        (lag + 1.0) ** (2 * hurst) + np.abs(lag - 1.0) ** (2 * hurst) - 2.0 * lag ** (2 * hurst)
+    )
+    return np.linalg.cholesky(acov[np.abs(np.subtract.outer(lag, lag)).astype(int)])
 
 
 class LeafOracle:
     """Every leaf path of a depth-N, order-q tree with its noises."""
 
     def __init__(self, q: int, depth: int, hurst: float):
-        nodes, weights = hermegauss(q)
-        weights = weights / weights.sum()
-        lag = np.arange(depth + 1, dtype=np.float64)
-        acov = 0.5 * (
-            (lag + 1.0) ** (2 * hurst) + np.abs(lag - 1.0) ** (2 * hurst) - 2.0 * lag ** (2 * hurst)
-        )
-        chol = np.linalg.cholesky(acov[np.abs(np.subtract.outer(lag, lag)).astype(int)])
+        nodes, weights = rule(q)
+        chol = fgn_cholesky(depth + 1, hurst)
         self.q, self.depth = q, depth
         self.digits = np.array(list(np.ndindex(*(q,) * depth)))  # big-endian leaf order
         self.prob = np.prod(weights[self.digits], axis=1)
@@ -91,3 +104,54 @@ def test_affine_bsde_start_matches_leaf_oracle(q, depth, hurst):
     sol = solve_bsde(driver, lat)
     for got, want in ((sol.y[0].values[0], y[0]), (sol.z[0].values[0], z[0])):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("q,depth,hurst", CASES_H07)
+def test_smp_residual_equals_gradient_on_the_full_roll(q, depth, hurst):
+    # smp_residual stops the roll at X_{N-1}; the full forward roll gives the same rho
+    lat = lattice_for_hurst(hurst, depth, q)
+    model = sin_drift_model(depth, initial_state=0.8, noise_gain=0.6)
+    u = random_control(lat, depth, np.random.default_rng(12), scale=0.7)
+    x = forward(model, u, lat)
+    adj = solve_bsde(adjoint_driver(model, u, x, lat.basis), lat)
+    want = _gradient(model, u, [s.values for s in x], adj, lat, lat.basis)
+    got = smp_residual(model, u, adj, lat, lat.basis)
+    assert len(got) == depth
+    for n in range(depth):
+        assert got[n].values.tobytes() == want[n].values.tobytes()
+
+
+@pytest.mark.parametrize("q,depth,hurst", CASES_H07)
+def test_affine_bsde_every_stage_matches_block_reference(q, depth, hurst):
+    # Y_n = sum_j w_j M_ij and Z_n = sum_j w_j eta_j M_ij over each child block i
+    rng = np.random.default_rng(9)
+    a, c, d, e, h, k = (0.4 * rng.standard_normal(depth + 1) for _ in range(6))
+    c[depth] = h[depth] = 0.0  # the last stage sees Z_N = 0
+    terminal = rng.standard_normal(q**depth)
+    nodes, weights = rule(q)
+    chol = fgn_cholesky(depth + 1, hurst)
+
+    want_y, want_z = [terminal], []
+    y, z = terminal, np.zeros_like(terminal)
+    for n in reversed(range(depth)):
+        s = n + 1
+        mean = np.zeros(1)  # E[xi_s | level s] = sum_{k<s} chol[s, k] eta_k
+        for j in range(s):
+            mean = np.add.outer(mean, chol[s, j] * nodes).ravel()
+        rhs = y + (a[s] * y + c[s] * z + d[s]) + (e[s] * y + h[s] * z + k[s]) * mean
+        blocks = rhs.reshape(-1, q)
+        y, z = blocks @ weights, (blocks * nodes) @ weights
+        want_y.insert(0, y)
+        want_z.insert(0, z)
+
+    lat = lattice_for_hurst(hurst, depth, q)
+    driver = DriverSpec(
+        horizon=depth,
+        terminal=lat.from_values(depth, terminal),
+        f=lambda s, yv, zv: a[s] * yv + c[s] * zv + d[s],
+        g=lambda s, yv, zv: e[s] * yv + h[s] * zv + k[s],
+    )
+    sol = solve_bsde(driver, lat)
+    for got, want in [*zip(sol.y, want_y), *zip(sol.z, want_z)]:
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(got.values, want, rtol=0.0, atol=1e-14 * scale)

@@ -24,12 +24,14 @@ from fgncontrol.dynamics import (
 from fgncontrol.errors import (
     DepthMismatch,
     DerivativeMismatch,
+    LevelMismatch,
     NonFiniteValue,
     OutOfControlSet,
     TerminalConditionViolated,
 )
 from fgncontrol.lattice import (
     AdaptedValue,
+    _is_frozen,
     expectation,
     lattice_for_hurst,
     noise_conditional_mean,
@@ -218,6 +220,23 @@ class TestForward:
         model = sin_drift_model(3, control_set=Box(-0.5, 0.5))
         with pytest.raises(OutOfControlSet):
             forward(model, constant_control(lat, 3, 0.9), lat)
+
+    def test_control_from_lattice_of_other_hurst_rejected(self):
+        # same q and depth, so the tables fit, but the noise is another one
+        other = lattice_for_hurst(0.3, depth=3, order=3)
+        u = random_control(other, 3, np.random.default_rng(2))
+        with pytest.raises(LevelMismatch):
+            forward(sin_drift_model(3), u, lattice_for_hurst(0.7, depth=3, order=3))
+
+    def test_control_of_other_order_rejected(self, lat):
+        u = random_control(lattice_for_hurst(0.7, depth=3, order=4), 3, np.random.default_rng(2))
+        with pytest.raises(LevelMismatch):
+            forward(sin_drift_model(3), u, lat)
+
+    def test_stage_tables_are_frozen(self, lat):
+        u = random_control(lat, 3, np.random.default_rng(4))
+        x = forward(sin_drift_model(3), u, lat)
+        assert all(_is_frozen(x[n].values) for n in range(4))
 
     def test_non_finite_state_raises(self, lat):
         # drift scale 1e200 with x0 = 1e200 overflows at the first step

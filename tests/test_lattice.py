@@ -29,6 +29,7 @@ from fgncontrol.lattice import (
     noise_value,
     sample_paths,
     white_value,
+    _moments,
 )
 from fgncontrol.noise import fgn_covariance, whiten
 
@@ -184,8 +185,56 @@ class TestAdaptedValue:
         with pytest.raises(LevelMismatch):
             lat_h07.constant(1.0, 1) + other.constant(1.0, 1)
 
+    def test_writeable_input_is_copied(self, lat_h07):
+        raw = np.array([1.0, 2.0, 3.0])
+        v = AdaptedValue(lat_h07, 1, raw)
+        raw[0] = 9.0
+        assert np.array_equal(v.values, [1.0, 2.0, 3.0])
+        assert not np.shares_memory(v.values, raw)
+
+    def test_read_only_view_of_writeable_base_is_copied(self, lat_h07):
+        base = np.array([1.0, 2.0, 3.0, 4.0])
+        view = base[:3]
+        view.setflags(write=False)
+        v = AdaptedValue(lat_h07, 1, view)
+        base[0] = 9.0
+        assert np.array_equal(v.values, [1.0, 2.0, 3.0])
+
+    def test_from_values_leaves_caller_array_writeable(self, lat_h07):
+        raw = np.arange(9.0)
+        lat_h07.from_values(2, raw)
+        assert raw.flags.writeable
+        raw[0] = 5.0
+
+    def test_frozen_input_is_shared(self, lat_h07):
+        table = np.random.default_rng(0).standard_normal((3, 3))
+        table.setflags(write=False)
+        v = AdaptedValue(lat_h07, 2, table)
+        assert np.shares_memory(v.values, table)
+        assert not v.values.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.float32, ">f8"])
+    def test_frozen_input_of_other_dtype_is_copied(self, lat_h07, dtype):
+        table = np.arange(3.0).astype(dtype)
+        table.setflags(write=False)
+        v = AdaptedValue(lat_h07, 1, table)
+        assert v.values.dtype == np.float64
+        assert not np.shares_memory(v.values, table)
+
 
 class TestConditionalExpectation:
+    def test_moments_match_per_block_sums(self, lat_h07):
+        table = np.random.default_rng(2).standard_normal(27)
+        nodes, weights = lat_h07.rule.nodes, lat_h07.rule.weights
+        got = _moments(lat_h07, table, 3)
+        for j, moment in enumerate(got):
+            want = [
+                sum(weights[i] * nodes[i] ** j * block[i] for i in range(3))
+                for block in table.reshape(9, 3)
+            ]
+            np.testing.assert_allclose(moment, want, rtol=0.0, atol=1e-14)
+        assert np.array_equal(got[0], condexp(lat_h07.from_values(3, table), 2).values)
+
     def test_white_mean_zero(self, lat_h07):
         for n in range(3):
             assert np.allclose(condexp(white_value(lat_h07, n), n).values, 0.0, atol=1e-14)

@@ -135,7 +135,7 @@ def test_bsde_moments_and_empty_terminal_fields(lat, tmp_path):
     for n in range(2):
         blocks = sol.r[n].values.reshape(-1, q)
         r_mean = blocks @ weights
-        r_eta = (blocks * nodes) @ weights
+        r_eta = blocks @ (weights * nodes)
         rows += [
             (n, i, g(y), g(z), g(m), g(e))
             for i, (y, z, m, e) in enumerate(zip(sol.y[n].values, sol.z[n].values, r_mean, r_eta))

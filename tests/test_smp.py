@@ -20,7 +20,8 @@ from fgncontrol.dynamics import (
     sin_drift_model,
     variation,
 )
-from fgncontrol.errors import NoDescent
+from fgncontrol import dynamics, lattice
+from fgncontrol.errors import LevelMismatch, NoDescent
 from fgncontrol.lattice import (
     expectation,
     lattice_for_hurst,
@@ -211,6 +212,51 @@ class TestSmpResidual:
             lhs_p = expectation(p_n * xi)
             rhs_p = expectation(p_n * noise_conditional_mean(lat, n))
             assert abs(lhs_p - rhs_p) <= 1e-10
+
+
+    def test_rolls_the_state_only_to_the_last_stage_it_reads(self, lat, monkeypatch):
+        model = sin_drift_model(3, initial_state=1.0)
+        u = random_control(lat, 3, np.random.default_rng(8), scale=0.4)
+        _, adj = solve_adjoint(model, u, lat, lat.basis)
+        steps = []
+        step = dynamics._step
+
+        def counted(*args):
+            steps.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(dynamics, "_step", counted)
+        smp_residual(model, u, adj, lat, lat.basis)
+        assert steps == [0, 1]
+
+    def test_adjoint_path_wraps_its_tables_without_copies(self, lat, monkeypatch):
+        # every table the solvers wrap is frozen first, so AdaptedValue shares it
+        model = sin_drift_model(3, initial_state=1.0)
+        u = random_control(lat, 3, np.random.default_rng(8), scale=0.4)
+        noise_conditional_mean(lat, 0)  # builds the lattice's cached means
+        copied = []
+        is_frozen = lattice._is_frozen
+
+        def spy(values):
+            shared = is_frozen(values)
+            copied.extend([] if shared else [np.shape(values)])
+            return shared
+
+        monkeypatch.setattr(lattice, "_is_frozen", spy)
+        _, adj = solve_adjoint(model, u, lat, lat.basis)
+        smp_residual(model, u, adj, lat, lat.basis)
+        assert copied == []
+
+    def test_control_from_another_lattice_rejected(self, lat):
+        model = sin_drift_model(3, initial_state=1.0)
+        u = random_control(lat, 3, np.random.default_rng(8), scale=0.4)
+        _, adj = solve_adjoint(model, u, lat, lat.basis)
+        other = lattice_for_hurst(0.3, depth=3, order=3)
+        moved = ControlProcess(other.from_values(n, u[n].values) for n in range(3))
+        with pytest.raises(LevelMismatch):
+            smp_residual(model, moved, adj, lat, lat.basis)
+        with pytest.raises(LevelMismatch):
+            solve_adjoint(model, moved, lat, lat.basis)
 
 
 class TestCheckStationarity:
