@@ -112,10 +112,14 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
                 raise NonFiniteValue(f"{name}_{n} is non-finite")
         y.append(AdaptedValue(lat, n, _frozen(y_n)))
         z.append(AdaptedValue(lat, n, _frozen(z_n)))
-        # R_n = M - Y_n - Z_n eta_n is written over M, which nothing reads now
+        # R_n = M - Y_n - Z_n eta_n is written over M, which nothing reads now;
+        # Z_n eta_j is subtracted one child column j at a time, so no
+        # temporary is larger than a level-n table
         blocks = _blocks(lat, projected)
         blocks -= y_n[:, None]
-        blocks -= z_n[:, None] * _white(lat)
+        for j, eta_j in enumerate(_white(lat)):
+            col = blocks[:, j]
+            col -= z_n * eta_j
         r.append(AdaptedValue(lat, s, _frozen(projected)))
     return BsdeSolution(y=tuple(y[::-1]), z=tuple(z[:0:-1]), r=tuple(r[::-1]))
 

@@ -319,11 +319,25 @@ def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProc
 
 def cost(model: ModelSpec, u: ControlProcess, x: StateProcess, lat: NoiseLattice) -> float:
     """Expected running plus terminal cost of (u, x)."""
+    tables = _cost_tables(model, lat, [s.values for s in u], [s.values for s in x])
+    return _total_cost(lat, tables)
+
+
+def _cost_tables(model: ModelSpec, lat: NoiseLattice, u, x) -> list[np.ndarray]:
+    """l(n, X_n, u_n) for n < N, then phi(X_N): level-n tables, checked finite.
+
+    u holds the control tables u_0..u_{N-1}, x the state tables X_0..X_N.
+    """
+    tables = [_stage_value(lat, n, model.l(n, x[n], u[n])) for n in range(model.horizon)]
+    tables.append(_stage_value(lat, model.horizon, model.phi(x[model.horizon])))
+    return tables
+
+
+def _total_cost(lat: NoiseLattice, tables) -> float:
+    """J from `_cost_tables`: the stage expectations summed in stage order."""
     total = 0.0
-    for n in range(model.horizon):
-        total += _expect(lat, _stage_value(lat, n, model.l(n, x[n].values, u[n].values)), n)
-    terminal = _stage_value(lat, model.horizon, model.phi(x[model.horizon].values))
-    total += _expect(lat, terminal, model.horizon)
+    for n, table in enumerate(tables):
+        total += _expect(lat, table, n)
     if not np.isfinite(total):
         raise NonFiniteValue("cost is non-finite")
     return total

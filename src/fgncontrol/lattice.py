@@ -266,14 +266,14 @@ def _white(lat: NoiseLattice) -> np.ndarray:
 
 
 def _conditional_mean(lat: NoiseLattice, n: int) -> np.ndarray:
-    """sum_{k<n} b[n,k] eta_k as a level-n table; needs basis row n."""
+    """sum_{k<n} b[n,k] eta_k as a frozen level-n table; needs basis row n."""
     if n >= lat.basis.size:
         raise DepthMismatch(f"basis covers {lat.basis.size} stages, stage {n} needs {n + 1}")
     row = lat.basis.b_mat[n]
-    acc = np.zeros(1)
+    acc = np.zeros((1, 1))
     for k in range(n):
-        acc = (acc[:, None] + row[k] * lat.rule.nodes).reshape(-1)
-    return acc
+        acc = acc.reshape(-1, 1) + row[k] * lat.rule.nodes
+    return _frozen(acc).reshape(-1)
 
 
 def _mean(lat: NoiseLattice, n: int) -> np.ndarray:

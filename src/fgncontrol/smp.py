@@ -14,12 +14,15 @@ continue.  Stationarity of a candidate control is classified nodewise
 against the control set.  `optimize` takes second-order steps from
 differential dynamic programming on the tree, dividing by |Q_uu| floored
 at 1e-8 per node so that a non-convex node still gets a descent step,
-with Armijo backtracking, and stops only when the same residual passes
-the stationarity check.
+with Armijo backtracking.  Its backward pass carries the open-loop
+adjoint lambda, which is p, so each iteration reads rho from that pass;
+once that rho passes the stationarity check, the adjoint equation is
+solved once and its rho certifies the result.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +38,13 @@ from .dynamics import (
     _stage_value,
     _StagedProcess,
     _states,
+    _cost_tables,
     _step,
-    cost,
+    _total_cost,
     forward,
     variation,
 )
-from .errors import DualityMismatch, NoDescent
+from .errors import DualityMismatch, NoDescent, NonFiniteValue, OutOfControlSet
 from .lattice import (
     AdaptedValue,
     NoiseLattice,
@@ -208,13 +212,24 @@ def check_stationarity(
     residual: SmpResidual, u_star: ControlProcess, control_set, tol: float
 ) -> StationarityReport:
     """Classify every node of the residual against the control set (tol finite, >= 0)."""
+    _check_tol(tol)
+    return _stationarity(
+        [rho.values for rho in residual], [un.values for un in u_star], control_set, tol
+    )
+
+
+def _check_tol(tol: float):
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
+def _stationarity(rho, u, control_set, tol: float) -> StationarityReport:
+    """`check_stationarity` on plain level-n tables rho_n and u_n."""
     worst = 0.0
     worst_stage = 0
     worst_node = 0
-    for n, rho in enumerate(residual):
-        violation, _ = classify_nodes(rho.values, u_star[n].values, control_set, tol)
+    for n, rho_n in enumerate(rho):
+        violation, _ = classify_nodes(rho_n, u[n], control_set, tol)
         k = int(np.argmax(violation))
         if violation[k] > worst:
             worst, worst_stage, worst_node = float(violation[k]), n, k
@@ -230,8 +245,9 @@ def check_stationarity(
 @dataclass(frozen=True)
 class ArmijoRule:
     """Backtracking parameters for the step length alpha of a Newton
-    rollout: accept when the decrease beats
-    slope_constant * <rho, u - u_new> in the path inner product."""
+    rollout: accept when the decrease of J, taken nodewise, beats
+    slope_constant * <rho, u - u_new> in the path inner product, less
+    the rounding of that decrease."""
 
     initial_step: float = 1.0
     shrink: float = 0.5
@@ -262,31 +278,46 @@ class OptimizeResult:
 # (non-convex there) still gets a descent direction, and no other node
 # is damped on its account.
 _CURVATURE_FLOOR = 1e-8
+# Rounding allowed for in the Armijo test, relative to the expected cost
+# magnitude of the nodes a step changes: a few ulps per cost table entry
+# and per contraction.  Near a stationary point the decrease of a Newton
+# step falls below it, and the step is then accepted unless it raises J
+# by more than that rounding.
+_ROUNDING = 4 * np.finfo(np.float64).eps
 
 
-def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, x, u):
-    """(_x, _u, _xx, _uu, _ux) of b, sigma and l at stage n, level-n tables.
+def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, x, u) -> np.ndarray:
+    """(_x, _u, _xx, _uu, _ux) of b, sigma and l at stage n: one (15, q^n) table.
 
-    Second derivatives are central differences of the supplied first
-    derivatives.
+    Rows run b, sigma, l, five each.  Second derivatives are the central
+    differences of `dynamics._central_diff` of the supplied first
+    derivatives, with the x and u steps taken once.  Raises NonFiniteValue
+    if any entry is non-finite.
     """
-    out = []
-    for name in ("b", "sigma", "l"):
+    hx = 1e-6 * np.maximum(1.0, np.abs(x))
+    hu = 1e-6 * np.maximum(1.0, np.abs(u))
+    x_up, x_down, u_up, u_down = x + hx, x - hx, u + hu, u - hu
+
+    def at(fn, xs, us):
+        return np.asarray(fn(n, xs, us), float)
+
+    out = np.empty((15, lat.level_size(n)))
+    for rows, name in zip(out.reshape(3, 5, -1), ("b", "sigma", "l")):
         d_x, d_u = getattr(model, name + "_x"), getattr(model, name + "_u")
-        raw = (
-            d_x(n, x, u),
-            d_u(n, x, u),
-            _central_diff(d_x, n, x, u, "x"),
-            _central_diff(d_u, n, x, u, "u"),
-            _central_diff(d_u, n, x, u, "x"),
-        )
-        out.append(tuple(_stage_value(lat, n, r) for r in raw))
+        rows[0] = d_x(n, x, u)
+        rows[1] = d_u(n, x, u)
+        rows[2] = (at(d_x, x_up, u) - at(d_x, x_down, u)) / (2 * hx)
+        rows[3] = (at(d_u, x, u_up) - at(d_u, x, u_down)) / (2 * hu)
+        rows[4] = (at(d_u, x_up, u) - at(d_u, x_down, u)) / (2 * hx)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteValue(f"coefficient produced non-finite values at level {n}")
     return out
 
 
-def _backward_pass(model, u, x, lat, rho):
-    """DDP gains (k_n, K_n), level-n tables for n = 0..N-1, along (u, X).
+def _backward_pass(model, u, x, lat):
+    """DDP gains (k_n, K_n) and the gradient rho_n along (u, X), level-n tables.
 
+    u holds the control tables u_0..u_{N-1}, x the state tables X_0..X_N.
     V_x and V_xx start from phi_x and phi_xx at X_N.  With
     f = x + b + sigma xi_n, stage n contracts the children into Q_x, Q_u,
     Q_xx, Q_uu, Q_ux (the V_x f_xx, f_uu, f_ux terms included), and takes
@@ -295,19 +326,20 @@ def _backward_pass(model, u, x, lat, rho):
     Optimization, 3.4): where Q_uu <= 0 the step is still a descent
     direction, and the curvature of every other node is left exact.  A
     node where u + k leaves the control set is clamped to it and gets
-    K = 0.  Alongside, the open-loop adjoint lambda (V_x without the
-    policy terms) gives l_u + E[lambda f_u | n], which must reproduce
-    rho_n.
+    K = 0.  Alongside runs the open-loop adjoint lambda (V_x without the
+    policy terms, lambda_n = l_x + E[lambda_{n+1} f_x | n]), which is the
+    adjoint p of the maximum principle; rho_n = l_u + E[lambda_{n+1} f_u | n]
+    is the stationarity residual.  Returns (gains, rho), both indexed by n.
     """
     n_stages = model.horizon
-    x_final = x[n_stages].values
+    x_final = x[n_stages]
     v_x = lam = _stage_value(lat, n_stages, model.phi_x(x_final))
     phi_xx = _central_diff(lambda n, x, u: model.phi_x(x), n_stages, x_final, x_final, "x")
     v_xx = _stage_value(lat, n_stages, phi_xx)
-    gains = []
+    gains, rho = [], []
     for n in reversed(range(n_stages)):
-        (bx, bu, bxx, buu, bux), (sx, su, sxx, suu, sux), (lx, lu, lxx, luu, lux) = (
-            _stage_derivatives(model, lat, n, x[n].values, u[n].values)
+        bx, bu, bxx, buu, bux, sx, su, sxx, suu, sux, lx, lu, lxx, luu, lux = (
+            _stage_derivatives(model, lat, n, x[n], u[n])
         )
         xi = _noise(lat, n)
         v_x, v_xx, lam = _blocks(lat, v_x), _blocks(lat, v_xx), _blocks(lat, lam)
@@ -318,34 +350,69 @@ def _backward_pass(model, u, x, lat, rho):
         q_xx = lxx + _contract(lat, v_xx * f_x * f_x + v_x * (bxx[:, None] + sxx[:, None] * xi))
         q_uu = luu + _contract(lat, v_xx * f_u * f_u + v_x * (buu[:, None] + suu[:, None] * xi))
         q_ux = lux + _contract(lat, v_xx * f_u * f_x + v_x * (bux[:, None] + sux[:, None] * xi))
-
-        gap = np.max(np.abs(lu + _contract(lat, lam * f_u) - rho[n].values))
-        if gap > DUALITY_TOL * max(1.0, float(np.max(np.abs(rho[n].values)))):
-            raise DualityMismatch(
-                f"backward pass and adjoint disagree on rho_{n} by {gap:.3e}"
-            )
+        rho.append(lu + _contract(lat, lam * f_u))
         lam = lx + _contract(lat, lam * f_x)
 
         curvature = np.maximum(np.abs(q_uu), _CURVATURE_FLOOR)
-        newton = u[n].values - q_u / curvature
+        newton = u[n] - q_u / curvature
         target = model.control_set.project(newton)
-        k = target - u[n].values
+        k = target - u[n]
         gain = np.where(target == newton, -q_ux / curvature, 0.0)
         v_x = q_x + gain * (q_uu * k + q_u) + q_ux * k
         v_xx = q_xx + gain * (q_uu * gain + q_ux * 2.0)
         gains.append((k, gain))
-    return gains[::-1]
+    return gains[::-1], rho[::-1]
 
 
-def _rollout(model, u, x, gains, step, lat) -> ControlProcess:
-    """Closed-loop control u_n + step k_n + K_n (x_new_n - X_n), projected."""
-    stages, x_new = [], x[0].values
+def _rollout(model, u, x, gains, step, lat):
+    """One closed-loop trial u_n + step k_n + K_n (X'_n - X_n), projected.
+
+    Rolls the trial out once and returns its control tables, its state
+    tables X'_0..X'_N and its `_cost_tables`, all frozen level-n tables.
+    A trial value outside the control set (a non-finite one) raises
+    OutOfControlSet, as `forward` would.
+    """
+    controls, states = [], [x[0]]
     for n, (k, gain) in enumerate(gains):
-        raw = u[n].values + step * k + gain * (x_new - x[n].values)
-        un = AdaptedValue(lat, n, model.control_set.project(raw))
-        stages.append(un)
-        x_new = _step(model, lat, n, x_new, un.values)
-    return ControlProcess(stages)
+        un = _frozen(model.control_set.project(u[n] + step * k + gain * (states[n] - x[n])))
+        if not model.control_set.contains(un):
+            raise OutOfControlSet(f"stage {n} control leaves {model.control_set!r}")
+        controls.append(un)
+        states.append(_step(model, lat, n, states[n], un))
+    return controls, states, _cost_tables(model, lat, controls, states)
+
+
+def _decrease(lat: NoiseLattice, old, new) -> tuple[float, float]:
+    """J(old) - J(new) from two `_cost_tables`, and its rounding bound.
+
+    The difference is taken node by node and contracted stage by stage,
+    so a node the step leaves unchanged adds an exact 0 and a decrease far
+    below the rounding of J itself is still resolved.  The bound is
+    _ROUNDING times the same contraction of |old| + |new| over the nodes
+    that changed.
+    """
+    diff, size = _node_changes(old[-1], new[-1])
+    for n in reversed(range(len(old) - 1)):
+        diff_n, size_n = _node_changes(old[n], new[n])
+        diff = _contract(lat, diff) + diff_n
+        size = _contract(lat, size) + size_n
+    return float(diff[0]), _ROUNDING * float(size[0])
+
+
+def _node_changes(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """old - new per node, and |old| + |new| where that is not 0."""
+    diff = old - new
+    return diff, np.where(diff == 0.0, 0.0, np.abs(old) + np.abs(new))
+
+
+def _check_duality(rho, residual: SmpResidual):
+    """rho_n of the backward pass against the adjoint route's, stage by stage."""
+    for n, (lam_rho, adj_rho) in enumerate(zip(rho, residual)):
+        gap = np.max(np.abs(lam_rho - adj_rho.values))
+        if gap > DUALITY_TOL * max(1.0, float(np.max(np.abs(adj_rho.values)))):
+            raise DualityMismatch(
+                f"backward pass and adjoint disagree on rho_{n} by {gap:.3e}"
+            )
 
 
 def optimize(
@@ -362,54 +429,67 @@ def optimize(
     Each iteration runs one backward pass for per-node Newton gains
     (Jacobson & Mayne; clamped gains on a Box, after Tassa, Mansard &
     Todorov) and closed-loop rollouts u + alpha k + K (x_new - x), alpha
-    backtracked by `step_rule`.  A Newton step is scale-free per node, so
-    nodes of small probability converge as fast as the root.  Where
-    Q_uu <= 0 the step divides by max(|Q_uu|, 1e-8) at that node only.
+    backtracked by `step_rule`, each trial rolled out once.  A Newton step
+    is scale-free per node, so nodes of small probability converge as fast
+    as the root.  Where Q_uu <= 0 the step divides by max(|Q_uu|, 1e-8) at
+    that node only.  A step is accepted on Armijo decrease of J, taken as
+    one expectation of nodewise cost differences, so the cost never
+    increases beyond rounding and a decrease below the rounding of J
+    itself is not lost.
 
-    Terminates when the stationarity check of rho from the adjoint passes
-    at `tol` (immediately, with zero iterations, if u_init already
-    passes); the Newton steps only propose moves.  A step is accepted
-    only on Armijo decrease of J, so the cost never increases.  Raises
-    NoDescent when backtracking exhausts its halvings, and NotConverged
-    never: hitting max_iter returns converged=False so the caller can
-    inspect the trace.  A negative max_iter or bad tol raises ValueError.
+    The backward pass also yields rho from its open-loop adjoint lambda,
+    and the stationarity check at `tol` runs on it.  When it passes, the
+    adjoint BSDE is solved once along the iterate and its rho certifies
+    the result: DualityMismatch if the two rho differ by more than
+    DUALITY_TOL, converged=True only if the certified rho passes too,
+    otherwise the iterations go on.  A u_init that already passes returns
+    with zero iterations.  Raises NoDescent when backtracking exhausts its
+    halvings, and NotConverged never: hitting max_iter solves the adjoint
+    once, checks its rho and returns converged=False unless it passes, so
+    the caller can inspect the trace.  A negative max_iter or bad tol
+    raises ValueError.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    u = u_init
-    u.validate_in(model.control_set)
-    x, adj = solve_adjoint(model, u, lat, basis)
-    j_curr = cost(model, u, x, lat)
+    _check_tol(tol)
+    x = _states(model, u_init, lat, model.horizon)
+    u = [un.values for un in u_init]
+    costs = _cost_tables(model, lat, u, x)
+    j_curr = _total_cost(lat, costs)
     trace: list[TracePoint] = []
     step = 0.0
-    iterations = 0
 
-    for _ in range(max_iter + 1):
-        residual = _gradient(model, u, [s.values for s in x], adj, lat, basis)
-        report = check_stationarity(residual, u, model.control_set, tol)
+    for iterations in itertools.count():
+        final = iterations >= max_iter
+        if not final:
+            gains, rho = _backward_pass(model, u, x, lat)
+            report = _stationarity(rho, u, model.control_set, tol)
+        if final or report.passed:
+            control = ControlProcess(AdaptedValue(lat, n, un) for n, un in enumerate(u))
+            state = StateProcess(AdaptedValue(lat, n, xn) for n, xn in enumerate(x))
+            adj = solve_bsde(adjoint_driver(model, control, state, basis), lat)
+            residual = _gradient(model, control, x, adj, lat, basis)
+            if not final:
+                _check_duality(rho, residual)
+            report = check_stationarity(residual, control, model.control_set, tol)
         trace.append(TracePoint(iterations, j_curr, step, report.worst_violation))
-        if report.passed:
+        if final or report.passed:
             return OptimizeResult(
-                control=u, state=x, adjoint=adj, cost=j_curr,
-                iterations=iterations, converged=True, trace=tuple(trace),
+                control=control, state=state, adjoint=adj, cost=j_curr,
+                iterations=iterations, converged=report.passed, trace=tuple(trace),
             )
-        if iterations >= max_iter:
-            break
 
-        gains = _backward_pass(model, u, x, lat, residual)
         step = step_rule.initial_step
         for _halving in range(step_rule.max_halvings + 1):
-            candidate = _rollout(model, u, x, gains, step, lat)
-            # path inner product sum_n E[rho_n (u_n - candidate_n)]
+            trial, x_trial, costs_trial = _rollout(model, u, x, gains, step, lat)
+            # path inner product sum_n E[rho_n (u_n - trial_n)]
             gap = sum(
-                _expect(lat, rho.values * (u[n].values - candidate[n].values), n)
-                for n, rho in enumerate(residual)
+                _expect(lat, rho[n] * (u[n] - trial[n]), n) for n in range(model.horizon)
             )
-            x_new = forward(model, candidate, lat)
-            j_new = cost(model, candidate, x_new, lat)
-            if gap > 0.0 and j_new <= j_curr - step_rule.slope_constant * gap:
-                u, x, j_curr = candidate, x_new, j_new
-                adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
+            decrease, rounding = _decrease(lat, costs, costs_trial)
+            if gap > 0.0 and decrease >= step_rule.slope_constant * gap - rounding:
+                u, x, costs = trial, x_trial, costs_trial
+                j_curr = _total_cost(lat, costs)
                 break
             step *= step_rule.shrink
         else:
@@ -419,9 +499,3 @@ def optimize(
                 f"{report.worst_violation:.3e} at stage {report.worst_stage} "
                 f"node {report.worst_node}"
             )
-        iterations += 1
-
-    return OptimizeResult(
-        control=u, state=x, adjoint=adj, cost=j_curr,
-        iterations=iterations, converged=False, trace=tuple(trace),
-    )

@@ -5,6 +5,8 @@ with plain Python loops and weighted sums; it shares nothing with the
 contraction-based solver.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,34 @@ class TestSolutionStructure:
         x = forward(model, u, lat)
         sol = solve_bsde(adjoint_driver(model, u, x, lat.basis), lat)
         assert np.shares_memory(sol.y[3].values, x[3].values)
+
+    def test_stage_n_residual_needs_no_leaf_sized_temporary(self):
+        # stage N must allocate M (overwritten by R), Y_{N-1} and Z_{N-1};
+        # subtracting Z eta column by column adds only level-(N-1)
+        # temporaries, where a broadcast product would add a leaf table
+        q, n_stages = 5, 7
+        lat5 = lattice_for_hurst(0.7, depth=n_stages, order=q)
+        leaf = 8 * lat5.level_size(n_stages)
+        marks = {}
+
+        def f(s, y, z):
+            # called at the start of stage s, before M is built
+            marks[s] = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            return 0.0
+
+        terminal = lat5.from_values(n_stages, np.cos(np.arange(lat5.level_size(n_stages))))
+        driver = DriverSpec(horizon=n_stages, terminal=terminal, f=f, g=lambda s, y, z: 0.0)
+        solve_bsde(driver, lat5)  # builds the lattice's cached weights
+        tracemalloc.start()
+        try:
+            solve_bsde(driver, lat5)
+        finally:
+            tracemalloc.stop()
+        before, _ = marks[n_stages]
+        _, peak = marks[n_stages - 1]
+        kept = leaf + 2 * leaf // q
+        assert peak - before - kept < leaf / 2
 
     def test_driver_finer_than_its_stage_rejected(self, lat):
         # xi_s is not measurable at stage s; projecting it away would

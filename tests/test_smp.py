@@ -5,6 +5,8 @@ adjoint route to dJ/deps are computed independently and must coincide to
 1e-9 on nonlinear models and both Hurst regimes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,8 @@ from fgncontrol.dynamics import (
     sin_drift_model,
     variation,
 )
-from fgncontrol import dynamics, lattice
-from fgncontrol.errors import LevelMismatch, NoDescent
+from fgncontrol import dynamics, lattice, smp
+from fgncontrol.errors import DualityMismatch, LevelMismatch, NoDescent, NonFiniteValue
 from fgncontrol.lattice import (
     expectation,
     lattice_for_hurst,
@@ -229,11 +231,12 @@ class TestSmpResidual:
         smp_residual(model, u, adj, lat, lat.basis)
         assert steps == [0, 1]
 
-    def test_adjoint_path_wraps_its_tables_without_copies(self, lat, monkeypatch):
-        # every table the solvers wrap is frozen first, so AdaptedValue shares it
+    def test_adjoint_path_wraps_its_tables_without_copies(self, monkeypatch):
+        # every table the solvers wrap is frozen first, so AdaptedValue
+        # shares it; on a fresh lattice that includes the cached noise means
+        lat = lattice_for_hurst(0.7, depth=3, order=3)
         model = sin_drift_model(3, initial_state=1.0)
         u = random_control(lat, 3, np.random.default_rng(8), scale=0.4)
-        noise_conditional_mean(lat, 0)  # builds the lattice's cached means
         copied = []
         is_frozen = lattice._is_frozen
 
@@ -397,12 +400,128 @@ class TestOptimize:
         res = smp_residual(model, result.control, adj, lat, lat.basis)
         assert check_stationarity(res, result.control, model.control_set, tol=1e-8).passed
 
+    @pytest.mark.parametrize("horizon", [10, 11])
+    def test_double_well_converges_at_depth(self, horizon):
+        # a decrease carried by nodes of probability ~1e-7 sits below the
+        # rounding of J; the nodewise decrease still resolves it
+        lat = lattice_for_hurst(0.7, depth=horizon, order=3)
+        model = double_well_model(horizon, 0.3)
+        u0 = constant_control(lat, horizon, 0.0)
+        result = optimize(model, u0, lat, lat.basis, tol=1e-8, max_iter=30)
+        assert result.converged
+        assert result.iterations <= 10
+        _, adj = solve_adjoint(model, result.control, lat, lat.basis)
+        res = smp_residual(model, result.control, adj, lat, lat.basis)
+        assert check_stationarity(res, result.control, model.control_set, tol=1e-8).passed
+
+    @pytest.mark.parametrize("horizon, tol", [(3, 1e-13), (6, 1e-12)])
+    def test_tolerance_below_the_armijo_resolution_is_reached(self, horizon, tol):
+        # near u* the decrease of a Newton step is far below the rounding
+        # of the node costs; the step is taken, not backtracked to NoDescent
+        lat = lattice_for_hurst(0.7, depth=horizon, order=3)
+        model = sin_drift_model(horizon, initial_state=1.0)
+        result = optimize(model, constant_control(lat, horizon, 0.0), lat, lat.basis, tol=tol)
+        assert result.converged
+        assert result.trace[-1].worst_residual <= tol
+
+    @pytest.mark.parametrize("tol, max_iter", [(1e-8, 1000), (1e-12, 1)])
+    def test_one_adjoint_solve_per_call(self, lat, monkeypatch, tol, max_iter):
+        # rho comes from the backward pass; the BSDE route certifies it once,
+        # and every trial is rolled out by _rollout alone
+        calls = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                key = f"{module.__name__}.{name}"
+                calls[key] = calls.get(key, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("solve_bsde", "adjoint_driver", "_gradient", "forward", "_rollout"):
+            count(smp, name)
+        count(dynamics, "forward")
+        model = sin_drift_model(3, initial_state=1.0)
+        result = optimize(model, constant_control(lat, 3, 0.0), lat, lat.basis,
+                          tol=tol, max_iter=max_iter)
+        assert result.converged == (max_iter > 1)
+        for name in ("solve_bsde", "adjoint_driver", "_gradient"):
+            assert calls[f"fgncontrol.smp.{name}"] == 1
+        assert "fgncontrol.smp.forward" not in calls
+        assert "fgncontrol.dynamics.forward" not in calls
+        assert calls["fgncontrol.smp._rollout"] >= result.iterations >= 1
+
+    def test_adjoint_route_decides_convergence(self, lat, monkeypatch):
+        # a backward pass whose rho passes at 1e-11 once the true rho is
+        # below 1e-9 (inside DUALITY_TOL of it): the adjoint route still
+        # fails there, so the iterations go on
+        backward_pass = smp._backward_pass
+        faked = []
+
+        def optimistic(*args):
+            gains, rho = backward_pass(*args)
+            if max(np.max(np.abs(r)) for r in rho) < 1e-9:
+                faked.append(1)
+                rho = [1e-3 * r for r in rho]
+            return gains, rho
+
+        monkeypatch.setattr(smp, "_backward_pass", optimistic)
+        model = sin_drift_model(3, initial_state=1.0)
+        result = optimize(model, constant_control(lat, 3, 0.0), lat, lat.basis, tol=1e-11)
+        early = [pt for pt in result.trace[:-1] if pt.worst_residual < 1e-9]
+        assert faked and early
+        assert all(pt.worst_residual > 1e-11 for pt in early)
+        assert result.converged and result.trace[-1].worst_residual <= 1e-11
+
+    def test_corrupted_backward_adjoint_fails_the_final_check(self, lat, lq3, monkeypatch):
+        # the tolerance passes at u0 on either route, so the first
+        # iteration reaches the final check; dropping l_x from lambda
+        # moves rho there
+        model = as_model(lq3)
+        u0 = constant_control(lat, 3, 0.0)
+        clean = optimize(model, u0, lat, lat.basis, tol=10.0)
+        assert clean.converged and clean.iterations == 0
+        stage_derivatives = smp._stage_derivatives
+
+        def without_lx(*args):
+            table = stage_derivatives(*args)
+            table[10] = 0.0  # rows b, sigma, l, five each; l_x is row 10
+            return table
+
+        monkeypatch.setattr(smp, "_stage_derivatives", without_lx)
+        with pytest.raises(DualityMismatch, match="backward pass and adjoint disagree on rho_"):
+            optimize(model, u0, lat, lat.basis, tol=10.0)
+
+    def test_non_finite_derivative_table_rejected(self, lat):
+        # b_x is inf beyond |x| = 100, outside the constructor's spot checks
+        base = sin_drift_model(3, initial_state=1000.0)
+        model = dataclasses.replace(
+            base, b_x=lambda n, x, u: np.where(np.abs(x) > 100.0, np.inf, base.b_x(n, x, u))
+        )
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteValue, match="coefficient produced non-finite"):
+                optimize(model, constant_control(lat, 3, 0.0), lat, lat.basis)
+
     def test_no_descent_raised_when_backtracking_disabled(self, lat):
         model = sin_drift_model(2, initial_state=1.0)
         u0 = constant_control(lat, 2, 0.0)
         rule = ArmijoRule(initial_step=1e6, max_halvings=0)
         with pytest.raises(NoDescent, match="after 0 halvings at iteration 0: J="):
             optimize(model, u0, lat, lat.basis, step_rule=rule, tol=1e-10)
+
+    def test_no_descent_message_names_the_iterate(self, lat):
+        model = sin_drift_model(2, initial_state=1.0)
+        rule = ArmijoRule(initial_step=1e6, max_halvings=0)
+        message = (
+            "no sufficient decrease after 0 halvings at iteration 0: J=3.934185596630014, "
+            "worst residual 3.581e+00 at stage 1 node 2"
+        )
+        with pytest.raises(NoDescent) as err:
+            optimize(model, constant_control(lat, 2, 0.0), lat, lat.basis,
+                     step_rule=rule, tol=1e-10)
+        assert str(err.value) == message
 
     def test_max_iter_returns_unconverged(self, lat):
         model = sin_drift_model(3, initial_state=1.0)
@@ -421,3 +540,5 @@ class TestOptimize:
         model = sin_drift_model(2, initial_state=1.0)
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             optimize(model, constant_control(lat, 2, 0.0), lat, lat.basis, tol=tol)
+        with pytest.raises(ValueError, match=f"^tol must be finite and >= 0, got {tol!r}$"):
+            optimize(model, constant_control(lat, 2, 0.0), lat, lat.basis, tol=tol, max_iter=0)
