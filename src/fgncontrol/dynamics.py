@@ -153,8 +153,9 @@ class ModelSpec:
             ("l_x", self.l, self.l_x, "x"),
             ("l_u", self.l, self.l_u, "u"),
         ]
-        for n in range(self.horizon):
-            for name, value_fn, deriv_fn, wrt in pairs:
+        terminal = [("phi_x", lambda n, x, u: self.phi(x), lambda n, x, u: self.phi_x(x), "x")]
+        for n in range(self.horizon + 1):
+            for name, value_fn, deriv_fn, wrt in pairs if n < self.horizon else terminal:
                 stated = np.broadcast_to(
                     np.asarray(deriv_fn(n, x, u), dtype=np.float64), x.shape
                 )
@@ -164,12 +165,6 @@ class ModelSpec:
                     raise DerivativeMismatch(
                         f"{name} disagrees with finite differences at stage {n}"
                     )
-        hx = 1e-6 * np.maximum(1.0, np.abs(x))
-        fd = (np.asarray(self.phi(x + hx), float) - np.asarray(self.phi(x - hx), float)) / (2 * hx)
-        stated = np.broadcast_to(np.asarray(self.phi_x(x), dtype=np.float64), x.shape)
-        scale = np.maximum(1.0, np.maximum(np.abs(stated), np.abs(fd)))
-        if np.max(np.abs(stated - fd) / scale) > _FD_REL_TOL:
-            raise DerivativeMismatch("phi_x disagrees with finite differences")
 
 
 class _StagedProcess:
@@ -388,10 +383,11 @@ def variation(
         bu = _stage_value(lat, n, model.b_u(n, xn, un))
         sx = _stage_value(lat, n, model.sigma_x(n, xn, un))
         su = _stage_value(lat, n, model.sigma_u(n, xn, un))
-        nxt = (var + bx * var + bu * vn)[:, None] + (sx * var + su * vn)[:, None] * _noise(lat, n)
+        nxt = (sx * var + su * vn)[:, None] * _noise(lat, n)
+        nxt += (var + bx * var + bu * vn)[:, None]
         if not np.all(np.isfinite(nxt)):
             raise NonFiniteValue(f"variation became non-finite at stage {n + 1}")
-        out.append(AdaptedValue(lat, n + 1, nxt))
+        out.append(AdaptedValue(lat, n + 1, _frozen(nxt)))
     return StateProcess(out)
 
 

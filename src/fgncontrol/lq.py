@@ -10,9 +10,9 @@ stationarity condition
 characterises the unique optimum.  The bracket plus R_n u_n is the SMP
 gradient representative rho_n, so the optimum is the fixed point of
 u = u - rho / R.  On the lattice it is computed directly: one backward
-Riccati pass over the tree gives a per-node feedback gain, and the SMP
-residual of the resulting control is checked as an independent
-certificate.
+Riccati pass over the tree gives a per-node feedback gain, one forward
+roll of the closed loop gives the control and its state, and the SMP
+residual of that control is checked as an independent certificate.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from .dynamics import (
     StateProcess,
     Unconstrained,
     _batch_costs,
+    _step,
     cost,
-    forward,
 )
 from .errors import InvalidSpec, LevelMismatch, NotConverged, WrongHorizon
-from .lattice import AdaptedValue, NoiseLattice, _blocks, _contract, _noise
+from .lattice import AdaptedValue, NoiseLattice, _contract, _frozen, _mean, _moments
 from .noise import WhiteningBasis
-from .smp import SmpResidual, _gradient
+from .smp import SmpResidual, _check_tol, _gradient
 
 # Leaf budget of one stacked certificate pass: rows * q^N stays within it
 # (a single row is still rolled out when q^N alone exceeds it).
@@ -155,33 +155,38 @@ def lq_fixed_point(
     history, so given level n the increment is xi_n = mu_node + b[n,n] eta_n
     and the value function is 0.5 P_node x^2.  With P_N = G,
     alpha = 1 + A_n + C_n xi_n and gamma = B_n + D_n xi_n, stage n gives
-    K_n = E[P alpha gamma | n] / (R_n + E[P gamma^2 | n]),
-    P_n = Q_n + E[P alpha^2 | n] - K_n E[P alpha gamma | n] and u_n = -K_n X_n.
-    The state and the adjoint pair are then solved at that control, and
-    the SMP residual max_n max_node |rho_n| / R_n certifies it:
-    NotConverged is raised when it exceeds `tol`.
+    K_n = E[P alpha gamma | n] / (R_n + E[P gamma^2 | n]) and
+    P_n = Q_n + E[P alpha^2 | n] - K_n E[P alpha gamma | n], each read off
+    E[P eta_n^k | n], k <= 2, as alpha and gamma are affine in eta_n.  One
+    roll of u_n = -K_n X_n through the model's state step gives u* and the
+    state `forward(u*)` returns.  The SMP residual max_n max_node |rho_n| / R_n
+    of the adjoint pair solved there certifies it: NotConverged is raised
+    when it exceeds `tol`, ValueError unless `tol` is finite and >= 0.
     """
+    _check_tol(tol)
     model = as_model(spec)
     p = np.full(lat.level_size(spec.horizon), float(spec.G))
-    feedback = []
+    gains = []
     for n in reversed(range(spec.horizon)):
-        xi, p = _noise(lat, n), _blocks(lat, p)
-        alpha = xi * spec.C[n] + (1.0 + spec.A[n])
-        gamma = xi * spec.D[n] + spec.B[n]
-        s_ag = _contract(lat, p * alpha * gamma)
-        k = s_ag / (_contract(lat, p * gamma * gamma) + spec.R[n])
-        p = _contract(lat, p * alpha * alpha) + spec.Q[n] - k * s_ag
-        feedback.insert(0, (k, alpha - gamma * k[:, None]))
+        m0, m1, m2 = _moments(lat, p, 3)
+        mu, beta = _mean(lat, n), lat.basis.b_mat[n, n]
+        a0, a1 = 1.0 + spec.A[n] + spec.C[n] * mu, spec.C[n] * beta
+        g0, g1 = spec.B[n] + spec.D[n] * mu, spec.D[n] * beta
+        s_ag = a0 * g0 * m0 + (a0 * g1 + a1 * g0) * m1 + a1 * g1 * m2
+        s_gg = g0 * g0 * m0 + 2.0 * g0 * g1 * m1 + g1 * g1 * m2
+        s_aa = a0 * a0 * m0 + 2.0 * a0 * a1 * m1 + a1 * a1 * m2
+        k = s_ag / (s_gg + spec.R[n])
+        p = s_aa + spec.Q[n] - k * s_ag
+        gains.insert(0, k)
 
-    # closed loop: X_{n+1} = X_n (alpha_n - gamma_n K_n)
-    stages, x_n = [], np.full(1, float(spec.x))
-    for n, (k, loop) in enumerate(feedback):
-        stages.append(AdaptedValue(lat, n, -(k * x_n)))
-        x_n = (x_n[:, None] * loop).reshape(-1)
-    u = ControlProcess(stages)
-    x = forward(model, u, lat)
+    xs, us = [_frozen(np.full(1, float(spec.x)))], []
+    for n, k in enumerate(gains):
+        us.append(_frozen(-(k * xs[n])))
+        xs.append(_step(model, lat, n, xs[n], us[n]))
+    u = ControlProcess(AdaptedValue(lat, n, un) for n, un in enumerate(us))
+    x = StateProcess(AdaptedValue(lat, n, xn) for n, xn in enumerate(xs))
     adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
-    rho = _gradient(model, u, [s.values for s in x], adj, lat, basis)
+    rho = _gradient(model, u, xs, adj, lat, basis)
     residual = max(
         float(np.max(np.abs(rho[n].values)) / spec.R[n]) for n in range(spec.horizon)
     )
@@ -260,8 +265,9 @@ def verify_sufficiency(
     if u_star.lattice is not lat:
         raise LevelMismatch("u_star lives on a different lattice")
     model = as_model(spec)
-    j_star = cost(model, u_star, forward(model, u_star, lat), lat)
+    u_star.validate_in(model.control_set)
     star = [u.values for u in u_star]
+    j_star = _batch_costs(model, lat, [s[None] for s in star])[0]
     rng = np.random.default_rng(seed)
     eps_cycle = np.array([1.0, 0.1, 0.01])
     min_gap = worst_slack = np.inf

@@ -6,20 +6,28 @@ over all q^N leaf paths (node (i_0, ..., i_{N-1}) at big-endian index)
 or level by level over child blocks.  None of it goes through
 fgncontrol, so a slip in the lattice tables, the stage lift or the
 contraction that only shows at depth fails here.  The smp_residual
-check compares the shortened state roll with the full one.
+check compares the shortened state roll with the full one, and the LQ
+checks compare the moment-form Riccati pass with a per-node one over
+leaf-sized child blocks.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
+from fgncontrol import lq
 from fgncontrol.bsde import DriverSpec, adjoint_driver, solve_bsde
 from fgncontrol.dynamics import cost, forward, random_control, sin_drift_model
 from fgncontrol.lattice import lattice_for_hurst
+from fgncontrol.lq import as_model, lq_fixed_point
+from fgncontrol.selftest import _random_lq_spec
 from fgncontrol.smp import _gradient, smp_residual
 
 CASES = [(3, 9, 0.7), (4, 7, 0.3)]
 CASES_H07 = [(3, 9, 0.7), (4, 7, 0.7)]
+CASES_LQ = [(q, depth, hurst) for q, depth in ((3, 9), (4, 7)) for hurst in (0.3, 0.7)]
 
 
 def rule(q: int):
@@ -155,3 +163,63 @@ def test_affine_bsde_every_stage_matches_block_reference(q, depth, hurst):
     for got, want in [*zip(sol.y, want_y), *zip(sol.z, want_z)]:
         scale = max(1.0, float(np.max(np.abs(want))))
         np.testing.assert_allclose(got.values, want, rtol=0.0, atol=1e-14 * scale)
+
+
+def riccati(spec, q: int, hurst: float) -> tuple[float, list[np.ndarray]]:
+    """(0.5 P_0 x^2, [K_n]) from a per-node Riccati pass over child blocks.
+
+    alpha = 1 + A_n + C_n xi_n and gamma = B_n + D_n xi_n are built as
+    (q^n, q) block tables of the increment, with no moment algebra.
+    """
+    nodes, weights = rule(q)
+    chol = fgn_cholesky(spec.horizon, hurst)
+    p, gains = np.full(q**spec.horizon, float(spec.G)), []
+    for n in reversed(range(spec.horizon)):
+        mean = np.zeros(1)  # E[xi_n | level n] = sum_{k<n} chol[n, k] eta_k
+        for k in range(n):
+            mean = np.add.outer(mean, chol[n, k] * nodes).ravel()
+        xi = mean[:, None] + chol[n, n] * nodes
+        alpha, gamma = 1.0 + spec.A[n] + spec.C[n] * xi, spec.B[n] + spec.D[n] * xi
+        blocks = p.reshape(-1, q)
+        s_aa, s_ag, s_gg = ((blocks * f * g) @ weights for f, g in
+                            ((alpha, alpha), (alpha, gamma), (gamma, gamma)))
+        gains.insert(0, s_ag / (spec.R[n] + s_gg))
+        p = spec.Q[n] + s_aa - s_ag * gains[0]
+    return 0.5 * float(p[0]) * spec.x**2, gains
+
+
+@pytest.mark.parametrize("q,depth,hurst", CASES_LQ)
+def test_lq_solve_matches_per_node_riccati(q, depth, hurst):
+    # J = 0.5 P_0 x^2, u_n = -K_n X_n, and X is the forward roll of u bit for bit
+    spec = _random_lq_spec(np.random.default_rng([0, q, depth, 0]), depth)
+    lat = lattice_for_hurst(hurst, depth, q)
+    sol = lq_fixed_point(spec, lat, lat.basis)
+    want, gains = riccati(spec, q, hurst)
+    assert abs(sol.cost - want) <= 1e-12 * abs(want)
+    for n, k in enumerate(gains):
+        u_n, x_n = sol.control[n].values, sol.state[n].values
+        np.testing.assert_allclose(u_n, -k * x_n, rtol=0.0, atol=1e-12 * np.max(np.abs(u_n)))
+    rolled = forward(as_model(spec), sol.control, lat)
+    for got, ref in zip(sol.state, rolled, strict=True):
+        assert got.values.tobytes() == ref.values.tobytes()
+
+
+def test_lq_riccati_pass_stays_under_three_leaf_tables(monkeypatch):
+    # traced peak from entry to the first state step of the closed-loop roll
+    q, depth = 10, 5
+    spec = _random_lq_spec(np.random.default_rng([0, q, depth, 0]), depth)
+    lat = lattice_for_hurst(0.7, depth, q)
+    peaks, step = [], lq._step
+
+    def spy(*args):
+        if not peaks:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        return step(*args)
+
+    monkeypatch.setattr(lq, "_step", spy)
+    tracemalloc.start()
+    try:
+        lq_fixed_point(spec, lat, lat.basis)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 3 * 8 * q**depth

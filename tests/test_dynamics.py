@@ -29,6 +29,7 @@ from fgncontrol.errors import (
     OutOfControlSet,
     TerminalConditionViolated,
 )
+from fgncontrol import lattice
 from fgncontrol.lattice import (
     AdaptedValue,
     _is_frozen,
@@ -37,7 +38,9 @@ from fgncontrol.lattice import (
     noise_conditional_mean,
     noise_value,
 )
+from fgncontrol.lq import as_model
 from fgncontrol.noise import fgn_covariance
+from fgncontrol.selftest import _random_lq_spec
 
 
 def drift_only_model(horizon, x0, drift_fn, drift_x, drift_u):
@@ -175,7 +178,7 @@ class TestModelSpecValidation:
             )
 
     def test_wrong_phi_derivative_rejected(self):
-        with pytest.raises(DerivativeMismatch):
+        with pytest.raises(DerivativeMismatch, match="phi_x disagrees with finite differences"):
             additive_noise_model(1, 0.0, phi=lambda x: x**2, phi_x=lambda x: x)
 
 
@@ -333,6 +336,36 @@ class TestVariation:
         var = variation(model, u, x, v, lat)
         for n in range(4):
             assert np.all(var[n].values == 0.0)
+
+    @pytest.mark.parametrize("model", [
+        sin_drift_model(4, initial_state=0.8, noise_gain=0.6),
+        as_model(_random_lq_spec(np.random.default_rng([0, 3, 4, 0]), 4)),
+    ], ids=["sin_drift", "lq"])
+    def test_lifts_in_place_without_copies(self, model, monkeypatch):
+        # every stage equals the broadcast lift bit for bit and is wrapped unchanged
+        lat = lattice_for_hurst(0.7, depth=4, order=3)
+        rng = np.random.default_rng(4)
+        u, v = random_control(lat, 4, rng, scale=0.7), random_control(lat, 4, rng)
+        x = forward(model, u, lat)
+        copied = []
+        is_frozen = lattice._is_frozen
+
+        def spy(values):
+            shared = is_frozen(values)
+            copied.extend([] if shared else [np.shape(values)])
+            return shared
+
+        monkeypatch.setattr(lattice, "_is_frozen", spy)
+        var = variation(model, u, x, v, lat)
+        assert copied == []
+        want = np.zeros(1)
+        for n in range(4):
+            xn, un, vn = x[n].values, u[n].values, v[n].values
+            level = want + model.b_x(n, xn, un) * want + model.b_u(n, xn, un) * vn
+            vol = model.sigma_x(n, xn, un) * want + model.sigma_u(n, xn, un) * vn
+            noise = noise_value(lat, n).values.reshape(-1, 3)
+            want = (level[:, None] + vol[:, None] * noise).reshape(-1)
+            assert var[n + 1].values.tobytes() == want.tobytes()
 
     def _normalized_error(self, model, u, x, v, lat, eps):
         """sum_n E[((X^eps_n - X_n)/eps - V_n)^2]."""

@@ -195,6 +195,12 @@ class TestFixedPointStructure:
             lq_fixed_point(spec3, lat7, wrong)
         assert info.value.residual > 0.0
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_invalid_tolerance_rejected(self, spec3, lat7, tol):
+        # residual > nan and residual > inf are False: either would certify anything
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            lq_fixed_point(spec3, lat7, lat7.basis, tol=tol)
+
     @pytest.mark.parametrize("q, horizon, draw", [(3, 6, 1), (3, 8, 0)])
     def test_certified_at_benchmark_depth(self, q, horizon, draw):
         # lq-certify draws that a 500-sweep damped iteration does not solve
