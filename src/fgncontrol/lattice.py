@@ -128,9 +128,10 @@ class NoiseLattice:
 
     @cached_property
     def _moment_weights(self) -> tuple[np.ndarray, ...]:
-        """w eta^j for j < 2q, the rule's exact degree; j = 0 is the weights."""
+        """w eta^j for j < max(2q, 3): the rule's exact degree, and the j <= 2 a
+        quadratic stage reads even on a one-node rule; j = 0 is the weights."""
         w, eta = self.rule.weights, self.rule.nodes
-        return (w,) + tuple(_frozen(w * eta**j) for j in range(1, 2 * self.rule.q))
+        return (w,) + tuple(_frozen(w * eta**j) for j in range(1, max(2 * self.rule.q, 3)))
 
 
 def lattice_for_hurst(h, depth: int, order: int) -> NoiseLattice:
@@ -243,7 +244,7 @@ def _blocks(lat: NoiseLattice, table: np.ndarray) -> np.ndarray:
 
 
 def _moments(lat: NoiseLattice, table: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """E[table eta_n^j | level n] for j < k (k <= 2q) of a level-(n+1) table."""
+    """E[table eta_n^j | level n] for j < k (k <= max(2q, 3)) of a level-(n+1) table."""
     blocks = _blocks(lat, table)
     return tuple(blocks @ w for w in lat._moment_weights[:k])
 

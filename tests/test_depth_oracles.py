@@ -8,7 +8,8 @@ fgncontrol, so a slip in the lattice tables, the stage lift or the
 contraction that only shows at depth fails here.  The smp_residual
 check compares the shortened state roll with the full one, and the LQ
 checks compare the moment-form Riccati pass with a per-node one over
-leaf-sized child blocks.
+leaf-sized child blocks, also on the one-node rule (q = 1, eta = 0),
+whose E[eta^2] reads 0.
 """
 
 import tracemalloc
@@ -188,7 +189,7 @@ def riccati(spec, q: int, hurst: float) -> tuple[float, list[np.ndarray]]:
     return 0.5 * float(p[0]) * spec.x**2, gains
 
 
-@pytest.mark.parametrize("q,depth,hurst", CASES_LQ)
+@pytest.mark.parametrize("q,depth,hurst", CASES_LQ + [(1, 6, 0.3), (1, 6, 0.7)])
 def test_lq_solve_matches_per_node_riccati(q, depth, hurst):
     # J = 0.5 P_0 x^2, u_n = -K_n X_n, and X is the forward roll of u bit for bit
     spec = _random_lq_spec(np.random.default_rng([0, q, depth, 0]), depth)
