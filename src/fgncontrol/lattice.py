@@ -341,12 +341,15 @@ def sample_paths(basis: WhiteningBasis, horizon: int, count: int, seed: int) -> 
     """Draw `count` increment paths of length `horizon` from the basis.
 
     Uses the counter-based Philox generator keyed by `seed`, so output is
-    a pure function of (basis, horizon, count, seed).
+    a pure function of (basis, horizon, count, seed).  The seed must be an
+    integer in [0, 2^64), the key's range; anything else raises ValueError.
     """
     if not 1 <= horizon <= basis.size:
         raise DepthMismatch(f"horizon {horizon} outside [1, {basis.size}]")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     eta = rng.standard_normal((count, horizon))
     xi = eta @ basis.b_mat[:horizon, :horizon].T

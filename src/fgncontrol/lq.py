@@ -29,6 +29,7 @@ from .dynamics import (
     StateProcess,
     Unconstrained,
     _batch_costs,
+    _check_depth,
     _step,
     cost,
 )
@@ -38,8 +39,10 @@ from .noise import WhiteningBasis
 from .smp import SmpResidual, _check_tol, _gradient
 
 # Leaf budget of one stacked certificate pass: rows * q^N stays within it
-# (a single row is still rolled out when q^N alone exceeds it).
-_CHUNK_LEAVES = 2**15
+# (a single row is still rolled out when q^N alone exceeds it).  Tables
+# above glibc's default mmap threshold (128 KB) are fresh mappings, so a
+# few 2 MB passes beat many 256 KB ones (of 2^15..2^20, 2^18 ran fastest).
+_CHUNK_LEAVES = 2**18
 
 
 @dataclass(frozen=True)
@@ -161,10 +164,12 @@ def lq_fixed_point(
     roll of u_n = -K_n X_n through the model's state step gives u* and the
     state `forward(u*)` returns.  The SMP residual max_n max_node |rho_n| / R_n
     of the adjoint pair solved there certifies it: NotConverged is raised
-    when it exceeds `tol`, ValueError unless `tol` is finite and >= 0.
+    when it exceeds `tol`, ValueError unless `tol` is finite and >= 0, and
+    DepthMismatch when the lattice is shallower than the horizon.
     """
     _check_tol(tol)
     model = as_model(spec)
+    _check_depth(model, lat, spec.horizon)
     p = np.full(lat.level_size(spec.horizon), float(spec.G))
     gains = []
     for n in reversed(range(spec.horizon)):

@@ -16,7 +16,9 @@ correlated sequence from independent standard normals eta.  The inverse
 ``c[n,k] = sum_{l<n} b[n,l] a[l,k]`` give the one-step prediction
 ``E[xi_n | eta_0..eta_{n-1}] = sum_{k<n} c[n,k] xi_k``.
 
-All matrices are small (tens of steps) dense float64 arrays.
+All matrices are small (tens of steps) dense float64 arrays, so the
+factorisation is plain numpy: the Cholesky recursion for b, forward
+substitution for a, and c in closed form from b a = I.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NotPositiveDefinite, NotSymmetric
 
@@ -159,11 +160,16 @@ def whiten(cov: CovarianceSpec) -> WhiteningBasis:
     """Factor a covariance into its whitening basis (b, a, c).
 
     Returns the lower-triangular b with sigma = b b^T, its inverse a, and
-    the strictly lower-triangular prediction coefficients c.
+    the strictly lower-triangular prediction coefficients c.  The inverse
+    is taken by forward substitution against the identity, so a
+    is exactly lower triangular.  Row n of b a = I reads
+    sum_{l<n} b[n,l] a[l,k] + b[n,n] a[n,k] = 0 for k < n, which gives c in
+    closed form: c[n,k] = -b[n,n] a[n,k].
     """
     b = _cholesky_lower(np.asarray(cov.sigma))
-    a = solve_triangular(b, np.eye(cov.size), lower=True)
-    c = np.zeros_like(b)
-    for n in range(1, cov.size):
-        c[n, :n] = b[n, :n] @ a[:n, :n]
+    a = np.eye(cov.size)
+    for k in range(cov.size):
+        a[k] /= b[k, k]
+        a[k + 1 :] -= np.outer(b[k + 1 :, k], a[k])
+    c = np.tril(-np.diag(b)[:, None] * a, -1)
     return WhiteningBasis(cov.size, b, a, c)

@@ -7,10 +7,13 @@ is (2^1.4 - 2)/2 = 0.3195079107728942.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from fgncontrol import cli
 from fgncontrol.cli import main
 from fgncontrol.configs import parse_bsde_config, parse_model_config
 from fgncontrol.dynamics import ModelSpec
@@ -236,6 +239,14 @@ class TestLq:
         assert run("lq", "--config", cfg, "--out", tmp_path / "out") == 0
         assert len(builds) == 1
 
+    def test_shallow_lattice_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "lattice_for_hurst", lambda h, depth, order: lattice_for_hurst(h, depth - 1, order)
+        )
+        cfg = write_json_file(tmp_path / "lq.json", LQ_CONFIG)
+        assert run("lq", "--config", cfg, "--out", tmp_path / "o") == 3
+        assert "lattice depth 1 < horizon 2" in capsys.readouterr().err
+
     def test_negative_weight_exits_2(self, tmp_path):
         cfg = dict(LQ_CONFIG)
         cfg["R"] = [1.0, -0.5]
@@ -392,3 +403,40 @@ class TestSeedValidation:
         with pytest.raises(SystemExit) as info:
             run("whiten", "--hurst", 0.5, "--steps", 3, "--seed", 2**64, "--out", tmp_path / "o")
         assert info.value.code == 2
+
+
+class TestRunsOnNumpyAlone:
+    """Each check runs in a fresh interpreter: this process may already
+    hold modules that other tests or plugins imported."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    BLOCKED = "import sys\nsys.modules['scipy'] = None\nfrom fgncontrol.cli import main\n"
+
+    def python(self, code, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (self.SRC, env.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = self.python(
+            "import sys, fgncontrol.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_whiten_with_scipy_blocked(self, tmp_path):
+        argv = ["whiten", "--hurst", 0.7, "--steps", 5, "--out", tmp_path / "out"]
+        proc = self.python(self.BLOCKED + "sys.exit(main(sys.argv[1:]))", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "a.csv").exists()
+
+    def test_lq_with_scipy_blocked(self, tmp_path):
+        cfg = write_json_file(tmp_path / "lq.json", LQ_CONFIG)
+        argv = ["lq", "--config", cfg, "--out", tmp_path / "out"]
+        proc = self.python(self.BLOCKED + "sys.exit(main(sys.argv[1:]))", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is True

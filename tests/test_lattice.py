@@ -390,3 +390,16 @@ class TestSamplePaths:
             sample_paths(basis, 5, 10, seed=0)
         with pytest.raises(ValueError):
             sample_paths(basis, 4, 0, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, True, "1", np.float64(1.0), None])
+    def test_seed_outside_uint64_rejected(self, seed):
+        # 1.5 used to be truncated to 1; -1 and 2^64 raised OverflowError
+        basis = whiten(fgn_covariance(0.7, 4))
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            sample_paths(basis, 4, 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)])
+    def test_seed_range_bounds_accepted(self, seed):
+        basis = whiten(fgn_covariance(0.7, 4))
+        draws = sample_paths(basis, 4, 10, seed=seed)
+        assert np.array_equal(draws.eta, sample_paths(basis, 4, 10, seed=int(seed)).eta)

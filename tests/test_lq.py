@@ -201,6 +201,13 @@ class TestFixedPointStructure:
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             lq_fixed_point(spec3, lat7, lat7.basis, tol=tol)
 
+    def test_shallow_lattice_rejected(self, spec3):
+        # the same DepthMismatch forward and the certificates raise, not
+        # the LevelMismatch of reading level 3 off a depth-2 lattice
+        shallow = lattice_for_hurst(0.7, depth=2, order=3)
+        with pytest.raises(DepthMismatch, match="lattice depth 2 < horizon 3"):
+            lq_fixed_point(spec3, shallow, shallow.basis)
+
     @pytest.mark.parametrize("q, horizon, draw", [(3, 6, 1), (3, 8, 0)])
     def test_certified_at_benchmark_depth(self, q, horizon, draw):
         # lq-certify draws that a 500-sweep damped iteration does not solve

@@ -145,6 +145,54 @@ class TestWhiten:
             whiten(CovarianceSpec(2, sigma))
 
 
+def ar1_covariance(rho, size):
+    idx = np.arange(size)
+    return custom_covariance(rho ** np.abs(np.subtract.outer(idx, idx)) / (1 - rho**2))
+
+
+SOURCES = {f"fgn-h{h}": (lambda m, h=h: fgn_covariance(h, m)) for h in (0.1, 0.3, 0.5, 0.7, 0.9)}
+SOURCES["ar1-0.6"] = lambda m: ar1_covariance(0.6, m)
+
+
+@pytest.fixture(params=sorted(SOURCES), scope="module")
+def bases(request):
+    """Whitening bases of sizes 1..25 for one covariance family."""
+    return [whiten(SOURCES[request.param](m)) for m in range(1, 26)]
+
+
+class TestWhitenInverse:
+    """a = b^{-1} by forward substitution and c in closed form, against
+    numpy's dense solve and the defining sums."""
+
+    def test_inverse_is_exactly_lower_triangular(self, bases):
+        for basis in bases:
+            assert np.all(basis.a_mat[np.triu_indices(basis.size, k=1)] == 0.0)
+
+    def test_inverse_on_both_sides(self, bases):
+        for basis in bases:
+            eye = np.eye(basis.size)
+            assert np.max(np.abs(basis.a_mat @ basis.b_mat - eye)) <= 1e-13
+            assert np.max(np.abs(basis.b_mat @ basis.a_mat - eye)) <= 1e-13
+
+    def test_inverse_matches_dense_solve(self, bases):
+        for basis in bases:
+            dense = np.linalg.solve(basis.b_mat, np.eye(basis.size))
+            assert np.max(np.abs(basis.a_mat - dense)) <= 1e-13
+
+    def test_c_matches_defining_sum(self, bases):
+        for basis in bases:
+            b, a, m = basis.b_mat, basis.a_mat, basis.size
+            expected = np.zeros((m, m))
+            for n in range(m):
+                for k in range(n):
+                    expected[n, k] = sum(b[n, l] * a[l, k] for l in range(n))
+            assert np.max(np.abs(basis.c_mat - expected)) <= 1e-14
+
+    def test_white_noise_inverse_is_exact_identity(self):
+        for m in range(1, 26):
+            assert np.array_equal(whiten(fgn_covariance(0.5, m)).a_mat, np.eye(m))
+
+
 class TestCustomCovariance:
     def test_accepts_ar1(self):
         phi = 0.6
