@@ -36,8 +36,7 @@ from .errors import (
 from .lattice import lattice_for_hurst
 from .lq import as_model, lq_fixed_point, verify_sufficiency, verify_uniqueness
 from .noise import custom_covariance, fgn_covariance, whiten
-from .selftest import run_all
-from .smp import _gradient, check_stationarity, classify_nodes, optimize, solve_adjoint
+from .smp import _check_tol, _gradient, check_stationarity, classify_nodes, optimize, solve_adjoint
 
 ORTHOGONALITY_TOL = 1e-10
 STATIONARITY_TOL = 1e-8
@@ -187,6 +186,7 @@ def cmd_lq(args) -> int:
 
 def cmd_smp_check(args) -> int:
     out = _require_out(args)
+    _check_tol(args.tol)
     cfg = configs.load_model_config(args.config, order_override=args.quadrature_order)
     model = cfg.build_model()
     lat = lattice_for_hurst(cfg.hurst, cfg.horizon, cfg.quadrature_order)
@@ -237,6 +237,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_all  # selftest runs the other commands through main
+
     if args.out is not None:
         reporting.ensure_out_dir(args.out)
     results = run_all(seed=args.seed, out_dir=args.out)

@@ -372,10 +372,13 @@ def variation(
 
     V_0 = 0 and
     V_{n+1} = V_n + b_x V_n + b_u v_n + (sigma_x V_n + sigma_u v_n) xi_n,
-    all coefficients evaluated along (X*, u*).
+    all coefficients evaluated along (X*, u*).  The direction must be
+    built on `lat`, else LevelMismatch.
     """
     if v.horizon != model.horizon:
         raise DepthMismatch(f"direction has {v.horizon} stages, model needs {model.horizon}")
+    if v.lattice is not lat:
+        raise LevelMismatch("direction lives on a different lattice")
     out = [lat.constant(0.0, 0)]
     for n in range(model.horizon):
         xn, un, vn, var = x_star[n].values, u_star[n].values, v[n].values, out[n].values

@@ -126,7 +126,8 @@ class LqIterationPoint:
 @dataclass(frozen=True)
 class LqSolution:
     """Optimal system: control, state, adjoint pair, its SMP gradient
-    representative rho, iteration record."""
+    representative rho, and `trace`, the one-row record (iteration 0, J,
+    SMP residual) of the direct Riccati solve."""
 
     control: ControlProcess
     state: StateProcess

@@ -206,7 +206,7 @@ def write_optimize_trace_csv(path: str, trace) -> None:
 
 
 def write_lq_trace_csv(path: str, trace) -> None:
-    """Header `iter,J,residual` for the fixed-point iteration record."""
+    """Header `iter,J,residual`: the one-row record of the direct Riccati solve."""
     rows = ((pt.iteration, pt.cost + 0.0, pt.residual + 0.0) for pt in trace)
     _write_table(path, "iter,J,residual", [("%d,%.17g,%.17g\n", rows)])
 

@@ -5,6 +5,11 @@ under test: closed forms, explicit path enumeration with Python loops,
 finite differences, or a from-scratch white-noise recursion.  The same
 functions back both the `selftest` subcommand and the acceptance tests,
 so a criterion can fail loudly in either place but never silently.
+
+The artifacts are the output of the CLI subcommands themselves:
+`write_artifacts` runs them through `cli.main` on small fixed problems,
+one directory per command with its input config, and criterion 12
+byte-compares two such runs.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import reporting
+from . import cli, reporting
 from .bsde import DriverSpec, residual_orthogonality, solve_bsde
 from .dynamics import (
     ControlProcess,
@@ -40,7 +45,6 @@ from .smp import (
     DUALITY_TOL,
     _derivative_routes,
     check_stationarity,
-    classify_nodes,
     directional_derivative,
     optimize,
     smp_residual,
@@ -514,104 +518,69 @@ def criterion_cross_solver(seed: int) -> CriterionResult:
 # ---------------------------------------------------------------- 12
 
 
+# Inputs of the artifact run: small fixed problems, one per subcommand.
+_BSDE_CONFIG = {
+    "horizon": 2, "hurst": 0.3, "quadrature_order": 3,
+    "terminal": {"constant": 0.2, "noise_coefficients": [0.5, -0.4]},
+    "driver": [
+        {"f_constant": 0.1, "f_y": 0.3, "f_z": 0.2, "g_constant": 0.0, "g_y": 0.4, "g_z": 0.0},
+        {"f_constant": 0.1, "f_y": 0.3, "f_z": 0.0, "g_constant": 0.0, "g_y": 0.0, "g_z": 0.0},
+    ],
+}
+_LQ_CONFIG = {
+    "horizon": 2, "hurst": 0.7, "quadrature_order": 3,
+    "A": [0.3, -0.2], "B": [1.0, 0.8], "C": [0.2, 0.3], "D": [0.5, 0.4],
+    "Q": [0.6, 0.4], "R": [1.0, 1.2], "G": 1.1, "x": 1.3,
+}
+_MODEL_CONFIG = {
+    "horizon": 2, "initial_state": 1.0, "hurst": 0.7, "quadrature_order": 3,
+    "control_set": "unconstrained", "model": {"type": "sin_drift"},
+}
+
+
 def write_artifacts(seed: int, out_dir: str) -> list[str]:
-    """Write the canonical artifact set; returns the file names.
+    """Run the subcommands into out_dir; returns its files' sorted relative paths.
 
-    Exercises every serialization path once with small fixed problems,
-    so byte-comparing two runs covers the whole output surface.
+    `whiten`, `solve-bsde`, `lq`, `optimize` and `smp-check` each run
+    through `cli.main` on a small fixed problem, into a subdirectory
+    named after the command that also holds its input config;
+    `smp-check` checks the control that `optimize` wrote.  paths.csv,
+    which no subcommand writes, comes from `write_paths_csv`.  So
+    byte-comparing two runs covers the output code that users run.  A
+    nonzero exit code raises RuntimeError.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    files: list[str] = []
+    def run(command: str, *args: str, config: tuple[str, dict] | None = None) -> str:
+        sub = os.path.join(out_dir, command)
+        os.makedirs(sub, exist_ok=True)
+        if config is not None:
+            path = os.path.join(sub, config[0])
+            reporting.write_json(path, config[1])
+            args += ("--config", path)
+        code = cli.main([command, *args, "--seed", str(seed), "--out", sub])
+        if code != 0:
+            raise RuntimeError(f"{command} exited with code {code}")
+        return sub
 
-    def path(name: str) -> str:
-        files.append(name)
-        return os.path.join(out_dir, name)
-
-    cov = fgn_covariance(0.7, 6)
-    basis = whiten(cov)
-    reporting.write_matrix_csv(path("sigma.csv"), cov.sigma)
-    reporting.write_matrix_csv(path("b.csv"), basis.b_mat)
-    reporting.write_matrix_csv(path("a.csv"), basis.a_mat)
-    reporting.write_matrix_csv(path("c.csv"), basis.c_mat)
-    reporting.write_json(
-        path("checks.json"),
-        {
-            "max_abs_bbT_minus_sigma": float(np.max(np.abs(basis.b_mat @ basis.b_mat.T - cov.sigma))),
-            "max_abs_ab_minus_identity": float(np.max(np.abs(basis.a_mat @ basis.b_mat - np.eye(6)))),
-            "size": 6,
-        },
+    run("whiten", "--hurst", "0.7", "--steps", "6")
+    run("solve-bsde", config=("bsde.json", _BSDE_CONFIG))
+    run("lq", config=("lq.json", _LQ_CONFIG))
+    opt = run(
+        "optimize", "--tol", "1e-6", "--max-iter", "2000", config=("model.json", _MODEL_CONFIG)
     )
-
+    run(
+        "smp-check",
+        "--config", os.path.join(opt, "model.json"),
+        "--control", os.path.join(opt, "u_star.csv"),
+    )
     lat = lattice_for_hurst(0.7, depth=3, order=3)
-    reporting.write_paths_csv(path("paths.csv"), sample_paths(lat.basis, 3, 64, seed))
-
-    bs_lat = lattice_for_hurst(0.3, depth=2, order=3)
-    terminal = (
-        bs_lat.constant(0.2, 2)
-        + noise_value(bs_lat, 0).at_level(2) * 0.5
-        + noise_value(bs_lat, 1).at_level(2) * (-0.4)
+    reporting.write_paths_csv(
+        os.path.join(out_dir, "paths.csv"), sample_paths(lat.basis, 3, 64, seed)
     )
-    driver = DriverSpec(
-        horizon=2,
-        terminal=terminal,
-        f=lambda s, y, z: 0.1 + 0.3 * y + (0.2 * z if s < 2 else 0.0 * z),
-        g=lambda s, y, z: (0.4 * y if s < 2 else 0.0 * y),
+    return sorted(
+        os.path.relpath(os.path.join(root, name), out_dir)
+        for root, _, names in os.walk(out_dir)
+        for name in names
     )
-    reporting.write_bsde_csv(path("bsde_solution.csv"), bs_lat, solve_bsde(driver, bs_lat))
-
-    spec = LqSpec(
-        horizon=2, A=[0.3, -0.2], B=[1.0, 0.8], C=[0.2, 0.3], D=[0.5, 0.4],
-        Q=[0.6, 0.4], R=[1.0, 1.2], G=1.1, x=1.3,
-    )
-    lq_lat = lattice_for_hurst(0.7, depth=2, order=3)
-    sol = lq_fixed_point(spec, lq_lat, lq_lat.basis)
-    model = as_model(spec)
-    reporting.write_control_csv(path("u_star.csv"), lq_lat, sol.control)
-    reporting.write_adjoint_csv(path("adjoint.csv"), sol.adjoint)
-    reporting.write_lq_trace_csv(path("lq_trace.csv"), sol.trace)
-    station = check_stationarity(sol.rho, sol.control, model.control_set, tol=1e-8)
-    suff = verify_sufficiency(spec, sol.control, lq_lat, seed=seed)
-    uniq = verify_uniqueness(spec, lq_lat, seed=seed)
-    reporting.write_json(
-        path("lq_report.json"),
-        {
-            "J": sol.cost,
-            "iterations": sol.iterations,
-            "residual": sol.residual,
-            "stationarity": {"passed": station.passed, "worst_violation": station.worst_violation},
-            "sufficiency": {"passed": suff.passed, "min_cost_gap": suff.min_cost_gap},
-            "uniqueness": {
-                "passed": uniq.passed,
-                "worst_parallelogram_slack": uniq.worst_parallelogram_slack,
-            },
-        },
-    )
-    classification = [
-        (ok, viol)
-        for viol, ok in (
-            classify_nodes(sol.rho[n].values, sol.control[n].values, model.control_set, 1e-8)
-            for n in range(2)
-        )
-    ]
-    reporting.write_residual_csv(path("residual.csv"), sol.rho, sol.control, classification)
-
-    opt_model = sin_drift_model(2, initial_state=1.0)
-    result = optimize(
-        opt_model, constant_control(lq_lat, 2, 0.0), lq_lat, lq_lat.basis,
-        tol=1e-6, max_iter=2000,
-    )
-    reporting.write_optimize_trace_csv(path("optimize_trace.csv"), result.trace)
-    reporting.write_control_csv(path("optimize_control.csv"), lq_lat, result.control)
-    reporting.write_json(
-        path("optimize_report.json"),
-        {
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "J": result.cost,
-            "worst_residual": result.trace[-1].worst_residual,
-        },
-    )
-    return files
 
 
 def criterion_determinism(seed: int) -> CriterionResult:

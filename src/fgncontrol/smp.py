@@ -54,7 +54,6 @@ from .lattice import (
     _frozen,
     _mean,
     _noise,
-    _white,
 )
 from .noise import WhiteningBasis
 
@@ -125,8 +124,9 @@ def _derivative_routes(
     """Both routes to d/de J(u* + e v) at e = 0, as (primal, dual).
 
     The primal form is sum_n E[l_x V_n + l_u v_n] + E[phi_x V_N] with V
-    the first variation; the adjoint form is
-    sum_n E[(b_u p_n + sigma_u p_n xi_n + sigma_u q_n eta_n xi_n + l_u) v_n].
+    the first variation; the adjoint form is sum_n E[rho_n v_n] with the
+    rho_n of `_gradient`, the level-n contraction of
+    (b_u p_n + sigma_u p_n xi_n + sigma_u q_n eta_n xi_n + l_u).
     """
     x_star = forward(model, u_star, lat)
     var = variation(model, u_star, x_star, v, lat)
@@ -142,16 +142,8 @@ def _derivative_routes(
     primal += _expect(lat, phi_x * var[n_stages].values, n_stages)
 
     adj = solve_bsde(adjoint_driver(model, u_star, x_star, basis), lat)
-    dual = 0.0
-    for n in range(n_stages):
-        xn, un = x_star[n].values, u_star[n].values
-        bu = _stage_value(lat, n, model.b_u(n, xn, un))[:, None]
-        su = _stage_value(lat, n, model.sigma_u(n, xn, un))[:, None]
-        lu = _stage_value(lat, n, model.l_u(n, xn, un))[:, None]
-        xi, eta = _noise(lat, n), _white(lat)
-        p_n, q_n = adj.y[n].values[:, None], adj.z[n].values[:, None]
-        integrand = bu * p_n + su * p_n * xi + su * q_n * eta * xi + lu
-        dual += _expect(lat, integrand * v[n].values[:, None], n + 1)
+    rho = _gradient(model, u_star, [s.values for s in x_star], adj, lat, basis)
+    dual = sum(_expect(lat, rho[n].values * v[n].values, n) for n in range(n_stages))
     return primal, dual
 
 

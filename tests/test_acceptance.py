@@ -6,12 +6,12 @@ criterion implementations in fgncontrol.selftest; the tests here only
 refuse to pass when a criterion reports failure.
 """
 
-import filecmp
-import os
+import itertools
 import subprocess
 import sys
 
-from fgncontrol import selftest
+from fgncontrol import cli, selftest
+from fgncontrol.lq import UniquenessReport
 
 
 def check(fn, seed=0):
@@ -65,6 +65,11 @@ def test_criterion_11_cross_solver_agreement():
     check(selftest.criterion_cross_solver)
 
 
+def _tree(root):
+    """Sorted file paths under root, relative to it."""
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
 def test_criterion_12_artifact_determinism(tmp_path):
     result = check(selftest.criterion_determinism)
 
@@ -82,11 +87,25 @@ def test_criterion_12_artifact_determinism(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
         logs.append(proc.stdout)
     assert logs[0] == logs[1]
-    names = sorted(os.listdir(tmp_path / "a"))
-    assert names == sorted(os.listdir(tmp_path / "b"))
-    match, mismatch, errors = filecmp.cmpfiles(
-        tmp_path / "a", tmp_path / "b", names, shallow=False
-    )
-    assert mismatch == [] and errors == [], (mismatch, errors)
-    assert len(match) == len(names) >= 15
+    names = _tree(tmp_path / "a")
+    assert names == _tree(tmp_path / "b")
+    mismatch = [
+        name for name in names
+        if (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()
+    ]
+    assert mismatch == []
+    assert len(names) >= 23
     print(result.line())
+
+
+def test_criterion_12_catches_nondeterministic_lq_report(monkeypatch):
+    # a certificate that differs between runs must show up in lq/report.json
+    slacks = itertools.count(1)
+
+    def unstable(spec, lat, seed=0):
+        return UniquenessReport(passed=True, worst_parallelogram_slack=float(next(slacks)))
+
+    monkeypatch.setattr(cli, "verify_uniqueness", unstable)
+    result = selftest.criterion_determinism(0)
+    assert not result.passed
+    assert "lq/report.json" in result.detail, result.detail

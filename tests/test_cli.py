@@ -325,17 +325,18 @@ class TestSmpCheckAndOptimize:
         assert run("optimize", "--config", cfg, f"--u0={u0}", "--out", out) == 2
         assert not out.exists()
 
-    def test_smp_check_nan_tol_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_smp_check_nan_tol_exits_2(self, tmp_path, tol):
+        # rejected before the adjoint solve, so no output directory appears
         cfg = write_json_file(tmp_path / "m.json", MODEL_CONFIG)
         control = tmp_path / "u.csv"
         rows = ["stage,node_index,value,probability", "0,0,0.8,1"]
         rows += [f"1,{i},0.8,0.1" for i in range(3)]
         control.write_text("\n".join(rows) + "\n")
         out = tmp_path / "chk"
-        code = run("smp-check", "--config", cfg, "--control", control, "--tol", "nan", "--out", out)
+        code = run("smp-check", "--config", cfg, "--control", control, f"--tol={tol}", "--out", out)
         assert code == 2
-        assert not (out / "report.json").exists()
-        assert not (out / "residual.csv").exists()
+        assert not out.exists()
 
     def test_optimize_respects_box_start_projection(self, tmp_path):
         cfg = dict(MODEL_CONFIG)

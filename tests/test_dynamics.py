@@ -337,6 +337,14 @@ class TestVariation:
         for n in range(4):
             assert np.all(var[n].values == 0.0)
 
+    def test_direction_from_lattice_of_other_hurst_rejected(self, lat):
+        # same q and depth, so the tables fit, but the noise is another one
+        model = sin_drift_model(3)
+        u = constant_control(lat, 3, 0.2)
+        v = random_control(lattice_for_hurst(0.3, depth=3, order=3), 3, np.random.default_rng(5))
+        with pytest.raises(LevelMismatch, match="direction"):
+            variation(model, u, forward(model, u, lat), v, lat)
+
     @pytest.mark.parametrize("model", [
         sin_drift_model(4, initial_state=0.8, noise_gain=0.6),
         as_model(_random_lq_spec(np.random.default_rng([0, 3, 4, 0]), 4)),

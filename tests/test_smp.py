@@ -125,6 +125,13 @@ class TestDirectionalDerivative:
             fd = (j_plus - j_minus) / (2 * eps)
             assert abs(dd - fd) <= 1e-5
 
+    def test_direction_of_other_order_rejected(self, lat):
+        model = sin_drift_model(3)
+        u = random_control(lat, 3, np.random.default_rng(5), scale=0.5)
+        v = random_control(lattice_for_hurst(0.7, depth=3, order=4), 3, np.random.default_rng(6))
+        with pytest.raises(LevelMismatch, match="direction"):
+            directional_derivative(model, u, v, lat, lat.basis)
+
     @pytest.mark.parametrize("h", [0.3, 0.7])
     def test_duality_both_routes_explicit(self, h):
         # recompute both sides of the derivative identity from scratch
