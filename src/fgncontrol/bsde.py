@@ -38,7 +38,7 @@ import numpy as np
 
 from .dynamics import ControlProcess, ModelSpec, StateProcess, _stage_value
 from .errors import DepthMismatch, NonFiniteValue, TerminalConditionViolated
-from .lattice import AdaptedValue, NoiseLattice, _blocks, _frozen, _mean, _moments, _white
+from .lattice import AdaptedValue, NoiseLattice, _blocks, _chunks, _frozen, _mean, _moments, _white
 from .noise import WhiteningBasis
 
 Driver = Callable[[int, AdaptedValue, AdaptedValue], AdaptedValue | float | np.ndarray]
@@ -102,8 +102,10 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
     for n in reversed(range(n_stages)):
         s = n + 1
         projected = y[-1].values + _driver_table(lat, s, driver.f(s, y[-1], z[-1]))
-        g = _driver_table(lat, s, driver.g(s, y[-1], z[-1]))
-        if np.any(g):
+        raw_g = driver.g(s, y[-1], z[-1])
+        g = _driver_table(lat, s, raw_g)
+        # tested before the broadcast, so a scalar 0 is not scanned leaf-wide
+        if np.any(raw_g.values if isinstance(raw_g, AdaptedValue) else raw_g):
             # E[g xi_s | level s] = g E[xi_s | level s]: g is level s
             projected += g * _mean(lat, s)
         y_n, z_n = _moments(lat, projected, 2)
@@ -112,14 +114,15 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
                 raise NonFiniteValue(f"{name}_{n} is non-finite")
         y.append(AdaptedValue(lat, n, _frozen(y_n)))
         z.append(AdaptedValue(lat, n, _frozen(z_n)))
-        # R_n = M - Y_n - Z_n eta_n is written over M, which nothing reads now;
-        # Z_n eta_j is subtracted one child column j at a time, so no
-        # temporary is larger than a level-n table
+        # R_n = M - Y_n - Z_n eta_n is written over M, which nothing reads now,
+        # one child column j at a time over blocks of level-n nodes, so no
+        # temporary is larger than a block
         blocks = _blocks(lat, projected)
-        blocks -= y_n[:, None]
-        for j, eta_j in enumerate(_white(lat)):
-            col = blocks[:, j]
-            col -= z_n * eta_j
+        for start, stop in _chunks(y_n.shape[0], lat.rule.q):
+            for j, eta_j in enumerate(_white(lat)):
+                col = blocks[start:stop, j]
+                col -= y_n[start:stop]
+                col -= z_n[start:stop] * eta_j
         r.append(AdaptedValue(lat, s, _frozen(projected)))
     return BsdeSolution(y=tuple(y[::-1]), z=tuple(z[:0:-1]), r=tuple(r[::-1]))
 

@@ -36,7 +36,14 @@ from .errors import (
 from .lattice import lattice_for_hurst
 from .lq import as_model, lq_fixed_point, verify_sufficiency, verify_uniqueness
 from .noise import custom_covariance, fgn_covariance, whiten
-from .smp import _check_tol, _gradient, check_stationarity, classify_nodes, optimize, solve_adjoint
+from .smp import (
+    _check_tol,
+    check_stationarity,
+    classify_nodes,
+    optimize,
+    smp_residual,
+    solve_adjoint,
+)
 
 ORTHOGONALITY_TOL = 1e-10
 STATIONARITY_TOL = 1e-8
@@ -193,7 +200,7 @@ def cmd_smp_check(args) -> int:
     control = reporting.read_control_csv(args.control, lat, cfg.horizon)
     control.validate_in(model.control_set)
     x, adj = solve_adjoint(model, control, lat, lat.basis)
-    residual = _gradient(model, control, [s.values for s in x], adj, lat, lat.basis)
+    residual = smp_residual(model, control, adj, lat, lat.basis)
     reporting.ensure_out_dir(out)
     station, station_report = _stationarity_artifacts(
         out, lat, model, control, residual, args.tol

@@ -16,7 +16,7 @@ import numpy as np
 from .bsde import DriverSpec
 from .dynamics import Box, ModelSpec, Unconstrained, sin_drift_model
 from .errors import ConfigError
-from .lattice import NoiseLattice, _noise
+from .lattice import NoiseLattice, _children
 from .lq import LqSpec, _lq_model
 
 __all__ = [
@@ -234,7 +234,7 @@ class BsdeConfig:
     def build_driver(self, lat: NoiseLattice) -> DriverSpec:
         acc = np.full(1, float(self.terminal_constant))
         for k in range(self.horizon):
-            acc = (acc[:, None] + self.terminal_coefficients[k] * _noise(lat, k)).reshape(-1)
+            acc = _children(lat, k, acc, self.terminal_coefficients[k]).reshape(-1)
         terminal = lat.from_values(self.horizon, acc)
 
         def f(s, y, z):

@@ -30,7 +30,7 @@ from .errors import (
     OutOfControlSet,
     TerminalConditionViolated,
 )
-from .lattice import AdaptedValue, NoiseLattice, _contract, _expect, _frozen, _noise
+from .lattice import AdaptedValue, NoiseLattice, _children, _contract, _expect, _frozen
 
 _SPOT_POINTS = 16
 _FD_REL_TOL = 1e-5
@@ -262,14 +262,12 @@ def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> np.ndarray:
     """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n as a table, checked finite.
 
     xn may carry a leading row axis, (rows, q^n); the result keeps it and
-    is frozen.  The noise term is the only leaf-sized temporary: the
-    level-n part is added into the product in place.
+    is frozen.  `_children` writes it column by column, so no leaf-sized
+    temporary is built.
     """
     rows = xn.shape[:-1]
-    drift = _stage_value(lat, n, model.b(n, xn, un), rows)
-    vol = _stage_value(lat, n, model.sigma(n, xn, un), rows)
-    nxt = vol[..., None] * _noise(lat, n)
-    nxt += (xn + drift)[..., None]
+    base = xn + _stage_value(lat, n, model.b(n, xn, un), rows)
+    nxt = _children(lat, n, base, _stage_value(lat, n, model.sigma(n, xn, un), rows))
     if not np.all(np.isfinite(nxt)):
         raise NonFiniteValue(f"state became non-finite at stage {n + 1}")
     return _frozen(nxt).reshape(*rows, -1)
@@ -386,8 +384,7 @@ def variation(
         bu = _stage_value(lat, n, model.b_u(n, xn, un))
         sx = _stage_value(lat, n, model.sigma_x(n, xn, un))
         su = _stage_value(lat, n, model.sigma_u(n, xn, un))
-        nxt = (sx * var + su * vn)[:, None] * _noise(lat, n)
-        nxt += (var + bx * var + bu * vn)[:, None]
+        nxt = _children(lat, n, var + bx * var + bu * vn, sx * var + su * vn)
         if not np.all(np.isfinite(nxt)):
             raise NonFiniteValue(f"variation became non-finite at stage {n + 1}")
         out.append(AdaptedValue(lat, n + 1, _frozen(nxt)))

@@ -6,9 +6,12 @@ normal weight.  A random variable measurable with respect to the first n
 white noises is a dense table of q^n values; node (i_0, ..., i_{n-1}) is
 encoded big-endian, index ``i_0 q^{n-1} + ... + i_{n-1}``.  The solvers
 work on these flat float64 tables: a stage step views a level-(n+1)
-table as (q^n, q) child blocks, where a level-n table broadcasts as
-``[:, None]``, and contracts the children against the weights to get
-E[. | level n] exactly.  `_moments` is the general contraction: the
+table as (q^n, q) child blocks and contracts the children against the
+weights to get E[. | level n] exactly.  `_children` builds a child table
+base + scale xi_n from level-n tables one child column at a time, over
+blocks of parent nodes holding at most `_BLOCK_LEAVES` entries, so each
+column op runs on flat level-n operands instead of broadcasting along a
+trailing axis of length q.  `_moments` is the general contraction: the
 moments E[table eta_n^j | level n], j < k, each one (q^n, q) @ (q,)
 product against the weight vector w eta^j cached per lattice, so no
 leaf-sized eta-weighted table is ever built; `_contract` is its k = 1
@@ -48,6 +51,9 @@ from .noise import WhiteningBasis, fgn_covariance, whiten
 MAX_ORDER = 16
 # Hard cap on q^depth; a dense table above this is a configuration error.
 MAX_PATHS = 10**7
+# Child-table entries written per block of parent nodes: one block of the
+# table stays in cache across its q column passes.
+_BLOCK_LEAVES = 2**16
 
 
 @dataclass(frozen=True)
@@ -287,6 +293,34 @@ def _mean(lat: NoiseLattice, n: int) -> np.ndarray:
 def _noise(lat: NoiseLattice, n: int) -> np.ndarray:
     """xi_n = E[xi_n | first n noises] + b[n,n] eta_n as (q^n, q) child blocks."""
     return _mean(lat, n)[:, None] + lat.basis.b_mat[n, n] * _white(lat)
+
+
+def _chunks(count: int, width: int, budget: int = _BLOCK_LEAVES):
+    """[start, stop) ranges over `count` items of `width` entries each,
+    at most `budget` entries (or one item) per range."""
+    size = max(1, budget // width)
+    for start in range(0, count, size):
+        yield start, min(start + size, count)
+
+
+def _children(lat: NoiseLattice, n: int, base: np.ndarray, scale) -> np.ndarray:
+    """base + scale xi_n as a fresh (..., q^n, q) table of child blocks.
+
+    base is a level-n table, possibly with leading row axes, and scale
+    broadcasts to it.  Each child column j is written as
+    scale (E[xi_n | level n] + b[n,n] eta_j) + base, the arithmetic of the
+    broadcast form bit for bit, one block of parent nodes at a time; the
+    row axes count toward the block's entries.
+    """
+    mean, shift = _mean(lat, n), lat.basis.b_mat[n, n] * _white(lat)
+    scale = np.broadcast_to(scale, base.shape)
+    out = np.empty((*base.shape, lat.rule.q))
+    for start, stop in _chunks(base.shape[-1], out.size // base.shape[-1]):
+        for j, shift_j in enumerate(shift):
+            col = out[..., start:stop, j]
+            np.multiply(scale[..., start:stop], mean[start:stop] + shift_j, out=col)
+            col += base[..., start:stop]
+    return out
 
 
 def white_value(lat: NoiseLattice, n: int) -> AdaptedValue:

@@ -34,7 +34,7 @@ from .dynamics import (
     cost,
 )
 from .errors import InvalidSpec, LevelMismatch, NotConverged, WrongHorizon
-from .lattice import AdaptedValue, NoiseLattice, _contract, _frozen, _mean, _moments
+from .lattice import AdaptedValue, NoiseLattice, _chunks, _contract, _frozen, _mean, _moments
 from .noise import WhiteningBasis
 from .smp import SmpResidual, _check_tol, _gradient
 
@@ -231,14 +231,6 @@ class SufficiencyReport:
     worst_quadratic_slack: float
 
 
-def _chunks(count: int, leaves: int):
-    """[start, stop) ranges over `count` items of `leaves` leaves each,
-    at most _CHUNK_LEAVES leaves (or one item) per range."""
-    size = max(1, _CHUNK_LEAVES // leaves)
-    for start in range(0, count, size):
-        yield start, min(start + size, count)
-
-
 def _draw(lat: NoiseLattice, horizon: int, rng: np.random.Generator, rows: int) -> list:
     """`rows` successive `random_control(lat, horizon, rng)` draws stacked
     as (rows, q^n) tables: the same numbers in the same order."""
@@ -277,7 +269,7 @@ def verify_sufficiency(
     rng = np.random.default_rng(seed)
     eps_cycle = np.array([1.0, 0.1, 0.01])
     min_gap = worst_slack = np.inf
-    for start, stop in _chunks(trials, lat.rule.q**spec.horizon):
+    for start, stop in _chunks(trials, lat.rule.q**spec.horizon, _CHUNK_LEAVES):
         eps = eps_cycle[np.arange(start, stop) % 3, None]
         u = [s + eps * v for s, v in zip(star, _draw(lat, spec.horizon, rng, stop - start))]
         gap = _batch_costs(model, lat, u) - j_star
@@ -319,7 +311,7 @@ def verify_uniqueness(
     rng = np.random.default_rng(seed)
     theta = float(np.min(spec.R))
     worst_slack = np.inf
-    for start, stop in _chunks(5, 3 * lat.rule.q**spec.horizon):
+    for start, stop in _chunks(5, 3 * lat.rule.q**spec.horizon, _CHUNK_LEAVES):
         draws = _draw(lat, spec.horizon, rng, 2 * (stop - start))
         u1, u2 = [u[0::2] for u in draws], [u[1::2] for u in draws]
         mid = [(a + b) * 0.5 for a, b in zip(u1, u2)]

@@ -23,7 +23,7 @@ solved once and its rho certifies the result.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,12 +64,27 @@ class SmpResidual(_StagedProcess):
     """Stagewise gradient representative rho_n, each at level n."""
 
 
+@dataclass(frozen=True)
+class _RolledAdjoint(BsdeSolution):
+    """An adjoint from `solve_adjoint`, with the model, control and state it
+    was solved along, so `smp_residual` reads that state instead of rolling it."""
+
+    _model: ModelSpec = field(repr=False, compare=False)
+    _control: ControlProcess = field(repr=False, compare=False)
+    _state: StateProcess = field(repr=False, compare=False)
+
+
 def solve_adjoint(
     model: ModelSpec, u: ControlProcess, lat: NoiseLattice, basis: WhiteningBasis
 ) -> tuple[StateProcess, BsdeSolution]:
-    """Forward state plus backward adjoint pair for a control."""
+    """Forward state plus backward adjoint pair for a control.
+
+    The adjoint keeps the state it was solved along (shared, not copied),
+    so `smp_residual` with this model and control does not roll it again.
+    """
     x = forward(model, u, lat)
-    return x, solve_bsde(adjoint_driver(model, u, x, basis), lat)
+    adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
+    return x, _RolledAdjoint(adj.y, adj.z, adj.r, model, u, x)
 
 
 def _gradient(
@@ -107,10 +122,21 @@ def smp_residual(
 ) -> SmpResidual:
     """Gradient representative along u*, using an adjoint solved at u*.
 
-    Rolls out X_0..X_{N-1} only: rho never reads X_N, whose finiteness
-    the `forward` that built the adjoint has already checked.
+    An adjoint from `solve_adjoint` on this model and control (the same
+    objects) and on `lat` brings its state along, and that state is read.
+    Any other adjoint rolls out X_0..X_{N-1} only: rho never reads X_N,
+    whose finiteness the `forward` that built the adjoint has already
+    checked.
     """
-    x = _states(model, u_star, lat, model.horizon - 1)
+    if (
+        isinstance(adjoint, _RolledAdjoint)
+        and adjoint._model is model
+        and adjoint._control is u_star
+        and adjoint._state.lattice is lat
+    ):
+        x = [s.values for s in adjoint._state]
+    else:
+        x = _states(model, u_star, lat, model.horizon - 1)
     return _gradient(model, u_star, x, adjoint, lat, basis)
 
 

@@ -172,7 +172,7 @@ class TestSolveBsde:
         last = (out / "solution.csv").read_text().splitlines()[-1]
         assert last.startswith("2,8,")  # terminal stage still has 9 nodes
 
-    @pytest.mark.parametrize("q,horizon", [(3, 5), (4, 4)])
+    @pytest.mark.parametrize("q,horizon", [(3, 5), (4, 4), (3, 11)])
     def test_build_driver_terminal_equals_lifted_sum(self, q, horizon):
         rng = np.random.default_rng([q, horizon])
         coeffs = [float(v) for v in rng.uniform(-1.0, 1.0, horizon)]

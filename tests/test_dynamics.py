@@ -4,15 +4,19 @@ Expected values come from hand expansions of the recursions (one or two
 stages with explicit xi algebra), not from the code under test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fgncontrol.bsde import DriverSpec, solve_bsde
 from fgncontrol.dynamics import (
     Box,
     ControlProcess,
     ModelSpec,
     Unconstrained,
     _batch_costs,
+    _step,
     constant_control,
     cost,
     forward,
@@ -325,6 +329,78 @@ def test_batch_costs_match_per_row_rollouts():
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
     with pytest.raises(DepthMismatch):
         _batch_costs(model, lat, stacked[:3])
+
+
+class TestChildTablesAcrossNodeBlocks:
+    """Child tables built block by block against the broadcast formulas.
+
+    At (3, 11) level 10 has 59 049 nodes: several node blocks of the
+    child-table kernel, the last one ragged, and more of them with a row
+    axis.
+    """
+
+    Q, DEPTH = 3, 11
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        return lattice_for_hurst(0.7, depth=self.DEPTH, order=self.Q)
+
+    def _noise(self, lat, n):
+        """xi_n as (q^n, q) child blocks, broadcast from its conditional mean."""
+        mean = noise_conditional_mean(lat, n).values
+        return mean[:, None] + lat.basis.b_mat[n, n] * lat.rule.nodes
+
+    @pytest.mark.parametrize("rows", [(), (2,)], ids=["one_table", "row_axis"])
+    def test_step_equals_the_broadcast_lift(self, big, rows):
+        n = self.DEPTH - 1
+        model = sin_drift_model(self.DEPTH, noise_gain=0.6)
+        rng = np.random.default_rng(11)
+        xn = rng.standard_normal((*rows, big.level_size(n)))
+        un = rng.standard_normal((*rows, big.level_size(n)))
+        drift, vol = model.b(n, xn, un), model.sigma(n, xn, un)
+        want = vol[..., None] * self._noise(big, n)
+        want += (xn + drift)[..., None]
+        got = _step(model, big, n, xn, un)
+        assert got.shape == (*rows, big.level_size(n + 1))
+        assert got.tobytes() == want.tobytes()
+
+    def test_variation_equals_the_broadcast_lift(self, big):
+        model = sin_drift_model(self.DEPTH, initial_state=0.8, noise_gain=0.6)
+        rng = np.random.default_rng(12)
+        u, v = random_control(big, self.DEPTH, rng, scale=0.7), random_control(big, self.DEPTH, rng)
+        x = forward(model, u, big)
+        var = variation(model, u, x, v, big)
+        want = np.zeros(1)
+        for n in range(self.DEPTH):
+            xn, un, vn = x[n].values, u[n].values, v[n].values
+            level = want + model.b_x(n, xn, un) * want + model.b_u(n, xn, un) * vn
+            vol = model.sigma_x(n, xn, un) * want + model.sigma_u(n, xn, un) * vn
+            want = (vol[:, None] * self._noise(big, n) + level[:, None]).reshape(-1)
+            assert var[n + 1].values.tobytes() == want.tobytes()
+
+    def test_bsde_residual_equals_the_broadcast_form(self, big):
+        # with f = g = 0 the projection M of stage n is Y_{n+1}
+        terminal = big.from_values(self.DEPTH, np.cos(np.arange(big.level_size(self.DEPTH))))
+        driver = DriverSpec(self.DEPTH, terminal, f=lambda s, y, z: 0.0, g=lambda s, y, z: 0.0)
+        sol = solve_bsde(driver, big)
+        for n in range(self.DEPTH):
+            y_n, z_n = sol.y[n].values, sol.z[n].values
+            want = sol.y[n + 1].values.reshape(-1, self.Q) - y_n[:, None]
+            want -= z_n[:, None] * big.rule.nodes
+            assert sol.r[n].values.tobytes() == want.tobytes()
+
+    def test_forward_rises_under_one_leaf_table_above_its_states(self, big):
+        model = sin_drift_model(self.DEPTH, noise_gain=0.5)
+        u = random_control(big, self.DEPTH, np.random.default_rng(13))
+        forward(model, u, big)  # builds the lattice's cached noise means
+        tracemalloc.start()
+        try:
+            x = forward(model, u, big)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(x) == self.DEPTH + 1
+        assert peak - kept <= 1.1 * 8 * big.level_size(self.DEPTH)
 
 
 class TestVariation:

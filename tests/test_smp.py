@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fgncontrol.bsde import adjoint_driver, solve_bsde
 from fgncontrol.dynamics import (
     Box,
     ControlProcess,
@@ -223,10 +224,9 @@ class TestSmpResidual:
             assert abs(lhs_p - rhs_p) <= 1e-10
 
 
-    def test_rolls_the_state_only_to_the_last_stage_it_reads(self, lat, monkeypatch):
-        model = sin_drift_model(3, initial_state=1.0)
-        u = random_control(lat, 3, np.random.default_rng(8), scale=0.4)
-        _, adj = solve_adjoint(model, u, lat, lat.basis)
+    @staticmethod
+    def _count_steps(monkeypatch) -> list[int]:
+        """Stages n of every `dynamics._step` call from now on."""
         steps = []
         step = dynamics._step
 
@@ -235,8 +235,31 @@ class TestSmpResidual:
             return step(*args)
 
         monkeypatch.setattr(dynamics, "_step", counted)
+        return steps
+
+    def test_rolls_the_state_only_to_the_last_stage_it_reads(self, lat, monkeypatch):
+        # an adjoint solved outside `solve_adjoint` brings no state along
+        model = sin_drift_model(3, initial_state=1.0)
+        u = random_control(lat, 3, np.random.default_rng(8), scale=0.4)
+        adj = solve_bsde(adjoint_driver(model, u, forward(model, u, lat), lat.basis), lat)
+        steps = self._count_steps(monkeypatch)
         smp_residual(model, u, adj, lat, lat.basis)
         assert steps == [0, 1]
+
+    def test_reads_the_state_solve_adjoint_rolled(self, lat, monkeypatch):
+        model = sin_drift_model(3, initial_state=1.0)
+        u = random_control(lat, 3, np.random.default_rng(8), scale=0.4)
+        _, adj = solve_adjoint(model, u, lat, lat.basis)
+        steps = self._count_steps(monkeypatch)
+        got = smp_residual(model, u, adj, lat, lat.basis)
+        assert steps == []
+        # an equal control or model as another object rolls the state again
+        rolled = smp_residual(model, ControlProcess(u), adj, lat, lat.basis)
+        assert steps == [0, 1]
+        smp_residual(dataclasses.replace(model), u, adj, lat, lat.basis)
+        assert steps == [0, 1, 0, 1]
+        for reused, again in zip(got, rolled, strict=True):
+            assert reused.values.tobytes() == again.values.tobytes()
 
     def test_adjoint_path_wraps_its_tables_without_copies(self, monkeypatch):
         # every table the solvers wrap is frozen first, so AdaptedValue
