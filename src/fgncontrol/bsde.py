@@ -38,7 +38,7 @@ import numpy as np
 
 from .dynamics import ControlProcess, ModelSpec, StateProcess, _stage_value
 from .errors import DepthMismatch, NonFiniteValue, TerminalConditionViolated
-from .lattice import AdaptedValue, NoiseLattice, _blocks, _chunks, _frozen, _mean, _moments, _white
+from .lattice import AdaptedValue, NoiseLattice, _chunks, _frozen, _mean, _moments
 from .noise import WhiteningBasis
 
 Driver = Callable[[int, AdaptedValue, AdaptedValue], AdaptedValue | float | np.ndarray]
@@ -117,9 +117,9 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
         # R_n = M - Y_n - Z_n eta_n is written over M, which nothing reads now,
         # one child column j at a time over blocks of level-n nodes, so no
         # temporary is larger than a block
-        blocks = _blocks(lat, projected)
+        blocks = projected.reshape(-1, lat.rule.q)
         for start, stop in _chunks(y_n.shape[0], lat.rule.q):
-            for j, eta_j in enumerate(_white(lat)):
+            for j, eta_j in enumerate(lat.rule.nodes):
                 col = blocks[start:stop, j]
                 col -= y_n[start:stop]
                 col -= z_n[start:stop] * eta_j
@@ -133,17 +133,12 @@ def _driver_table(lat: NoiseLattice, s: int, raw) -> np.ndarray:
     return np.broadcast_to(np.asarray(raw, dtype=np.float64), (lat.level_size(s),))
 
 
-def _residual_moments(lat: NoiseLattice, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E[R_n | level n] and E[eta_n R_n | level n] of a level-(n+1) residual table."""
-    return _moments(lat, r, 2)
-
-
 def residual_orthogonality(sol: BsdeSolution, lat: NoiseLattice) -> tuple[float, float]:
     """Worst nodewise |E[R_n|level n]| and |E[eta_n R_n|level n]|."""
     worst_mean = 0.0
     worst_eta = 0.0
     for res in sol.r:
-        mean, eta = _residual_moments(lat, res.values)
+        mean, eta = _moments(lat, res.values, 2)
         worst_mean = max(worst_mean, float(np.max(np.abs(mean))))
         worst_eta = max(worst_eta, float(np.max(np.abs(eta))))
     return worst_mean, worst_eta

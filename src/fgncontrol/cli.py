@@ -8,6 +8,7 @@ convergence.  Identical inputs and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -82,6 +83,12 @@ def _require_out(args) -> str:
     return args.out
 
 
+def _load_config(load, args):
+    """The config at --config, read by `load`, with --quadrature-order applied."""
+    cfg, order = load(args.config), args.quadrature_order
+    return cfg if order is None else dataclasses.replace(cfg, quadrature_order=order)
+
+
 def _stationarity_artifacts(out, lat, model, control, residual, tol):
     """Residual classification CSV plus the summary report dictionary."""
     station = check_stationarity(residual, control, model.control_set, tol)
@@ -133,7 +140,7 @@ def cmd_whiten(args) -> int:
 
 def cmd_solve_bsde(args) -> int:
     out = _require_out(args)
-    cfg = configs.load_bsde_config(args.config, order_override=args.quadrature_order)
+    cfg = _load_config(configs.load_bsde_config, args)
     lat = lattice_for_hurst(cfg.hurst, cfg.horizon, cfg.quadrature_order)
     sol = solve_bsde(cfg.build_driver(lat), lat)
     worst_mean, worst_eta = residual_orthogonality(sol, lat)
@@ -154,7 +161,7 @@ def cmd_solve_bsde(args) -> int:
 
 def cmd_lq(args) -> int:
     out = _require_out(args)
-    cfg = configs.load_lq_config(args.config, order_override=args.quadrature_order)
+    cfg = _load_config(configs.load_lq_config, args)
     lat = lattice_for_hurst(cfg.hurst, cfg.spec.horizon, cfg.quadrature_order)
     sol = lq_fixed_point(cfg.spec, lat, lat.basis)
     model = as_model(cfg.spec)
@@ -194,7 +201,7 @@ def cmd_lq(args) -> int:
 def cmd_smp_check(args) -> int:
     out = _require_out(args)
     _check_tol(args.tol)
-    cfg = configs.load_model_config(args.config, order_override=args.quadrature_order)
+    cfg = _load_config(configs.load_model_config, args)
     model = cfg.build_model()
     lat = lattice_for_hurst(cfg.hurst, cfg.horizon, cfg.quadrature_order)
     control = reporting.read_control_csv(args.control, lat, cfg.horizon)
@@ -215,7 +222,7 @@ def cmd_optimize(args) -> int:
     out = _require_out(args)
     if not np.isfinite(args.u0):
         raise ConfigError(f"--u0 must be finite, got {args.u0}")
-    cfg = configs.load_model_config(args.config, order_override=args.quadrature_order)
+    cfg = _load_config(configs.load_model_config, args)
     model = cfg.build_model()
     lat = lattice_for_hurst(cfg.hurst, cfg.horizon, cfg.quadrature_order)
     start = model.control_set.project(np.array([args.u0]))[0]

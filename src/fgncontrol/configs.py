@@ -132,7 +132,7 @@ class ModelConfig:
         return _lq_model(spec, self.control_set)
 
 
-def parse_model_config(obj, where: str = "config", order_override: int | None = None) -> ModelConfig:
+def parse_model_config(obj, where: str = "config") -> ModelConfig:
     obj = _expect_mapping(obj, where)
     _check_keys(
         obj,
@@ -162,20 +162,19 @@ def parse_model_config(obj, where: str = "config", order_override: int | None = 
         params["G"] = _number(model_obj, "G", f"{where}.model")
     else:
         raise ConfigError(f'{where}.model: type must be "sin_drift" or "lq", got {kind!r}')
-    order = _integer(obj, "quadrature_order", where)
     return ModelConfig(
         horizon=horizon,
         initial_state=_number(obj, "initial_state", where),
         hurst=_number(obj, "hurst", where),
-        quadrature_order=order_override if order_override is not None else order,
+        quadrature_order=_integer(obj, "quadrature_order", where),
         control_set=_parse_control_set(obj["control_set"], where),
         kind=kind,
         params=params,
     )
 
 
-def load_model_config(path: str, order_override: int | None = None) -> ModelConfig:
-    return parse_model_config(load_json(path), where=path, order_override=order_override)
+def load_model_config(path: str) -> ModelConfig:
+    return parse_model_config(load_json(path), where=path)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,7 +184,7 @@ class LqConfig:
     quadrature_order: int
 
 
-def parse_lq_config(obj, where: str = "config", order_override: int | None = None) -> LqConfig:
+def parse_lq_config(obj, where: str = "config") -> LqConfig:
     obj = _expect_mapping(obj, where)
     _check_keys(
         obj,
@@ -200,16 +199,15 @@ def parse_lq_config(obj, where: str = "config", order_override: int | None = Non
         x=_number(obj, "x", where),
         **{name: _number_list(obj, name, horizon, where) for name in _LQ_COEFFS},
     )
-    order = _integer(obj, "quadrature_order", where)
     return LqConfig(
         spec=spec,
         hurst=_number(obj, "hurst", where),
-        quadrature_order=order_override if order_override is not None else order,
+        quadrature_order=_integer(obj, "quadrature_order", where),
     )
 
 
-def load_lq_config(path: str, order_override: int | None = None) -> LqConfig:
-    return parse_lq_config(load_json(path), where=path, order_override=order_override)
+def load_lq_config(path: str) -> LqConfig:
+    return parse_lq_config(load_json(path), where=path)
 
 
 _STAGE_KEYS = ("f_constant", "f_y", "f_z", "g_constant", "g_y", "g_z")
@@ -248,7 +246,7 @@ class BsdeConfig:
         return DriverSpec(horizon=self.horizon, terminal=terminal, f=f, g=g)
 
 
-def parse_bsde_config(obj, where: str = "config", order_override: int | None = None) -> BsdeConfig:
+def parse_bsde_config(obj, where: str = "config") -> BsdeConfig:
     obj = _expect_mapping(obj, where)
     _check_keys(
         obj,
@@ -279,11 +277,10 @@ def parse_bsde_config(obj, where: str = "config", order_override: int | None = N
         raise ConfigError(
             f"{where}: stage {horizon} z-coefficients must be 0 (Z at the final stage is fixed to zero)"
         )
-    order = _integer(obj, "quadrature_order", where)
     return BsdeConfig(
         horizon=horizon,
         hurst=_number(obj, "hurst", where),
-        quadrature_order=order_override if order_override is not None else order,
+        quadrature_order=_integer(obj, "quadrature_order", where),
         terminal_constant=_number(terminal, "constant", f"{where}.terminal"),
         terminal_coefficients=_number_list(
             terminal, "noise_coefficients", horizon, f"{where}.terminal"
@@ -292,5 +289,5 @@ def parse_bsde_config(obj, where: str = "config", order_override: int | None = N
     )
 
 
-def load_bsde_config(path: str, order_override: int | None = None) -> BsdeConfig:
-    return parse_bsde_config(load_json(path), where=path, order_override=order_override)
+def load_bsde_config(path: str) -> BsdeConfig:
+    return parse_bsde_config(load_json(path), where=path)

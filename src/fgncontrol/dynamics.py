@@ -168,10 +168,9 @@ class ModelSpec:
 
 
 class _StagedProcess:
-    """Tuple of adapted values, one per stage, with fixed level offsets."""
+    """Tuple of adapted values, stage n at level n."""
 
     __slots__ = ("stages",)
-    _level_offset = 0
 
     def __init__(self, stages):
         stages = tuple(stages)
@@ -181,10 +180,8 @@ class _StagedProcess:
         for n, v in enumerate(stages):
             if not isinstance(v, AdaptedValue) or v.lattice is not lat:
                 raise ValueError("all stages must be AdaptedValue on one lattice")
-            if v.level != n + self._level_offset:
-                raise ValueError(
-                    f"stage {n} must sit at level {n + self._level_offset}, got {v.level}"
-                )
+            if v.level != n:
+                raise ValueError(f"stage {n} must sit at level {n}, got {v.level}")
         object.__setattr__(self, "stages", stages)
 
     def __setattr__(self, name, value):

@@ -15,8 +15,10 @@ trailing axis of length q.  `_moments` is the general contraction: the
 moments E[table eta_n^j | level n], j < k, each one (q^n, q) @ (q,)
 product against the weight vector w eta^j cached per lattice, so no
 leaf-sized eta-weighted table is ever built; `_contract` is its k = 1
-case.  The private primitives below own that format; `AdaptedValue` is
-the validated boundary type of the public API.
+case.  `_affine` and `_product` read E[T c | n] and E[T c d | n] off
+those moments for stage factors c0 + c1 eta_n such as x + b + sigma xi_n,
+which are never built at the leaves.  The private primitives below own
+that format; `AdaptedValue` is the validated boundary type of the public API.
 
 An `AdaptedValue` owns a read-only table.  It shares its input when no
 array in the input's base chain is writeable (a frozen table, or a view
@@ -244,15 +246,20 @@ def _is_frozen(values) -> bool:
     return arr is None and isinstance(values, np.ndarray)
 
 
-def _blocks(lat: NoiseLattice, table: np.ndarray) -> np.ndarray:
-    """A level-(n+1) table as its (q^n, q) child blocks (a view)."""
-    return table.reshape(-1, lat.rule.q)
-
-
 def _moments(lat: NoiseLattice, table: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """E[table eta_n^j | level n] for j < k (k <= max(2q, 3)) of a level-(n+1) table."""
-    blocks = _blocks(lat, table)
+    blocks = table.reshape(-1, lat.rule.q)
     return tuple(blocks @ w for w in lat._moment_weights[:k])
+
+
+def _affine(m, c):
+    """E[T (c0 + c1 eta_n) | level n] from the moments m = `_moments(lat, T, k)`, k >= 2."""
+    return c[0] * m[0] + c[1] * m[1]
+
+
+def _product(m, c, d):
+    """E[T (c0 + c1 eta_n)(d0 + d1 eta_n) | level n] from the moments m, k >= 3."""
+    return c[0] * d[0] * m[0] + (c[0] * d[1] + c[1] * d[0]) * m[1] + c[1] * d[1] * m[2]
 
 
 def _contract(lat: NoiseLattice, table: np.ndarray, stages: int = 1) -> np.ndarray:
@@ -265,11 +272,6 @@ def _contract(lat: NoiseLattice, table: np.ndarray, stages: int = 1) -> np.ndarr
 def _expect(lat: NoiseLattice, table: np.ndarray, level: int) -> float:
     """Expectation of a level-`level` table."""
     return float(_contract(lat, table, level)[0])
-
-
-def _white(lat: NoiseLattice) -> np.ndarray:
-    """eta_n over the (q^n, q) child blocks of any stage n: the nodes."""
-    return lat.rule.nodes
 
 
 def _conditional_mean(lat: NoiseLattice, n: int) -> np.ndarray:
@@ -290,11 +292,6 @@ def _mean(lat: NoiseLattice, n: int) -> np.ndarray:
     return _conditional_mean(lat, n)
 
 
-def _noise(lat: NoiseLattice, n: int) -> np.ndarray:
-    """xi_n = E[xi_n | first n noises] + b[n,n] eta_n as (q^n, q) child blocks."""
-    return _mean(lat, n)[:, None] + lat.basis.b_mat[n, n] * _white(lat)
-
-
 def _chunks(count: int, width: int, budget: int = _BLOCK_LEAVES):
     """[start, stop) ranges over `count` items of `width` entries each,
     at most `budget` entries (or one item) per range."""
@@ -312,7 +309,7 @@ def _children(lat: NoiseLattice, n: int, base: np.ndarray, scale) -> np.ndarray:
     broadcast form bit for bit, one block of parent nodes at a time; the
     row axes count toward the block's entries.
     """
-    mean, shift = _mean(lat, n), lat.basis.b_mat[n, n] * _white(lat)
+    mean, shift = _mean(lat, n), lat.basis.b_mat[n, n] * lat.rule.nodes
     scale = np.broadcast_to(scale, base.shape)
     out = np.empty((*base.shape, lat.rule.q))
     for start, stop in _chunks(base.shape[-1], out.size // base.shape[-1]):
@@ -327,7 +324,7 @@ def white_value(lat: NoiseLattice, n: int) -> AdaptedValue:
     """The stage-n white noise eta_n as a level n+1 value."""
     if not 0 <= n <= lat.depth - 1:
         raise IndexOutOfRange(f"white noise stage {n} outside [0, {lat.depth - 1}]")
-    return AdaptedValue(lat, n + 1, np.broadcast_to(_white(lat), (lat.level_size(n), lat.rule.q)))
+    return AdaptedValue(lat, n + 1, np.broadcast_to(lat.rule.nodes, (lat.level_size(n), lat.rule.q)))
 
 
 def noise_value(lat: NoiseLattice, n: int) -> AdaptedValue:
@@ -338,7 +335,8 @@ def noise_value(lat: NoiseLattice, n: int) -> AdaptedValue:
     """
     if not 0 <= n <= lat.depth - 1:
         raise IndexOutOfRange(f"noise stage {n} outside [0, {lat.depth - 1}]")
-    return AdaptedValue(lat, n + 1, _noise(lat, n))
+    xi = _mean(lat, n)[:, None] + lat.basis.b_mat[n, n] * lat.rule.nodes
+    return AdaptedValue(lat, n + 1, xi)
 
 
 def noise_conditional_mean(lat: NoiseLattice, n: int) -> AdaptedValue:

@@ -34,7 +34,9 @@ from .dynamics import (
     cost,
 )
 from .errors import InvalidSpec, LevelMismatch, NotConverged, WrongHorizon
-from .lattice import AdaptedValue, NoiseLattice, _chunks, _contract, _frozen, _mean, _moments
+from .lattice import (
+    AdaptedValue, NoiseLattice, _chunks, _contract, _frozen, _mean, _moments, _product
+)
 from .noise import WhiteningBasis
 from .smp import SmpResidual, _check_tol, _gradient
 
@@ -161,7 +163,7 @@ def lq_fixed_point(
     alpha = 1 + A_n + C_n xi_n and gamma = B_n + D_n xi_n, stage n gives
     K_n = E[P alpha gamma | n] / (R_n + E[P gamma^2 | n]) and
     P_n = Q_n + E[P alpha^2 | n] - K_n E[P alpha gamma | n], each read off
-    E[P eta_n^k | n], k <= 2, as alpha and gamma are affine in eta_n.  One
+    E[P eta_n^k | n], k <= 2, by `_product`, as in the DDP pass.  One
     roll of u_n = -K_n X_n through the model's state step gives u* and the
     state `forward(u*)` returns.  The SMP residual max_n max_node |rho_n| / R_n
     of the adjoint pair solved there certifies it: NotConverged is raised
@@ -174,13 +176,13 @@ def lq_fixed_point(
     p = np.full(lat.level_size(spec.horizon), float(spec.G))
     gains = []
     for n in reversed(range(spec.horizon)):
-        m0, m1, m2 = _moments(lat, p, 3)
+        m = _moments(lat, p, 3)
         mu, beta = _mean(lat, n), lat.basis.b_mat[n, n]
-        a0, a1 = 1.0 + spec.A[n] + spec.C[n] * mu, spec.C[n] * beta
-        g0, g1 = spec.B[n] + spec.D[n] * mu, spec.D[n] * beta
-        s_ag = a0 * g0 * m0 + (a0 * g1 + a1 * g0) * m1 + a1 * g1 * m2
-        s_gg = g0 * g0 * m0 + 2.0 * g0 * g1 * m1 + g1 * g1 * m2
-        s_aa = a0 * a0 * m0 + 2.0 * a0 * a1 * m1 + a1 * a1 * m2
+        alpha = 1.0 + spec.A[n] + spec.C[n] * mu, spec.C[n] * beta
+        gamma = spec.B[n] + spec.D[n] * mu, spec.D[n] * beta
+        s_ag = _product(m, alpha, gamma)
+        s_gg = _product(m, gamma, gamma)
+        s_aa = _product(m, alpha, alpha)
         k = s_ag / (s_gg + spec.R[n])
         p = s_aa + spec.Q[n] - k * s_ag
         gains.insert(0, k)

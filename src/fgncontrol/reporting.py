@@ -17,10 +17,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .bsde import _residual_moments
 from .dynamics import ControlProcess
 from .errors import ConfigError
-from .lattice import NoiseLattice, SamplePaths
+from .lattice import NoiseLattice, SamplePaths, _moments
 
 __all__ = [
     "ensure_out_dir",
@@ -164,7 +163,7 @@ def write_bsde_csv(path: str, lat: NoiseLattice, sol) -> None:
     """
     def blocks():
         for n in range(sol.horizon):
-            moments = _residual_moments(lat, sol.r[n].values)
+            moments = _moments(lat, sol.r[n].values, 2)
             rows = _stage_rows(n, sol.y[n].values, sol.z[n].values, *moments)
             yield "%d,%d,%.17g,%.17g,%.17g,%.17g\n", rows
         yield "%d,%d,%.17g,,,\n", _stage_rows(sol.horizon, sol.y[sol.horizon].values)

@@ -14,10 +14,9 @@ continue.  Stationarity of a candidate control is classified nodewise
 against the control set.  `optimize` takes second-order steps from
 differential dynamic programming on the tree, dividing by |Q_uu| floored
 at 1e-8 per node so that a non-convex node still gets a descent step,
-with Armijo backtracking.  Its backward pass carries the open-loop
-adjoint lambda, which is p, so each iteration reads rho from that pass;
-once that rho passes the stationarity check, the adjoint equation is
-solved once and its rho certifies the result.
+with Armijo backtracking.  Its backward pass, in moment form like `lq`'s,
+carries the open-loop adjoint lambda, which is p: each iteration reads rho
+from it, and once rho passes, the adjoint equation is solved to certify it.
 """
 
 from __future__ import annotations
@@ -48,12 +47,13 @@ from .errors import DualityMismatch, NoDescent, NonFiniteValue, OutOfControlSet
 from .lattice import (
     AdaptedValue,
     NoiseLattice,
-    _blocks,
+    _affine,
     _contract,
     _expect,
     _frozen,
     _mean,
-    _noise,
+    _moments,
+    _product,
 )
 from .noise import WhiteningBasis
 
@@ -336,50 +336,54 @@ def _backward_pass(model, u, x, lat):
     """DDP gains (k_n, K_n) and the gradient rho_n along (u, X), level-n tables.
 
     u holds the control tables u_0..u_{N-1}, x the state tables X_0..X_N.
-    V_x and V_xx start from phi_x and phi_xx at X_N.  With
-    f = x + b + sigma xi_n, stage n contracts the children into Q_x, Q_u,
-    Q_xx, Q_uu, Q_ux (the V_x f_xx, f_uu, f_ux terms included), and takes
-    the modified Newton step k = -Q_u / c, K = -Q_ux / c with
-    c = max(|Q_uu|, _CURVATURE_FLOOR) per node (Nocedal & Wright, Numerical
-    Optimization, 3.4): where Q_uu <= 0 the step is still a descent
-    direction, and the curvature of every other node is left exact.  A
-    node where u + k leaves the control set is clamped to it and gets
-    K = 0.  Alongside runs the open-loop adjoint lambda (V_x without the
-    policy terms, lambda_n = l_x + E[lambda_{n+1} f_x | n]), which is the
-    adjoint p of the maximum principle; rho_n = l_u + E[lambda_{n+1} f_u | n]
-    is the stationarity residual.  Returns (gains, rho), both indexed by n.
+    V_x and V_xx start from phi_x and phi_xx at X_N.  Given level n, the
+    derivatives of f = x + b + sigma xi_n are affine in eta_n, so stage n reads
+    Q_x, Q_u, Q_xx, Q_uu, Q_ux (V_x f_xx, f_uu, f_ux included) off the moments
+    of V_x and V_xx and takes the modified Newton step k = -Q_u / c,
+    K = -Q_ux / c with c = max(|Q_uu|, _CURVATURE_FLOOR) per node (Nocedal &
+    Wright, Numerical Optimization, 3.4): where Q_uu <= 0 the step is a descent
+    direction, and the curvature of every other node is left exact.  A node
+    where u + k leaves the control set is clamped to it and gets K = 0.
+    Alongside runs the open-loop adjoint lambda (V_x without the policy terms,
+    lambda_n = l_x + E[lambda_{n+1} f_x | n]), which is the adjoint p of the
+    maximum principle; rho_n = l_u + E[lambda_{n+1} f_u | n] is the
+    stationarity residual.  Returns (gains, rho), both indexed by n.
     """
     n_stages = model.horizon
     x_final = x[n_stages]
     v_x = lam = _stage_value(lat, n_stages, model.phi_x(x_final))
     phi_xx = _central_diff(lambda n, x, u: model.phi_x(x), n_stages, x_final, x_final, "x")
     v_xx = _stage_value(lat, n_stages, phi_xx)
-    gains, rho = [], []
+    gains, rho = [None] * n_stages, [None] * n_stages
     for n in reversed(range(n_stages)):
-        bx, bu, bxx, buu, bux, sx, su, sxx, suu, sux, lx, lu, lxx, luu, lux = (
-            _stage_derivatives(model, lat, n, x[n], u[n])
-        )
-        xi = _noise(lat, n)
-        v_x, v_xx, lam = _blocks(lat, v_x), _blocks(lat, v_xx), _blocks(lat, lam)
-        f_x = (1.0 + bx)[:, None] + sx[:, None] * xi
-        f_u = bu[:, None] + su[:, None] * xi
-        q_x = lx + _contract(lat, v_x * f_x)
-        q_u = lu + _contract(lat, v_x * f_u)
-        q_xx = lxx + _contract(lat, v_xx * f_x * f_x + v_x * (bxx[:, None] + sxx[:, None] * xi))
-        q_uu = luu + _contract(lat, v_xx * f_u * f_u + v_x * (buu[:, None] + suu[:, None] * xi))
-        q_ux = lux + _contract(lat, v_xx * f_u * f_x + v_x * (bux[:, None] + sux[:, None] * xi))
-        rho.append(lu + _contract(lat, lam * f_u))
-        lam = lx + _contract(lat, lam * f_x)
+        gains[n], rho[n], v_x, v_xx, lam = _backward_stage(model, lat, n, x, u, v_x, v_xx, lam)
+    return gains, rho
 
-        curvature = np.maximum(np.abs(q_uu), _CURVATURE_FLOOR)
-        newton = u[n] - q_u / curvature
-        target = model.control_set.project(newton)
-        k = target - u[n]
-        gain = np.where(target == newton, -q_ux / curvature, 0.0)
-        v_x = q_x + gain * (q_uu * k + q_u) + q_ux * k
-        v_xx = q_xx + gain * (q_uu * gain + q_ux * 2.0)
-        gains.append((k, gain))
-    return gains[::-1], rho[::-1]
+
+def _backward_stage(model, lat, n, x, u, v_x, v_xx, lam):
+    """Stage n of `_backward_pass`; its temporaries die before stage n - 1's."""
+    bx, bu, bxx, buu, bux, sx, su, sxx, suu, sux, lx, lu, lxx, luu, lux = (
+        _stage_derivatives(model, lat, n, x[n], u[n])
+    )
+    mu, beta = _mean(lat, n), lat.basis.b_mat[n, n]
+    f_x, f_u, f_xx, f_uu, f_ux = (  # each as its (c0, c1) in c0 + c1 eta_n
+        (drift + vol * mu, vol * beta)
+        for drift, vol in ((1.0 + bx, sx), (bu, su), (bxx, sxx), (buu, suu), (bux, sux))
+    )
+    m_x, m_xx, m_lam = _moments(lat, v_x, 2), _moments(lat, v_xx, 3), _moments(lat, lam, 2)
+    q_x = lx + _affine(m_x, f_x)
+    q_u = lu + _affine(m_x, f_u)
+    q_xx = lxx + (_product(m_xx, f_x, f_x) + _affine(m_x, f_xx))
+    q_uu = luu + (_product(m_xx, f_u, f_u) + _affine(m_x, f_uu))
+    q_ux = lux + (_product(m_xx, f_u, f_x) + _affine(m_x, f_ux))
+    curvature = np.maximum(np.abs(q_uu), _CURVATURE_FLOOR)
+    newton = u[n] - q_u / curvature
+    target = model.control_set.project(newton)
+    k = target - u[n]
+    gain = np.where(target == newton, -q_ux / curvature, 0.0)
+    v_x = q_x + gain * (q_uu * k + q_u) + q_ux * k
+    v_xx = q_xx + gain * (q_uu * gain + q_ux * 2.0)
+    return (k, gain), lu + _affine(m_lam, f_u), v_x, v_xx, lx + _affine(m_lam, f_x)
 
 
 def _rollout(model, u, x, gains, step, lat):

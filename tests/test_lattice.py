@@ -29,7 +29,9 @@ from fgncontrol.lattice import (
     noise_value,
     sample_paths,
     white_value,
+    _affine,
     _moments,
+    _product,
 )
 from fgncontrol.noise import fgn_covariance, whiten
 
@@ -234,6 +236,19 @@ class TestConditionalExpectation:
             ]
             np.testing.assert_allclose(moment, want, rtol=0.0, atol=1e-14)
         assert np.array_equal(got[0], condexp(lat_h07.from_values(3, table), 2).values)
+        # factors c0 + c1 eta and d0 + d1 eta from level-2 tables and scalars
+        rng = np.random.default_rng(3)
+        c, d = (rng.standard_normal(9), -0.7), (0.4, rng.standard_normal(9))
+        c_leaf, d_leaf = (
+            np.broadcast_to(f0, 9)[:, None] + np.broadcast_to(f1, 9)[:, None] * nodes
+            for f0, f1 in (c, d)
+        )
+        for moment, factor in ((_affine(got, c), c_leaf), (_product(got, c, d), c_leaf * d_leaf)):
+            want = [
+                sum(weights[i] * v for i, v in enumerate(block * row))
+                for block, row in zip(table.reshape(9, 3), factor)
+            ]
+            np.testing.assert_allclose(moment, want, rtol=0.0, atol=1e-14)
 
     def test_white_mean_zero(self, lat_h07):
         for n in range(3):

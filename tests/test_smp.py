@@ -6,6 +6,7 @@ adjoint route to dJ/deps are computed independently and must coincide to
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,66 @@ def double_well_model(horizon: int, initial_state: float, noise_gain: float = 1.
         l_u=lambda n, x, u: active(n) * u,
         phi_x=lambda x: x**3 - x,
     )
+
+
+def coupled_model(horizon: int, control_set=None) -> ModelSpec:
+    """State and control in drift, noise and running cost, with nonzero
+    f_xx and f_ux and the double-well terminal cost."""
+
+    def active(n):
+        return 1.0 if n < horizon else 0.0
+
+    return ModelSpec(
+        horizon=horizon,
+        initial_state=0.4,
+        b=lambda n, x, u: active(n) * (np.sin(x) + u * (1.0 + 0.1 * x)),
+        sigma=lambda n, x, u: active(n) * (0.2 * x + 0.4 * u + 0.1 * np.sin(x) * u),
+        l=lambda n, x, u: active(n) * (0.5 * u**2 + 0.1 * x**2 * u),
+        phi=lambda x: 0.25 * (x**2 - 1.0) ** 2,
+        b_x=lambda n, x, u: active(n) * (np.cos(x) + 0.1 * u),
+        b_u=lambda n, x, u: active(n) * (1.0 + 0.1 * x),
+        sigma_x=lambda n, x, u: active(n) * (0.2 + 0.1 * np.cos(x) * u),
+        sigma_u=lambda n, x, u: active(n) * (0.4 + 0.1 * np.sin(x)),
+        l_x=lambda n, x, u: active(n) * 0.2 * x * u,
+        l_u=lambda n, x, u: active(n) * (u + 0.1 * x**2),
+        phi_x=lambda x: x**3 - x,
+        control_set=control_set if control_set is not None else Unconstrained(),
+    )
+
+
+def leaf_form_backward_pass(model, u, x, lat):
+    """`smp._backward_pass` with xi_n, f_x and f_u built as (q^n, q) child
+    tables and every product contracted against the weights."""
+    q, w = lat.rule.q, lat.rule.weights
+    n_stages = model.horizon
+    v_x = lam = np.asarray(model.phi_x(x[n_stages]), float)
+    v_xx = dynamics._central_diff(
+        lambda n, x, u: model.phi_x(x), n_stages, x[n_stages], x[n_stages], "x"
+    )
+    gains, rho = [], []
+    for n in reversed(range(n_stages)):
+        table = smp._stage_derivatives(model, lat, n, x[n], u[n])
+        bx, bu, bxx, buu, bux, sx, su, sxx, suu, sux = table[:10, :, None]
+        lx, lu, lxx, luu, lux = table[10:]
+        xi = noise_value(lat, n).values.reshape(-1, q)
+        v_x, v_xx, lam = (t.reshape(-1, q) for t in (v_x, v_xx, lam))
+        f_x, f_u = 1.0 + bx + sx * xi, bu + su * xi
+        q_x = lx + (v_x * f_x) @ w
+        q_u = lu + (v_x * f_u) @ w
+        q_xx = lxx + (v_xx * f_x * f_x + v_x * (bxx + sxx * xi)) @ w
+        q_uu = luu + (v_xx * f_u * f_u + v_x * (buu + suu * xi)) @ w
+        q_ux = lux + (v_xx * f_u * f_x + v_x * (bux + sux * xi)) @ w
+        rho.append(lu + (lam * f_u) @ w)
+        lam = lx + (lam * f_x) @ w
+        curvature = np.maximum(np.abs(q_uu), smp._CURVATURE_FLOOR)
+        newton = u[n] - q_u / curvature
+        target = model.control_set.project(newton)
+        k = target - u[n]
+        gain = np.where(target == newton, -q_ux / curvature, 0.0)
+        v_x = q_x + gain * (q_uu * k + q_u) + q_ux * k
+        v_xx = q_xx + gain * (q_uu * gain + q_ux * 2.0)
+        gains.append((k, gain))
+    return gains[::-1], rho[::-1]
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +386,44 @@ class TestCheckStationarity:
         res = SmpResidual(tuple(lat.constant(0.0, n) for n in range(2)))
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             check_stationarity(res, constant_control(lat, 2, 0.0), Unconstrained(), tol=tol)
+
+
+class TestBackwardPass:
+    @pytest.mark.parametrize("q, depth, box", [
+        (3, 6, None), (3, 6, Box(-0.2, 0.2)), (5, 4, None), (10, 4, None), (1, 4, None),
+    ])
+    def test_moment_form_matches_the_leaf_form(self, q, depth, box):
+        lat = lattice_for_hurst(0.7, depth=depth, order=q)
+        model = coupled_model(depth, control_set=box)
+        u = random_control(lat, depth, np.random.default_rng(21), scale=0.3, control_set=box)
+        u, x = [s.values for s in u], [s.values for s in forward(model, u, lat)]
+        gains, rho = smp._backward_pass(model, u, x, lat)
+        want_gains, want_rho = leaf_form_backward_pass(model, u, x, lat)
+        got = [t for pair in gains for t in pair] + rho
+        want = [t for pair in want_gains for t in pair] + want_rho
+        for table, reference in zip(got, want, strict=True):
+            assert table.shape == reference.shape
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            np.testing.assert_allclose(table, reference, rtol=1e-12, atol=1e-12 * scale)
+        if box is not None:
+            # some node is clamped to the box, so its K is 0, and some is not
+            clamped = np.concatenate([gain == 0.0 for _, gain in gains])
+            assert clamped.any() and not clamped.all()
+
+    def test_rises_at_most_six_leaf_tables(self):
+        # the moment form builds no child-sized factor; what remains is the
+        # terminal phi_xx and the level-(N-1) stage tables, a tenth each
+        lat = lattice_for_hurst(0.7, depth=6, order=10)
+        model = sin_drift_model(6, noise_gain=0.5)
+        u = random_control(lat, 6, np.random.default_rng(5), scale=0.4)
+        u, x = [s.values for s in u], [s.values for s in forward(model, u, lat)]
+        tracemalloc.start()
+        try:
+            smp._backward_pass(model, u, x, lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * lat.level_size(6)
 
 
 class TestOptimize:
