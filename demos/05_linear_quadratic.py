@@ -2,8 +2,8 @@
 Linear-quadratic problems and their certificates
 ================================================
 
-Linear dynamics with quadratic costs are solved exactly by one backward
-Riccati pass over the tree, with a closed form at horizon one and
+Linear dynamics with quadratic costs are solved exactly by one DDP
+Newton step from the zero control, with a closed form at horizon one and
 checkable certificates: stationarity, a sufficiency gap for every
 perturbation, and uniqueness via convexity.
 With independent increments the solution also matches the classical
@@ -27,8 +27,8 @@ spec = LqSpec(
     Q=[0.6, 0.4, 0.8], R=[1.0, 1.2, 0.9], G=1.1, x=1.3,
 )
 
-# correlated increments: one backward Riccati pass gives a per-node gain,
-# and the SMP residual of the resulting control certifies it
+# correlated increments: one DDP Newton step from the zero control gives
+# a per-node gain, and the SMP residual of the resulting control certifies it
 lat = lattice_for_hurst(0.7, depth=spec.horizon, order=3)
 sol = lq_fixed_point(spec, lat, lat.basis)
 print("SMP residual:", sol.residual)
@@ -43,7 +43,7 @@ uniq = verify_uniqueness(spec, lat, seed=1)
 print("sufficiency:", suff.passed, " min cost gap:", suff.min_cost_gap)
 print("uniqueness:", uniq.passed, " parallelogram slack:", uniq.worst_parallelogram_slack)
 
-# horizon one has an explicit optimum; the Riccati solve reproduces it
+# horizon one has an explicit optimum; the LQ solve reproduces it
 short = LqSpec(horizon=1, A=[0.3], B=[1.0], C=[0.2], D=[0.5],
                Q=[0.6], R=[1.0], G=1.1, x=1.3)
 lat1 = lattice_for_hurst(0.7, depth=1, order=3)

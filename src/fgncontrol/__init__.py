@@ -20,8 +20,8 @@ it, and uses those solutions to check and compute optimal controls:
     Adjoint-based stationarity residuals, duality and gradient checks,
     and a DDP (Newton-step) optimizer.
 ``lq``
-    Linear-quadratic specializations: one-pass Riccati solver, one-step
-    closed form, and sufficiency/uniqueness certificates.
+    Linear-quadratic solve as one DDP Newton step from the zero control,
+    one-step closed form, and sufficiency/uniqueness certificates.
 ``selftest``
     The acceptance criteria, runnable in bulk with deterministic
     artifact output.

@@ -247,7 +247,10 @@ def _is_frozen(values) -> bool:
 
 
 def _moments(lat: NoiseLattice, table: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """E[table eta_n^j | level n] for j < k (k <= max(2q, 3)) of a level-(n+1) table."""
+    """E[table eta_n^j | level n] for j < k (k <= max(2q, 3)) of a level-(n+1)
+    table; of a constant c (a 0-d table), the scalars c sum_i w_i eta_i^j."""
+    if np.ndim(table) == 0:
+        return tuple(table * w.sum() for w in lat._moment_weights[:k])
     blocks = table.reshape(-1, lat.rule.q)
     return tuple(blocks @ w for w in lat._moment_weights[:k])
 

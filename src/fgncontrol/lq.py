@@ -9,10 +9,11 @@ stationarity condition
 
 characterises the unique optimum.  The bracket plus R_n u_n is the SMP
 gradient representative rho_n, so the optimum is the fixed point of
-u = u - rho / R.  On the lattice it is computed directly: one backward
-Riccati pass over the tree gives a per-node feedback gain, one forward
-roll of the closed loop gives the control and its state, and the SMP
-residual of that control is checked as an independent certificate.
+u = u - rho / R.  On the lattice it is computed directly: one DDP Newton
+step from the zero control (the backward pass of `smp.optimize`) gives a
+per-node feedback gain, one forward roll of the closed loop gives the
+control and its state, and the SMP residual of that control is checked as
+an independent certificate.
 """
 
 from __future__ import annotations
@@ -30,15 +31,12 @@ from .dynamics import (
     Unconstrained,
     _batch_costs,
     _check_depth,
-    _step,
-    cost,
+    _total_cost,
 )
 from .errors import InvalidSpec, LevelMismatch, NotConverged, WrongHorizon
-from .lattice import (
-    AdaptedValue, NoiseLattice, _chunks, _contract, _frozen, _mean, _moments, _product
-)
+from .lattice import AdaptedValue, NoiseLattice, _chunks, _contract
 from .noise import WhiteningBasis
-from .smp import SmpResidual, _check_tol, _gradient
+from .smp import SmpResidual, _backward_pass, _check_tol, _gradient, _rollout
 
 # Leaf budget of one stacked certificate pass: rows * q^N stays within it
 # (a single row is still rolled out when q^N alone exceeds it).  Tables
@@ -96,10 +94,10 @@ def _lq_model(spec: LqSpec, control_set) -> ModelSpec:
         sigma=lambda n, x, u: c[n] * x + d[n] * u,
         l=lambda n, x, u: 0.5 * (q[n] * x**2 + r[n] * u**2),
         phi=lambda x: 0.5 * g * x**2,
-        b_x=lambda n, x, u: a[n] * np.ones_like(x),
-        b_u=lambda n, x, u: b[n] * np.ones_like(u),
-        sigma_x=lambda n, x, u: c[n] * np.ones_like(x),
-        sigma_u=lambda n, x, u: d[n] * np.ones_like(u),
+        b_x=lambda n, x, u: a[n],
+        b_u=lambda n, x, u: b[n],
+        sigma_x=lambda n, x, u: c[n],
+        sigma_u=lambda n, x, u: d[n],
         l_x=lambda n, x, u: q[n] * x,
         l_u=lambda n, x, u: r[n] * u,
         phi_x=lambda x: g * x,
@@ -129,7 +127,7 @@ class LqIterationPoint:
 class LqSolution:
     """Optimal system: control, state, adjoint pair, its SMP gradient
     representative rho, and `trace`, the one-row record (iteration 0, J,
-    SMP residual) of the direct Riccati solve."""
+    SMP residual) of the direct solve, one DDP Newton step from u = 0."""
 
     control: ControlProcess
     state: StateProcess
@@ -155,55 +153,41 @@ def lq_fixed_point(
     basis: WhiteningBasis,
     tol: float = 1e-10,
 ) -> LqSolution:
-    """The optimal control, computed directly by one backward Riccati pass.
+    """The optimal control, computed directly by one DDP Newton step from u = 0.
 
-    It is the fixed point of u = u - rho / R.  Each node fixes its whole
-    history, so given level n the increment is xi_n = mu_node + b[n,n] eta_n
-    and the value function is 0.5 P_node x^2.  With P_N = G,
-    alpha = 1 + A_n + C_n xi_n and gamma = B_n + D_n xi_n, stage n gives
-    K_n = E[P alpha gamma | n] / (R_n + E[P gamma^2 | n]) and
-    P_n = Q_n + E[P alpha^2 | n] - K_n E[P alpha gamma | n], each read off
-    E[P eta_n^k | n], k <= 2, by `_product`, as in the DDP pass.  One
-    roll of u_n = -K_n X_n through the model's state step gives u* and the
-    state `forward(u*)` returns.  The SMP residual max_n max_node |rho_n| / R_n
-    of the adjoint pair solved there certifies it: NotConverged is raised
-    when it exceeds `tol`, ValueError unless `tol` is finite and >= 0, and
-    DepthMismatch when the lattice is shallower than the horizon.
+    It is the fixed point of u = u - rho / R.  `smp._backward_pass` runs along
+    u = 0 and X = 0, the model's path from x0 = 0, where every stage derivative
+    is a constant: b and sigma are linear, and the central differences of
+    l_x = Q x, l_u = R u and phi_x = G x, taken at exactly +-h, give Q_n, R_n
+    and G to an ulp.  There V_x = 0, so k = 0, and K_n = -Q_ux / Q_uu and
+    V_xx = Q_xx - Q_ux^2 / Q_uu are the Riccati gain and P_n, read off
+    E[P eta_n^k | n], k <= 2.  Q_uu = R_n + E[P gamma^2 | n] > 0 for
+    gamma = B_n + D_n xi_n, so the step is exact; the constants stay scalars
+    and build no leaf-sized table.  One `smp._rollout` of u_n = K_n X_n from x
+    gives u*, the state `forward(u*)` returns, and J.  The SMP residual
+    max_n max_node |rho_n| / R_n of the adjoint pair solved there certifies
+    it: NotConverged is raised when it exceeds `tol`, ValueError unless `tol`
+    is finite and >= 0, and DepthMismatch when the lattice is shallower than
+    the horizon.
     """
     _check_tol(tol)
     model = as_model(spec)
     _check_depth(model, lat, spec.horizon)
-    p = np.full(lat.level_size(spec.horizon), float(spec.G))
-    gains = []
-    for n in reversed(range(spec.horizon)):
-        m = _moments(lat, p, 3)
-        mu, beta = _mean(lat, n), lat.basis.b_mat[n, n]
-        alpha = 1.0 + spec.A[n] + spec.C[n] * mu, spec.C[n] * beta
-        gamma = spec.B[n] + spec.D[n] * mu, spec.D[n] * beta
-        s_ag = _product(m, alpha, gamma)
-        s_gg = _product(m, gamma, gamma)
-        s_aa = _product(m, alpha, alpha)
-        k = s_ag / (s_gg + spec.R[n])
-        p = s_aa + spec.Q[n] - k * s_ag
-        gains.insert(0, k)
-
-    xs, us = [_frozen(np.full(1, float(spec.x)))], []
-    for n, k in enumerate(gains):
-        us.append(_frozen(-(k * xs[n])))
-        xs.append(_step(model, lat, n, xs[n], us[n]))
+    zero_u, zero_x = [0.0] * spec.horizon, [0.0] * (spec.horizon + 1)
+    gains, _ = _backward_pass(model, zero_u, zero_x, lat)
+    us, xs, costs = _rollout(model, zero_u, zero_x, gains, 1.0, lat)
+    j = _total_cost(lat, costs)
+    del gains, costs
     u = ControlProcess(AdaptedValue(lat, n, un) for n, un in enumerate(us))
     x = StateProcess(AdaptedValue(lat, n, xn) for n, xn in enumerate(xs))
     adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
     rho = _gradient(model, u, xs, adj, lat, basis)
-    residual = max(
-        float(np.max(np.abs(rho[n].values)) / spec.R[n]) for n in range(spec.horizon)
-    )
+    residual = max(float(np.max(np.abs(r.values)) / r_n) for r, r_n in zip(rho, spec.R))
     if residual > tol:
         raise NotConverged(
-            f"Riccati control fails the SMP check: residual {residual:.3e} > tol {tol:.1e}",
+            f"LQ control fails the SMP check: residual {residual:.3e} > tol {tol:.1e}",
             residual=residual,
         )
-    j = cost(model, u, x, lat)
     return LqSolution(
         control=u, state=x, adjoint=adj, rho=rho, cost=j, iterations=0,
         residual=residual, trace=(LqIterationPoint(0, j, residual),),

@@ -205,7 +205,7 @@ def write_optimize_trace_csv(path: str, trace) -> None:
 
 
 def write_lq_trace_csv(path: str, trace) -> None:
-    """Header `iter,J,residual`: the one-row record of the direct Riccati solve."""
+    """Header `iter,J,residual`: one row, for the LQ solve's one DDP Newton step."""
     rows = ((pt.iteration, pt.cost + 0.0, pt.residual + 0.0) for pt in trace)
     _write_table(path, "iter,J,residual", [("%d,%.17g,%.17g\n", rows)])
 

@@ -437,8 +437,8 @@ def criterion_variation_rate(seed: int) -> CriterionResult:
 
 
 def criterion_lq_closed_form(seed: int) -> CriterionResult:
-    """Horizon-1 Riccati solve matches the exact one-variable optimum to
-    1e-10 over 20 coefficient draws with R_0 in [0.1, 2]."""
+    """Horizon-1 LQ solve, one DDP Newton step from the zero control, matches
+    the exact one-variable optimum to 1e-10 over 20 draws with R_0 in [0.1, 2]."""
     lat = lattice_for_hurst(0.7, depth=1, order=3)
     rng = _rng(seed, 9)
     worst = 0.0
@@ -466,9 +466,9 @@ def criterion_lq_closed_form(seed: int) -> CriterionResult:
 
 
 def criterion_lq_certificates(seed: int) -> CriterionResult:
-    """Riccati solve is stationary at 1e-8, never beaten by more than
-    1e-10 over 50 perturbations, and the cost is strictly convex (the
-    parallelogram inequality holds with 1e-9 slack)."""
+    """The LQ solve (one DDP Newton step from u = 0) is stationary at 1e-8,
+    never beaten by more than 1e-10 over 50 perturbations, and the cost is
+    strictly convex (the parallelogram inequality holds with 1e-9 slack)."""
     lat = lattice_for_hurst(0.7, depth=3, order=3)
     spec = _random_lq_spec(_rng(seed, 10), 3)
     sol = lq_fixed_point(spec, lat, lat.basis)
@@ -490,8 +490,8 @@ def criterion_lq_certificates(seed: int) -> CriterionResult:
 
 
 def criterion_cross_solver(seed: int) -> CriterionResult:
-    """The DDP optimizer from u = 0 lands on the Riccati LQ solution
-    nodewise to 1e-6, N = 3, q = 3, h = 0.7."""
+    """The DDP optimizer iterated from u = 0 lands on the LQ solution (its
+    first Newton step) nodewise to 1e-6, N = 3, q = 3, h = 0.7."""
     lat = lattice_for_hurst(0.7, depth=3, order=3)
     rng = _rng(seed, 11)
     worst = 0.0

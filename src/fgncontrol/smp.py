@@ -12,11 +12,12 @@ two independent routes (state variation vs adjoint pairing) and the two
 must agree, otherwise something upstream is broken and we refuse to
 continue.  Stationarity of a candidate control is classified nodewise
 against the control set.  `optimize` takes second-order steps from
-differential dynamic programming on the tree, dividing by |Q_uu| floored
-at 1e-8 per node so that a non-convex node still gets a descent step,
-with Armijo backtracking.  Its backward pass, in moment form like `lq`'s,
-carries the open-loop adjoint lambda, which is p: each iteration reads rho
-from it, and once rho passes, the adjoint equation is solved to certify it.
+differential dynamic programming on the tree, dividing by Q_uu where it is
+positive and by max(-Q_uu, 1e-8) elsewhere, so that a non-convex node
+still gets a descent step, with Armijo backtracking.  Its backward pass,
+in moment form, carries the open-loop adjoint lambda, which is p: each
+iteration reads rho from it, and once rho passes, the adjoint equation is
+solved to certify it.  `lq` takes one such pass from the zero control.
 """
 
 from __future__ import annotations
@@ -292,8 +293,8 @@ class OptimizeResult:
     trace: tuple[TracePoint, ...]
 
 
-# Nodewise floor on |Q_uu| in the Newton step: a node with Q_uu <= 0
-# (non-convex there) still gets a descent direction, and no other node
+# Nodewise floor on -Q_uu in the Newton step where Q_uu <= 0: a node that
+# is non-convex there still gets a descent direction, and no other node
 # is damped on its account.
 _CURVATURE_FLOOR = 1e-8
 # Rounding allowed for in the Armijo test, relative to the expected cost
@@ -305,10 +306,11 @@ _ROUNDING = 4 * np.finfo(np.float64).eps
 
 
 def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, x, u) -> np.ndarray:
-    """(_x, _u, _xx, _uu, _ux) of b, sigma and l at stage n: one (15, q^n) table.
+    """(_x, _u, _xx, _uu, _ux) of b, sigma and l at stage n: one table of 15 rows.
 
-    Rows run b, sigma, l, five each.  Second derivatives are the central
-    differences of `dynamics._central_diff` of the supplied first
+    Rows run b, sigma, l, five each, shaped as x and u broadcast together:
+    (q^n,) for level-n tables, () for scalars.  Second derivatives are the
+    central differences of `dynamics._central_diff` of the supplied first
     derivatives, with the x and u steps taken once.  Raises NonFiniteValue
     if any entry is non-finite.
     """
@@ -319,8 +321,8 @@ def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, x, u) -> np.
     def at(fn, xs, us):
         return np.asarray(fn(n, xs, us), float)
 
-    out = np.empty((15, lat.level_size(n)))
-    for rows, name in zip(out.reshape(3, 5, -1), ("b", "sigma", "l")):
+    out = np.empty((3, 5, *np.broadcast_shapes(np.shape(x), np.shape(u))))
+    for rows, name in zip(out, ("b", "sigma", "l")):
         d_x, d_u = getattr(model, name + "_x"), getattr(model, name + "_u")
         rows[0] = d_x(n, x, u)
         rows[1] = d_u(n, x, u)
@@ -329,18 +331,19 @@ def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, x, u) -> np.
         rows[4] = (at(d_u, x_up, u) - at(d_u, x_down, u)) / (2 * hx)
     if not np.all(np.isfinite(out)):
         raise NonFiniteValue(f"coefficient produced non-finite values at level {n}")
-    return out
+    return out.reshape(15, *out.shape[2:])
 
 
 def _backward_pass(model, u, x, lat):
     """DDP gains (k_n, K_n) and the gradient rho_n along (u, X), level-n tables.
 
-    u holds the control tables u_0..u_{N-1}, x the state tables X_0..X_N.
-    V_x and V_xx start from phi_x and phi_xx at X_N.  Given level n, the
-    derivatives of f = x + b + sigma xi_n are affine in eta_n, so stage n reads
-    Q_x, Q_u, Q_xx, Q_uu, Q_ux (V_x f_xx, f_uu, f_ux included) off the moments
-    of V_x and V_xx and takes the modified Newton step k = -Q_u / c,
-    K = -Q_ux / c with c = max(|Q_uu|, _CURVATURE_FLOOR) per node (Nocedal &
+    u holds the control tables u_0..u_{N-1}, x the state tables X_0..X_N (a
+    scalar is a constant table).  V_x and V_xx start from phi_x and phi_xx at
+    X_N, finite scalars kept as scalars.  Given level n, the derivatives of
+    f = x + b + sigma xi_n are affine in eta_n, so stage n reads Q_x, Q_u,
+    Q_xx, Q_uu, Q_ux (V_x f_xx, f_uu, f_ux included) off the moments of V_x
+    and V_xx and takes the modified Newton step k = -Q_u / c, K = -Q_ux / c
+    with c = Q_uu where Q_uu > 0, else max(-Q_uu, _CURVATURE_FLOOR) (Nocedal &
     Wright, Numerical Optimization, 3.4): where Q_uu <= 0 the step is a descent
     direction, and the curvature of every other node is left exact.  A node
     where u + k leaves the control set is clamped to it and gets K = 0.
@@ -351,9 +354,12 @@ def _backward_pass(model, u, x, lat):
     """
     n_stages = model.horizon
     x_final = x[n_stages]
-    v_x = lam = _stage_value(lat, n_stages, model.phi_x(x_final))
     phi_xx = _central_diff(lambda n, x, u: model.phi_x(x), n_stages, x_final, x_final, "x")
-    v_xx = _stage_value(lat, n_stages, phi_xx)
+    v_x, v_xx = (
+        t if t.ndim == 0 and np.isfinite(t) else _stage_value(lat, n_stages, t)
+        for t in (np.asarray(model.phi_x(x_final), float), phi_xx)
+    )
+    lam = v_x
     gains, rho = [None] * n_stages, [None] * n_stages
     for n in reversed(range(n_stages)):
         gains[n], rho[n], v_x, v_xx, lam = _backward_stage(model, lat, n, x, u, v_x, v_xx, lam)
@@ -370,13 +376,14 @@ def _backward_stage(model, lat, n, x, u, v_x, v_xx, lam):
         (drift + vol * mu, vol * beta)
         for drift, vol in ((1.0 + bx, sx), (bu, su), (bxx, sxx), (buu, suu), (bux, sux))
     )
-    m_x, m_xx, m_lam = _moments(lat, v_x, 2), _moments(lat, v_xx, 3), _moments(lat, lam, 2)
+    m_x, m_xx = _moments(lat, v_x, 2), _moments(lat, v_xx, 3)
+    m_lam = m_x if lam is v_x else _moments(lat, lam, 2)
     q_x = lx + _affine(m_x, f_x)
     q_u = lu + _affine(m_x, f_u)
     q_xx = lxx + (_product(m_xx, f_x, f_x) + _affine(m_x, f_xx))
     q_uu = luu + (_product(m_xx, f_u, f_u) + _affine(m_x, f_uu))
     q_ux = lux + (_product(m_xx, f_u, f_x) + _affine(m_x, f_ux))
-    curvature = np.maximum(np.abs(q_uu), _CURVATURE_FLOOR)
+    curvature = np.where(q_uu > 0.0, q_uu, np.maximum(-q_uu, _CURVATURE_FLOOR))
     newton = u[n] - q_u / curvature
     target = model.control_set.project(newton)
     k = target - u[n]
@@ -394,7 +401,7 @@ def _rollout(model, u, x, gains, step, lat):
     A trial value outside the control set (a non-finite one) raises
     OutOfControlSet, as `forward` would.
     """
-    controls, states = [], [x[0]]
+    controls, states = [], [_frozen(np.full(1, float(model.initial_state)))]
     for n, (k, gain) in enumerate(gains):
         un = _frozen(model.control_set.project(u[n] + step * k + gain * (states[n] - x[n])))
         if not model.control_set.contains(un):

@@ -7,9 +7,9 @@ or level by level over child blocks.  None of it goes through
 fgncontrol, so a slip in the lattice tables, the stage lift or the
 contraction that only shows at depth fails here.  The smp_residual
 check compares the shortened state roll with the full one, and the LQ
-checks compare the moment-form Riccati pass with a per-node one over
-leaf-sized child blocks, also on the one-node rule (q = 1, eta = 0),
-whose E[eta^2] reads 0.
+checks compare the LQ solve, one DDP Newton step from the zero control,
+with a per-node Riccati pass over leaf-sized child blocks, also on the
+one-node rule (q = 1, eta = 0), whose E[eta^2] reads 0.
 """
 
 import tracemalloc
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from fgncontrol import lq
+from fgncontrol import smp
 from fgncontrol.bsde import DriverSpec, adjoint_driver, solve_bsde
 from fgncontrol.dynamics import cost, forward, random_control, sin_drift_model
 from fgncontrol.lattice import lattice_for_hurst
@@ -210,14 +210,14 @@ def test_lq_riccati_pass_stays_under_three_leaf_tables(monkeypatch):
     q, depth = 10, 5
     spec = _random_lq_spec(np.random.default_rng([0, q, depth, 0]), depth)
     lat = lattice_for_hurst(0.7, depth, q)
-    peaks, step = [], lq._step
+    peaks, step = [], smp._step
 
     def spy(*args):
         if not peaks:
             peaks.append(tracemalloc.get_traced_memory()[1])
         return step(*args)
 
-    monkeypatch.setattr(lq, "_step", spy)
+    monkeypatch.setattr(smp, "_step", spy)
     tracemalloc.start()
     try:
         lq_fixed_point(spec, lat, lat.basis)

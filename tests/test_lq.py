@@ -282,6 +282,38 @@ class TestStationarityAndOptimality:
             assert diff <= 1e-6
 
 
+def tiny_control_weight(B, D, Q, R) -> LqSpec:
+    """A horizon-3 spec whose Q_uu lies below 1e-8 at every node."""
+    return LqSpec(
+        horizon=3, A=[0.1] * 3, B=[B] * 3, C=[0.2] * 3, D=[D] * 3,
+        Q=[Q] * 3, R=[R] * 3, G=1.0, x=1.0,
+    )
+
+
+TINY_CONTROL_WEIGHT = [
+    # (spec, J from a Riccati pass of the tree)
+    (tiny_control_weight(B=1e-5, D=0.0, Q=0.0, R=1e-9), 0.781902239506134),
+    (tiny_control_weight(B=2e-5, D=1e-5, Q=1.0, R=5e-9), 2.085600423431731),
+]
+
+
+class TestCurvatureRule:
+    # 0 < Q_uu < 1e-8 everywhere: a floor there would damp every Newton step
+
+    @pytest.mark.parametrize("spec, _", TINY_CONTROL_WEIGHT, ids=["S1", "S2"])
+    def test_optimize_takes_one_newton_step(self, lat7, spec, _):
+        result = optimize(
+            as_model(spec), constant_control(lat7, 3, 0.0), lat7, lat7.basis, tol=1e-10
+        )
+        assert result.converged
+        assert result.iterations == 1
+
+    @pytest.mark.parametrize("spec, want", TINY_CONTROL_WEIGHT, ids=["S1", "S2"])
+    def test_lq_solve_keeps_its_cost(self, lat7, spec, want):
+        sol = lq_fixed_point(spec, lat7, lat7.basis)
+        assert abs(sol.cost - want) <= 1e-12 * want
+
+
 class TestSufficiency:
     def test_zero_direction_gap_is_zero(self, spec3, lat7):
         sol = lq_fixed_point(spec3, lat7, lat7.basis)

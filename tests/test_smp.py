@@ -122,7 +122,7 @@ def leaf_form_backward_pass(model, u, x, lat):
         q_ux = lux + (v_xx * f_u * f_x + v_x * (bux + sux * xi)) @ w
         rho.append(lu + (lam * f_u) @ w)
         lam = lx + (lam * f_x) @ w
-        curvature = np.maximum(np.abs(q_uu), smp._CURVATURE_FLOOR)
+        curvature = np.where(q_uu > 0.0, q_uu, np.maximum(-q_uu, smp._CURVATURE_FLOOR))
         newton = u[n] - q_u / curvature
         target = model.control_set.project(newton)
         k = target - u[n]
@@ -409,6 +409,23 @@ class TestBackwardPass:
             # some node is clamped to the box, so its K is 0, and some is not
             clamped = np.concatenate([gain == 0.0 for _, gain in gains])
             assert clamped.any() and not clamped.all()
+
+    def test_leaf_moments_taken_twice(self, monkeypatch):
+        # at stage N-1 lambda is V_x, so its moments are V_x's: one leaf-level
+        # _moments call for V_x and one for V_xx
+        lat = lattice_for_hurst(0.7, depth=4, order=3)
+        model = sin_drift_model(4, noise_gain=0.5)
+        u = random_control(lat, 4, np.random.default_rng(5), scale=0.4)
+        u, x = [s.values for s in u], [s.values for s in forward(model, u, lat)]
+        sizes, moments = [], smp._moments
+
+        def spy(lattice, table, k):
+            sizes.append(np.size(table))
+            return moments(lattice, table, k)
+
+        monkeypatch.setattr(smp, "_moments", spy)
+        smp._backward_pass(model, u, x, lat)
+        assert sizes.count(lat.level_size(4)) == 2
 
     def test_rises_at_most_six_leaf_tables(self):
         # the moment form builds no child-sized factor; what remains is the
