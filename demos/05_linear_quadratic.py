@@ -30,7 +30,7 @@ spec = LqSpec(
 # correlated increments: one DDP Newton step from the zero control gives
 # a per-node gain, and the SMP residual of the resulting control certifies it
 lat = lattice_for_hurst(0.7, depth=spec.horizon, order=3)
-sol = lq_fixed_point(spec, lat, lat.basis)
+sol = lq_fixed_point(spec, lat)
 print("SMP residual:", sol.residual)
 print("J(u*) =", sol.cost)
 print("u_0 =", sol.control[0].values[0])
@@ -48,7 +48,7 @@ short = LqSpec(horizon=1, A=[0.3], B=[1.0], C=[0.2], D=[0.5],
                Q=[0.6], R=[1.0], G=1.1, x=1.3)
 lat1 = lattice_for_hurst(0.7, depth=1, order=3)
 closed = one_step_closed_form(short)
-solved = lq_fixed_point(short, lat1, lat1.basis)
+solved = lq_fixed_point(short, lat1)
 print("one-step gap:", abs(closed - solved.control[0].values[0]))
 
 
@@ -68,7 +68,7 @@ def backward_gains(spec):
 
 
 lat_flat = lattice_for_hurst(0.5, depth=spec.horizon, order=3)
-flat = lq_fixed_point(spec, lat_flat, lat_flat.basis)
+flat = lq_fixed_point(spec, lat_flat)
 gains, p0 = backward_gains(spec)
 worst = 0.0
 for n in range(spec.horizon):

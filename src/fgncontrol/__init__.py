@@ -98,7 +98,6 @@ from .noise import (
     whiten,
 )
 from .smp import (
-    ArmijoRule,
     OptimizeResult,
     SmpResidual,
     StationarityReport,
@@ -113,7 +112,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptedValue",
-    "ArmijoRule",
     "Box",
     "BsdeSolution",
     "ConfigError",

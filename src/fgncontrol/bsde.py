@@ -39,7 +39,6 @@ import numpy as np
 from .dynamics import ControlProcess, ModelSpec, StateProcess, _stage_value
 from .errors import DepthMismatch, NonFiniteValue, TerminalConditionViolated
 from .lattice import AdaptedValue, NoiseLattice, _chunks, _frozen, _mean, _moments
-from .noise import WhiteningBasis
 
 Driver = Callable[[int, AdaptedValue, AdaptedValue], AdaptedValue | float | np.ndarray]
 
@@ -144,12 +143,7 @@ def residual_orthogonality(sol: BsdeSolution, lat: NoiseLattice) -> tuple[float,
     return worst_mean, worst_eta
 
 
-def adjoint_driver(
-    model: ModelSpec,
-    u_star: ControlProcess,
-    x_star: StateProcess,
-    basis: WhiteningBasis,
-) -> DriverSpec:
+def adjoint_driver(model: ModelSpec, u_star: ControlProcess, x_star: StateProcess) -> DriverSpec:
     """Adjoint backward equation along a reference pair (u*, X*).
 
     Terminal data is phi_x(X*_N); for stages 1 <= k <= N-1,
@@ -157,15 +151,14 @@ def adjoint_driver(
         f(k, p, q) = b_x*(k) p + b[k,k] sigma_x*(k) q + l_x*(k),
         g(k, p, q) = sigma_x*(k) p,
 
-    with coefficients frozen along the reference pair.  Stage-N
+    with coefficients frozen along the reference pair and b the whitening
+    of the reference's lattice, `x_star.lattice.basis`.  Stage-N
     coefficients vanish because b, sigma, l vanish at the final stage;
     this is spot checked on the derivative callables before trusting it.
     """
     n_stages = model.horizon
     if x_star.horizon != n_stages or u_star.horizon != n_stages:
         raise DepthMismatch("reference pair does not match the model horizon")
-    if basis.size < n_stages:
-        raise DepthMismatch(f"basis covers {basis.size} stages, need {n_stages}")
     lat = x_star.lattice
 
     rng = np.random.default_rng(1729)
@@ -188,7 +181,7 @@ def adjoint_driver(
         for name in ("b_x", "sigma_x", "l_x")
     )
 
-    b_diag = np.diag(basis.b_mat)
+    b_diag = np.diag(lat.basis.b_mat)
 
     def f(k, p, q):
         if k == n_stages:

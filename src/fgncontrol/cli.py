@@ -101,13 +101,7 @@ def _stationarity_artifacts(out, lat, model, control, residual, tol):
     reporting.write_residual_csv(
         os.path.join(out, "residual.csv"), residual, control, classification
     )
-    return station, {
-        "passed": station.passed,
-        "worst_violation": station.worst_violation,
-        "worst_stage": station.worst_stage,
-        "worst_node": station.worst_node,
-        "tol": station.tol,
-    }
+    return station, dataclasses.asdict(station)
 
 
 def cmd_whiten(args) -> int:
@@ -163,7 +157,7 @@ def cmd_lq(args) -> int:
     out = _require_out(args)
     cfg = _load_config(configs.load_lq_config, args)
     lat = lattice_for_hurst(cfg.hurst, cfg.spec.horizon, cfg.quadrature_order)
-    sol = lq_fixed_point(cfg.spec, lat, lat.basis)
+    sol = lq_fixed_point(cfg.spec, lat)
     model = as_model(cfg.spec)
     reporting.ensure_out_dir(out)
     station, station_report = _stationarity_artifacts(
@@ -182,16 +176,8 @@ def cmd_lq(args) -> int:
             "iterations": sol.iterations,
             "residual": sol.residual,
             "stationarity": station_report,
-            "sufficiency": {
-                "passed": suff.passed,
-                "trials": suff.trials,
-                "min_cost_gap": suff.min_cost_gap,
-                "worst_quadratic_slack": suff.worst_quadratic_slack,
-            },
-            "uniqueness": {
-                "passed": uniq.passed,
-                "worst_parallelogram_slack": uniq.worst_parallelogram_slack,
-            },
+            "sufficiency": dataclasses.asdict(suff),
+            "uniqueness": dataclasses.asdict(uniq),
             "passed": passed,
         },
     )
@@ -230,7 +216,6 @@ def cmd_optimize(args) -> int:
         model,
         constant_control(lat, cfg.horizon, float(start)),
         lat,
-        lat.basis,
         tol=args.tol,
         max_iter=args.max_iter,
     )

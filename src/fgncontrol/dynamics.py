@@ -45,7 +45,7 @@ class Unconstrained:
     def project(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=np.float64)
 
-    def contains(self, values: np.ndarray, tol: float = _ZERO_TOL) -> bool:
+    def contains(self, values: np.ndarray) -> bool:
         return bool(np.all(np.isfinite(values)))
 
     def __repr__(self):
@@ -71,12 +71,12 @@ class Box:
     def project(self, values: np.ndarray) -> np.ndarray:
         return np.clip(values, self.lower, self.upper)
 
-    def contains(self, values: np.ndarray, tol: float = _ZERO_TOL) -> bool:
+    def contains(self, values: np.ndarray) -> bool:
         values = np.asarray(values)
         return bool(
             np.all(np.isfinite(values))
-            and np.all(values >= self.lower - tol)
-            and np.all(values <= self.upper + tol)
+            and np.all(values >= self.lower - _ZERO_TOL)
+            and np.all(values <= self.upper + _ZERO_TOL)
         )
 
 
@@ -208,9 +208,9 @@ class ControlProcess(_StagedProcess):
     def horizon(self) -> int:
         return len(self.stages)
 
-    def validate_in(self, control_set, tol: float = _ZERO_TOL):
+    def validate_in(self, control_set):
         for n, u in enumerate(self.stages):
-            if not control_set.contains(u.values, tol):
+            if not control_set.contains(u.values):
                 raise OutOfControlSet(f"stage {n} control leaves {control_set!r}")
 
 

@@ -188,7 +188,7 @@ class AdaptedValue:
         self.lattice._check_level(level)
         q = self.lattice.rule.q
         return AdaptedValue(
-            self.lattice, level, np.repeat(self.values, q ** (level - self.level))
+            self.lattice, level, _frozen(np.repeat(self.values, q ** (level - self.level)))
         )
 
     def _binary(self, other, op) -> "AdaptedValue":
@@ -200,9 +200,9 @@ class AdaptedValue:
             return AdaptedValue(
                 self.lattice,
                 max(self.level, other.level),
-                op(self.values.reshape(rows, -1), other.values.reshape(rows, -1)),
+                _frozen(op(self.values.reshape(rows, -1), other.values.reshape(rows, -1))),
             )
-        return AdaptedValue(self.lattice, self.level, op(self.values, float(other)))
+        return AdaptedValue(self.lattice, self.level, _frozen(op(self.values, float(other))))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -224,7 +224,7 @@ class AdaptedValue:
         return self._binary(other, np.divide)
 
     def __neg__(self):
-        return AdaptedValue(self.lattice, self.level, -self.values)
+        return AdaptedValue(self.lattice, self.level, _frozen(-self.values))
 
     def __repr__(self):
         return f"AdaptedValue(level={self.level}, size={self.values.shape[0]})"

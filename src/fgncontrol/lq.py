@@ -35,7 +35,6 @@ from .dynamics import (
 )
 from .errors import InvalidSpec, LevelMismatch, NotConverged, WrongHorizon
 from .lattice import AdaptedValue, NoiseLattice, _chunks, _contract
-from .noise import WhiteningBasis
 from .smp import SmpResidual, _backward_pass, _check_tol, _gradient, _rollout
 
 # Leaf budget of one stacked certificate pass: rows * q^N stays within it
@@ -147,12 +146,7 @@ class LqSolution:
         return self.adjoint.z
 
 
-def lq_fixed_point(
-    spec: LqSpec,
-    lat: NoiseLattice,
-    basis: WhiteningBasis,
-    tol: float = 1e-10,
-) -> LqSolution:
+def lq_fixed_point(spec: LqSpec, lat: NoiseLattice, tol: float = 1e-10) -> LqSolution:
     """The optimal control, computed directly by one DDP Newton step from u = 0.
 
     It is the fixed point of u = u - rho / R.  `smp._backward_pass` runs along
@@ -165,10 +159,10 @@ def lq_fixed_point(
     gamma = B_n + D_n xi_n, so the step is exact; the constants stay scalars
     and build no leaf-sized table.  One `smp._rollout` of u_n = K_n X_n from x
     gives u*, the state `forward(u*)` returns, and J.  The SMP residual
-    max_n max_node |rho_n| / R_n of the adjoint pair solved there certifies
-    it: NotConverged is raised when it exceeds `tol`, ValueError unless `tol`
-    is finite and >= 0, and DepthMismatch when the lattice is shallower than
-    the horizon.
+    max_n max_node |rho_n| / R_n of the adjoint pair solved there, with b
+    from `lat.basis`, certifies it: NotConverged is raised when it exceeds
+    `tol`, ValueError unless `tol` is finite and >= 0, and DepthMismatch
+    when the lattice is shallower than the horizon.
     """
     _check_tol(tol)
     model = as_model(spec)
@@ -180,8 +174,8 @@ def lq_fixed_point(
     del gains, costs
     u = ControlProcess(AdaptedValue(lat, n, un) for n, un in enumerate(us))
     x = StateProcess(AdaptedValue(lat, n, xn) for n, xn in enumerate(xs))
-    adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
-    rho = _gradient(model, u, xs, adj, lat, basis)
+    adj = solve_bsde(adjoint_driver(model, u, x), lat)
+    rho = _gradient(model, u, xs, adj, lat)
     residual = max(float(np.max(np.abs(r.values)) / r_n) for r, r_n in zip(rho, spec.R))
     if residual > tol:
         raise NotConverged(
@@ -219,12 +213,11 @@ class SufficiencyReport:
 
 def _draw(lat: NoiseLattice, horizon: int, rng: np.random.Generator, rows: int) -> list:
     """`rows` successive `random_control(lat, horizon, rng)` draws stacked
-    as (rows, q^n) tables: the same numbers in the same order."""
-    stages = [np.empty((rows, lat.level_size(n))) for n in range(horizon)]
-    for row in range(rows):
-        for n in range(horizon):
-            stages[n][row] = rng.standard_normal(lat.level_size(n))
-    return stages
+    as (rows, q^n) tables.  A Generator stream does not depend on how its
+    draws are split, so one (rows, sum_n q^n) draw split by stage gives the
+    same numbers in the same order."""
+    sizes = [lat.level_size(n) for n in range(horizon)]
+    return np.split(rng.standard_normal((rows, sum(sizes))), np.cumsum(sizes[:-1]), axis=1)
 
 
 def verify_sufficiency(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import filecmp
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -324,7 +324,7 @@ def criterion_orthogonality(seed: int) -> CriterionResult:
     lat = lattice_for_hurst(0.7, depth=3, order=3)
     for _ in range(2):
         spec = _random_lq_spec(rng, 3)
-        sol = lq_fixed_point(spec, lat, lat.basis)
+        sol = lq_fixed_point(spec, lat)
         worst = max(worst, *residual_orthogonality(sol.adjoint, lat))
         solves += 1
 
@@ -352,7 +352,7 @@ def criterion_duality(seed: int) -> CriterionResult:
         for model in models:
             u = random_control(lat, 3, rng, scale=0.5)
             v = random_control(lat, 3, rng)
-            primal, dual = _derivative_routes(model, u, v, lat, lat.basis)
+            primal, dual = _derivative_routes(model, u, v, lat)
             worst = max(worst, abs(primal - dual))
     passed = worst <= DUALITY_TOL
     return CriterionResult(
@@ -371,7 +371,7 @@ def criterion_gradient_check(seed: int) -> CriterionResult:
     eps = 1e-4
 
     def fd_gap(model, u, v):
-        dd = directional_derivative(model, u, v, lat, lat.basis)
+        dd = directional_derivative(model, u, v, lat)
         j_plus = cost(model, _shift(u, v, eps), forward(model, _shift(u, v, eps), lat), lat)
         j_minus = cost(model, _shift(u, v, -eps), forward(model, _shift(u, v, -eps), lat), lat)
         return abs(dd - (j_plus - j_minus) / (2 * eps))
@@ -454,7 +454,7 @@ def criterion_lq_closed_form(seed: int) -> CriterionResult:
             G=rng.uniform(0.1, 1.5),
             x=rng.uniform(-2.0, 2.0),
         )
-        sol = lq_fixed_point(spec, lat, lat.basis)
+        sol = lq_fixed_point(spec, lat)
         worst = max(worst, float(np.max(np.abs(sol.control[0].values - one_step_closed_form(spec)))))
     passed = worst <= 1e-10
     return CriterionResult(
@@ -471,7 +471,7 @@ def criterion_lq_certificates(seed: int) -> CriterionResult:
     strictly convex (the parallelogram inequality holds with 1e-9 slack)."""
     lat = lattice_for_hurst(0.7, depth=3, order=3)
     spec = _random_lq_spec(_rng(seed, 10), 3)
-    sol = lq_fixed_point(spec, lat, lat.basis)
+    sol = lq_fixed_point(spec, lat)
     model = as_model(spec)
     res = smp_residual(model, sol.control, sol.adjoint, lat, lat.basis)
     station = check_stationarity(res, sol.control, model.control_set, tol=1e-8)
@@ -497,10 +497,9 @@ def criterion_cross_solver(seed: int) -> CriterionResult:
     worst = 0.0
     for _ in range(2):
         spec = _random_lq_spec(rng, 3)
-        sol = lq_fixed_point(spec, lat, lat.basis)
+        sol = lq_fixed_point(spec, lat)
         result = optimize(
-            as_model(spec), constant_control(lat, 3, 0.0), lat, lat.basis,
-            tol=1e-8, max_iter=5000,
+            as_model(spec), constant_control(lat, 3, 0.0), lat, tol=1e-8, max_iter=5000
         )
         if not result.converged:
             return CriterionResult(11, "cross-solver-agreement", False, "optimizer hit max_iter")
@@ -629,10 +628,7 @@ def run_all(seed: int = 0, out_dir: str | None = None) -> list[CriterionResult]:
             {
                 "seed": seed,
                 "passed": all(r.passed for r in results),
-                "criteria": [
-                    {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
+                "criteria": [asdict(r) for r in results],
             },
         )
     return results

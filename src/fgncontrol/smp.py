@@ -14,7 +14,9 @@ continue.  Stationarity of a candidate control is classified nodewise
 against the control set.  `optimize` takes second-order steps from
 differential dynamic programming on the tree, dividing by Q_uu where it is
 positive and by max(-Q_uu, 1e-8) elsewhere, so that a non-convex node
-still gets a descent step, with Armijo backtracking.  Its backward pass,
+still gets a descent step, with Armijo backtracking (step 1 halved up to
+40 times, slope constant 1e-4).  Every route reads the whitening b of
+the lattice, `lat.basis`.  Its backward pass,
 in moment form, carries the open-loop adjoint lambda, which is p: each
 iteration reads rho from it, and once rho passes, the adjoint equation is
 solved to certify it.  `lq` takes one such pass from the zero control.
@@ -44,7 +46,7 @@ from .dynamics import (
     forward,
     variation,
 )
-from .errors import DualityMismatch, NoDescent, NonFiniteValue, OutOfControlSet
+from .errors import DualityMismatch, LevelMismatch, NoDescent, NonFiniteValue, OutOfControlSet
 from .lattice import (
     AdaptedValue,
     NoiseLattice,
@@ -75,16 +77,25 @@ class _RolledAdjoint(BsdeSolution):
     _state: StateProcess = field(repr=False, compare=False)
 
 
+def _check_basis(lat: NoiseLattice, basis: WhiteningBasis):
+    """LevelMismatch unless `basis` whitens with the lattice's own b."""
+    if basis is not lat.basis and not np.array_equal(basis.b_mat, lat.basis.b_mat):
+        raise LevelMismatch("basis is not the whitening basis of the lattice")
+
+
 def solve_adjoint(
     model: ModelSpec, u: ControlProcess, lat: NoiseLattice, basis: WhiteningBasis
 ) -> tuple[StateProcess, BsdeSolution]:
     """Forward state plus backward adjoint pair for a control.
 
-    The adjoint keeps the state it was solved along (shared, not copied),
-    so `smp_residual` with this model and control does not roll it again.
+    The adjoint driver reads b from `lat.basis`; `basis` must have the same
+    b_mat, else LevelMismatch.  The adjoint keeps the state it was solved
+    along (shared, not copied), so `smp_residual` with this model and
+    control does not roll it again.
     """
+    _check_basis(lat, basis)
     x = forward(model, u, lat)
-    adj = solve_bsde(adjoint_driver(model, u, x, basis), lat)
+    adj = solve_bsde(adjoint_driver(model, u, x), lat)
     return x, _RolledAdjoint(adj.y, adj.z, adj.r, model, u, x)
 
 
@@ -94,14 +105,13 @@ def _gradient(
     x: list[np.ndarray],
     adjoint: BsdeSolution,
     lat: NoiseLattice,
-    basis: WhiteningBasis,
 ) -> SmpResidual:
     """rho_n along (u, X), with the adjoint solved there.
 
     x holds the level-n state tables X_0..X_{N-1} of forward(u); a
     stage-N table, if present, is not read.
     """
-    b_diag = np.diag(basis.b_mat)
+    b_diag = np.diag(lat.basis.b_mat)
     stages = []
     for n in range(model.horizon):
         xn, un = x[n], u[n].values
@@ -123,12 +133,14 @@ def smp_residual(
 ) -> SmpResidual:
     """Gradient representative along u*, using an adjoint solved at u*.
 
-    An adjoint from `solve_adjoint` on this model and control (the same
-    objects) and on `lat` brings its state along, and that state is read.
-    Any other adjoint rolls out X_0..X_{N-1} only: rho never reads X_N,
-    whose finiteness the `forward` that built the adjoint has already
-    checked.
+    b is read from `lat.basis`; `basis` must have the same b_mat, else
+    LevelMismatch.  An adjoint from `solve_adjoint` on this model and
+    control (the same objects) and on `lat` brings its state along, and
+    that state is read.  Any other adjoint rolls out X_0..X_{N-1} only: rho
+    never reads X_N, whose finiteness the `forward` that built the adjoint
+    has already checked.
     """
+    _check_basis(lat, basis)
     if (
         isinstance(adjoint, _RolledAdjoint)
         and adjoint._model is model
@@ -138,7 +150,7 @@ def smp_residual(
         x = [s.values for s in adjoint._state]
     else:
         x = _states(model, u_star, lat, model.horizon - 1)
-    return _gradient(model, u_star, x, adjoint, lat, basis)
+    return _gradient(model, u_star, x, adjoint, lat)
 
 
 def _derivative_routes(
@@ -146,7 +158,6 @@ def _derivative_routes(
     u_star: ControlProcess,
     v: ControlProcess,
     lat: NoiseLattice,
-    basis: WhiteningBasis,
 ) -> tuple[float, float]:
     """Both routes to d/de J(u* + e v) at e = 0, as (primal, dual).
 
@@ -168,8 +179,8 @@ def _derivative_routes(
     phi_x = _stage_value(lat, n_stages, model.phi_x(x_star[n_stages].values))
     primal += _expect(lat, phi_x * var[n_stages].values, n_stages)
 
-    adj = solve_bsde(adjoint_driver(model, u_star, x_star, basis), lat)
-    rho = _gradient(model, u_star, [s.values for s in x_star], adj, lat, basis)
+    adj = solve_bsde(adjoint_driver(model, u_star, x_star), lat)
+    rho = _gradient(model, u_star, [s.values for s in x_star], adj, lat)
     dual = sum(_expect(lat, rho[n].values * v[n].values, n) for n in range(n_stages))
     return primal, dual
 
@@ -179,14 +190,13 @@ def directional_derivative(
     u_star: ControlProcess,
     v: ControlProcess,
     lat: NoiseLattice,
-    basis: WhiteningBasis,
 ) -> float:
     """d/de J(u* + e v) at e = 0, cross-checked through the adjoint.
 
     Returns the primal (state variation) route and raises DualityMismatch
     when the adjoint route differs from it by more than DUALITY_TOL.
     """
-    primal, dual = _derivative_routes(model, u_star, v, lat, basis)
+    primal, dual = _derivative_routes(model, u_star, v, lat)
     if abs(primal - dual) > DUALITY_TOL:
         raise DualityMismatch(
             f"variation route {primal!r} vs adjoint route {dual!r} "
@@ -262,19 +272,6 @@ def _stationarity(rho, u, control_set, tol: float) -> StationarityReport:
 
 
 @dataclass(frozen=True)
-class ArmijoRule:
-    """Backtracking parameters for the step length alpha of a Newton
-    rollout: accept when the decrease of J, taken nodewise, beats
-    slope_constant * <rho, u - u_new> in the path inner product, less
-    the rounding of that decrease."""
-
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    slope_constant: float = 1e-4
-    max_halvings: int = 40
-
-
-@dataclass(frozen=True)
 class TracePoint:
     iteration: int
     cost: float
@@ -303,9 +300,17 @@ _CURVATURE_FLOOR = 1e-8
 # step falls below it, and the step is then accepted unless it raises J
 # by more than that rounding.
 _ROUNDING = 4 * np.finfo(np.float64).eps
+# Armijo backtracking of the step length alpha of a Newton rollout: start
+# at _INITIAL_STEP, multiply by _SHRINK up to _MAX_HALVINGS times, and
+# accept when the decrease of J, taken nodewise, beats _SLOPE_CONSTANT
+# times <rho, u - u_new> in the path inner product, less its rounding.
+_INITIAL_STEP = 1.0
+_SHRINK = 0.5
+_SLOPE_CONSTANT = 1e-4
+_MAX_HALVINGS = 40
 
 
-def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, x, u) -> np.ndarray:
+def _stage_derivatives(model: ModelSpec, n: int, x, u) -> np.ndarray:
     """(_x, _u, _xx, _uu, _ux) of b, sigma and l at stage n: one table of 15 rows.
 
     Rows run b, sigma, l, five each, shaped as x and u broadcast together:
@@ -369,7 +374,7 @@ def _backward_pass(model, u, x, lat):
 def _backward_stage(model, lat, n, x, u, v_x, v_xx, lam):
     """Stage n of `_backward_pass`; its temporaries die before stage n - 1's."""
     bx, bu, bxx, buu, bux, sx, su, sxx, suu, sux, lx, lu, lxx, luu, lux = (
-        _stage_derivatives(model, lat, n, x[n], u[n])
+        _stage_derivatives(model, n, x[n], u[n])
     )
     mu, beta = _mean(lat, n), lat.basis.b_mat[n, n]
     f_x, f_u, f_xx, f_uu, f_ux = (  # each as its (c0, c1) in c0 + c1 eta_n
@@ -448,8 +453,6 @@ def optimize(
     model: ModelSpec,
     u_init: ControlProcess,
     lat: NoiseLattice,
-    basis: WhiteningBasis,
-    step_rule: ArmijoRule = ArmijoRule(),
     tol: float = 1e-8,
     max_iter: int = 1000,
 ) -> OptimizeResult:
@@ -457,14 +460,16 @@ def optimize(
 
     Each iteration runs one backward pass for per-node Newton gains
     (Jacobson & Mayne; clamped gains on a Box, after Tassa, Mansard &
-    Todorov) and closed-loop rollouts u + alpha k + K (x_new - x), alpha
-    backtracked by `step_rule`, each trial rolled out once.  A Newton step
-    is scale-free per node, so nodes of small probability converge as fast
-    as the root.  Where Q_uu <= 0 the step divides by max(|Q_uu|, 1e-8) at
-    that node only.  A step is accepted on Armijo decrease of J, taken as
-    one expectation of nodewise cost differences, so the cost never
+    Todorov) and closed-loop rollouts u + alpha k + K (x_new - x), each
+    trial rolled out once.  A Newton step is scale-free per node, so nodes
+    of small probability converge as fast as the root.  Where Q_uu <= 0 the
+    step divides by max(|Q_uu|, 1e-8) at that node only.  alpha starts at
+    _INITIAL_STEP = 1 and is halved (_SHRINK) at most _MAX_HALVINGS = 40
+    times; a step is accepted on Armijo decrease of J by _SLOPE_CONSTANT =
+    1e-4 times the path inner product <rho, u - u_new>, the decrease taken
+    as one expectation of nodewise cost differences, so the cost never
     increases beyond rounding and a decrease below the rounding of J
-    itself is not lost.
+    itself is not lost.  The lattice supplies the whitening b, `lat.basis`.
 
     The backward pass also yields rho from its open-loop adjoint lambda,
     and the stationarity check at `tol` runs on it.  When it passes, the
@@ -496,8 +501,8 @@ def optimize(
         if final or report.passed:
             control = ControlProcess(AdaptedValue(lat, n, un) for n, un in enumerate(u))
             state = StateProcess(AdaptedValue(lat, n, xn) for n, xn in enumerate(x))
-            adj = solve_bsde(adjoint_driver(model, control, state, basis), lat)
-            residual = _gradient(model, control, x, adj, lat, basis)
+            adj = solve_bsde(adjoint_driver(model, control, state), lat)
+            residual = _gradient(model, control, x, adj, lat)
             if not final:
                 _check_duality(rho, residual)
             report = check_stationarity(residual, control, model.control_set, tol)
@@ -508,22 +513,22 @@ def optimize(
                 iterations=iterations, converged=report.passed, trace=tuple(trace),
             )
 
-        step = step_rule.initial_step
-        for _halving in range(step_rule.max_halvings + 1):
+        step = _INITIAL_STEP
+        for _halving in range(_MAX_HALVINGS + 1):
             trial, x_trial, costs_trial = _rollout(model, u, x, gains, step, lat)
             # path inner product sum_n E[rho_n (u_n - trial_n)]
             gap = sum(
                 _expect(lat, rho[n] * (u[n] - trial[n]), n) for n in range(model.horizon)
             )
             decrease, rounding = _decrease(lat, costs, costs_trial)
-            if gap > 0.0 and decrease >= step_rule.slope_constant * gap - rounding:
+            if gap > 0.0 and decrease >= _SLOPE_CONSTANT * gap - rounding:
                 u, x, costs = trial, x_trial, costs_trial
                 j_curr = _total_cost(lat, costs)
                 break
-            step *= step_rule.shrink
+            step *= _SHRINK
         else:
             raise NoDescent(
-                f"no sufficient decrease after {step_rule.max_halvings} halvings "
+                f"no sufficient decrease after {_MAX_HALVINGS} halvings "
                 f"at iteration {iterations}: J={j_curr!r}, worst residual "
                 f"{report.worst_violation:.3e} at stage {report.worst_stage} "
                 f"node {report.worst_node}"

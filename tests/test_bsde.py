@@ -266,7 +266,7 @@ class TestSolutionStructure:
         model = sin_drift_model(3, initial_state=0.7)
         u = constant_control(lat, 3, 0.2)
         x = forward(model, u, lat)
-        sol = solve_bsde(adjoint_driver(model, u, x, lat.basis), lat)
+        sol = solve_bsde(adjoint_driver(model, u, x), lat)
         assert np.shares_memory(sol.y[3].values, x[3].values)
 
     def test_stage_n_residual_needs_no_leaf_sized_temporary(self):
@@ -334,7 +334,7 @@ class TestAdjointDriver:
         )
         u = constant_control(lat, 2, 0.3)
         x = forward(model, u, lat)
-        sol = solve_bsde(adjoint_driver(model, u, x, lat.basis), lat)
+        sol = solve_bsde(adjoint_driver(model, u, x), lat)
         for n in range(3):
             assert np.allclose(sol.y[n].values, 1.0, atol=1e-13)
         for n in range(2):
@@ -366,7 +366,7 @@ class TestAdjointDriver:
         )
         u = constant_control(lat1, 1, u0)
         x = forward(model, u, lat1)
-        sol = solve_bsde(adjoint_driver(model, u, x, lat1.basis), lat1)
+        sol = solve_bsde(adjoint_driver(model, u, x), lat1)
         b00 = lat1.basis.b_mat[0, 0]
         # p_0 = E[G X_1] = G((1+a0)x + b0 u); q_0 = G(c0 x + d0 u) b(0,0)
         assert sol.y[0].values[0] == pytest.approx(
@@ -397,7 +397,7 @@ class TestAdjointDriver:
         u = constant_control(lat, 2, 0.0)
         x = forward(model, u, lat)
         with pytest.raises(TerminalConditionViolated):
-            adjoint_driver(model, u, x, lat.basis)
+            adjoint_driver(model, u, x)
 
     def test_white_noise_reduction_matches_direct_recursion(self):
         # at h = 0.5 the adjoint collapses to the classical recursion
@@ -407,7 +407,7 @@ class TestAdjointDriver:
         model = sin_drift_model(3, initial_state=0.8)
         u = constant_control(lat5, 3, 0.25)
         x = forward(model, u, lat5)
-        sol = solve_bsde(adjoint_driver(model, u, x, lat5.basis), lat5)
+        sol = solve_bsde(adjoint_driver(model, u, x), lat5)
 
         p = [None] * 4
         q = [None] * 3
@@ -435,7 +435,7 @@ class TestAdjointDriver:
 
         u = random_control(lat, 3, rng, scale=0.4)
         x = forward(model, u, lat)
-        sol = solve_bsde(adjoint_driver(model, u, x, lat.basis), lat)
+        sol = solve_bsde(adjoint_driver(model, u, x), lat)
         assert_orthogonal(sol, lat)
 
     def test_fgn_covariance_consistency_of_z(self, lat):

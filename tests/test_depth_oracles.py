@@ -122,8 +122,8 @@ def test_smp_residual_equals_gradient_on_the_full_roll(q, depth, hurst):
     model = sin_drift_model(depth, initial_state=0.8, noise_gain=0.6)
     u = random_control(lat, depth, np.random.default_rng(12), scale=0.7)
     x = forward(model, u, lat)
-    adj = solve_bsde(adjoint_driver(model, u, x, lat.basis), lat)
-    want = _gradient(model, u, [s.values for s in x], adj, lat, lat.basis)
+    adj = solve_bsde(adjoint_driver(model, u, x), lat)
+    want = _gradient(model, u, [s.values for s in x], adj, lat)
     got = smp_residual(model, u, adj, lat, lat.basis)
     assert len(got) == depth
     for n in range(depth):
@@ -194,7 +194,7 @@ def test_lq_solve_matches_per_node_riccati(q, depth, hurst):
     # J = 0.5 P_0 x^2, u_n = -K_n X_n, and X is the forward roll of u bit for bit
     spec = _random_lq_spec(np.random.default_rng([0, q, depth, 0]), depth)
     lat = lattice_for_hurst(hurst, depth, q)
-    sol = lq_fixed_point(spec, lat, lat.basis)
+    sol = lq_fixed_point(spec, lat)
     want, gains = riccati(spec, q, hurst)
     assert abs(sol.cost - want) <= 1e-12 * abs(want)
     for n, k in enumerate(gains):
@@ -220,7 +220,7 @@ def test_lq_riccati_pass_stays_under_three_leaf_tables(monkeypatch):
     monkeypatch.setattr(smp, "_step", spy)
     tracemalloc.start()
     try:
-        lq_fixed_point(spec, lat, lat.basis)
+        lq_fixed_point(spec, lat)
     finally:
         tracemalloc.stop()
     assert peaks[0] < 3 * 8 * q**depth

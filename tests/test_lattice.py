@@ -7,6 +7,7 @@ the contraction-based condexp implementation.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,28 @@ class TestAdaptedValue:
         v = AdaptedValue(lat_h07, 2, table)
         assert np.shares_memory(v.values, table)
         assert not v.values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda a, c: a + a, lambda a, c: 2.0 * a, lambda a, c: -a, lambda a, c: c.at_level(10)],
+        ids=["add", "scalar-mul", "neg", "at_level"],
+    )
+    def test_result_table_is_allocated_once(self, op):
+        # a fresh result is frozen and shared, not copied again on wrapping;
+        # the lift starts two levels down, since np.repeat also allocates one
+        # repeat count per coarse entry
+        big = lattice_for_hurst(0.7, depth=10, order=3)
+        rng = np.random.default_rng(3)
+        fine = AdaptedValue(big, 10, rng.standard_normal(3**10))
+        coarse = AdaptedValue(big, 8, rng.standard_normal(3**8))
+        tracemalloc.start()
+        try:
+            out = op(fine, coarse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.level == 10
+        assert peak <= 1.25 * 8 * 3**10
 
     @pytest.mark.parametrize("dtype", [np.float32, ">f8"])
     def test_frozen_input_of_other_dtype_is_copied(self, lat_h07, dtype):

@@ -17,7 +17,7 @@ from fgncontrol.dynamics import (
     perturb,
     random_control,
 )
-from fgncontrol import lq
+from fgncontrol import lq, smp
 from fgncontrol.errors import (
     DepthMismatch,
     InvalidSpec,
@@ -158,7 +158,7 @@ class TestOneStepClosedForm:
                 G=rng.uniform(0.1, 1.5),
                 x=rng.uniform(-2.0, 2.0),
             )
-            sol = lq_fixed_point(spec, lat, lat.basis)
+            sol = lq_fixed_point(spec, lat)
             expected = one_step_closed_form(spec)
             assert np.max(np.abs(sol.control[0].values - expected)) <= 1e-10
 
@@ -168,7 +168,7 @@ class TestFixedPointStructure:
         spec = LqSpec(horizon=3, A=[0.2, 0.1, 0.3], B=[0.0, 0.0, 0.0],
                       C=[0.4, 0.2, 0.1], D=[0.0, 0.0, 0.0],
                       Q=[0.5, 0.5, 0.5], R=[1.0, 1.0, 1.0], G=1.0, x=1.0)
-        sol = lq_fixed_point(spec, lat7, lat7.basis)
+        sol = lq_fixed_point(spec, lat7)
         assert sol.iterations == 0
         for n in range(3):
             assert np.all(sol.control[n].values == 0.0)
@@ -177,43 +177,53 @@ class TestFixedPointStructure:
         spec = LqSpec(horizon=3, A=[0.2, 0.1, 0.3], B=[1.0, 1.0, 1.0],
                       C=[0.4, 0.2, 0.1], D=[0.5, 0.5, 0.5],
                       Q=[0.0, 0.0, 0.0], R=[1.0, 1.0, 1.0], G=0.0, x=1.0)
-        sol = lq_fixed_point(spec, lat7, lat7.basis)
+        sol = lq_fixed_point(spec, lat7)
         for n in range(3):
             assert np.max(np.abs(sol.control[n].values)) <= 1e-12
         assert sol.cost <= 1e-12
 
     def test_adjoint_properties_alias_solution(self, spec3, lat7):
-        sol = lq_fixed_point(spec3, lat7, lat7.basis)
+        sol = lq_fixed_point(spec3, lat7)
         assert sol.p is sol.adjoint.y
         assert sol.q is sol.adjoint.z
 
     def test_not_converged_carries_residual(self, spec3, lat7):
-        # the adjoint sees h = 0.3 while the lattice noise is h = 0.7, so
-        # the Riccati control cannot pass the SMP check
-        wrong = lattice_for_hurst(0.3, 3, 3).basis
+        # the SMP residual of the exact control is rounding, not 0, so a
+        # zero tolerance cannot pass
         with pytest.raises(NotConverged) as info:
-            lq_fixed_point(spec3, lat7, wrong)
+            lq_fixed_point(spec3, lat7, tol=0.0)
         assert info.value.residual > 0.0
+
+    def test_stage_algebra_slip_fails_the_certificate(self, spec3, lat7, monkeypatch):
+        # optimize shares the DDP stage algebra, so comparing the two cannot
+        # catch a slip in it; the SMP certificate (solve_bsde and the adjoint
+        # gradient) never calls _product, and fails the slipped gains
+        product = smp._product
+        monkeypatch.setattr(
+            smp, "_product", lambda m, c, d: product((m[0], m[1], 1.001 * m[2]), c, d)
+        )
+        with pytest.raises(NotConverged, match="LQ control fails the SMP check"):
+            lq_fixed_point(spec3, lat7)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_invalid_tolerance_rejected(self, spec3, lat7, tol):
         # residual > nan and residual > inf are False: either would certify anything
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-            lq_fixed_point(spec3, lat7, lat7.basis, tol=tol)
+            lq_fixed_point(spec3, lat7, tol=tol)
 
     def test_shallow_lattice_rejected(self, spec3):
         # the same DepthMismatch forward and the certificates raise, not
         # the LevelMismatch of reading level 3 off a depth-2 lattice
         shallow = lattice_for_hurst(0.7, depth=2, order=3)
         with pytest.raises(DepthMismatch, match="lattice depth 2 < horizon 3"):
-            lq_fixed_point(spec3, shallow, shallow.basis)
+            lq_fixed_point(spec3, shallow)
 
     @pytest.mark.parametrize("q, horizon, draw", [(3, 6, 1), (3, 8, 0)])
     def test_certified_at_benchmark_depth(self, q, horizon, draw):
         # lq-certify draws that a 500-sweep damped iteration does not solve
         lat = lattice_for_hurst(0.7, depth=horizon, order=q)
         spec = _random_lq_spec(np.random.default_rng([0, q, horizon, draw]), horizon)
-        sol = lq_fixed_point(spec, lat, lat.basis)
+        sol = lq_fixed_point(spec, lat)
         assert sol.residual <= 1e-10
         model = as_model(spec)
         res = smp_residual(model, sol.control, sol.adjoint, lat, lat.basis)
@@ -231,7 +241,7 @@ class TestWhiteNoiseRiccati:
         lat = lattice_for_hurst(0.5, depth=depth, order=3)
         rng = np.random.default_rng(seed)
         spec = random_spec(rng, depth)
-        sol = lq_fixed_point(spec, lat, lat.basis)
+        sol = lq_fixed_point(spec, lat)
         gains, p0 = riccati_gains(spec)
         for n in range(depth):
             expected = gains[n] * sol.state[n].values
@@ -241,7 +251,7 @@ class TestWhiteNoiseRiccati:
     def test_fractional_noise_breaks_feedback_form(self, spec3, lat7):
         # with memory the optimal control is path dependent, so no
         # stagewise gain K_n with u = K_n x can reproduce it
-        sol = lq_fixed_point(spec3, lat7, lat7.basis)
+        sol = lq_fixed_point(spec3, lat7)
         n = 2
         x_vals = sol.state[n].values
         u_vals = sol.control[n].values
@@ -251,7 +261,7 @@ class TestWhiteNoiseRiccati:
 
 class TestStationarityAndOptimality:
     def test_fixed_point_is_stationary(self, spec3, lat7):
-        sol = lq_fixed_point(spec3, lat7, lat7.basis)
+        sol = lq_fixed_point(spec3, lat7)
         model = as_model(spec3)
         res = smp_residual(model, sol.control, sol.adjoint, lat7, lat7.basis)
         report = check_stationarity(res, sol.control, model.control_set, tol=1e-8)
@@ -260,7 +270,7 @@ class TestStationarityAndOptimality:
     def test_never_beaten_by_random_controls(self, lat7):
         rng = np.random.default_rng(31)
         spec = random_spec(rng, 3)
-        sol = lq_fixed_point(spec, lat7, lat7.basis)
+        sol = lq_fixed_point(spec, lat7)
         model = as_model(spec)
         for _ in range(100):
             u = random_control(lat7, 3, rng, scale=2.0)
@@ -268,10 +278,10 @@ class TestStationarityAndOptimality:
             assert j >= sol.cost - 1e-10
 
     def test_optimize_agrees_with_fixed_point(self, spec3, lat7):
-        sol = lq_fixed_point(spec3, lat7, lat7.basis)
+        sol = lq_fixed_point(spec3, lat7)
         model = as_model(spec3)
         result = optimize(
-            model, constant_control(lat7, 3, 0.0), lat7, lat7.basis,
+            model, constant_control(lat7, 3, 0.0), lat7,
             tol=1e-8, max_iter=5000,
         )
         assert result.converged
@@ -303,20 +313,20 @@ class TestCurvatureRule:
     @pytest.mark.parametrize("spec, _", TINY_CONTROL_WEIGHT, ids=["S1", "S2"])
     def test_optimize_takes_one_newton_step(self, lat7, spec, _):
         result = optimize(
-            as_model(spec), constant_control(lat7, 3, 0.0), lat7, lat7.basis, tol=1e-10
+            as_model(spec), constant_control(lat7, 3, 0.0), lat7, tol=1e-10
         )
         assert result.converged
         assert result.iterations == 1
 
     @pytest.mark.parametrize("spec, want", TINY_CONTROL_WEIGHT, ids=["S1", "S2"])
     def test_lq_solve_keeps_its_cost(self, lat7, spec, want):
-        sol = lq_fixed_point(spec, lat7, lat7.basis)
+        sol = lq_fixed_point(spec, lat7)
         assert abs(sol.cost - want) <= 1e-12 * want
 
 
 class TestSufficiency:
     def test_zero_direction_gap_is_zero(self, spec3, lat7):
-        sol = lq_fixed_point(spec3, lat7, lat7.basis)
+        sol = lq_fixed_point(spec3, lat7)
         model = as_model(spec3)
         v = constant_control(lat7, 3, 0.0)
         u = perturb(sol.control, v, 0.5)
@@ -327,7 +337,7 @@ class TestSufficiency:
         lat = lattice_for_hurst(0.7, depth=1, order=3)
         spec = LqSpec(horizon=1, A=[0.3], B=[0.9], C=[0.2], D=[0.7],
                       Q=[0.4], R=[1.1], G=0.9, x=1.4)
-        sol = lq_fixed_point(spec, lat, lat.basis)
+        sol = lq_fixed_point(spec, lat)
         model = as_model(spec)
         eps, v0 = 0.01, 0.7
         v = constant_control(lat, 1, v0)
@@ -338,7 +348,7 @@ class TestSufficiency:
         assert gap == pytest.approx(expected, abs=1e-12)
 
     def test_report_passes(self, spec3, lat7):
-        sol = lq_fixed_point(spec3, lat7, lat7.basis)
+        sol = lq_fixed_point(spec3, lat7)
         report = verify_sufficiency(spec3, sol.control, lat7)
         assert report.passed
         assert report.trials == 50
@@ -347,7 +357,7 @@ class TestSufficiency:
 
     def test_quadratic_gap_lower_bound_formula(self, spec3, lat7):
         # gap >= 0.5 sum R_n E (eps v_n)^2 nails convexity modulus
-        sol = lq_fixed_point(spec3, lat7, lat7.basis)
+        sol = lq_fixed_point(spec3, lat7)
         model = as_model(spec3)
         rng = np.random.default_rng(41)
         for _ in range(10):
@@ -418,7 +428,7 @@ class TestStackedCertificates:
         q, horizon, draw = request.param
         lat = lattice_for_hurst(0.7, depth=horizon, order=q)
         spec = _random_lq_spec(np.random.default_rng([0, q, horizon, draw]), horizon)
-        return spec, lq_fixed_point(spec, lat, lat.basis).control, lat
+        return spec, lq_fixed_point(spec, lat).control, lat
 
     @staticmethod
     def check_sufficiency(report, gaps, slacks):
@@ -462,13 +472,13 @@ class TestStackedCertificates:
 
     @pytest.mark.parametrize("trials", [0, -4])
     def test_no_trials_rejected(self, spec3, lat7, trials):
-        sol = lq_fixed_point(spec3, lat7, lat7.basis)
+        sol = lq_fixed_point(spec3, lat7)
         with pytest.raises(ValueError, match="trials"):
             verify_sufficiency(spec3, sol.control, lat7, trials=trials)
 
     def test_candidate_on_another_lattice(self, spec3, lat7):
         other = lattice_for_hurst(0.7, depth=3, order=3)
-        sol = lq_fixed_point(spec3, other, other.basis)
+        sol = lq_fixed_point(spec3, other)
         with pytest.raises(LevelMismatch):
             verify_sufficiency(spec3, sol.control, lat7)
 

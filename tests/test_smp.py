@@ -35,7 +35,6 @@ from fgncontrol.lattice import (
 )
 from fgncontrol.lq import LqSpec, as_model
 from fgncontrol.smp import (
-    ArmijoRule,
     SmpResidual,
     check_stationarity,
     directional_derivative,
@@ -109,7 +108,7 @@ def leaf_form_backward_pass(model, u, x, lat):
     )
     gains, rho = [], []
     for n in reversed(range(n_stages)):
-        table = smp._stage_derivatives(model, lat, n, x[n], u[n])
+        table = smp._stage_derivatives(model, n, x[n], u[n])
         bx, bu, bxx, buu, bux, sx, su, sxx, suu, sux = table[:10, :, None]
         lx, lu, lxx, luu, lux = table[10:]
         xi = noise_value(lat, n).values.reshape(-1, q)
@@ -159,7 +158,7 @@ class TestDirectionalDerivative:
         rng = np.random.default_rng(1)
         u = random_control(lat, 3, rng)
         v = constant_control(lat, 3, 0.0)
-        assert directional_derivative(model, u, v, lat, lat.basis) == 0.0
+        assert directional_derivative(model, u, v, lat) == 0.0
 
     def test_matches_central_difference_lq(self, lat, lq3):
         model = as_model(lq3)
@@ -168,7 +167,7 @@ class TestDirectionalDerivative:
         for _ in range(5):
             u = random_control(lat, 3, rng)
             v = random_control(lat, 3, rng)
-            dd = directional_derivative(model, u, v, lat, lat.basis)
+            dd = directional_derivative(model, u, v, lat)
             j_plus = cost(model, shift(u, v, eps), forward(model, shift(u, v, eps), lat), lat)
             j_minus = cost(model, shift(u, v, -eps), forward(model, shift(u, v, -eps), lat), lat)
             fd = (j_plus - j_minus) / (2 * eps)
@@ -181,7 +180,7 @@ class TestDirectionalDerivative:
         for _ in range(5):
             u = random_control(lat, 3, rng, scale=0.4)
             v = random_control(lat, 3, rng)
-            dd = directional_derivative(model, u, v, lat, lat.basis)
+            dd = directional_derivative(model, u, v, lat)
             j_plus = cost(model, shift(u, v, eps), forward(model, shift(u, v, eps), lat), lat)
             j_minus = cost(model, shift(u, v, -eps), forward(model, shift(u, v, -eps), lat), lat)
             fd = (j_plus - j_minus) / (2 * eps)
@@ -192,7 +191,7 @@ class TestDirectionalDerivative:
         u = random_control(lat, 3, np.random.default_rng(5), scale=0.5)
         v = random_control(lattice_for_hurst(0.7, depth=3, order=4), 3, np.random.default_rng(6))
         with pytest.raises(LevelMismatch, match="direction"):
-            directional_derivative(model, u, v, lat, lat.basis)
+            directional_derivative(model, u, v, lat)
 
     @pytest.mark.parametrize("h", [0.3, 0.7])
     def test_duality_both_routes_explicit(self, h):
@@ -224,7 +223,7 @@ class TestDirectionalDerivative:
                 dual += expectation(integrand * v[n])
             assert abs(primal - dual) <= 1e-9
             # and the library's own computation agrees with the primal form
-            dd = directional_derivative(model, u, v, lattice, basis)
+            dd = directional_derivative(model, u, v, lattice)
             assert abs(dd - primal) <= 1e-12
 
 
@@ -302,7 +301,7 @@ class TestSmpResidual:
         # an adjoint solved outside `solve_adjoint` brings no state along
         model = sin_drift_model(3, initial_state=1.0)
         u = random_control(lat, 3, np.random.default_rng(8), scale=0.4)
-        adj = solve_bsde(adjoint_driver(model, u, forward(model, u, lat), lat.basis), lat)
+        adj = solve_bsde(adjoint_driver(model, u, forward(model, u, lat)), lat)
         steps = self._count_steps(monkeypatch)
         smp_residual(model, u, adj, lat, lat.basis)
         assert steps == [0, 1]
@@ -351,6 +350,24 @@ class TestSmpResidual:
             smp_residual(model, moved, adj, lat, lat.basis)
         with pytest.raises(LevelMismatch):
             solve_adjoint(model, moved, lat, lat.basis)
+
+    def test_basis_other_than_the_lattice_whitening_rejected(self, lat):
+        # an h = 0.3 basis on the h = 0.7 lattice would shift rho in silence
+        model = sin_drift_model(3, initial_state=1.0)
+        u = random_control(lat, 3, np.random.default_rng(8), scale=0.4)
+        foreign = lattice_for_hurst(0.3, depth=3, order=3).basis
+        with pytest.raises(LevelMismatch, match="not the whitening basis of the lattice"):
+            solve_adjoint(model, u, lat, foreign)
+        _, adj = solve_adjoint(model, u, lat, lat.basis)
+        with pytest.raises(LevelMismatch, match="not the whitening basis of the lattice"):
+            smp_residual(model, u, adj, lat, foreign)
+        # an equal basis built separately is the same whitening
+        twin = lattice_for_hurst(0.7, depth=3, order=3).basis
+        assert twin is not lat.basis
+        got = smp_residual(model, u, solve_adjoint(model, u, lat, twin)[1], lat, twin)
+        want = smp_residual(model, u, adj, lat, lat.basis)
+        for n in range(3):
+            assert np.array_equal(got[n].values, want[n].values)
 
 
 class TestCheckStationarity:
@@ -458,7 +475,7 @@ class TestOptimize:
             x=1.0,
         )
         model = as_model(spec)
-        result = optimize(model, constant_control(lat, 2, 0.0), lat, lat.basis, tol=1e-8)
+        result = optimize(model, constant_control(lat, 2, 0.0), lat, tol=1e-8)
         assert result.converged
         assert result.iterations == 0
         assert np.all(result.control[0].values == 0.0)
@@ -467,7 +484,7 @@ class TestOptimize:
         model = sin_drift_model(3, initial_state=1.0)
         u0 = constant_control(lat, 3, 0.0)
         j0 = cost(model, u0, forward(model, u0, lat), lat)
-        result = optimize(model, u0, lat, lat.basis, tol=1e-6, max_iter=1500)
+        result = optimize(model, u0, lat, tol=1e-6, max_iter=1500)
         assert result.converged
         assert result.cost < j0
         # J non-increasing along the trace
@@ -477,12 +494,12 @@ class TestOptimize:
     def test_stationary_point_passes_necessity(self, lat):
         model = sin_drift_model(3, initial_state=1.0)
         u0 = constant_control(lat, 3, 0.0)
-        result = optimize(model, u0, lat, lat.basis, tol=1e-8, max_iter=2000)
+        result = optimize(model, u0, lat, tol=1e-8, max_iter=2000)
         assert result.converged
         rng = np.random.default_rng(8)
         for _ in range(20):
             v = random_control(lat, 3, rng)
-            dd = directional_derivative(model, result.control, v, lat, lat.basis)
+            dd = directional_derivative(model, result.control, v, lat)
             assert dd >= -1e-7
 
     @pytest.mark.parametrize("depth", [3, 5])
@@ -491,7 +508,7 @@ class TestOptimize:
         box = Box(-0.15, 0.15)
         model = sin_drift_model(depth, initial_state=1.0, control_set=box)
         u0 = constant_control(lat, depth, 0.0)
-        result = optimize(model, u0, lat, lat.basis, tol=1e-8, max_iter=2000)
+        result = optimize(model, u0, lat, tol=1e-8, max_iter=2000)
         assert result.converged
         # one Newton step with clamped nodes lands on the box optimum; a
         # clamped node keeping its feedback gain, or curvature damped at
@@ -504,7 +521,7 @@ class TestOptimize:
         for _ in range(20):
             target = random_control(lat, depth, rng, scale=5.0, control_set=box)
             v = ControlProcess(target[n] - result.control[n] for n in range(depth))
-            dd = directional_derivative(model, result.control, v, lat, lat.basis)
+            dd = directional_derivative(model, result.control, v, lat)
             assert dd >= -1e-7
 
     @pytest.mark.parametrize("horizon, max_iterations", [(3, 10), (4, 30), (6, 30), (7, 30)])
@@ -516,7 +533,7 @@ class TestOptimize:
         lat = lattice_for_hurst(0.7, depth=horizon, order=3)
         model = sin_drift_model(horizon, initial_state=1.0)
         u0 = constant_control(lat, horizon, 0.0)
-        result = optimize(model, u0, lat, lat.basis, tol=1e-8)
+        result = optimize(model, u0, lat, tol=1e-8)
         assert result.converged
         assert result.iterations <= max_iterations
         _, adj = solve_adjoint(model, result.control, lat, lat.basis)
@@ -526,7 +543,7 @@ class TestOptimize:
     def test_sin_drift_depth4_reference_cost(self):
         lat = lattice_for_hurst(0.7, depth=4, order=3)
         model = sin_drift_model(4, initial_state=1.0)
-        result = optimize(model, constant_control(lat, 4, 0.0), lat, lat.basis, tol=1e-8)
+        result = optimize(model, constant_control(lat, 4, 0.0), lat, tol=1e-8)
         assert result.converged
         # the cost first-order descent stalled at, 4e-7 from stationary
         assert result.cost == pytest.approx(2.739681754239858, rel=1e-10)
@@ -539,7 +556,7 @@ class TestOptimize:
         model = double_well_model(6, initial_state)
         u0 = constant_control(lat, 6, 0.0)
         j0 = cost(model, u0, forward(model, u0, lat), lat)
-        result = optimize(model, u0, lat, lat.basis, tol=1e-8, max_iter=100)
+        result = optimize(model, u0, lat, tol=1e-8, max_iter=100)
         assert result.converged
         assert result.cost < j0
         _, adj = solve_adjoint(model, result.control, lat, lat.basis)
@@ -553,7 +570,7 @@ class TestOptimize:
         lat = lattice_for_hurst(0.7, depth=horizon, order=3)
         model = double_well_model(horizon, 0.3)
         u0 = constant_control(lat, horizon, 0.0)
-        result = optimize(model, u0, lat, lat.basis, tol=1e-8, max_iter=30)
+        result = optimize(model, u0, lat, tol=1e-8, max_iter=30)
         assert result.converged
         assert result.iterations <= 10
         _, adj = solve_adjoint(model, result.control, lat, lat.basis)
@@ -566,7 +583,7 @@ class TestOptimize:
         # of the node costs; the step is taken, not backtracked to NoDescent
         lat = lattice_for_hurst(0.7, depth=horizon, order=3)
         model = sin_drift_model(horizon, initial_state=1.0)
-        result = optimize(model, constant_control(lat, horizon, 0.0), lat, lat.basis, tol=tol)
+        result = optimize(model, constant_control(lat, horizon, 0.0), lat, tol=tol)
         assert result.converged
         assert result.trace[-1].worst_residual <= tol
 
@@ -590,7 +607,7 @@ class TestOptimize:
             count(smp, name)
         count(dynamics, "forward")
         model = sin_drift_model(3, initial_state=1.0)
-        result = optimize(model, constant_control(lat, 3, 0.0), lat, lat.basis,
+        result = optimize(model, constant_control(lat, 3, 0.0), lat,
                           tol=tol, max_iter=max_iter)
         assert result.converged == (max_iter > 1)
         for name in ("solve_bsde", "adjoint_driver", "_gradient"):
@@ -615,7 +632,7 @@ class TestOptimize:
 
         monkeypatch.setattr(smp, "_backward_pass", optimistic)
         model = sin_drift_model(3, initial_state=1.0)
-        result = optimize(model, constant_control(lat, 3, 0.0), lat, lat.basis, tol=1e-11)
+        result = optimize(model, constant_control(lat, 3, 0.0), lat, tol=1e-11)
         early = [pt for pt in result.trace[:-1] if pt.worst_residual < 1e-9]
         assert faked and early
         assert all(pt.worst_residual > 1e-11 for pt in early)
@@ -627,7 +644,7 @@ class TestOptimize:
         # moves rho there
         model = as_model(lq3)
         u0 = constant_control(lat, 3, 0.0)
-        clean = optimize(model, u0, lat, lat.basis, tol=10.0)
+        clean = optimize(model, u0, lat, tol=10.0)
         assert clean.converged and clean.iterations == 0
         stage_derivatives = smp._stage_derivatives
 
@@ -638,7 +655,7 @@ class TestOptimize:
 
         monkeypatch.setattr(smp, "_stage_derivatives", without_lx)
         with pytest.raises(DualityMismatch, match="backward pass and adjoint disagree on rho_"):
-            optimize(model, u0, lat, lat.basis, tol=10.0)
+            optimize(model, u0, lat, tol=10.0)
 
     def test_non_finite_derivative_table_rejected(self, lat):
         # b_x is inf beyond |x| = 100, outside the constructor's spot checks
@@ -648,43 +665,44 @@ class TestOptimize:
         )
         with np.errstate(invalid="ignore"):
             with pytest.raises(NonFiniteValue, match="coefficient produced non-finite"):
-                optimize(model, constant_control(lat, 3, 0.0), lat, lat.basis)
+                optimize(model, constant_control(lat, 3, 0.0), lat)
 
-    def test_no_descent_raised_when_backtracking_disabled(self, lat):
+    def test_no_descent_raised_when_backtracking_disabled(self, lat, monkeypatch):
         model = sin_drift_model(2, initial_state=1.0)
         u0 = constant_control(lat, 2, 0.0)
-        rule = ArmijoRule(initial_step=1e6, max_halvings=0)
+        monkeypatch.setattr(smp, "_INITIAL_STEP", 1e6)
+        monkeypatch.setattr(smp, "_MAX_HALVINGS", 0)
         with pytest.raises(NoDescent, match="after 0 halvings at iteration 0: J="):
-            optimize(model, u0, lat, lat.basis, step_rule=rule, tol=1e-10)
+            optimize(model, u0, lat, tol=1e-10)
 
-    def test_no_descent_message_names_the_iterate(self, lat):
+    def test_no_descent_message_names_the_iterate(self, lat, monkeypatch):
         model = sin_drift_model(2, initial_state=1.0)
-        rule = ArmijoRule(initial_step=1e6, max_halvings=0)
+        monkeypatch.setattr(smp, "_INITIAL_STEP", 1e6)
+        monkeypatch.setattr(smp, "_MAX_HALVINGS", 0)
         message = (
             "no sufficient decrease after 0 halvings at iteration 0: J=3.934185596630014, "
             "worst residual 3.581e+00 at stage 1 node 2"
         )
         with pytest.raises(NoDescent) as err:
-            optimize(model, constant_control(lat, 2, 0.0), lat, lat.basis,
-                     step_rule=rule, tol=1e-10)
+            optimize(model, constant_control(lat, 2, 0.0), lat, tol=1e-10)
         assert str(err.value) == message
 
     def test_max_iter_returns_unconverged(self, lat):
         model = sin_drift_model(3, initial_state=1.0)
         u0 = constant_control(lat, 3, 0.5)
-        result = optimize(model, u0, lat, lat.basis, tol=1e-12, max_iter=1)
+        result = optimize(model, u0, lat, tol=1e-12, max_iter=1)
         assert not result.converged
         assert result.iterations == 1
 
     def test_negative_max_iter_rejected(self, lat):
         model = sin_drift_model(2, initial_state=1.0)
         with pytest.raises(ValueError, match="max_iter must be >= 0"):
-            optimize(model, constant_control(lat, 2, 0.0), lat, lat.basis, max_iter=-1)
+            optimize(model, constant_control(lat, 2, 0.0), lat, max_iter=-1)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0])
     def test_invalid_tol_rejected(self, lat, tol):
         model = sin_drift_model(2, initial_state=1.0)
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-            optimize(model, constant_control(lat, 2, 0.0), lat, lat.basis, tol=tol)
+            optimize(model, constant_control(lat, 2, 0.0), lat, tol=tol)
         with pytest.raises(ValueError, match=f"^tol must be finite and >= 0, got {tol!r}$"):
-            optimize(model, constant_control(lat, 2, 0.0), lat, lat.basis, tol=tol, max_iter=0)
+            optimize(model, constant_control(lat, 2, 0.0), lat, tol=tol, max_iter=0)
