@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (bad
 matrix, violated precondition, failed report), 4 I/O failure, 5 no
-convergence.  Identical inputs and seed produce byte-identical files.
+convergence.  A package error's status is its type's `exit_code`; any
+other ValueError exits 2 and any OSError 4.  Identical inputs and seed
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,23 +19,7 @@ import numpy as np
 from . import configs, reporting
 from .bsde import residual_orthogonality, solve_bsde
 from .dynamics import constant_control
-from .errors import (
-    ConfigError,
-    DepthMismatch,
-    DualityMismatch,
-    IndexOutOfRange,
-    InvalidSpec,
-    LatticeTooLarge,
-    LevelMismatch,
-    NoDescent,
-    NonFiniteValue,
-    NotConverged,
-    NotPositiveDefinite,
-    OutOfControlSet,
-    TerminalConditionViolated,
-    UnsupportedOrder,
-    WrongHorizon,
-)
+from .errors import ConfigError, FgnControlError
 from .lattice import lattice_for_hurst
 from .lq import as_model, lq_fixed_point, verify_sufficiency, verify_uniqueness
 from .noise import custom_covariance, fgn_covariance, whiten
@@ -48,26 +34,6 @@ from .smp import (
 
 ORTHOGONALITY_TOL = 1e-10
 STATIONARITY_TOL = 1e-8
-
-_CONVERGENCE_ERRORS = (NotConverged, NoDescent)
-_NUMERIC_ERRORS = (
-    NotPositiveDefinite,
-    NonFiniteValue,
-    LevelMismatch,
-    DepthMismatch,
-    IndexOutOfRange,
-    OutOfControlSet,
-    TerminalConditionViolated,
-    DualityMismatch,
-)
-_CONFIG_ERRORS = (
-    ConfigError,
-    InvalidSpec,
-    UnsupportedOrder,
-    WrongHorizon,
-    LatticeTooLarge,
-    ValueError,
-)
 
 
 def _uint64(text: str) -> int:
@@ -89,7 +55,7 @@ def _load_config(load, args):
     return cfg if order is None else dataclasses.replace(cfg, quadrature_order=order)
 
 
-def _stationarity_artifacts(out, lat, model, control, residual, tol):
+def _stationarity_artifacts(out, model, control, residual, tol):
     """Residual classification CSV plus the summary report dictionary."""
     station = check_stationarity(residual, control, model.control_set, tol)
     classification = []
@@ -161,7 +127,7 @@ def cmd_lq(args) -> int:
     model = as_model(cfg.spec)
     reporting.ensure_out_dir(out)
     station, station_report = _stationarity_artifacts(
-        out, lat, model, sol.control, sol.rho, STATIONARITY_TOL
+        out, model, sol.control, sol.rho, STATIONARITY_TOL
     )
     suff = verify_sufficiency(cfg.spec, sol.control, lat, seed=args.seed)
     uniq = verify_uniqueness(cfg.spec, lat, seed=args.seed)
@@ -188,15 +154,14 @@ def cmd_smp_check(args) -> int:
     out = _require_out(args)
     _check_tol(args.tol)
     cfg = _load_config(configs.load_model_config, args)
-    model = cfg.build_model()
+    model = cfg.model
     lat = lattice_for_hurst(cfg.hurst, cfg.horizon, cfg.quadrature_order)
     control = reporting.read_control_csv(args.control, lat, cfg.horizon)
-    control.validate_in(model.control_set)
     x, adj = solve_adjoint(model, control, lat, lat.basis)
     residual = smp_residual(model, control, adj, lat, lat.basis)
     reporting.ensure_out_dir(out)
     station, station_report = _stationarity_artifacts(
-        out, lat, model, control, residual, args.tol
+        out, model, control, residual, args.tol
     )
     reporting.write_state_csv(os.path.join(out, "state.csv"), lat, x)
     reporting.write_adjoint_csv(os.path.join(out, "adjoint.csv"), adj)
@@ -209,7 +174,7 @@ def cmd_optimize(args) -> int:
     if not np.isfinite(args.u0):
         raise ConfigError(f"--u0 must be finite, got {args.u0}")
     cfg = _load_config(configs.load_model_config, args)
-    model = cfg.build_model()
+    model = cfg.model
     lat = lattice_for_hurst(cfg.hurst, cfg.horizon, cfg.quadrature_order)
     start = model.control_set.project(np.array([args.u0]))[0]
     result = optimize(
@@ -301,18 +266,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CONVERGENCE_ERRORS as exc:
+    except (FgnControlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 2 if isinstance(exc, ValueError) else 4)
 
 
 if __name__ == "__main__":

@@ -105,31 +105,20 @@ _LQ_COEFFS = ("A", "B", "C", "D", "Q", "R")
 
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
-    """Controlled-dynamics problem: which model, on which lattice."""
+    """Controlled-dynamics problem: a built model, on which lattice.
 
-    horizon: int
-    initial_state: float
+    The model is built when the config is parsed, so a model the
+    constructors refuse (bad LQ weights, a nonvanishing stage-N
+    coefficient) fails at load.
+    """
+
+    model: ModelSpec
     hurst: float
     quadrature_order: int
-    control_set: object
-    kind: str
-    params: dict
 
-    def build_model(self) -> ModelSpec:
-        if self.kind == "sin_drift":
-            return sin_drift_model(
-                self.horizon,
-                initial_state=self.initial_state,
-                noise_gain=self.params["c"],
-                control_set=self.control_set,
-            )
-        spec = LqSpec(
-            horizon=self.horizon,
-            x=self.initial_state,
-            G=self.params["G"],
-            **{name: self.params[name] for name in _LQ_COEFFS},
-        )
-        return _lq_model(spec, self.control_set)
+    @property
+    def horizon(self) -> int:
+        return self.model.horizon
 
 
 def parse_model_config(obj, where: str = "config") -> ModelConfig:
@@ -147,7 +136,11 @@ def parse_model_config(obj, where: str = "config") -> ModelConfig:
     kind = model_obj["type"]
     if kind == "sin_drift":
         _check_keys(model_obj, frozenset({"type"}), frozenset({"c"}), f"{where}.model")
-        params = {"c": _number(model_obj, "c", f"{where}.model") if "c" in model_obj else 0.5}
+        gain = _number(model_obj, "c", f"{where}.model") if "c" in model_obj else 0.5
+
+        def build(x0, control_set):
+            return sin_drift_model(horizon, x0, noise_gain=gain, control_set=control_set)
+
     elif kind == "lq":
         _check_keys(
             model_obj,
@@ -155,22 +148,23 @@ def parse_model_config(obj, where: str = "config") -> ModelConfig:
             frozenset(),
             f"{where}.model",
         )
-        params = {
+        coeffs = {
             name: _number_list(model_obj, name, horizon, f"{where}.model")
             for name in _LQ_COEFFS
         }
-        params["G"] = _number(model_obj, "G", f"{where}.model")
+        coeffs["G"] = _number(model_obj, "G", f"{where}.model")
+
+        def build(x0, control_set):
+            return _lq_model(LqSpec(horizon=horizon, x=x0, **coeffs), control_set)
+
     else:
         raise ConfigError(f'{where}.model: type must be "sin_drift" or "lq", got {kind!r}')
-    return ModelConfig(
-        horizon=horizon,
-        initial_state=_number(obj, "initial_state", where),
-        hurst=_number(obj, "hurst", where),
-        quadrature_order=_integer(obj, "quadrature_order", where),
-        control_set=_parse_control_set(obj["control_set"], where),
-        kind=kind,
-        params=params,
-    )
+    # the model is built last, so a field fault is reported before a model fault
+    initial_state = _number(obj, "initial_state", where)
+    hurst = _number(obj, "hurst", where)
+    quadrature_order = _integer(obj, "quadrature_order", where)
+    model = build(initial_state, _parse_control_set(obj["control_set"], where))
+    return ModelConfig(model=model, hurst=hurst, quadrature_order=quadrature_order)
 
 
 def load_model_config(path: str) -> ModelConfig:

@@ -2,10 +2,11 @@
 
 The state follows ``X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n``
 with cost ``J(u) = E[sum_n l(n, X_n, u_n) + Phi(X_N)]``.  Stage-N
-coefficients of b, sigma, l must vanish identically; the constructor spot
-checks this, and checks every supplied derivative against central finite
-differences, so a mistyped model fails at build time instead of
-producing a plausible wrong gradient later.
+coefficients of b, sigma, l and their x-derivatives (the adjoint's
+driver) must vanish identically; the constructor spot checks this, and
+checks every supplied derivative against central finite differences, so
+a mistyped model fails at build time instead of producing a plausible
+wrong gradient later.
 
 Coefficient callables receive ``(n, x, u)`` where x and u are dense node
 arrays; they must vectorise (plain numpy expressions do) and may return
@@ -97,9 +98,9 @@ class ModelSpec:
 
     b, sigma, l and their x/u derivatives are stage coefficients; phi and
     phi_x act on the terminal state alone.  Construction runs two guards:
-    stage-`horizon` values of b, sigma, l must vanish at random points,
-    and each derivative must agree with central differences of its value
-    to 1e-5 relative at random points.
+    stage-`horizon` values of b, sigma, l, b_x, sigma_x and l_x must
+    vanish at random points, and each derivative must agree with central
+    differences of its value to 1e-5 relative at random points.
     """
 
     horizon: int
@@ -136,7 +137,7 @@ class ModelSpec:
     def _check_terminal_zero(self):
         x, u = self._spot_points()
         n = self.horizon
-        for name in ("b", "sigma", "l"):
+        for name in ("b", "sigma", "l", "b_x", "sigma_x", "l_x"):
             vals = np.asarray(getattr(self, name)(n, x, u), dtype=np.float64)
             if np.max(np.abs(vals)) > _ZERO_TOL:
                 raise TerminalConditionViolated(

@@ -1,20 +1,31 @@
 """Exception types shared across the package.
 
-Every failure mode gets its own class so callers (and the command line
-driver) can map problems to exit codes without string matching.
+Every failure mode gets its own class so callers can tell problems
+apart without string matching.  Each class also carries the command
+line's exit status in `exit_code`, inherited from its base unless it
+sets its own, so a new error type needs no entry anywhere else.
 """
 
 
 class FgnControlError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    `exit_code` is the status `fgncontrol` returns when the error ends a
+    command: 3 (numeric failure) here, 2 for configuration and
+    specification errors, 5 when an iteration does not converge.
+    """
+
+    exit_code = 3
 
 
 class ConfigError(FgnControlError, ValueError):
     """Malformed or inconsistent configuration input."""
+    exit_code = 2
 
 
 class InvalidSpec(FgnControlError, ValueError):
     """A problem specification violates its own constraints."""
+    exit_code = 2
 
 
 class NotSymmetric(InvalidSpec):
@@ -27,10 +38,12 @@ class NotPositiveDefinite(FgnControlError, ValueError):
 
 class UnsupportedOrder(FgnControlError, ValueError):
     """Quadrature order outside the supported range."""
+    exit_code = 2
 
 
 class LatticeTooLarge(FgnControlError, ValueError):
     """Requested lattice would exceed the hard path-count cap."""
+    exit_code = 2
 
 
 class IndexOutOfRange(FgnControlError, IndexError):
@@ -67,10 +80,12 @@ class DualityMismatch(FgnControlError, ArithmeticError):
 
 class NoDescent(FgnControlError, RuntimeError):
     """Backtracking line search failed to produce sufficient decrease."""
+    exit_code = 5
 
 
 class NotConverged(FgnControlError, RuntimeError):
     """Iteration budget exhausted before the tolerance was met."""
+    exit_code = 5
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -79,3 +94,4 @@ class NotConverged(FgnControlError, RuntimeError):
 
 class WrongHorizon(FgnControlError, ValueError):
     """Operation requires a specific horizon length."""
+    exit_code = 2

@@ -136,10 +136,9 @@ class NoiseLattice:
 
     @cached_property
     def _moment_weights(self) -> tuple[np.ndarray, ...]:
-        """w eta^j for j < max(2q, 3): the rule's exact degree, and the j <= 2 a
-        quadratic stage reads even on a one-node rule; j = 0 is the weights."""
+        """w eta^j for j <= 2, the moments a quadratic stage reads; j = 0 is the weights."""
         w, eta = self.rule.weights, self.rule.nodes
-        return (w,) + tuple(_frozen(w * eta**j) for j in range(1, max(2 * self.rule.q, 3)))
+        return (w, _frozen(w * eta), _frozen(w * eta**2))
 
 
 def lattice_for_hurst(h, depth: int, order: int) -> NoiseLattice:
@@ -186,10 +185,9 @@ class AdaptedValue:
         if level < self.level:
             raise LevelMismatch(f"cannot lower level {self.level} to {level}; use condexp")
         self.lattice._check_level(level)
-        q = self.lattice.rule.q
-        return AdaptedValue(
-            self.lattice, level, _frozen(np.repeat(self.values, q ** (level - self.level)))
-        )
+        table = np.empty((self.values.shape[0], self.lattice.rule.q ** (level - self.level)))
+        table[...] = self.values[:, None]
+        return AdaptedValue(self.lattice, level, _frozen(table))
 
     def _binary(self, other, op) -> "AdaptedValue":
         if isinstance(other, AdaptedValue):
@@ -247,8 +245,8 @@ def _is_frozen(values) -> bool:
 
 
 def _moments(lat: NoiseLattice, table: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """E[table eta_n^j | level n] for j < k (k <= max(2q, 3)) of a level-(n+1)
-    table; of a constant c (a 0-d table), the scalars c sum_i w_i eta_i^j."""
+    """E[table eta_n^j | level n] for j < k (k <= 3) of a level-(n+1) table;
+    of a constant c (a 0-d table), the scalars c sum_i w_i eta_i^j."""
     if np.ndim(table) == 0:
         return tuple(table * w.sum() for w in lat._moment_weights[:k])
     blocks = table.reshape(-1, lat.rule.q)

@@ -376,28 +376,26 @@ class TestAdjointDriver:
             g * (c0 * x0 + d0 * u0) * b00, abs=1e-12
         )
 
-    def test_nonvanishing_terminal_derivative_rejected(self, lat):
-        # b vanishes at the final stage but the supplied b_x does not;
-        # the adjoint must refuse rather than treat stage N as active.
-        model = ModelSpec(
-            horizon=2,
-            initial_state=0.0,
-            b=lambda n, x, u: (x if n < 2 else np.zeros_like(x)),
-            sigma=lambda n, x, u: np.zeros_like(x),
-            l=lambda n, x, u: np.zeros_like(x),
-            phi=lambda x: x,
-            b_x=lambda n, x, u: np.ones_like(x),
-            b_u=lambda n, x, u: np.zeros_like(u),
-            sigma_x=lambda n, x, u: np.zeros_like(x),
-            sigma_u=lambda n, x, u: np.zeros_like(u),
-            l_x=lambda n, x, u: np.zeros_like(x),
-            l_u=lambda n, x, u: np.zeros_like(u),
-            phi_x=lambda x: np.ones_like(x),
-        )
-        u = constant_control(lat, 2, 0.0)
-        x = forward(model, u, lat)
+    def test_nonvanishing_terminal_derivative_rejected(self):
+        # b vanishes at the final stage but the supplied b_x does not; the
+        # model must be refused rather than let the adjoint treat stage N
+        # as active.
         with pytest.raises(TerminalConditionViolated):
-            adjoint_driver(model, u, x)
+            ModelSpec(
+                horizon=2,
+                initial_state=0.0,
+                b=lambda n, x, u: (x if n < 2 else np.zeros_like(x)),
+                sigma=lambda n, x, u: np.zeros_like(x),
+                l=lambda n, x, u: np.zeros_like(x),
+                phi=lambda x: x,
+                b_x=lambda n, x, u: np.ones_like(x),
+                b_u=lambda n, x, u: np.zeros_like(u),
+                sigma_x=lambda n, x, u: np.zeros_like(x),
+                sigma_u=lambda n, x, u: np.zeros_like(u),
+                l_x=lambda n, x, u: np.zeros_like(x),
+                l_u=lambda n, x, u: np.zeros_like(u),
+                phi_x=lambda x: np.ones_like(x),
+            )
 
     def test_white_noise_reduction_matches_direct_recursion(self):
         # at h = 0.5 the adjoint collapses to the classical recursion

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from fgncontrol import cli
+from fgncontrol import cli, errors
 from fgncontrol.cli import main
 from fgncontrol.configs import parse_bsde_config, parse_model_config
 from fgncontrol.dynamics import ModelSpec
@@ -389,9 +389,39 @@ class TestSmpCheckAndOptimize:
             model={"type": "lq", "A": [0.3, -0.2], "B": [1.0, 0.8], "C": [0.2, 0.3],
                    "D": [0.5, 0.4], "Q": [0.6, 0.4], "R": [1.0, 1.2], "G": 1.1},
         )
-        model = parse_model_config(cfg).build_model()
+        model = parse_model_config(cfg).model
         assert len(builds) == 1
         assert model.control_set.lower == -0.05 and model.control_set.upper == 0.05
+
+
+# The status `main` returns for each error a command raises.
+EXIT_STATUS = {
+    errors.NotConverged: 5, errors.NoDescent: 5,
+    errors.NotPositiveDefinite: 3, errors.NonFiniteValue: 3, errors.LevelMismatch: 3,
+    errors.DepthMismatch: 3, errors.IndexOutOfRange: 3, errors.OutOfControlSet: 3,
+    errors.TerminalConditionViolated: 3, errors.DualityMismatch: 3,
+    errors.ConfigError: 2, errors.InvalidSpec: 2, errors.NotSymmetric: 2,
+    errors.UnsupportedOrder: 2, errors.LatticeTooLarge: 2, errors.DerivativeMismatch: 2,
+    errors.WrongHorizon: 2, ValueError: 2, OSError: 4,
+}
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("exc_type", list(EXIT_STATUS), ids=lambda t: t.__name__)
+    def test_error_type_sets_exit_status(self, exc_type, monkeypatch, capsys):
+        def fail(args):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(cli, "cmd_whiten", fail)
+        assert run("whiten", "--hurst", 0.5, "--steps", 2) == EXIT_STATUS[exc_type]
+        assert capsys.readouterr().err == "error: boom\n"
+
+    def test_table_names_every_raised_error_type(self):
+        raised = {
+            obj for obj in vars(errors).values()
+            if isinstance(obj, type) and issubclass(obj, errors.FgnControlError)
+        }
+        assert raised - {errors.FgnControlError} == set(EXIT_STATUS) - {ValueError, OSError}
 
 
 class TestSeedValidation:

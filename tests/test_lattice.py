@@ -217,18 +217,21 @@ class TestAdaptedValue:
         assert not v.values.flags.writeable
 
     @pytest.mark.parametrize(
-        "op",
-        [lambda a, c: a + a, lambda a, c: 2.0 * a, lambda a, c: -a, lambda a, c: c.at_level(10)],
-        ids=["add", "scalar-mul", "neg", "at_level"],
+        "op, coarse_level",
+        [
+            pytest.param(lambda a, c: a + a, 8, id="add"),
+            pytest.param(lambda a, c: 2.0 * a, 8, id="scalar-mul"),
+            pytest.param(lambda a, c: -a, 8, id="neg"),
+            pytest.param(lambda a, c: c.at_level(10), 8, id="at_level"),
+            pytest.param(lambda a, c: c.at_level(10), 9, id="at_level-one-level"),
+        ],
     )
-    def test_result_table_is_allocated_once(self, op):
-        # a fresh result is frozen and shared, not copied again on wrapping;
-        # the lift starts two levels down, since np.repeat also allocates one
-        # repeat count per coarse entry
+    def test_result_table_is_allocated_once(self, op, coarse_level):
+        # a fresh result is frozen and shared, not copied again on wrapping
         big = lattice_for_hurst(0.7, depth=10, order=3)
         rng = np.random.default_rng(3)
         fine = AdaptedValue(big, 10, rng.standard_normal(3**10))
-        coarse = AdaptedValue(big, 8, rng.standard_normal(3**8))
+        coarse = AdaptedValue(big, coarse_level, rng.standard_normal(3**coarse_level))
         tracemalloc.start()
         try:
             out = op(fine, coarse)
