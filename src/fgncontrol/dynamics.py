@@ -97,10 +97,11 @@ class ModelSpec:
     """Scalar controlled model over `horizon` stages.
 
     b, sigma, l and their x/u derivatives are stage coefficients; phi and
-    phi_x act on the terminal state alone.  Construction runs two guards:
-    stage-`horizon` values of b, sigma, l, b_x, sigma_x and l_x must
-    vanish at random points, and each derivative must agree with central
-    differences of its value to 1e-5 relative at random points.
+    phi_x act on the terminal state alone.  Construction draws one set of
+    random spot points and runs two guards on them: the stage-`horizon`
+    values of b, sigma, l, b_x, sigma_x and l_x must vanish, and each
+    derivative must agree with central differences of its value to 1e-5
+    relative.
     """
 
     horizon: int
@@ -123,8 +124,9 @@ class ModelSpec:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not np.isfinite(self.initial_state):
             raise NonFiniteValue("initial state must be finite")
-        self._check_terminal_zero()
-        self._check_derivatives()
+        x, u = self._spot_points()
+        self._check_terminal_zero(x, u)
+        self._check_derivatives(x, u)
 
     def _spot_points(self):
         rng = np.random.default_rng(1729)
@@ -134,8 +136,7 @@ class ModelSpec:
             u = self.control_set.project(u)
         return x, u
 
-    def _check_terminal_zero(self):
-        x, u = self._spot_points()
+    def _check_terminal_zero(self, x, u):
         n = self.horizon
         for name in ("b", "sigma", "l", "b_x", "sigma_x", "l_x"):
             vals = np.asarray(getattr(self, name)(n, x, u), dtype=np.float64)
@@ -144,8 +145,7 @@ class ModelSpec:
                     f"{name}({n}, x, u) must vanish identically at the final stage"
                 )
 
-    def _check_derivatives(self):
-        x, u = self._spot_points()
+    def _check_derivatives(self, x, u):
         pairs = [
             ("b_x", self.b, self.b_x, "x"),
             ("b_u", self.b, self.b_u, "u"),

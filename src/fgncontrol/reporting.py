@@ -1,19 +1,28 @@
 """Deterministic CSV and JSON serialization for solver artifacts.
 
 Every CSV writer goes through `_write_table`: a header, then blocks of
-rows, each printed with one `%` row template such as "%d,%d,%.17g\n".
-Floats get 17 significant digits, so identical inputs produce
-byte-identical files that round-trip through float64; tables enter as
-`(table + 0.0).tolist()`, which turns -0.0 into 0.  Line endings are
-'\n' on every platform.
+columns, one array per field.  The dtype of a column picks its format:
+an integer array prints as `%d`, a float64 array as `%.17g` after adding
+0.0 (so -0.0 prints as 0), a fixed-width bytes array (`pass`/`fail`)
+verbatim, and `None` as an empty field.  Floats get 17 significant
+digits, so identical inputs produce byte-identical files that round-trip
+through float64.  Line endings are '\n' on every platform.
+
+The columns are encoded in numpy, at most `_CHUNK_ROWS` rows at a time:
+each field becomes a NUL-padded fixed-width byte matrix, built position
+by position, and the NULs are dropped from the finished chunk.  Floats
+go through `_float_field`, a `%.17g` kernel in plain float64 arithmetic
+whose output equals Python's formatting byte for byte; the few values it
+cannot certify, and every value of a short column, are formatted by
+`'%.17g' %` one at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
-from itertools import repeat
 
 import numpy as np
 
@@ -37,34 +46,237 @@ __all__ = [
     "write_state_csv",
 ]
 
+# Rows encoded at once.  A chunk's byte matrix and its text are the
+# writer's only memory of its own: at 2^16 rows bsde-export peaks at
+# 78 MB against 62 MB here, and runs no faster.
+_CHUNK_ROWS = 2**14
+# A column shorter than this is formatted value by value: below it,
+# numpy's fixed cost per call outweighs `'%.17g' %` on each value.
+_SHORT_COLUMN = 2**8
+# '%.17g' is at most 24 characters; its matrix spends 29 rows on them:
+# the sign, the "0." and up to three zeros of 1e-4 <= |x| < 0.1, 17
+# digits and a point, and "e" with a sign and up to three digits.
+_FLOAT_WIDTH = 29
+# The kernel certifies |x| in this range, where no step over- or underflows.
+_CERTIFIED = (1e-280, 1e280)
+# |x|·10^k is known to about 1e-14; a fraction this close to 1/2, an
+# exact tie included, leaves the rounding of digit 17 to `'%.17g' %`.
+_TIE_MARGIN = 1e-6
+_DEKKER = 134217729.0  # 2^27 + 1: splits a float64 into two 26-bit halves
+_POW10_MIN = -300  # the table of 10^k spans k in [-300, 300]
+_POSITION = np.arange(18, dtype=np.uint8)[:, None]  # rows of the mantissa
 
-def _column(table) -> list[float]:
-    """A table flattened to Python floats; adding 0.0 makes -0.0 print as 0."""
-    return (np.asarray(table, dtype=np.float64).reshape(-1) + 0.0).tolist()
+
+def _split(a):
+    """a = hi + lo exactly, each half of at most 26 significant bits (Dekker)."""
+    c = _DEKKER * a
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-def _stage_rows(n: int, *tables):
-    """Rows (n, node_index, *values) from one stage's equal-length tables."""
-    return zip(repeat(n), range(len(tables[0])), *map(_column, tables))
+@functools.cache
+def _powers_of_ten() -> np.ndarray:
+    """Rows (head, tail, head's halves), 10^k = head + tail to ~2^-106, k from _POW10_MIN up.
+
+    Built on the first kernel call, so runs that write only short
+    columns never pay for it.
+    """
+    rows = []
+    for k in range(_POW10_MIN, -_POW10_MIN + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        head = num / den  # correctly rounded
+        h_num, h_den = head.as_integer_ratio()
+        rows.append((head, (num * h_den - h_num * den) / (den * h_den)))
+    table = np.array(rows)
+    return np.column_stack([table, *_split(table[:, 0])])
+
+
+def _scaled(a, a_hi, a_lo, k):
+    """a·10^k as an unevaluated sum p + r: Dekker's exact product a·head plus a·tail."""
+    head, tail, h_hi, h_lo = _powers_of_ten().take(k - _POW10_MIN, axis=0).T
+    p = a * head
+    err = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
+    return p, err + a * tail
+
+
+def _off_decade(p, r):
+    """Whether p + r < 10^16, and whether p + r >= 10^17."""
+    return (p < 1e16) | ((p == 1e16) & (r < 0)), (p > 1e17) | ((p == 1e17) & (r >= 0))
+
+
+def _decimal(a: np.ndarray):
+    """(d, e, certified): a rounded to 17 digits is d·10^(e-16), 10^16 <= d < 10^17.
+
+    The decimal exponent e comes from log10 and is corrected against the
+    scaled value, which is an exact double-double product (Dekker, Numer.
+    Math. 18, 1971) with a table of 10^k as head + tail: only the last of
+    ~31 significant digits is uncertain, so the rounding of digit 17 is
+    decided unless the fraction lies within `_TIE_MARGIN` of 1/2.  Such
+    values, and those outside `_CERTIFIED`, come back uncertified.
+    """
+    ok = (a >= _CERTIFIED[0]) & (a <= _CERTIFIED[1])
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    a_hi, a_lo = _split(a)
+    p, r = _scaled(a, a_hi, a_lo, 16 - e)
+    low, high = _off_decade(p, r)
+    redo = np.flatnonzero(low | high)
+    if redo.size:  # log10 missed the decade next to a power of ten
+        e[redo] += high[redo].astype(np.int64) - low[redo]
+        p[redo], r[redo] = _scaled(a[redo], a_hi[redo], a_lo[redo], 16 - e[redo])
+        low, high = _off_decade(p[redo], r[redo])
+        ok[redo[low | high]] = False
+    whole = np.floor(r)
+    frac = r - whole
+    ok &= np.abs(frac - 0.5) >= _TIE_MARGIN
+    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = d == 10**17  # 17 nines rounded up into the next decade
+    d[carry] = 10**16
+    return d, e + carry, ok
+
+
+def _digits(v: np.ndarray, out: np.ndarray) -> None:
+    """The last len(out) decimal digits of the integers v >= 0, most significant first."""
+    for row in range(len(out) - 1, -1, -1):
+        q = v // 10
+        out[row] = v - 10 * q
+        v = q
+
+
+def _float_field(x: np.ndarray, out: np.ndarray) -> None:
+    """`'%.17g' % v` for each v of x (float64, no -0.0) into the zeroed rows of out.
+
+    The rows follow C's %g: fixed notation for -4 <= e <= 16, else
+    d.ddde±XX, with trailing zeros stripped; unused rows keep their NUL.
+    Uncertified values are formatted by `'%.17g' %` one at a time.
+    """
+    a = np.abs(x)
+    zero = a == 0
+    d, e, ok = _decimal(a)
+    digits = np.empty((17, x.size), np.uint8)
+    top = d // 10**8
+    _digits(top.astype(np.int32), digits[:9])
+    _digits((d - top * 10**8).astype(np.int32), digits[9:])
+    # significant digits, trailing zeros dropped
+    shown = ((digits != 0) * _POSITION[1:]).max(axis=0)
+    fixed = (e >= -4) & (e <= 16)
+    lead = fixed & (e < 0)  # 0.000ddd: the point is in the lead rows
+    expo = ~fixed
+    whole_digits = (e + 1) * (fixed & ~lead)
+    keep = np.maximum(shown, whole_digits).astype(np.uint8)
+    # digits before the mantissa's point; the lead form has no point there
+    point = (whole_digits + expo + 18 * lead).astype(np.uint8)
+
+    out[0] = np.uint8(45) * (x < 0)
+    out[1] = np.uint8(48) * lead
+    out[2] = np.uint8(46) * lead
+    for row, below in ((3, -2), (4, -3), (5, -4)):
+        out[row] = np.uint8(48) * (lead & (e <= below))
+    chars = (digits + np.uint8(48)) * (_POSITION[:17] < keep)
+    mantissa = out[6:24]
+    mantissa[:17] = chars * (_POSITION[:17] < point)
+    mantissa[1:] |= chars * (_POSITION[1:] > point)
+    mantissa |= np.uint8(46) * ((_POSITION == point) & (keep > point))
+    ae = np.abs(e)
+    tens = ae // 10
+    out[24] = np.uint8(101) * expo
+    out[25] = expo * (43 + 2 * (e < 0))
+    out[26] = (expo & (ae >= 100)) * (48 + tens // 10)
+    out[27] = expo * (48 + tens % 10)
+    out[28] = expo * (48 + ae - 10 * tens)
+    out[:, zero] = 0
+    out[6, zero] = 48
+    uncertified = np.flatnonzero(~(ok | zero))
+    if uncertified.size:
+        text = np.array(["%.17g" % v for v in x[uncertified].tolist()], dtype=f"S{_FLOAT_WIDTH}")
+        out[:, uncertified] = text.view(np.uint8).reshape(-1, _FLOAT_WIDTH).T
+
+
+def _int_field(v: np.ndarray, out: np.ndarray) -> None:
+    """`'%d' % v` for each v of the integer array v into the rows of out: sign, then digits."""
+    a = np.abs(v.astype(np.int64))
+    out[0] = np.uint8(45) * (v < 0)
+    _digits(a, out[1:])
+    out[1:] += np.uint8(48)
+    width = len(out) - 1
+    for row in range(1, width):  # leading zeros
+        out[row] *= a >= 10 ** (width - row)
+
+
+def _width(column: np.ndarray) -> int:
+    """Rows of the column's byte matrix: enough for its longest field."""
+    kind = column.dtype.kind
+    if kind == "S":
+        return column.itemsize
+    if kind in "iu":
+        return 1 + len(str(np.abs(column.astype(np.int64)).max()))
+    return _FLOAT_WIDTH
+
+
+def _fill(column: np.ndarray, out: np.ndarray) -> None:
+    """One column of a chunk into the zeroed rows of out, in the format its dtype picks."""
+    kind = column.dtype.kind
+    if kind == "f" and len(column) >= _SHORT_COLUMN:
+        _float_field(column + 0.0, out)
+    elif kind in "iu" and len(column) >= _SHORT_COLUMN:
+        _int_field(column, out)
+    else:
+        if kind == "f":
+            column = np.array(["%.17g" % v for v in (column + 0.0).tolist()])
+        text = column.astype(f"S{len(out)}")
+        out[:] = text.view(np.uint8).reshape(-1, len(out)).T
+
+
+def _encode_rows(columns) -> bytes:
+    """One chunk: each row's fields joined by ',' and ended by '\\n'."""
+    columns = [np.arange(c.start, c.stop, c.step) if isinstance(c, range) else c for c in columns]
+    widths = [0 if c is None else _width(c) for c in columns]
+    size = next(len(c) for c in columns if c is not None)
+    text = np.zeros((sum(widths) + len(columns), size), np.uint8)
+    row = 0
+    for column, width in zip(columns, widths):
+        if column is not None:
+            _fill(column, text[row:row + width])
+        text[row + width] = 44
+        row += width + 1
+    text[-1] = 10
+    raw = text.T.tobytes()
+    del text
+    return raw.translate(None, b"\0")
 
 
 def _write_table(path: str, header: str, blocks) -> None:
-    """The header line, then `template % row` for each row of each block.
+    """The header line, then each block of columns, `_CHUNK_ROWS` rows at a time.
 
-    Blocks are consumed one at a time, so a generator of blocks holds a
-    single stage's rows in memory.
+    A block is a sequence of equal-length columns, and the kind of each
+    column picks its format: an integer array or a `range` (node
+    indices) prints as `%d`, a float64 array as `%.17g`, a fixed-width
+    bytes array verbatim, and `None` as an empty field.  Float columns of
+    at least `_SHORT_COLUMN` rows go through the `_float_field` kernel,
+    which leaves ties, non-finite values and |x| outside `_CERTIFIED` to
+    `'%.17g' %`; shorter ones are formatted value by value.  Blocks are
+    consumed one at a time, so a generator of blocks holds a single
+    stage's columns in memory, and the text of one chunk is the only
+    other memory the writer holds.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for template, rows in blocks:
-            fh.writelines(map(template.__mod__, rows))
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for block in blocks:
+            rows = next(len(c) for c in block if c is not None)
+            for start in range(0, rows, _CHUNK_ROWS):
+                stop = start + _CHUNK_ROWS
+                fh.write(_encode_rows([None if c is None else c[start:stop] for c in block]))
+
+
+def _stage(n: int, rows: int) -> np.ndarray:
+    """The stage column of a block: n on every row, without a table."""
+    return np.broadcast_to(np.int64(n), (rows,))
 
 
 def write_matrix_csv(path: str, mat: np.ndarray) -> None:
     """Header `n,k,value`, one row per nonzero entry, row-major order."""
     n, k = np.nonzero(mat)
-    rows = zip(n.tolist(), k.tolist(), _column(mat[n, k]))
-    _write_table(path, "n,k,value", [("%d,%d,%.17g\n", rows)])
+    _write_table(path, "n,k,value", [(n, k, mat[n, k])])
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -103,7 +315,8 @@ def read_matrix_csv(path: str) -> np.ndarray:
 def write_state_csv(path: str, lat: NoiseLattice, values_by_stage) -> None:
     """Header `stage,node_index,value,probability`; one block per stage."""
     _write_table(path, "stage,node_index,value,probability", (
-        ("%d,%d,%.17g,%.17g\n", _stage_rows(n, val.values, lat.node_probabilities(val.level)))
+        (_stage(n, val.values.size), range(val.values.size), val.values,
+         lat.node_probabilities(val.level))
         for n, val in enumerate(values_by_stage)
     ))
 
@@ -162,11 +375,13 @@ def write_bsde_csv(path: str, lat: NoiseLattice, sol) -> None:
     only, with the remaining fields empty.
     """
     def blocks():
-        for n in range(sol.horizon):
-            moments = _moments(lat, sol.r[n].values, 2)
-            rows = _stage_rows(n, sol.y[n].values, sol.z[n].values, *moments)
-            yield "%d,%d,%.17g,%.17g,%.17g,%.17g\n", rows
-        yield "%d,%d,%.17g,,,\n", _stage_rows(sol.horizon, sol.y[sol.horizon].values)
+        for n, y in enumerate(sol.y):
+            size = y.values.size
+            if n < sol.horizon:
+                tail = (sol.z[n].values, *_moments(lat, sol.r[n].values, 2))
+            else:
+                tail = (None, None, None)
+            yield (_stage(n, size), range(size), y.values, *tail)
 
     _write_table(path, "stage,node_index,Y,Z,R_mean_check,R_eta_check", blocks())
 
@@ -174,8 +389,8 @@ def write_bsde_csv(path: str, lat: NoiseLattice, sol) -> None:
 def write_adjoint_csv(path: str, sol) -> None:
     """Header `stage,node_index,p,q` for the adjoint pair."""
     _write_table(path, "stage,node_index,p,q", (
-        ("%d,%d,%.17g,%.17g\n", _stage_rows(n, sol.y[n].values, sol.z[n].values))
-        for n in range(sol.horizon)
+        (_stage(n, z.values.size), range(z.values.size), y.values, z.values)
+        for n, (y, z) in enumerate(zip(sol.y, sol.z))
     ))
 
 
@@ -186,28 +401,27 @@ def write_residual_csv(path: str, residual, control, classification) -> None:
     per stage; passed nodes print as "pass", others as "fail".
     """
     _write_table(path, "stage,node_index,rho,u_star,classification,violation", (
-        ("%d,%d,%.17g,%.17g,%s,%.17g\n", zip(
-            repeat(n),
-            range(rho.values.shape[0]),
-            _column(rho.values),
-            _column(u_n.values),
-            np.where(ok, "pass", "fail").tolist(),
-            _column(viol),
-        ))
+        (_stage(n, rho.values.size), range(rho.values.size), rho.values, u_n.values,
+         np.where(ok, b"pass", b"fail"), viol)
         for n, (rho, u_n, (ok, viol)) in enumerate(zip(residual, control, classification))
     ))
 
 
+def _trace_columns(trace, fields):
+    """The integer iteration column, then one float column per named field."""
+    return (np.array([pt.iteration for pt in trace], dtype=np.int64),
+            *(np.array([getattr(pt, f) for pt in trace], dtype=np.float64) for f in fields))
+
+
 def write_optimize_trace_csv(path: str, trace) -> None:
     """Header `iter,J,step,worst_residual`."""
-    rows = ((pt.iteration, pt.cost + 0.0, pt.step + 0.0, pt.worst_residual + 0.0) for pt in trace)
-    _write_table(path, "iter,J,step,worst_residual", [("%d,%.17g,%.17g,%.17g\n", rows)])
+    columns = _trace_columns(trace, ("cost", "step", "worst_residual"))
+    _write_table(path, "iter,J,step,worst_residual", [columns])
 
 
 def write_lq_trace_csv(path: str, trace) -> None:
     """Header `iter,J,residual`: one row, for the LQ solve's one DDP Newton step."""
-    rows = ((pt.iteration, pt.cost + 0.0, pt.residual + 0.0) for pt in trace)
-    _write_table(path, "iter,J,residual", [("%d,%.17g,%.17g\n", rows)])
+    _write_table(path, "iter,J,residual", [_trace_columns(trace, ("cost", "residual"))])
 
 
 def write_paths_csv(path: str, paths: SamplePaths) -> None:
@@ -215,11 +429,11 @@ def write_paths_csv(path: str, paths: SamplePaths) -> None:
 
     Monte Carlo draws are equiprobable, so probability is 1/n_paths.
     """
-    path_index, stage = np.indices(paths.eta.shape).reshape(2, -1).tolist()
-    prob = 1.0 / paths.eta.shape[0]
-    rows = zip(path_index, stage, _column(paths.eta), _column(paths.xi), repeat(prob))
-    template = "%d,%d,%.17g,%.17g,%.17g\n"
-    _write_table(path, "path_index,stage,eta,xi,probability", [(template, rows)])
+    path_index, stage = np.indices(paths.eta.shape).reshape(2, -1)
+    prob = np.broadcast_to(1.0 / paths.eta.shape[0], path_index.shape)
+    _write_table(path, "path_index,stage,eta,xi,probability", [
+        (path_index, stage, paths.eta.reshape(-1), paths.xi.reshape(-1), prob)
+    ])
 
 
 def _json_default(obj):

@@ -3,15 +3,19 @@
 Every reference cell is `format(x + 0.0, ".17g")` (17 significant
 digits; adding 0.0 turns -0.0 into 0.0), so each test pins the exact
 bytes of one writer.  The tables mix -0.0, subnormals, large magnitudes
-and values that need all 17 digits.
+and values that need all 17 digits.  The depth-2 fixtures stay below
+the writers' short-column threshold, so they exercise the value-by-value
+path; the deep cases below it run the numpy kernel over several chunks.
 """
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fgncontrol import reporting
 from fgncontrol.bsde import BsdeSolution
 from fgncontrol.dynamics import ControlProcess, random_control
 from fgncontrol.lattice import SamplePaths, lattice_for_hurst
@@ -89,13 +93,17 @@ def test_state(lat, tmp_path):
     values = stages(lat, (0, 1, 2), seed=1)
     path = str(tmp_path / "x.csv")
     write_state_csv(path, lat, values)
+    assert read(path) == state_reference(lat, values)
+    assert "\n0,0,0,1\n" in read(path)  # -0.0 at the root prints as 0
+
+
+def state_reference(lat, values):
     rows = [
         (n, i, g(v), g(p))
         for n, val in enumerate(values)
         for i, (v, p) in enumerate(zip(val.values, lat.node_probabilities(val.level)))
     ]
-    assert read(path) == reference(("stage", "node_index", "value", "probability"), rows)
-    assert "\n0,0,0,1\n" in read(path)  # -0.0 at the root prints as 0
+    return reference(("stage", "node_index", "value", "probability"), rows)
 
 
 def test_control_round_trip_is_bit_exact(tmp_path):
@@ -107,32 +115,27 @@ def test_control_round_trip_is_bit_exact(tmp_path):
     control = ControlProcess([control[0], control[1], lat.from_values(2, u2)])
     path = str(tmp_path / "u.csv")
     write_control_csv(path, lat, control)
-    rows = [
-        (n, i, g(v), g(p))
-        for n in range(3)
-        for i, (v, p) in enumerate(zip(control[n].values, lat.node_probabilities(n)))
-    ]
-    assert read(path) == reference(("stage", "node_index", "value", "probability"), rows)
+    assert read(path) == state_reference(lat, list(control))
     back = read_control_csv(path, lat, 3)
     for n in range(3):
         assert back[n].values.tobytes() == control[n].values.tobytes()
 
 
 def hand_solution(lat):
-    """A two-stage solution whose stage-0 residual is all -0.0."""
+    """A solution over the whole lattice whose stage-0 residual is all -0.0."""
+    depth = lat.depth
     r0 = np.full(lat.level_size(1), -0.0)
     return BsdeSolution(
-        y=tuple(stages(lat, (0, 1, 2), seed=2)),
-        z=tuple(stages(lat, (0, 1), seed=3)),
-        r=(lat.from_values(1, r0), lat.from_values(2, table(lat, 2, seed=4))),
+        y=tuple(stages(lat, range(depth + 1), seed=2)),
+        z=tuple(stages(lat, range(depth), seed=3)),
+        r=(lat.from_values(1, r0), *stages(lat, range(2, depth + 1), seed=2)),
     )
 
 
-def test_bsde_moments_and_empty_terminal_fields(lat, tmp_path):
-    sol = hand_solution(lat)
+def bsde_reference(lat, sol):
     q, nodes, weights = lat.rule.q, lat.rule.nodes, lat.rule.weights
     rows = []
-    for n in range(2):
+    for n in range(sol.horizon):
         blocks = sol.r[n].values.reshape(-1, q)
         r_mean = blocks @ weights
         r_eta = blocks @ (weights * nodes)
@@ -140,13 +143,16 @@ def test_bsde_moments_and_empty_terminal_fields(lat, tmp_path):
             (n, i, g(y), g(z), g(m), g(e))
             for i, (y, z, m, e) in enumerate(zip(sol.y[n].values, sol.z[n].values, r_mean, r_eta))
         ]
-    rows += [(2, i, g(y), "", "", "") for i, y in enumerate(sol.y[2].values)]
+    rows += [(sol.horizon, i, g(y), "", "", "") for i, y in enumerate(sol.y[-1].values)]
+    return reference(("stage", "node_index", "Y", "Z", "R_mean_check", "R_eta_check"), rows)
+
+
+def test_bsde_moments_and_empty_terminal_fields(lat, tmp_path):
+    sol = hand_solution(lat)
     path = str(tmp_path / "s.csv")
     write_bsde_csv(path, lat, sol)
     text = read(path)
-    assert text == reference(
-        ("stage", "node_index", "Y", "Z", "R_mean_check", "R_eta_check"), rows
-    )
+    assert text == bsde_reference(lat, sol)
     assert text.startswith("stage,node_index,Y,Z,R_mean_check,R_eta_check\n0,0,0,")
     assert ",0,0\n" in text  # the -0.0 moments of stage 0
     assert text.endswith(",,,\n") and text.count(",,,\n") == 9
@@ -156,12 +162,16 @@ def test_adjoint(lat, tmp_path):
     sol = hand_solution(lat)
     path = str(tmp_path / "a.csv")
     write_adjoint_csv(path, sol)
+    assert read(path) == adjoint_reference(sol)
+
+
+def adjoint_reference(sol):
     rows = [
         (n, i, g(p), g(z))
-        for n in range(2)
+        for n in range(sol.horizon)
         for i, (p, z) in enumerate(zip(sol.y[n].values, sol.z[n].values))
     ]
-    assert read(path) == reference(("stage", "node_index", "p", "q"), rows)
+    return reference(("stage", "node_index", "p", "q"), rows)
 
 
 def test_residual_pass_fail_labels(lat, tmp_path):
@@ -173,18 +183,20 @@ def test_residual_pass_fail_labels(lat, tmp_path):
     ]
     path = str(tmp_path / "r.csv")
     write_residual_csv(path, rho, control, classification)
+    text = read(path)
+    assert text == residual_reference(rho, control, classification)
+    assert [line.split(",")[4] for line in text.splitlines()[1:]] == [
+        "pass", "fail", "pass", "pass"
+    ]
+
+
+def residual_reference(rho, control, classification):
     rows = [
         (n, i, g(rho[n].values[i]), g(control[n].values[i]), "pass" if ok[i] else "fail", g(v[i]))
         for n, (ok, v) in enumerate(classification)
         for i in range(len(ok))
     ]
-    text = read(path)
-    assert text == reference(
-        ("stage", "node_index", "rho", "u_star", "classification", "violation"), rows
-    )
-    assert [line.split(",")[4] for line in text.splitlines()[1:]] == [
-        "pass", "fail", "pass", "pass"
-    ]
+    return reference(("stage", "node_index", "rho", "u_star", "classification", "violation"), rows)
 
 
 def test_optimize_trace(tmp_path):
@@ -216,15 +228,111 @@ def test_paths(tmp_path):
     paths = SamplePaths(xi=eta @ np.array([[1.0, 0.3], [0.0, 0.9]]), eta=eta)
     path = str(tmp_path / "p.csv")
     write_paths_csv(path, paths)
+    assert read(path) == paths_reference(paths)
+
+
+def paths_reference(paths):
+    count, horizon = paths.eta.shape
     rows = [
-        (i, n, g(paths.eta[i, n]), g(paths.xi[i, n]), g(1.0 / 3.0))
-        for i in range(3)
-        for n in range(2)
+        (i, n, g(paths.eta[i, n]), g(paths.xi[i, n]), g(1.0 / count))
+        for i in range(count)
+        for n in range(horizon)
     ]
-    assert read(path) == reference(("path_index", "stage", "eta", "xi", "probability"), rows)
+    return reference(("path_index", "stage", "eta", "xi", "probability"), rows)
 
 
 def test_json_sorted_with_trailing_newline(tmp_path):
     path = str(tmp_path / "r.json")
     write_json(path, {"b": np.float64(0.5), "a": np.int64(2), "c": np.bool_(True)})
     assert read(path) == '{\n  "a": 2,\n  "b": 0.5,\n  "c": true\n}\n'
+
+
+# Deep cases: stage blocks above the short-column threshold, several chunks.
+
+
+@pytest.fixture(scope="module")
+def deep():
+    return lattice_for_hurst(0.7, depth=8, order=3)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return lattice_for_hurst(0.7, depth=6, order=5)
+
+
+def test_deep_lattices_reach_the_kernel(deep, wide):
+    assert deep.level_size(7) >= reporting._SHORT_COLUMN
+    assert 6 * wide.level_size(6) > 2 * reporting._CHUNK_ROWS  # paths.csv rows
+
+
+def test_state_deep(deep, tmp_path):
+    values = stages(deep, range(9), seed=11)
+    path = str(tmp_path / "x.csv")
+    write_state_csv(path, deep, values)
+    assert read(path) == state_reference(deep, values)
+
+
+def test_control_deep(deep, tmp_path):
+    control = random_control(deep, 8, np.random.default_rng(12))
+    path = str(tmp_path / "u.csv")
+    write_control_csv(path, deep, control)
+    assert read(path) == state_reference(deep, list(control))
+    back = read_control_csv(path, deep, 8)
+    assert all(back[n].values.tobytes() == control[n].values.tobytes() for n in range(8))
+
+
+def test_adjoint_deep(deep, tmp_path):
+    sol = hand_solution(deep)
+    path = str(tmp_path / "a.csv")
+    write_adjoint_csv(path, sol)
+    assert read(path) == adjoint_reference(sol)
+
+
+def test_residual_deep(deep, tmp_path):
+    rho = stages(deep, range(8), seed=13)
+    control = stages(deep, range(8), seed=14)
+    rng = np.random.default_rng(15)
+    classification = [
+        (rng.random(r.values.size) < 0.5, np.abs(table(deep, r.level, seed=16 + r.level)))
+        for r in rho
+    ]
+    path = str(tmp_path / "r.csv")
+    write_residual_csv(path, rho, control, classification)
+    assert read(path) == residual_reference(rho, control, classification)
+
+
+def test_bsde_wide(wide, tmp_path, monkeypatch):
+    sol = hand_solution(wide)
+    path = str(tmp_path / "s.csv")
+    write_bsde_csv(path, wide, sol)
+    want = bsde_reference(wide, sol)
+    assert read(path) == want
+    # chunk boundaries inside a stage block, with a 625-row last chunk
+    monkeypatch.setattr(reporting, "_CHUNK_ROWS", 1000)
+    write_bsde_csv(path, wide, sol)
+    assert read(path) == want
+
+
+def test_paths_wide(wide, tmp_path):
+    eta = np.random.default_rng(17).standard_normal((wide.level_size(6), 6))
+    eta[0, :] = SPECIAL[:6]
+    paths = SamplePaths(xi=eta @ np.triu(np.full((6, 6), 0.3)), eta=eta)
+    path = str(tmp_path / "p.csv")
+    write_paths_csv(path, paths)
+    assert read(path) == paths_reference(paths)
+
+
+def test_bsde_write_memory_stays_within_two_leaf_tables(tmp_path):
+    # q = 5, depth 8: 390 625 leaves.  The writer holds one stage's
+    # moments and one chunk of text at a time.
+    lat = lattice_for_hurst(0.7, depth=8, order=5)
+    sol = hand_solution(lat)
+    path = str(tmp_path / "s.csv")
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        write_bsde_csv(path, lat, sol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 2 * 8 * lat.level_size(8)

@@ -404,6 +404,14 @@ class TestCheckStationarity:
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             check_stationarity(res, constant_control(lat, 2, 0.0), Unconstrained(), tol=tol)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_degenerate_box_node_never_violates(self, sign):
+        # on Box(0, 1e-10) every u sits at both bounds within BOUNDARY_TOL
+        box = Box(0.0, 1e-10)
+        u = np.array([0.0, 5e-11, 1e-10])
+        violation, passed = smp.classify_nodes(sign * np.array([0.3, 2.0, 1e-3]), u, box, 1e-8)
+        assert np.array_equal(violation, np.zeros(3)) and passed.all()
+
 
 class TestBackwardPass:
     @pytest.mark.parametrize("q, depth, box", [
@@ -654,6 +662,21 @@ class TestOptimize:
             return table
 
         monkeypatch.setattr(smp, "_stage_derivatives", without_lx)
+        with pytest.raises(DualityMismatch, match="backward pass and adjoint disagree on rho_"):
+            optimize(model, u0, lat, tol=10.0)
+
+    def test_backward_rho_off_by_a_millionth_fails_the_final_check(self, lat, lq3, monkeypatch):
+        # a relative error of 1e-6 in rho is far above DUALITY_TOL = 1e-9;
+        # the tolerance passes at u0, so the first iteration is the check
+        model = as_model(lq3)
+        u0 = constant_control(lat, 3, 0.0)
+        backward_pass = smp._backward_pass
+
+        def perturbed(*args):
+            gains, rho = backward_pass(*args)
+            return gains, [r * (1.0 + 1e-6) for r in rho]
+
+        monkeypatch.setattr(smp, "_backward_pass", perturbed)
         with pytest.raises(DualityMismatch, match="backward pass and adjoint disagree on rho_"):
             optimize(model, u0, lat, tol=10.0)
 
