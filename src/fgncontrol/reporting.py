@@ -1,20 +1,23 @@
 """Deterministic CSV and JSON serialization for solver artifacts.
 
 Every CSV writer goes through `_write_table`: a header, then blocks of
-columns, one array per field.  The dtype of a column picks its format:
-an integer array prints as `%d`, a float64 array as `%.17g` after adding
-0.0 (so -0.0 prints as 0), a fixed-width bytes array (`pass`/`fail`)
-verbatim, and `None` as an empty field.  Floats get 17 significant
-digits, so identical inputs produce byte-identical files that round-trip
-through float64.  Line endings are '\n' on every platform.
+columns, one array per field (the stage writers give a block per
+stage).  The dtype of a column picks its format: an integer array prints as `%d`, a float array
+as `%.17g` of its float64 value plus 0.0 (so -0.0 prints as 0), a
+fixed-width bytes array (`pass`/`fail`) verbatim, and `None` as an empty
+field.  Floats get 17 significant digits, so identical inputs produce
+byte-identical files that round-trip through float64.  Line endings are
+'\n' on every platform.
 
-The columns are encoded in numpy, at most `_CHUNK_ROWS` rows at a time:
-each field becomes a NUL-padded fixed-width byte matrix, built position
-by position, and the NULs are dropped from the finished chunk.  Floats
-go through `_float_field`, a `%.17g` kernel in plain float64 arithmetic
+The blocks form one stream of rows, encoded in numpy `_CHUNK_ROWS` rows
+at a time; a chunk may span the tail of one block and the heads of the
+next, so a file of many small stages is one chunk.  In a chunk each
+field becomes a NUL-padded fixed-width byte matrix, built position by
+position, and the NULs are dropped from the finished text.  Floats go
+through `_float_field`, a `%.17g` kernel in plain float64 arithmetic
 whose output equals Python's formatting byte for byte; the few values it
-cannot certify, and every value of a short column, are formatted by
-`'%.17g' %` one at a time.
+cannot certify, and every value of a chunk under `_SHORT_COLUMN` rows,
+are formatted by `'%.17g' %` one at a time.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ __all__ = [
 # writer's only memory of its own: at 2^16 rows bsde-export peaks at
 # 78 MB against 62 MB here, and runs no faster.
 _CHUNK_ROWS = 2**14
-# A column shorter than this is formatted value by value: below it,
+# A chunk shorter than this is formatted value by value: below it,
 # numpy's fixed cost per call outweighs `'%.17g' %` on each value.
 _SHORT_COLUMN = 2**8
 # '%.17g' is at most 24 characters; its matrix spends 29 rows on them:
@@ -203,8 +206,10 @@ def _int_field(v: np.ndarray, out: np.ndarray) -> None:
         out[row] *= a >= 10 ** (width - row)
 
 
-def _width(column: np.ndarray) -> int:
+def _width(column) -> int:
     """Rows of the column's byte matrix: enough for its longest field."""
+    if isinstance(column, range):
+        return 1 + len(str(max(abs(column[0]), abs(column[-1]))))
     kind = column.dtype.kind
     if kind == "S":
         return column.itemsize
@@ -216,27 +221,40 @@ def _width(column: np.ndarray) -> int:
 def _fill(column: np.ndarray, out: np.ndarray) -> None:
     """One column of a chunk into the zeroed rows of out, in the format its dtype picks."""
     kind = column.dtype.kind
+    if kind == "f":
+        column = np.asarray(column, np.float64) + 0.0  # the bytes of the float64 value
     if kind == "f" and len(column) >= _SHORT_COLUMN:
-        _float_field(column + 0.0, out)
+        _float_field(column, out)
     elif kind in "iu" and len(column) >= _SHORT_COLUMN:
         _int_field(column, out)
     else:
         if kind == "f":
-            column = np.array(["%.17g" % v for v in (column + 0.0).tolist()])
+            column = np.array(["%.17g" % v for v in column.tolist()])
         text = column.astype(f"S{len(out)}")
         out[:] = text.view(np.uint8).reshape(-1, len(out)).T
 
 
-def _encode_rows(columns) -> bytes:
-    """One chunk: each row's fields joined by ',' and ended by '\\n'."""
-    columns = [np.arange(c.start, c.stop, c.step) if isinstance(c, range) else c for c in columns]
-    widths = [0 if c is None else _width(c) for c in columns]
-    size = next(len(c) for c in columns if c is not None)
-    text = np.zeros((sum(widths) + len(columns), size), np.uint8)
+def _join(parts) -> np.ndarray:
+    """One column of a chunk from its parts, one per piece: a single part as it is."""
+    parts = [np.arange(p.start, p.stop, p.step) if isinstance(p, range) else p for p in parts]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _encode_rows(pieces) -> bytes:
+    """One chunk: its rows with fields joined by ',' and each ended by '\\n'.
+
+    A piece is a run of rows of one block, as a list of columns; every
+    piece of a chunk has `None` in the same fields.  A column is joined
+    across the pieces only for its own fill.
+    """
+    fields = list(zip(*pieces))
+    widths = [0 if parts[0] is None else max(map(_width, parts)) for parts in fields]
+    size = sum(map(len, next(parts for parts in fields if parts[0] is not None)))
+    text = np.zeros((sum(widths) + len(fields), size), np.uint8)
     row = 0
-    for column, width in zip(columns, widths):
-        if column is not None:
-            _fill(column, text[row:row + width])
+    for parts, width in zip(fields, widths):
+        if width:
+            _fill(_join(parts), text[row:row + width])
         text[row + width] = 44
         row += width + 1
     text[-1] = 10
@@ -246,26 +264,44 @@ def _encode_rows(columns) -> bytes:
 
 
 def _write_table(path: str, header: str, blocks) -> None:
-    """The header line, then each block of columns, `_CHUNK_ROWS` rows at a time.
+    """The header line, then the rows of the blocks, `_CHUNK_ROWS` rows at a time.
 
     A block is a sequence of equal-length columns, and the kind of each
     column picks its format: an integer array or a `range` (node
-    indices) prints as `%d`, a float64 array as `%.17g`, a fixed-width
-    bytes array verbatim, and `None` as an empty field.  Float columns of
-    at least `_SHORT_COLUMN` rows go through the `_float_field` kernel,
-    which leaves ties, non-finite values and |x| outside `_CERTIFIED` to
+    indices) prints as `%d`, a float array as `%.17g` of its float64
+    value, a fixed-width bytes array verbatim, and `None` as an empty
+    field.  The blocks form one stream of rows, cut into chunks: a chunk
+    may hold the tail of one block and the heads of the next ones, and
+    only a change in which fields are `None` ends a chunk early.  Empty
+    blocks add nothing.  Within a chunk, float columns of at least
+    `_SHORT_COLUMN` rows go through the `_float_field` kernel, which
+    leaves ties, non-finite values and |x| outside `_CERTIFIED` to
     `'%.17g' %`; shorter ones are formatted value by value.  Blocks are
-    consumed one at a time, so a generator of blocks holds a single
-    stage's columns in memory, and the text of one chunk is the only
-    other memory the writer holds.
+    consumed one at a time, so a generator of blocks holds the columns of
+    the stages that the open chunk reaches, and the text of one chunk is
+    the only other memory the writer holds.
     """
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
+        chunk, rows = [], 0  # the pieces of the open chunk, and their rows
         for block in blocks:
-            rows = next(len(c) for c in block if c is not None)
-            for start in range(0, rows, _CHUNK_ROWS):
-                stop = start + _CHUNK_ROWS
-                fh.write(_encode_rows([None if c is None else c[start:stop] for c in block]))
+            size = next(len(c) for c in block if c is not None)
+            if not size:
+                continue
+            if chunk and [c is None for c in block] != [c is None for c in chunk[0]]:
+                fh.write(_encode_rows(chunk))
+                chunk, rows = [], 0
+            start = 0
+            while start < size:
+                stop = min(size, start + _CHUNK_ROWS - rows)
+                chunk.append([None if c is None else c[start:stop] for c in block])
+                rows += stop - start
+                start = stop
+                if rows == _CHUNK_ROWS:
+                    fh.write(_encode_rows(chunk))
+                    chunk, rows = [], 0
+        if chunk:
+            fh.write(_encode_rows(chunk))
 
 
 def _stage(n: int, rows: int) -> np.ndarray:

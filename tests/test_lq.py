@@ -26,7 +26,7 @@ from fgncontrol.errors import (
     NotConverged,
     WrongHorizon,
 )
-from fgncontrol.lattice import expectation, lattice_for_hurst
+from fgncontrol.lattice import _contract, expectation, lattice_for_hurst
 from fgncontrol.lq import (
     LqSpec,
     as_model,
@@ -369,6 +369,27 @@ class TestSufficiency:
                 for n in range(3)
             )
             assert gap >= quad - 1e-9
+
+    def test_gap_below_the_quadratic_bound_fails(self, spec3, lat7, monkeypatch):
+        # every trial costs more than u*, but by half the convexity bound
+        # 0.5 sum R_n E (eps v_n)^2: the quadratic slack alone must fail it
+        sol = lq_fixed_point(spec3, lat7)
+        star = [u.values for u in sol.control]
+        batch_costs = lq._batch_costs
+
+        def half_the_bound(model, lat, u):
+            j_star = batch_costs(model, lat, [s[None] for s in star])[0]
+            quad = 0.5 * sum(
+                spec3.R[n] * _contract(lat, ((u[n] - star[n]) ** 2).reshape(-1), n)
+                for n in range(spec3.horizon)
+            )
+            return j_star + 0.5 * quad
+
+        monkeypatch.setattr(lq, "_batch_costs", half_the_bound)
+        report = verify_sufficiency(spec3, sol.control, lat7)
+        assert report.passed is False
+        assert report.min_cost_gap > 0.0
+        assert report.worst_quadratic_slack < -1e-9
 
 
 class TestUniqueness:

@@ -5,17 +5,21 @@ digits; adding 0.0 turns -0.0 into 0.0), so each test pins the exact
 bytes of one writer.  The tables mix -0.0, subnormals, large magnitudes
 and values that need all 17 digits.  The depth-2 fixtures stay below
 the writers' short-column threshold, so they exercise the value-by-value
-path; the deep cases below it run the numpy kernel over several chunks.
+path; the deep cases run the numpy kernel over several chunks.  The
+stage blocks of a file form one stream of rows, so the last cases cut
+chunks across stage boundaries, mix index widths and empty fields, and
+count the chunks a file takes.
 """
 
 import csv
 import io
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fgncontrol import reporting
+from fgncontrol import cli, reporting
 from fgncontrol.bsde import BsdeSolution
 from fgncontrol.dynamics import ControlProcess, random_control
 from fgncontrol.lattice import SamplePaths, lattice_for_hurst
@@ -34,6 +38,7 @@ from fgncontrol.reporting import (
     write_residual_csv,
     write_state_csv,
 )
+from fgncontrol.selftest import _random_lq_spec
 from fgncontrol.smp import TracePoint
 
 SPECIAL = (-0.0, 1.0 / 3.0, -1.5, 1e-310, 1e22, 0.1, -2.0 / 7.0)
@@ -336,3 +341,118 @@ def test_bsde_write_memory_stays_within_two_leaf_tables(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - entry <= 2 * 8 * lat.level_size(8)
+
+
+# Chunks across blocks: the stage blocks form one stream of rows, cut
+# into chunks of `_CHUNK_ROWS` that start and end anywhere in it.
+
+
+def count_calls(monkeypatch, name):
+    """Replace reporting.<name> by a wrapper that records its calls."""
+    calls, real = [], getattr(reporting, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reporting, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [100, 1000])
+def test_chunks_cross_stage_blocks(deep, tmp_path, monkeypatch, chunk):
+    # 100 rows: value-by-value chunks; 1000: kernel chunks over stages 0-6
+    monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk)
+    values = stages(deep, range(9), seed=31)
+    write_state_csv(str(tmp_path / "x.csv"), deep, values)
+    assert read(str(tmp_path / "x.csv")) == state_reference(deep, values)
+    sol = hand_solution(deep)
+    write_adjoint_csv(str(tmp_path / "a.csv"), sol)
+    assert read(str(tmp_path / "a.csv")) == adjoint_reference(sol)
+    write_bsde_csv(str(tmp_path / "s.csv"), deep, sol)
+    assert read(str(tmp_path / "s.csv")) == bsde_reference(deep, sol)
+    rho = stages(deep, range(8), seed=32)
+    control = stages(deep, range(8), seed=33)
+    rng = np.random.default_rng(34)
+    classification = [(rng.random(r.values.size) < 0.5, np.abs(r.values)) for r in rho]
+    write_residual_csv(str(tmp_path / "r.csv"), rho, control, classification)
+    assert read(str(tmp_path / "r.csv")) == residual_reference(rho, control, classification)
+
+
+def test_short_blocks_join_into_one_kernel_chunk(tmp_path, monkeypatch):
+    # q = 3, N = 6: six stage blocks of 1..243 rows, 364 rows in all
+    lat = lattice_for_hurst(0.7, depth=6, order=3)
+    control = random_control(lat, 6, np.random.default_rng(35))
+    sizes = [lat.level_size(n) for n in range(6)]
+    assert max(sizes) < reporting._SHORT_COLUMN < sum(sizes) < reporting._CHUNK_ROWS
+    chunks = count_calls(monkeypatch, "_encode_rows")
+    kernel = count_calls(monkeypatch, "_float_field")
+    path = str(tmp_path / "u.csv")
+    write_control_csv(path, lat, control)
+    assert read(path) == state_reference(lat, list(control))
+    assert len(chunks) == 1
+    assert [len(x) for x, _ in kernel] == [sum(sizes)] * 2  # value, probability
+
+
+def test_index_width_changes_inside_a_chunk(tmp_path):
+    # stages 9 -> 10 and node indices 9 -> 10 -> 100 -> 1000 in one chunk
+    rng = np.random.default_rng(36)
+    sizes = (1, 10, 95, 1001)
+    values = [rng.standard_normal(size) for size in sizes]
+    blocks = [(reporting._stage(n, v.size), range(v.size), v) for n, v in zip((8, 9, 10, 11), values)]
+    path = str(tmp_path / "t.csv")
+    reporting._write_table(path, "stage,node_index,value", blocks)
+    rows = [(n, i, g(x)) for n, v in zip((8, 9, 10, 11), values) for i, x in enumerate(v)]
+    assert read(path) == reference(("stage", "node_index", "value"), rows)
+
+
+def test_terminal_stage_closes_the_chunk(lat, tmp_path, monkeypatch):
+    # the valued stages 0-1 and the empty-field stage 2 share no chunk
+    chunks = count_calls(monkeypatch, "_encode_rows")
+    sol = hand_solution(lat)
+    path = str(tmp_path / "s.csv")
+    write_bsde_csv(path, lat, sol)
+    assert read(path) == bsde_reference(lat, sol)
+    assert len(chunks) == 2
+
+
+def test_empty_blocks_are_skipped(tmp_path, monkeypatch):
+    empty = (np.zeros(0, np.int64), np.zeros(0))
+    path = str(tmp_path / "t.csv")
+    reporting._write_table(path, "k,value", [empty, empty])
+    assert read(path) == "k,value\n"
+    chunks = count_calls(monkeypatch, "_encode_rows")
+    # an empty block between two valued ones, even one with an empty
+    # field, neither writes a row nor closes the chunk
+    blocks = [(np.array([1, 2]), np.array([0.5, -0.0])), empty, (np.zeros(0, np.int64), None),
+              (np.array([3]), np.array([1e22]))]
+    reporting._write_table(path, "k,value", blocks)
+    assert read(path) == "k,value\n1,0.5\n2,0\n3,1e+22\n"
+    assert len(chunks) == 1
+
+
+def test_lq_writes_each_csv_in_one_chunk(tmp_path, monkeypatch):
+    spec = _random_lq_spec(np.random.default_rng([0, 3, 6, 0]), 6)
+    config = {"horizon": 6, "hurst": 0.7, "quadrature_order": 3,
+              "G": float(spec.G), "x": float(spec.x),
+              **{name: [float(v) for v in getattr(spec, name)] for name in "ABCDQR"}}
+    path = tmp_path / "lq.json"
+    path.write_text(json.dumps(config))
+    chunks = count_calls(monkeypatch, "_encode_rows")
+    out = tmp_path / "out"
+    assert cli.main(["lq", "--config", str(path), "--out", str(out)]) == 0
+    csvs = sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
+    assert csvs == ["adjoint.csv", "iterations.csv", "residual.csv", "u_star.csv"]
+    assert len(chunks) == len(csvs)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+@pytest.mark.parametrize("size", [3, 20])
+def test_matrix_of_other_float_dtypes(tmp_path, dtype, size):
+    # 20 x 20: 400 values through the kernel; 3 x 3: value by value.
+    # Either way a value prints as '%.17g' of its float64 value.
+    mat = (np.random.default_rng(37).standard_normal((size, size)) / 3).astype(dtype)
+    path = str(tmp_path / "m.csv")
+    write_matrix_csv(path, mat)
+    rows = [(n, k, "%.17g" % float(mat[n, k])) for n in range(size) for k in range(size)]
+    assert read(path) == reference(("n", "k", "value"), rows)
