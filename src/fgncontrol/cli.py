@@ -25,7 +25,7 @@ from .lq import as_model, lq_fixed_point, verify_sufficiency, verify_uniqueness
 from .noise import custom_covariance, fgn_covariance, whiten
 from .smp import (
     _check_tol,
-    check_stationarity,
+    _worst_violation,
     classify_nodes,
     optimize,
     smp_residual,
@@ -56,18 +56,16 @@ def _load_config(load, args):
 
 
 def _stationarity_artifacts(out, model, control, residual, tol):
-    """Residual classification CSV plus the summary report dictionary."""
-    station = check_stationarity(residual, control, model.control_set, tol)
-    classification = []
-    for n in range(control.horizon):
-        violation, ok = classify_nodes(
-            residual[n].values, control[n].values, model.control_set, tol
-        )
-        classification.append((ok, violation))
+    """Residual classification CSV and report, from one `classify_nodes` per stage."""
+    violations, passes = zip(*(
+        classify_nodes(rho.values, u.values, model.control_set, tol)
+        for rho, u in zip(residual, control)
+    ))
+    station = _worst_violation(violations, tol)
     reporting.write_residual_csv(
-        os.path.join(out, "residual.csv"), residual, control, classification
+        os.path.join(out, "residual.csv"), residual, control, list(zip(passes, violations))
     )
-    return station, dataclasses.asdict(station)
+    return station
 
 
 def cmd_whiten(args) -> int:
@@ -126,9 +124,7 @@ def cmd_lq(args) -> int:
     sol = lq_fixed_point(cfg.spec, lat)
     model = as_model(cfg.spec)
     reporting.ensure_out_dir(out)
-    station, station_report = _stationarity_artifacts(
-        out, model, sol.control, sol.rho, STATIONARITY_TOL
-    )
+    station = _stationarity_artifacts(out, model, sol.control, sol.rho, STATIONARITY_TOL)
     suff = verify_sufficiency(cfg.spec, sol.control, lat, seed=args.seed)
     uniq = verify_uniqueness(cfg.spec, lat, seed=args.seed)
     reporting.write_control_csv(os.path.join(out, "u_star.csv"), lat, sol.control)
@@ -141,7 +137,7 @@ def cmd_lq(args) -> int:
             "J": sol.cost,
             "iterations": sol.iterations,
             "residual": sol.residual,
-            "stationarity": station_report,
+            "stationarity": dataclasses.asdict(station),
             "sufficiency": dataclasses.asdict(suff),
             "uniqueness": dataclasses.asdict(uniq),
             "passed": passed,
@@ -160,12 +156,10 @@ def cmd_smp_check(args) -> int:
     x, adj = solve_adjoint(model, control, lat, lat.basis)
     residual = smp_residual(model, control, adj, lat, lat.basis)
     reporting.ensure_out_dir(out)
-    station, station_report = _stationarity_artifacts(
-        out, model, control, residual, args.tol
-    )
+    station = _stationarity_artifacts(out, model, control, residual, args.tol)
     reporting.write_state_csv(os.path.join(out, "state.csv"), lat, x)
     reporting.write_adjoint_csv(os.path.join(out, "adjoint.csv"), adj)
-    reporting.write_json(os.path.join(out, "report.json"), station_report)
+    reporting.write_json(os.path.join(out, "report.json"), dataclasses.asdict(station))
     return 0
 
 

@@ -334,17 +334,18 @@ def _total_cost(lat: NoiseLattice, tables) -> float:
     return total
 
 
-def _batch_costs(model: ModelSpec, lat: NoiseLattice, controls) -> np.ndarray:
+def _batch_costs(model: ModelSpec, lat: NoiseLattice, start: float, controls) -> np.ndarray:
     """J of many controls at once, one per row, without storing the state path.
 
     Stage n of `controls` is a (rows, q^n) table whose values lie in the
-    model's control set.  Each row gets the same additions as
-    `cost(model, u, forward(model, u, lat), lat)`; only the contractions
-    run over more rows at a time.
+    model's control set.  Each row starts at the state `start`, not the
+    model's, and gets the same additions as `cost(model, u, forward(model, u,
+    lat), lat)` of the model started there; only the contractions run over
+    more rows at a time.
     """
     _check_depth(model, lat, len(controls))
     rows = controls[0].shape[:-1]
-    xn = np.full((*rows, 1), float(model.initial_state))
+    xn = np.full((*rows, 1), float(start))
     total = np.zeros(rows)
     for n, un in enumerate(controls):
         running = _stage_value(lat, n, model.l(n, xn, un), rows)

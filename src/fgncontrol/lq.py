@@ -244,14 +244,14 @@ def verify_sufficiency(
     model = as_model(spec)
     u_star.validate_in(model.control_set)
     star = [u.values for u in u_star]
-    j_star = _batch_costs(model, lat, [s[None] for s in star])[0]
+    j_star = _batch_costs(model, lat, spec.x, [s[None] for s in star])[0]
     rng = np.random.default_rng(seed)
     eps_cycle = np.array([1.0, 0.1, 0.01])
     min_gap = worst_slack = np.inf
     for start, stop in _chunks(trials, lat.rule.q**spec.horizon, _CHUNK_LEAVES):
         eps = eps_cycle[np.arange(start, stop) % 3, None]
         u = [s + eps * v for s, v in zip(star, _draw(lat, spec.horizon, rng, stop - start))]
-        gap = _batch_costs(model, lat, u) - j_star
+        gap = _batch_costs(model, lat, spec.x, u) - j_star
         quad = 0.5 * sum(
             spec.R[n] * _contract(lat, ((u[n] - star[n]) ** 2).reshape(-1), n)
             for n in range(spec.horizon)
@@ -282,24 +282,23 @@ def verify_uniqueness(
     For 5 random control pairs the bound
     J(u1) + J(u2) >= 2 J((u1+u2)/2) + (min_n R_n / 4) E sum (u1-u2)^2
     must hold with 1e-9 slack; it follows from R_n >= theta > 0.  The
-    pairs and their midpoints are rolled out as one stacked pass per
-    chunk of at most _CHUNK_LEAVES leaves; u1 and u2 are the draws of a
-    per-pair loop of two `random_control` calls with the same seed.
+    dynamics are linear in (x, u) and J is quadratic in the path, so
+    J(u1) + J(u2) - 2 J((u1+u2)/2) = 0.5 J_0(u1 - u2) exactly, J_0 the cost
+    from x0 = 0: uniqueness does not depend on x0.  Each pair is one rollout
+    of u1 - u2 from 0, stacked in one pass per chunk of at most _CHUNK_LEAVES
+    leaves; u1, u2 are the draws of a per-pair loop of two `random_control`
+    calls with the same seed.
     """
     model = as_model(spec)
     rng = np.random.default_rng(seed)
     theta = float(np.min(spec.R))
     worst_slack = np.inf
-    for start, stop in _chunks(5, 3 * lat.rule.q**spec.horizon, _CHUNK_LEAVES):
+    for start, stop in _chunks(5, lat.rule.q**spec.horizon, _CHUNK_LEAVES):
         draws = _draw(lat, spec.horizon, rng, 2 * (stop - start))
-        u1, u2 = [u[0::2] for u in draws], [u[1::2] for u in draws]
-        mid = [(a + b) * 0.5 for a, b in zip(u1, u2)]
-        rows = [np.concatenate(stage) for stage in zip(u1, u2, mid)]
-        j1, j2, jm = np.split(_batch_costs(model, lat, rows), 3)
-        sq = sum(
-            _contract(lat, ((u1[n] - u2[n]) ** 2).reshape(-1), n) for n in range(spec.horizon)
-        )
-        worst_slack = min(worst_slack, np.min(j1 + j2 - 2.0 * jm - 0.25 * theta * sq))
+        delta = [u[0::2] - u[1::2] for u in draws]
+        sq = sum(_contract(lat, (d**2).reshape(-1), n) for n, d in enumerate(delta))
+        slack = 0.5 * _batch_costs(model, lat, 0.0, delta) - 0.25 * theta * sq
+        worst_slack = min(worst_slack, np.min(slack))
     return UniquenessReport(
         passed=bool(worst_slack >= -1e-9),
         worst_parallelogram_slack=float(worst_slack),

@@ -468,7 +468,8 @@ def criterion_lq_closed_form(seed: int) -> CriterionResult:
 def criterion_lq_certificates(seed: int) -> CriterionResult:
     """The LQ solve (one DDP Newton step from u = 0) is stationary at 1e-8,
     never beaten by more than 1e-10 over 50 perturbations, and the cost is
-    strictly convex (the parallelogram inequality holds with 1e-9 slack)."""
+    strictly convex (the parallelogram inequality holds with 1e-9 slack; J
+    is quadratic, so each pair's gap is half the cost of u1 - u2 from 0)."""
     lat = lattice_for_hurst(0.7, depth=3, order=3)
     spec = _random_lq_spec(_rng(seed, 10), 3)
     sol = lq_fixed_point(spec, lat)

@@ -254,11 +254,14 @@ def _check_tol(tol: float):
 
 def _stationarity(rho, u, control_set, tol: float) -> StationarityReport:
     """`check_stationarity` on plain level-n tables rho_n and u_n."""
-    worst = 0.0
-    worst_stage = 0
-    worst_node = 0
-    for n, rho_n in enumerate(rho):
-        violation, _ = classify_nodes(rho_n, u[n], control_set, tol)
+    violations = (classify_nodes(r, un, control_set, tol)[0] for r, un in zip(rho, u))
+    return _worst_violation(violations, tol)
+
+
+def _worst_violation(violations, tol: float) -> StationarityReport:
+    """The report of per-stage `classify_nodes` violation tables."""
+    worst, worst_stage, worst_node = 0.0, 0, 0
+    for n, violation in enumerate(violations):
         k = int(np.argmax(violation))
         if violation[k] > worst:
             worst, worst_stage, worst_node = float(violation[k]), n, k

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from fgncontrol import cli, errors
+from fgncontrol import cli, errors, smp
 from fgncontrol.cli import main
 from fgncontrol.configs import parse_bsde_config, parse_model_config
 from fgncontrol.dynamics import ModelSpec
@@ -203,6 +203,19 @@ class TestSolveBsde:
         assert run("solve-bsde", "--config", cfg, "--quadrature-order", 17, "--out", tmp_path / "o") == 2
 
 
+def count_classifications(monkeypatch):
+    """Node counts of every `classify_nodes` call, from the CLI or the library."""
+    sizes, classify = [], smp.classify_nodes
+
+    def spy(rho, u, control_set, tol):
+        sizes.append(np.size(rho))
+        return classify(rho, u, control_set, tol)
+
+    monkeypatch.setattr(smp, "classify_nodes", spy)
+    monkeypatch.setattr(cli, "classify_nodes", spy)
+    return sizes
+
+
 class TestLq:
     def test_full_run_reports_pass(self, tmp_path):
         cfg = write_json_file(tmp_path / "lq.json", LQ_CONFIG)
@@ -238,6 +251,13 @@ class TestLq:
         cfg = write_json_file(tmp_path / "lq.json", LQ_CONFIG)
         assert run("lq", "--config", cfg, "--out", tmp_path / "out") == 0
         assert len(builds) == 1
+
+    def test_one_classification_per_stage(self, tmp_path, monkeypatch):
+        # report.json and residual.csv read the same per-stage classification
+        sizes = count_classifications(monkeypatch)
+        cfg = write_json_file(tmp_path / "lq.json", LQ_CONFIG)
+        assert run("lq", "--config", cfg, "--out", tmp_path / "out") == 0
+        assert sizes == [1, 3]  # stages 0 and 1 of q = 3
 
     def test_shallow_lattice_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -284,6 +304,16 @@ class TestSmpCheckAndOptimize:
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False
         assert report["worst_violation"] > 1e-3
+
+    def test_smp_check_classifies_each_stage_once(self, tmp_path, monkeypatch):
+        cfg = write_json_file(tmp_path / "m.json", MODEL_CONFIG)
+        opt_out = tmp_path / "opt"
+        assert run("optimize", "--config", cfg, "--out", opt_out) == 0
+        sizes = count_classifications(monkeypatch)
+        code = run("smp-check", "--config", cfg, "--control", opt_out / "u_star.csv",
+                   "--out", tmp_path / "chk")
+        assert code == 0
+        assert sizes == [1, 3]
 
     def test_control_outside_box_exits_3(self, tmp_path):
         cfg = dict(MODEL_CONFIG)

@@ -317,18 +317,22 @@ def test_adapted_values_built_only_at_the_boundary(monkeypatch):
 
 
 def test_batch_costs_match_per_row_rollouts():
-    # stacked rows through the nonlinear sin drift: each row is its own J
+    # stacked rows through the nonlinear sin drift: each row is its own J,
+    # rolled from the model's start and from 0; the reference for 0 is a
+    # model built to start there
     lat = lattice_for_hurst(0.7, depth=4, order=3)
     model = sin_drift_model(4, initial_state=0.8, noise_gain=0.7)
     rng = np.random.default_rng(5)
     controls = [random_control(lat, 4, rng, scale=1.5) for _ in range(6)]
     stacked = [np.stack([u[n].values for u in controls]) for n in range(4)]
-    got = _batch_costs(model, lat, stacked)
-    expected = [cost(model, u, forward(model, u, lat), lat) for u in controls]
-    assert got.shape == (6,)
-    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
+    zero_start = sin_drift_model(4, initial_state=0.0, noise_gain=0.7)
+    for start, started in ((0.8, model), (0.0, zero_start)):
+        got = _batch_costs(model, lat, start, stacked)
+        expected = [cost(started, u, forward(started, u, lat), lat) for u in controls]
+        assert got.shape == (6,)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
     with pytest.raises(DepthMismatch):
-        _batch_costs(model, lat, stacked[:3])
+        _batch_costs(model, lat, 0.8, stacked[:3])
 
 
 class TestChildTablesAcrossNodeBlocks:

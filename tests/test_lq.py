@@ -6,6 +6,8 @@ from scratch, giving exact feedback gains the tree solve must reproduce.
 The DDP optimizer and the SMP residual check the solve independently.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -377,8 +379,8 @@ class TestSufficiency:
         star = [u.values for u in sol.control]
         batch_costs = lq._batch_costs
 
-        def half_the_bound(model, lat, u):
-            j_star = batch_costs(model, lat, [s[None] for s in star])[0]
+        def half_the_bound(model, lat, start, u):
+            j_star = batch_costs(model, lat, start, [s[None] for s in star])[0]
             quad = 0.5 * sum(
                 spec3.R[n] * _contract(lat, ((u[n] - star[n]) ** 2).reshape(-1), n)
                 for n in range(spec3.horizon)
@@ -397,6 +399,34 @@ class TestUniqueness:
         report = verify_uniqueness(spec3, lat7)
         assert report.passed
         assert report.worst_parallelogram_slack >= -1e-9
+
+    def test_one_rollout_per_pair(self, spec3, lat7, monkeypatch):
+        # u1 - u2 from x0 = 0 is the only roll a pair needs: 5 rows in all
+        rows, batch_costs = [], lq._batch_costs
+
+        def spy(*args):
+            rows.append(args[-1][0].shape[0])
+            return batch_costs(*args)
+
+        monkeypatch.setattr(lq, "_batch_costs", spy)
+        verify_uniqueness(spec3, lat7)
+        assert sum(rows) == 5
+
+    def test_one_pair_per_chunk_stays_under_seven_leaf_tables(self, monkeypatch):
+        # a chunk of one pair, as at the MAX_PATHS cap, rolls one leaf-sized
+        # row: u1 - u2 from x0 = 0
+        q, depth = 3, 9
+        spec = _random_lq_spec(np.random.default_rng([0, q, depth, 0]), depth)
+        lat = lattice_for_hurst(0.7, depth, q)
+        monkeypatch.setattr(lq, "_CHUNK_LEAVES", 1)
+        verify_uniqueness(spec, lat)  # builds the model and the lattice's cached tables
+        tracemalloc.start()
+        try:
+            verify_uniqueness(spec, lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 8 * lat.level_size(depth)
 
 
 def reference_sufficiency(spec, u_star, lat, trials=50, seed=0):
@@ -486,8 +516,8 @@ class TestStackedCertificates:
             verify_sufficiency(spec, u_star, lat, trials=t + 1, seed=3),
             gaps[: t + 1], slacks[: t + 1],
         )
-        # 7 leaf tables per chunk: 2, 2 and 1 pairs of 3 rollouts each
-        monkeypatch.setattr(lq, "_CHUNK_LEAVES", 7 * lat.level_size(spec.horizon))
+        # 2 leaf tables per chunk: 2, 2 and 1 pairs of one rollout each
+        monkeypatch.setattr(lq, "_CHUNK_LEAVES", 2 * lat.level_size(spec.horizon))
         self.check_uniqueness(verify_uniqueness(spec, lat, seed=3),
                               reference_uniqueness(spec, lat, seed=3))
 

@@ -61,6 +61,17 @@ def read(path):
         return fh.read()
 
 
+def assert_text(got, want):
+    """Fail on the first differing line, not on a diff of two multi-MB texts."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (a, b) in enumerate(zip(got_lines, want_lines)):
+        if a != b:
+            pytest.fail(f"line {i + 1} differs:\n got  {a!r}\n want {b!r}", pytrace=False)
+    pytest.fail(f"{len(got_lines)} lines, want {len(want_lines)}", pytrace=False)
+
+
 @pytest.fixture(scope="module")
 def lat():
     return lattice_for_hurst(0.7, depth=2, order=3)
@@ -84,21 +95,21 @@ def test_matrix_skips_zero_entries(tmp_path):
     write_matrix_csv(path, mat)
     rows = [(n, k, g(mat[n, k])) for n in range(3) for k in range(3) if mat[n, k] != 0.0]
     assert len(rows) == 5
-    assert read(path) == reference(("n", "k", "value"), rows)
+    assert_text(read(path), reference(("n", "k", "value"), rows))
     assert np.array_equal(read_matrix_csv(path), mat)
 
 
 def test_matrix_of_zeros_writes_header_only(tmp_path):
     path = str(tmp_path / "m.csv")
     write_matrix_csv(path, np.zeros((2, 2)))
-    assert read(path) == "n,k,value\n"
+    assert_text(read(path), "n,k,value\n")
 
 
 def test_state(lat, tmp_path):
     values = stages(lat, (0, 1, 2), seed=1)
     path = str(tmp_path / "x.csv")
     write_state_csv(path, lat, values)
-    assert read(path) == state_reference(lat, values)
+    assert_text(read(path), state_reference(lat, values))
     assert "\n0,0,0,1\n" in read(path)  # -0.0 at the root prints as 0
 
 
@@ -120,7 +131,7 @@ def test_control_round_trip_is_bit_exact(tmp_path):
     control = ControlProcess([control[0], control[1], lat.from_values(2, u2)])
     path = str(tmp_path / "u.csv")
     write_control_csv(path, lat, control)
-    assert read(path) == state_reference(lat, list(control))
+    assert_text(read(path), state_reference(lat, list(control)))
     back = read_control_csv(path, lat, 3)
     for n in range(3):
         assert back[n].values.tobytes() == control[n].values.tobytes()
@@ -157,7 +168,7 @@ def test_bsde_moments_and_empty_terminal_fields(lat, tmp_path):
     path = str(tmp_path / "s.csv")
     write_bsde_csv(path, lat, sol)
     text = read(path)
-    assert text == bsde_reference(lat, sol)
+    assert_text(text, bsde_reference(lat, sol))
     assert text.startswith("stage,node_index,Y,Z,R_mean_check,R_eta_check\n0,0,0,")
     assert ",0,0\n" in text  # the -0.0 moments of stage 0
     assert text.endswith(",,,\n") and text.count(",,,\n") == 9
@@ -167,7 +178,7 @@ def test_adjoint(lat, tmp_path):
     sol = hand_solution(lat)
     path = str(tmp_path / "a.csv")
     write_adjoint_csv(path, sol)
-    assert read(path) == adjoint_reference(sol)
+    assert_text(read(path), adjoint_reference(sol))
 
 
 def adjoint_reference(sol):
@@ -189,7 +200,7 @@ def test_residual_pass_fail_labels(lat, tmp_path):
     path = str(tmp_path / "r.csv")
     write_residual_csv(path, rho, control, classification)
     text = read(path)
-    assert text == residual_reference(rho, control, classification)
+    assert_text(text, residual_reference(rho, control, classification))
     assert [line.split(",")[4] for line in text.splitlines()[1:]] == [
         "pass", "fail", "pass", "pass"
     ]
@@ -209,7 +220,7 @@ def test_optimize_trace(tmp_path):
     path = str(tmp_path / "t.csv")
     write_optimize_trace_csv(path, trace)
     rows = [(pt.iteration, g(pt.cost), g(pt.step), g(pt.worst_residual)) for pt in trace]
-    assert read(path) == reference(("iter", "J", "step", "worst_residual"), rows)
+    assert_text(read(path), reference(("iter", "J", "step", "worst_residual"), rows))
     assert "\n1,0,0.125," in read(path)
 
 
@@ -218,14 +229,14 @@ def test_lq_trace(tmp_path):
     path = str(tmp_path / "t.csv")
     write_lq_trace_csv(path, trace)
     rows = [(pt.iteration, g(pt.cost), g(pt.residual)) for pt in trace]
-    assert read(path) == reference(("iter", "J", "residual"), rows)
+    assert_text(read(path), reference(("iter", "J", "residual"), rows))
 
 
 def test_empty_traces_write_header_only(tmp_path):
     write_optimize_trace_csv(str(tmp_path / "o.csv"), [])
     write_lq_trace_csv(str(tmp_path / "l.csv"), [])
-    assert read(str(tmp_path / "o.csv")) == "iter,J,step,worst_residual\n"
-    assert read(str(tmp_path / "l.csv")) == "iter,J,residual\n"
+    assert_text(read(str(tmp_path / "o.csv")), "iter,J,step,worst_residual\n")
+    assert_text(read(str(tmp_path / "l.csv")), "iter,J,residual\n")
 
 
 def test_paths(tmp_path):
@@ -233,7 +244,7 @@ def test_paths(tmp_path):
     paths = SamplePaths(xi=eta @ np.array([[1.0, 0.3], [0.0, 0.9]]), eta=eta)
     path = str(tmp_path / "p.csv")
     write_paths_csv(path, paths)
-    assert read(path) == paths_reference(paths)
+    assert_text(read(path), paths_reference(paths))
 
 
 def paths_reference(paths):
@@ -249,7 +260,7 @@ def paths_reference(paths):
 def test_json_sorted_with_trailing_newline(tmp_path):
     path = str(tmp_path / "r.json")
     write_json(path, {"b": np.float64(0.5), "a": np.int64(2), "c": np.bool_(True)})
-    assert read(path) == '{\n  "a": 2,\n  "b": 0.5,\n  "c": true\n}\n'
+    assert_text(read(path), '{\n  "a": 2,\n  "b": 0.5,\n  "c": true\n}\n')
 
 
 # Deep cases: stage blocks above the short-column threshold, several chunks.
@@ -274,14 +285,14 @@ def test_state_deep(deep, tmp_path):
     values = stages(deep, range(9), seed=11)
     path = str(tmp_path / "x.csv")
     write_state_csv(path, deep, values)
-    assert read(path) == state_reference(deep, values)
+    assert_text(read(path), state_reference(deep, values))
 
 
 def test_control_deep(deep, tmp_path):
     control = random_control(deep, 8, np.random.default_rng(12))
     path = str(tmp_path / "u.csv")
     write_control_csv(path, deep, control)
-    assert read(path) == state_reference(deep, list(control))
+    assert_text(read(path), state_reference(deep, list(control)))
     back = read_control_csv(path, deep, 8)
     assert all(back[n].values.tobytes() == control[n].values.tobytes() for n in range(8))
 
@@ -290,7 +301,7 @@ def test_adjoint_deep(deep, tmp_path):
     sol = hand_solution(deep)
     path = str(tmp_path / "a.csv")
     write_adjoint_csv(path, sol)
-    assert read(path) == adjoint_reference(sol)
+    assert_text(read(path), adjoint_reference(sol))
 
 
 def test_residual_deep(deep, tmp_path):
@@ -303,7 +314,7 @@ def test_residual_deep(deep, tmp_path):
     ]
     path = str(tmp_path / "r.csv")
     write_residual_csv(path, rho, control, classification)
-    assert read(path) == residual_reference(rho, control, classification)
+    assert_text(read(path), residual_reference(rho, control, classification))
 
 
 def test_bsde_wide(wide, tmp_path, monkeypatch):
@@ -311,11 +322,11 @@ def test_bsde_wide(wide, tmp_path, monkeypatch):
     path = str(tmp_path / "s.csv")
     write_bsde_csv(path, wide, sol)
     want = bsde_reference(wide, sol)
-    assert read(path) == want
+    assert_text(read(path), want)
     # chunk boundaries inside a stage block, with a 625-row last chunk
     monkeypatch.setattr(reporting, "_CHUNK_ROWS", 1000)
     write_bsde_csv(path, wide, sol)
-    assert read(path) == want
+    assert_text(read(path), want)
 
 
 def test_paths_wide(wide, tmp_path):
@@ -324,7 +335,7 @@ def test_paths_wide(wide, tmp_path):
     paths = SamplePaths(xi=eta @ np.triu(np.full((6, 6), 0.3)), eta=eta)
     path = str(tmp_path / "p.csv")
     write_paths_csv(path, paths)
-    assert read(path) == paths_reference(paths)
+    assert_text(read(path), paths_reference(paths))
 
 
 def test_bsde_write_memory_stays_within_two_leaf_tables(tmp_path):
@@ -365,18 +376,18 @@ def test_chunks_cross_stage_blocks(deep, tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk)
     values = stages(deep, range(9), seed=31)
     write_state_csv(str(tmp_path / "x.csv"), deep, values)
-    assert read(str(tmp_path / "x.csv")) == state_reference(deep, values)
+    assert_text(read(str(tmp_path / "x.csv")), state_reference(deep, values))
     sol = hand_solution(deep)
     write_adjoint_csv(str(tmp_path / "a.csv"), sol)
-    assert read(str(tmp_path / "a.csv")) == adjoint_reference(sol)
+    assert_text(read(str(tmp_path / "a.csv")), adjoint_reference(sol))
     write_bsde_csv(str(tmp_path / "s.csv"), deep, sol)
-    assert read(str(tmp_path / "s.csv")) == bsde_reference(deep, sol)
+    assert_text(read(str(tmp_path / "s.csv")), bsde_reference(deep, sol))
     rho = stages(deep, range(8), seed=32)
     control = stages(deep, range(8), seed=33)
     rng = np.random.default_rng(34)
     classification = [(rng.random(r.values.size) < 0.5, np.abs(r.values)) for r in rho]
     write_residual_csv(str(tmp_path / "r.csv"), rho, control, classification)
-    assert read(str(tmp_path / "r.csv")) == residual_reference(rho, control, classification)
+    assert_text(read(str(tmp_path / "r.csv")), residual_reference(rho, control, classification))
 
 
 def test_short_blocks_join_into_one_kernel_chunk(tmp_path, monkeypatch):
@@ -389,7 +400,7 @@ def test_short_blocks_join_into_one_kernel_chunk(tmp_path, monkeypatch):
     kernel = count_calls(monkeypatch, "_float_field")
     path = str(tmp_path / "u.csv")
     write_control_csv(path, lat, control)
-    assert read(path) == state_reference(lat, list(control))
+    assert_text(read(path), state_reference(lat, list(control)))
     assert len(chunks) == 1
     assert [len(x) for x, _ in kernel] == [sum(sizes)] * 2  # value, probability
 
@@ -403,7 +414,7 @@ def test_index_width_changes_inside_a_chunk(tmp_path):
     path = str(tmp_path / "t.csv")
     reporting._write_table(path, "stage,node_index,value", blocks)
     rows = [(n, i, g(x)) for n, v in zip((8, 9, 10, 11), values) for i, x in enumerate(v)]
-    assert read(path) == reference(("stage", "node_index", "value"), rows)
+    assert_text(read(path), reference(("stage", "node_index", "value"), rows))
 
 
 def test_terminal_stage_closes_the_chunk(lat, tmp_path, monkeypatch):
@@ -412,7 +423,7 @@ def test_terminal_stage_closes_the_chunk(lat, tmp_path, monkeypatch):
     sol = hand_solution(lat)
     path = str(tmp_path / "s.csv")
     write_bsde_csv(path, lat, sol)
-    assert read(path) == bsde_reference(lat, sol)
+    assert_text(read(path), bsde_reference(lat, sol))
     assert len(chunks) == 2
 
 
@@ -420,14 +431,14 @@ def test_empty_blocks_are_skipped(tmp_path, monkeypatch):
     empty = (np.zeros(0, np.int64), np.zeros(0))
     path = str(tmp_path / "t.csv")
     reporting._write_table(path, "k,value", [empty, empty])
-    assert read(path) == "k,value\n"
+    assert_text(read(path), "k,value\n")
     chunks = count_calls(monkeypatch, "_encode_rows")
     # an empty block between two valued ones, even one with an empty
     # field, neither writes a row nor closes the chunk
     blocks = [(np.array([1, 2]), np.array([0.5, -0.0])), empty, (np.zeros(0, np.int64), None),
               (np.array([3]), np.array([1e22]))]
     reporting._write_table(path, "k,value", blocks)
-    assert read(path) == "k,value\n1,0.5\n2,0\n3,1e+22\n"
+    assert_text(read(path), "k,value\n1,0.5\n2,0\n3,1e+22\n")
     assert len(chunks) == 1
 
 
@@ -455,4 +466,4 @@ def test_matrix_of_other_float_dtypes(tmp_path, dtype, size):
     path = str(tmp_path / "m.csv")
     write_matrix_csv(path, mat)
     rows = [(n, k, "%.17g" % float(mat[n, k])) for n in range(size) for k in range(size)]
-    assert read(path) == reference(("n", "k", "value"), rows)
+    assert_text(read(path), reference(("n", "k", "value"), rows))
