@@ -5,12 +5,18 @@ matrix, violated precondition, failed report), 4 I/O failure, 5 no
 convergence.  A package error's status is its type's `exit_code`; any
 other ValueError exits 2 and any OSError 4.  Identical inputs and seed
 produce byte-identical files.
+
+`main` builds its argparse tree on first use and keeps it for the rest
+of the process.  It looks the handler of a command up in this module's
+namespace at call time (`whiten` runs `cmd_whiten`), so a handler
+replaced after import is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -224,21 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--hurst", type=float, help="Hurst index in (0, 1)")
     source.add_argument("--cov-file", help="covariance CSV (header n,k,value)")
     p.add_argument("--steps", type=int, default=None, help="number of increments (with --hurst)")
-    p.set_defaults(func=cmd_whiten)
 
     p = sub.add_parser("solve-bsde", parents=[common], help="solve a backward equation")
     p.add_argument("--config", required=True, help="JSON problem file")
-    p.set_defaults(func=cmd_solve_bsde)
 
     p = sub.add_parser("lq", parents=[common], help="linear-quadratic optimal control")
     p.add_argument("--config", required=True, help="JSON problem file")
-    p.set_defaults(func=cmd_lq)
 
     p = sub.add_parser("smp-check", parents=[common], help="stationarity check of a control")
     p.add_argument("--config", required=True, help="JSON model file")
     p.add_argument("--control", required=True, help="control CSV (stage,node_index,value[,probability])")
     p.add_argument("--tol", type=float, default=STATIONARITY_TOL, help="violation tolerance")
-    p.set_defaults(func=cmd_smp_check)
 
     p = sub.add_parser("optimize", parents=[common], help="DDP (Newton) steps to a stationary control")
     p.add_argument("--config", required=True, help="JSON model file")
@@ -248,18 +250,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--u0", type=float, default=0.0,
         help="constant initial control (projected into the control set)",
     )
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance criteria")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; `build_parser` still returns a fresh tree."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (FgnControlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2 if isinstance(exc, ValueError) else 4)

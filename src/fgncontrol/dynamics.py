@@ -84,6 +84,11 @@ class Box:
 Coefficient = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 
 
+def _dense(values, size: int) -> np.ndarray:
+    """A coefficient's values as a float64 array of `size` entries; a scalar is broadcast."""
+    return np.broadcast_to(np.asarray(values, dtype=np.float64), (size,))
+
+
 def _central_diff(fn, n, x, u, wrt: str) -> np.ndarray:
     if wrt == "x":
         h = 1e-6 * np.maximum(1.0, np.abs(x))
@@ -99,9 +104,12 @@ class ModelSpec:
     b, sigma, l and their x/u derivatives are stage coefficients; phi and
     phi_x act on the terminal state alone.  Construction draws one set of
     random spot points and runs two guards on them: the stage-`horizon`
-    values of b, sigma, l, b_x, sigma_x and l_x must vanish, and each
-    derivative must agree with central differences of its value to 1e-5
-    relative.
+    values of b, sigma, l, b_x, sigma_x and l_x must vanish
+    (TerminalConditionViolated), and each derivative must agree with
+    central differences of its value to 1e-5 relative (DerivativeMismatch).
+    Each guard stacks its stages and derivatives into one array and
+    compares them in one pass; a NaN or infinite stage-N value, stated
+    derivative or difference quotient fails its guard.
     """
 
     horizon: int
@@ -138,34 +146,47 @@ class ModelSpec:
 
     def _check_terminal_zero(self, x, u):
         n = self.horizon
-        for name in ("b", "sigma", "l", "b_x", "sigma_x", "l_x"):
-            vals = np.asarray(getattr(self, name)(n, x, u), dtype=np.float64)
-            if np.max(np.abs(vals)) > _ZERO_TOL:
-                raise TerminalConditionViolated(
-                    f"{name}({n}, x, u) must vanish identically at the final stage"
-                )
+        names = ("b", "sigma", "l", "b_x", "sigma_x", "l_x")
+        vals = np.stack([_dense(getattr(self, name)(n, x, u), x.size) for name in names])
+        bad = ~np.all(np.abs(vals) <= _ZERO_TOL, axis=1)  # NaN fails too
+        if bad.any():
+            raise TerminalConditionViolated(
+                f"{names[np.argmax(bad)]}({n}, x, u) must vanish identically at the final stage"
+            )
 
     def _check_derivatives(self, x, u):
-        pairs = [
-            ("b_x", self.b, self.b_x, "x"),
-            ("b_u", self.b, self.b_u, "u"),
-            ("sigma_x", self.sigma, self.sigma_x, "x"),
-            ("sigma_u", self.sigma, self.sigma_u, "u"),
-            ("l_x", self.l, self.l_x, "x"),
-            ("l_u", self.l, self.l_u, "u"),
-        ]
-        terminal = [("phi_x", lambda n, x, u: self.phi(x), lambda n, x, u: self.phi_x(x), "x")]
-        for n in range(self.horizon + 1):
-            for name, value_fn, deriv_fn, wrt in pairs if n < self.horizon else terminal:
-                stated = np.broadcast_to(
-                    np.asarray(deriv_fn(n, x, u), dtype=np.float64), x.shape
-                )
-                fd = _central_diff(value_fn, n, x, u, wrt)
-                scale = np.maximum(1.0, np.maximum(np.abs(stated), np.abs(fd)))
-                if np.max(np.abs(stated - fd) / scale) > _FD_REL_TOL:
-                    raise DerivativeMismatch(
-                        f"{name} disagrees with finite differences at stage {n}"
-                    )
+        """Every stated derivative against central differences, in one comparison.
+
+        Per stage each of b, sigma and l is called once, on the spot points
+        stacked as (x + h, u), (x - h, u), (x, u + h) and (x, u - h); phi on
+        x ± h.  The first failing (stage, derivative) pair, stages in order
+        and b_x, b_u, sigma_x, sigma_u, l_x, l_u within one, raises
+        DerivativeMismatch; a non-finite derivative or difference fails.
+        """
+        s = x.size
+        hx = 1e-6 * np.maximum(1.0, np.abs(x))
+        hu = 1e-6 * np.maximum(1.0, np.abs(u))
+        xs = np.concatenate([x + hx, x - hx, x, x])
+        us = np.concatenate([u, u, u + hu, u - hu])
+        names, stated, moved = [], [], []
+        for n in range(self.horizon):
+            for value in ("b", "sigma", "l"):
+                moved.append(_dense(getattr(self, value)(n, xs, us), 4 * s))
+                for wrt in "xu":
+                    names.append((f"{value}_{wrt}", n))
+                    stated.append(_dense(getattr(self, f"{value}_{wrt}")(n, x, u), s))
+        names.append(("phi_x", self.horizon))
+        stated.append(_dense(self.phi_x(x), s))
+        stated, m = np.stack(stated), np.stack(moved).reshape(-1, 4, s)
+        phi = _dense(self.phi(xs[:2 * s]), 2 * s)
+        with np.errstate(invalid="ignore", over="ignore"):
+            fd = np.stack([(m[:, 0] - m[:, 1]) / (2 * hx), (m[:, 2] - m[:, 3]) / (2 * hu)], axis=1)
+            fd = np.concatenate([fd.reshape(-1, s), [(phi[:s] - phi[s:]) / (2 * hx)]])
+            scale = np.maximum(1.0, np.maximum(np.abs(stated), np.abs(fd)))
+            bad = ~np.all(np.abs(stated - fd) / scale <= _FD_REL_TOL, axis=1)  # NaN fails too
+        if bad.any():
+            name, n = names[np.argmax(bad)]
+            raise DerivativeMismatch(f"{name} disagrees with finite differences at stage {n}")
 
 
 class _StagedProcess:

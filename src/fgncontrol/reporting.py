@@ -17,7 +17,10 @@ position, and the NULs are dropped from the finished text.  Floats go
 through `_float_field`, a `%.17g` kernel in plain float64 arithmetic
 whose output equals Python's formatting byte for byte; the few values it
 cannot certify, and every value of a chunk under `_SHORT_COLUMN` rows,
-are formatted by `'%.17g' %` one at a time.
+are formatted by `'%.17g' %` one at a time.  The kernel's cost is mostly
+fixed per call, so the float columns of a short chunk (at most
+`_SHARED_VALUES` values in all) share one call; a longer chunk takes one
+call per column.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ _CHUNK_ROWS = 2**14
 # A chunk shorter than this is formatted value by value: below it,
 # numpy's fixed cost per call outweighs `'%.17g' %` on each value.
 _SHORT_COLUMN = 2**8
+# A chunk whose float columns hold at most this many values in all sends
+# them through one kernel call.  The kernel's cost per value is flat above
+# about 3 000 values, so longer chunks gain nothing from sharing a call and
+# keep one call per column, and the writer's memory with it.
+_SHARED_VALUES = 2**12
 # '%.17g' is at most 24 characters; its matrix spends 29 rows on them:
 # the sign, the "0." and up to three zeros of 1e-4 <= |x| < 0.1, 17
 # digits and a point, and "e" with a sign and up to three digits.
@@ -218,11 +226,20 @@ def _width(column) -> int:
     return _FLOAT_WIDTH
 
 
+def _is_float(column) -> bool:
+    return column is not None and not isinstance(column, range) and column.dtype.kind == "f"
+
+
+def _float64(column: np.ndarray) -> np.ndarray:
+    """The float64 value of a float column, with -0.0 turned into 0.0."""
+    return np.asarray(column, np.float64) + 0.0
+
+
 def _fill(column: np.ndarray, out: np.ndarray) -> None:
     """One column of a chunk into the zeroed rows of out, in the format its dtype picks."""
     kind = column.dtype.kind
     if kind == "f":
-        column = np.asarray(column, np.float64) + 0.0  # the bytes of the float64 value
+        column = _float64(column)
     if kind == "f" and len(column) >= _SHORT_COLUMN:
         _float_field(column, out)
     elif kind in "iu" and len(column) >= _SHORT_COLUMN:
@@ -245,15 +262,26 @@ def _encode_rows(pieces) -> bytes:
 
     A piece is a run of rows of one block, as a list of columns; every
     piece of a chunk has `None` in the same fields.  A column is joined
-    across the pieces only for its own fill.
+    across the pieces only for its own fill.  In a chunk of at least
+    `_SHORT_COLUMN` rows whose float columns hold at most `_SHARED_VALUES`
+    values in all, those columns share one `_float_field` call, and each
+    copies its rows out of the shared matrix.
     """
     fields = list(zip(*pieces))
     widths = [0 if parts[0] is None else max(map(_width, parts)) for parts in fields]
     size = sum(map(len, next(parts for parts in fields if parts[0] is not None)))
+    floats = [k for k, parts in enumerate(fields) if _is_float(parts[0])]
+    shared = {}
+    if floats and _SHORT_COLUMN <= size and len(floats) * size <= _SHARED_VALUES:
+        matrix = np.zeros((_FLOAT_WIDTH, len(floats) * size), np.uint8)
+        _float_field(np.concatenate([_float64(_join(fields[k])) for k in floats]), matrix)
+        shared = dict(zip(floats, np.split(matrix, len(floats), axis=1)))
     text = np.zeros((sum(widths) + len(fields), size), np.uint8)
     row = 0
-    for parts, width in zip(fields, widths):
-        if width:
+    for k, (parts, width) in enumerate(zip(fields, widths)):
+        if k in shared:
+            text[row:row + width] = shared[k]
+        elif width:
             _fill(_join(parts), text[row:row + width])
         text[row + width] = 44
         row += width + 1

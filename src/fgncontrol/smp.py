@@ -240,7 +240,10 @@ class StationarityReport:
 def check_stationarity(
     residual: SmpResidual, u_star: ControlProcess, control_set, tol: float
 ) -> StationarityReport:
-    """Classify every node of the residual against the control set (tol finite, >= 0)."""
+    """Classify every node of the residual against the control set (tol finite, >= 0).
+
+    A NaN or infinite residual raises NonFiniteValue.
+    """
     _check_tol(tol)
     return _stationarity(
         [rho.values for rho in residual], [un.values for un in u_star], control_set, tol
@@ -259,10 +262,16 @@ def _stationarity(rho, u, control_set, tol: float) -> StationarityReport:
 
 
 def _worst_violation(violations, tol: float) -> StationarityReport:
-    """The report of per-stage `classify_nodes` violation tables."""
+    """The report of per-stage `classify_nodes` violation tables.
+
+    Raises NonFiniteValue, naming the stage and node, if a violation is
+    NaN or infinite.
+    """
     worst, worst_stage, worst_node = 0.0, 0, 0
     for n, violation in enumerate(violations):
-        k = int(np.argmax(violation))
+        k = int(np.argmax(violation))  # the first NaN, if there is one
+        if not np.isfinite(violation[k]):
+            raise NonFiniteValue(f"stationarity violation {violation[k]} at stage {n}, node {k}")
         if violation[k] > worst:
             worst, worst_stage, worst_node = float(violation[k]), n, k
     return StationarityReport(

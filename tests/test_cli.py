@@ -355,6 +355,26 @@ class TestSmpCheckAndOptimize:
         assert run("optimize", "--config", cfg, f"--u0={u0}", "--out", out) == 2
         assert not out.exists()
 
+    def test_smp_check_nan_residual_exits_3(self, tmp_path, monkeypatch, capsys):
+        # classify_nodes fails a NaN node; the report must not call it stationary
+        cfg = write_json_file(tmp_path / "m.json", MODEL_CONFIG)
+        opt_out = tmp_path / "opt"
+        assert run("optimize", "--config", cfg, "--out", opt_out) == 0
+        residual = cli.smp_residual
+
+        def nan_at_stage_1_node_2(*args):
+            rho = residual(*args)
+            values = rho[1].values.copy()
+            values[2] = np.nan
+            return smp.SmpResidual((rho[0], rho.lattice.from_values(1, values)))
+
+        monkeypatch.setattr(cli, "smp_residual", nan_at_stage_1_node_2)
+        out = tmp_path / "chk"
+        code = run("smp-check", "--config", cfg, "--control", opt_out / "u_star.csv", "--out", out)
+        assert code == 3
+        assert "at stage 1, node 2" in capsys.readouterr().err
+        assert not (out / "report.json").exists() and not (out / "residual.csv").exists()
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_smp_check_nan_tol_exits_2(self, tmp_path, tol):
         # rejected before the adjoint solve, so no output directory appears
@@ -452,6 +472,42 @@ class TestExitStatus:
             if isinstance(obj, type) and issubclass(obj, errors.FgnControlError)
         }
         assert raised - {errors.FgnControlError} == set(EXIT_STATUS) - {ValueError, OSError}
+
+
+class TestParser:
+    # a fresh interpreter, so no earlier test has built the parser yet
+    ONE_PARSER = """
+import json, sys
+from fgncontrol import cli
+calls, build = [], cli.build_parser
+def spy():
+    calls.append(None)
+    return build()
+cli.build_parser = spy
+work, lq_config = sys.argv[1], sys.argv[2]
+codes = [cli.main(["whiten", "--hurst", "0.5", "--steps", "2", "--out", work + "/w"]),
+         cli.main(["lq", "--config", lq_config, "--out", work + "/lq"])]
+try:
+    cli.main(["lq", "--no-such-flag"])
+except SystemExit as exc:
+    codes.append(exc.code)
+print(json.dumps({"codes": codes, "parsers": len(calls)}))
+"""
+
+    def test_one_parser_per_process(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        cfg = write_json_file(tmp_path / "lq.json", LQ_CONFIG)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.ONE_PARSER, str(tmp_path), cfg],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"codes": [0, 0, 2], "parsers": 1}
+
+    def test_build_parser_returns_a_fresh_tree(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestSeedValidation:

@@ -4,6 +4,7 @@ Expected values come from hand expansions of the recursions (one or two
 stages with explicit xi algebra), not from the code under test.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -184,6 +185,33 @@ class TestModelSpecValidation:
     def test_wrong_phi_derivative_rejected(self):
         with pytest.raises(DerivativeMismatch, match="phi_x disagrees with finite differences"):
             additive_noise_model(1, 0.0, phi=lambda x: x**2, phi_x=lambda x: x)
+
+    def test_nan_terminal_value_rejected(self):
+        # NaN > tol is False: a NaN must fail the guard all the same
+        model = sin_drift_model(3)
+        with pytest.raises(TerminalConditionViolated, match=r"b\(3, x, u\) must vanish"):
+            dataclasses.replace(
+                model, b=lambda n, x, u: np.sin(x) + u if n < 3 else np.full_like(x, np.nan)
+            )
+
+    @pytest.mark.parametrize("name, bad", [("b_x", np.nan), ("b", np.nan), ("b_x", np.inf)])
+    def test_non_finite_derivative_or_difference_rejected(self, name, bad):
+        # bad for x > 0 at the stages before N, in b_x or in b itself
+        model = sin_drift_model(3)
+        fn = getattr(model, name)
+        changed = {name: lambda n, x, u: np.where(x > 0, bad, fn(n, x, u)) if n < 3 else fn(n, x, u)}
+        with pytest.raises(DerivativeMismatch, match="b_x disagrees with finite differences at stage 0"):
+            dataclasses.replace(model, **changed)
+
+    def test_first_failing_pair_is_reported(self):
+        # wrong l_u at stage 2 and wrong sigma_x at stage 0: stages come first
+        model = sin_drift_model(3)
+        with pytest.raises(DerivativeMismatch, match="sigma_x disagrees with finite differences at stage 0"):
+            dataclasses.replace(
+                model,
+                l_u=lambda n, x, u: 2.0 * model.l_u(n, x, u) if n == 2 else model.l_u(n, x, u),
+                sigma_x=lambda n, x, u: np.ones_like(x) if n == 0 else model.sigma_x(n, x, u),
+            )
 
 
 class TestForward:

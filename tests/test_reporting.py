@@ -23,7 +23,7 @@ from fgncontrol import cli, reporting
 from fgncontrol.bsde import BsdeSolution
 from fgncontrol.dynamics import ControlProcess, random_control
 from fgncontrol.lattice import SamplePaths, lattice_for_hurst
-from fgncontrol.lq import LqIterationPoint
+from fgncontrol.lq import LqIterationPoint, as_model, lq_fixed_point
 from fgncontrol.reporting import (
     read_control_csv,
     read_matrix_csv,
@@ -39,7 +39,7 @@ from fgncontrol.reporting import (
     write_state_csv,
 )
 from fgncontrol.selftest import _random_lq_spec
-from fgncontrol.smp import TracePoint
+from fgncontrol.smp import TracePoint, classify_nodes
 
 SPECIAL = (-0.0, 1.0 / 3.0, -1.5, 1e-310, 1e22, 0.1, -2.0 / 7.0)
 
@@ -402,7 +402,7 @@ def test_short_blocks_join_into_one_kernel_chunk(tmp_path, monkeypatch):
     write_control_csv(path, lat, control)
     assert_text(read(path), state_reference(lat, list(control)))
     assert len(chunks) == 1
-    assert [len(x) for x, _ in kernel] == [sum(sizes)] * 2  # value, probability
+    assert [len(x) for x, _ in kernel] == [2 * sum(sizes)]  # value and probability, one call
 
 
 def test_index_width_changes_inside_a_chunk(tmp_path):
@@ -442,19 +442,47 @@ def test_empty_blocks_are_skipped(tmp_path, monkeypatch):
     assert len(chunks) == 1
 
 
-def test_lq_writes_each_csv_in_one_chunk(tmp_path, monkeypatch):
+def lq_config(tmp_path):
+    """LQ draw 0 at (q, N) = (3, 6) as a CLI config file, and its spec."""
     spec = _random_lq_spec(np.random.default_rng([0, 3, 6, 0]), 6)
     config = {"horizon": 6, "hurst": 0.7, "quadrature_order": 3,
               "G": float(spec.G), "x": float(spec.x),
               **{name: [float(v) for v in getattr(spec, name)] for name in "ABCDQR"}}
     path = tmp_path / "lq.json"
     path.write_text(json.dumps(config))
+    return path, spec
+
+
+def test_lq_writes_each_csv_in_one_chunk(tmp_path, monkeypatch):
+    path, _ = lq_config(tmp_path)
     chunks = count_calls(monkeypatch, "_encode_rows")
     out = tmp_path / "out"
     assert cli.main(["lq", "--config", str(path), "--out", str(out)]) == 0
     csvs = sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
     assert csvs == ["adjoint.csv", "iterations.csv", "residual.csv", "u_star.csv"]
     assert len(chunks) == len(csvs)
+
+
+def test_lq_float_columns_share_one_kernel_call_per_file(tmp_path, monkeypatch):
+    # 364 rows per file: residual.csv's rho, u_star and violation, then
+    # u_star.csv's value and probability, then adjoint.csv's p and q
+    path, spec = lq_config(tmp_path)
+    kernel = count_calls(monkeypatch, "_float_field")
+    out = tmp_path / "out"
+    assert cli.main(["lq", "--config", str(path), "--out", str(out)]) == 0
+    assert [len(x) for x, _ in kernel] == [3 * 364, 2 * 364, 2 * 364]
+    lat = lattice_for_hurst(0.7, depth=6, order=3)
+    sol = lq_fixed_point(spec, lat)
+    control = list(sol.control)
+    classification = [
+        classify_nodes(rho.values, u.values, as_model(spec).control_set, cli.STATIONARITY_TOL)[::-1]
+        for rho, u in zip(sol.rho, control)
+    ]
+    assert_text(read(out / "residual.csv"), residual_reference(sol.rho, control, classification))
+    assert_text(read(out / "u_star.csv"), state_reference(lat, control))
+    assert_text(read(out / "adjoint.csv"), adjoint_reference(sol.adjoint))
+    rows = [(pt.iteration, g(pt.cost), g(pt.residual)) for pt in sol.trace]
+    assert_text(read(out / "iterations.csv"), reference(("iter", "J", "residual"), rows))
 
 
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])

@@ -413,6 +413,17 @@ class TestCheckStationarity:
         assert report.worst_violation == pytest.approx(0.2, abs=1e-15)
         assert check_stationarity(res, u, Unconstrained(), tol=0.25).passed
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_non_finite_residual_raises(self, lat, stage, bad):
+        # argmax lands on a NaN, and NaN > worst is False: it must not read as stationary
+        values = [np.zeros(1), np.array([0.1, 0.0, 0.0])]
+        values[stage][-1] = bad
+        res = SmpResidual(tuple(lat.from_values(n, v) for n, v in enumerate(values)))
+        node = len(values[stage]) - 1
+        with pytest.raises(NonFiniteValue, match=f"at stage {stage}, node {node}"):
+            check_stationarity(res, constant_control(lat, 2, 0.0), Unconstrained(), tol=1e-8)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12])
     def test_invalid_tol_rejected(self, lat, tol):
         res = SmpResidual(tuple(lat.constant(0.0, n) for n in range(2)))
