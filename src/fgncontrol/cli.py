@@ -135,13 +135,13 @@ def cmd_lq(args) -> int:
     uniq = verify_uniqueness(cfg.spec, lat, seed=args.seed)
     reporting.write_control_csv(os.path.join(out, "u_star.csv"), lat, sol.control)
     reporting.write_adjoint_csv(os.path.join(out, "adjoint.csv"), sol.adjoint)
-    reporting.write_lq_trace_csv(os.path.join(out, "iterations.csv"), sol.trace)
+    reporting.write_lq_trace_csv(os.path.join(out, "iterations.csv"), sol.cost, sol.residual)
     passed = station.passed and suff.passed and uniq.passed
     reporting.write_json(
         os.path.join(out, "report.json"),
         {
             "J": sol.cost,
-            "iterations": sol.iterations,
+            "iterations": 0,
             "residual": sol.residual,
             "stationarity": dataclasses.asdict(station),
             "sufficiency": dataclasses.asdict(suff),

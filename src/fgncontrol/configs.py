@@ -57,11 +57,24 @@ def _check_keys(obj: dict, required: frozenset, optional: frozenset, where: str)
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    value = obj[key]
+def _finite(value, key: str, where: str) -> float:
+    """`value` as a finite float, else ConfigError naming key and value.
+
+    Python's json reads NaN, Infinity and 1e999 as non-finite floats and
+    integers of any size, which `float` may overflow; a bool is no number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = np.inf
+    if not np.isfinite(out):
+        raise ConfigError(f"{where}: {key} must be a finite number, got {value!r}")
+    return out
+
+
+def _number(obj: dict, key: str, where: str) -> float:
+    return _finite(obj[key], key, where)
 
 
 def _integer(obj: dict, key: str, where: str) -> int:
@@ -75,12 +88,7 @@ def _number_list(obj: dict, key: str, length: int, where: str) -> np.ndarray:
     value = obj[key]
     if not isinstance(value, list) or len(value) != length:
         raise ConfigError(f"{where}: {key} must be a list of {length} numbers")
-    out = np.empty(length)
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{where}: {key}[{i}] must be a number, got {v!r}")
-        out[i] = float(v)
-    return out
+    return np.array([_finite(v, f"{key}[{i}]", where) for i, v in enumerate(value)])
 
 
 def _parse_control_set(value, where: str):
@@ -91,10 +99,9 @@ def _parse_control_set(value, where: str):
         bounds = value["box"]
         if not isinstance(bounds, list) or len(bounds) != 2:
             raise ConfigError(f"{where}.control_set: box must be [lower, upper]")
-        for i, v in enumerate(bounds):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{where}.control_set: box[{i}] must be a number")
-        return Box(float(bounds[0]), float(bounds[1]))
+        return Box(*(
+            _finite(v, f"box[{i}]", f"{where}.control_set") for i, v in enumerate(bounds)
+        ))
     raise ConfigError(
         f'{where}: control_set must be "unconstrained" or {{"box": [lo, hi]}}'
     )

@@ -89,12 +89,9 @@ def _dense(values, size: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=np.float64), (size,))
 
 
-def _central_diff(fn, n, x, u, wrt: str) -> np.ndarray:
-    if wrt == "x":
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        return (np.asarray(fn(n, x + h, u), float) - np.asarray(fn(n, x - h, u), float)) / (2 * h)
-    h = 1e-6 * np.maximum(1.0, np.abs(u))
-    return (np.asarray(fn(n, x, u + h), float) - np.asarray(fn(n, x, u - h), float)) / (2 * h)
+def _fd_step(v) -> np.ndarray:
+    """The step of a central difference at v: 1e-6 relative, 1e-6 absolute below |v| = 1."""
+    return 1e-6 * np.maximum(1.0, np.abs(v))
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,7 @@ class ModelSpec:
         DerivativeMismatch; a non-finite derivative or difference fails.
         """
         s = x.size
-        hx = 1e-6 * np.maximum(1.0, np.abs(x))
-        hu = 1e-6 * np.maximum(1.0, np.abs(u))
+        hx, hu = _fd_step(x), _fd_step(u)
         xs = np.concatenate([x + hx, x - hx, x, x])
         us = np.concatenate([u, u, u + hu, u - hu])
         names, stated, moved = [], [], []

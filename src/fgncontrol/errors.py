@@ -84,7 +84,8 @@ class NoDescent(FgnControlError, RuntimeError):
 
 
 class NotConverged(FgnControlError, RuntimeError):
-    """Iteration budget exhausted before the tolerance was met."""
+    """A computed solution misses its tolerance; `residual` is the value
+    that missed it.  Raised when the LQ solve fails its SMP certificate."""
     exit_code = 5
 
     def __init__(self, message: str, residual: float | None = None):

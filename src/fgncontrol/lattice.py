@@ -58,6 +58,15 @@ MAX_PATHS = 10**7
 _BLOCK_LEAVES = 2**16
 
 
+def _check_paths(q: int, depth: int) -> None:
+    """LatticeTooLarge when a depth-`depth` q-ary tree has over MAX_PATHS leaves.
+
+    Every q >= 2 has q^64 > MAX_PATHS, so the power is capped at 64 and a
+    huge depth costs no big-integer arithmetic."""
+    if q ** min(depth, 64) > MAX_PATHS:
+        raise LatticeTooLarge(f"q^depth = {q}^{depth} exceeds the cap of {MAX_PATHS:.0e} paths")
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights matching standard normal moments up to degree 2q-1."""
@@ -100,10 +109,7 @@ class NoiseLattice:
             raise DepthMismatch(
                 f"basis covers {self.basis.size} stages, lattice needs {self.depth}"
             )
-        if self.rule.q**self.depth > MAX_PATHS:
-            raise LatticeTooLarge(
-                f"q^depth = {self.rule.q}^{self.depth} exceeds the cap of {MAX_PATHS:.0e} paths"
-            )
+        _check_paths(self.rule.q, self.depth)
 
     def level_size(self, level: int) -> int:
         self._check_level(level)
@@ -147,9 +153,11 @@ def lattice_for_hurst(h, depth: int, order: int) -> NoiseLattice:
     The basis covers depth + 1 stages: a backward equation over `depth`
     stages whose stage-`depth` driver multiplies xi_depth needs
     E[xi_depth | first depth noises], which reads basis row `depth`.
+    The path cap is checked before the O(depth^2) whitening.
     """
-    basis = whiten(fgn_covariance(h, depth + 1))
-    return NoiseLattice(depth, gauss_hermite(order), basis)
+    rule = gauss_hermite(order)
+    _check_paths(rule.q, depth)
+    return NoiseLattice(depth, rule, whiten(fgn_covariance(h, depth + 1)))
 
 
 class AdaptedValue:

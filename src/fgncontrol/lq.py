@@ -35,13 +35,17 @@ from .dynamics import (
 )
 from .errors import InvalidSpec, LevelMismatch, NotConverged, WrongHorizon
 from .lattice import AdaptedValue, NoiseLattice, _chunks, _contract
-from .smp import SmpResidual, _backward_pass, _check_tol, _gradient, _rollout
+from .smp import SmpResidual, _backward_pass, _gradient, _rollout
 
 # Leaf budget of one stacked certificate pass: rows * q^N stays within it
 # (a single row is still rolled out when q^N alone exceeds it).  Tables
 # above glibc's default mmap threshold (128 KB) are fresh mappings, so a
 # few 2 MB passes beat many 256 KB ones (of 2^15..2^20, 2^18 ran fastest).
 _CHUNK_LEAVES = 2**18
+# Bound on the SMP residual max |rho_n| / R_n that certifies the direct solve.
+_RESIDUAL_TOL = 1e-10
+# Random perturbations `verify_sufficiency` tries.
+_SUFFICIENCY_TRIALS = 50
 
 
 @dataclass(frozen=True)
@@ -116,37 +120,20 @@ def as_model(spec: LqSpec) -> ModelSpec:
 
 
 @dataclass(frozen=True)
-class LqIterationPoint:
-    iteration: int
-    cost: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class LqSolution:
-    """Optimal system: control, state, adjoint pair, its SMP gradient
-    representative rho, and `trace`, the one-row record (iteration 0, J,
-    SMP residual) of the direct solve, one DDP Newton step from u = 0."""
+    """Optimal system: control, state, adjoint pair (p, q) = (y, z), its SMP
+    gradient representative rho, the cost J and the SMP residual that
+    certifies it."""
 
     control: ControlProcess
     state: StateProcess
     adjoint: BsdeSolution
     rho: SmpResidual
     cost: float
-    iterations: int
     residual: float
-    trace: tuple[LqIterationPoint, ...]
-
-    @property
-    def p(self) -> tuple[AdaptedValue, ...]:
-        return self.adjoint.y
-
-    @property
-    def q(self) -> tuple[AdaptedValue, ...]:
-        return self.adjoint.z
 
 
-def lq_fixed_point(spec: LqSpec, lat: NoiseLattice, tol: float = 1e-10) -> LqSolution:
+def lq_fixed_point(spec: LqSpec, lat: NoiseLattice) -> LqSolution:
     """The optimal control, computed directly by one DDP Newton step from u = 0.
 
     It is the fixed point of u = u - rho / R.  `smp._backward_pass` runs along
@@ -161,10 +148,9 @@ def lq_fixed_point(spec: LqSpec, lat: NoiseLattice, tol: float = 1e-10) -> LqSol
     gives u*, the state `forward(u*)` returns, and J.  The SMP residual
     max_n max_node |rho_n| / R_n of the adjoint pair solved there, with b
     from `lat.basis`, certifies it: NotConverged is raised when it exceeds
-    `tol`, ValueError unless `tol` is finite and >= 0, and DepthMismatch
-    when the lattice is shallower than the horizon.
+    _RESIDUAL_TOL, and DepthMismatch when the lattice is shallower than the
+    horizon.
     """
-    _check_tol(tol)
     model = as_model(spec)
     _check_depth(model, lat, spec.horizon)
     zero_u, zero_x = [0.0] * spec.horizon, [0.0] * (spec.horizon + 1)
@@ -177,15 +163,12 @@ def lq_fixed_point(spec: LqSpec, lat: NoiseLattice, tol: float = 1e-10) -> LqSol
     adj = solve_bsde(adjoint_driver(model, u, x), lat)
     rho = _gradient(model, u, xs, adj, lat)
     residual = max(float(np.max(np.abs(r.values)) / r_n) for r, r_n in zip(rho, spec.R))
-    if residual > tol:
+    if residual > _RESIDUAL_TOL:
         raise NotConverged(
-            f"LQ control fails the SMP check: residual {residual:.3e} > tol {tol:.1e}",
+            f"LQ control fails the SMP check: residual {residual:.3e} > tol {_RESIDUAL_TOL:.1e}",
             residual=residual,
         )
-    return LqSolution(
-        control=u, state=x, adjoint=adj, rho=rho, cost=j, iterations=0,
-        residual=residual, trace=(LqIterationPoint(0, j, residual),),
-    )
+    return LqSolution(control=u, state=x, adjoint=adj, rho=rho, cost=j, residual=residual)
 
 
 def one_step_closed_form(spec: LqSpec) -> float:
@@ -224,21 +207,18 @@ def verify_sufficiency(
     spec: LqSpec,
     u_star: ControlProcess,
     lat: NoiseLattice,
-    trials: int = 50,
     seed: int = 0,
 ) -> SufficiencyReport:
     """Perturb the candidate optimum and check it is never beaten.
 
-    Each trial draws a random adapted direction v and eps from
-    {1, 0.1, 0.01}, then requires J(u* + eps v) >= J(u*) - 1e-10 and the
-    quadratic lower bound J(u) - J(u*) >= 0.5 E sum R_n (eps v_n)^2 - 1e-9.
+    Each of _SUFFICIENCY_TRIALS trials draws a random adapted direction v
+    and eps from {1, 0.1, 0.01}, then requires J(u* + eps v) >= J(u*) - 1e-10
+    and the quadratic lower bound
+    J(u) - J(u*) >= 0.5 E sum R_n (eps v_n)^2 - 1e-9.
     The trials are rolled out as one stacked pass per chunk of at most
     _CHUNK_LEAVES leaves; the directions are the draws of a per-trial
-    loop of `random_control` and `perturb` with the same seed.  Raises
-    ValueError unless trials >= 1.
+    loop of `random_control` and `perturb` with the same seed.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if u_star.lattice is not lat:
         raise LevelMismatch("u_star lives on a different lattice")
     model = as_model(spec)
@@ -248,7 +228,7 @@ def verify_sufficiency(
     rng = np.random.default_rng(seed)
     eps_cycle = np.array([1.0, 0.1, 0.01])
     min_gap = worst_slack = np.inf
-    for start, stop in _chunks(trials, lat.rule.q**spec.horizon, _CHUNK_LEAVES):
+    for start, stop in _chunks(_SUFFICIENCY_TRIALS, lat.rule.q**spec.horizon, _CHUNK_LEAVES):
         eps = eps_cycle[np.arange(start, stop) % 3, None]
         u = [s + eps * v for s, v in zip(star, _draw(lat, spec.horizon, rng, stop - start))]
         gap = _batch_costs(model, lat, spec.x, u) - j_star
@@ -260,7 +240,7 @@ def verify_sufficiency(
         worst_slack = min(worst_slack, np.min(gap - quad))
     return SufficiencyReport(
         passed=bool(min_gap >= -1e-10 and worst_slack >= -1e-9),
-        trials=trials,
+        trials=_SUFFICIENCY_TRIALS,
         min_cost_gap=float(min_gap),
         worst_quadratic_slack=float(worst_slack),
     )
@@ -287,9 +267,11 @@ def verify_uniqueness(
     from x0 = 0: uniqueness does not depend on x0.  Each pair is one rollout
     of u1 - u2 from 0, stacked in one pass per chunk of at most _CHUNK_LEAVES
     leaves; u1, u2 are the draws of a per-pair loop of two `random_control`
-    calls with the same seed.
+    calls with the same seed.  DepthMismatch when the lattice is shallower
+    than the horizon.
     """
     model = as_model(spec)
+    _check_depth(model, lat, spec.horizon)
     rng = np.random.default_rng(seed)
     theta = float(np.min(spec.R))
     worst_slack = np.inf

@@ -471,21 +471,18 @@ def write_residual_csv(path: str, residual, control, classification) -> None:
     ))
 
 
-def _trace_columns(trace, fields):
-    """The integer iteration column, then one float column per named field."""
-    return (np.array([pt.iteration for pt in trace], dtype=np.int64),
-            *(np.array([getattr(pt, f) for pt in trace], dtype=np.float64) for f in fields))
-
-
 def write_optimize_trace_csv(path: str, trace) -> None:
     """Header `iter,J,step,worst_residual`."""
-    columns = _trace_columns(trace, ("cost", "step", "worst_residual"))
+    columns = (np.array([pt.iteration for pt in trace], dtype=np.int64),
+               *(np.array([getattr(pt, f) for pt in trace], dtype=np.float64)
+                 for f in ("cost", "step", "worst_residual")))
     _write_table(path, "iter,J,step,worst_residual", [columns])
 
 
-def write_lq_trace_csv(path: str, trace) -> None:
-    """Header `iter,J,residual`: one row, for the LQ solve's one DDP Newton step."""
-    _write_table(path, "iter,J,residual", [_trace_columns(trace, ("cost", "residual"))])
+def write_lq_trace_csv(path: str, cost: float, residual: float) -> None:
+    """Header `iter,J,residual` and the one row `0,J,residual` of the LQ
+    solve's one DDP Newton step."""
+    _write_table(path, "iter,J,residual", [(range(1), np.array([cost]), np.array([residual]))])
 
 
 def write_paths_csv(path: str, paths: SamplePaths) -> None:

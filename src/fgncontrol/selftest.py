@@ -476,7 +476,7 @@ def criterion_lq_certificates(seed: int) -> CriterionResult:
     model = as_model(spec)
     res = smp_residual(model, sol.control, sol.adjoint, lat, lat.basis)
     station = check_stationarity(res, sol.control, model.control_set, tol=1e-8)
-    suff = verify_sufficiency(spec, sol.control, lat, trials=50, seed=seed)
+    suff = verify_sufficiency(spec, sol.control, lat, seed=seed)
     uniq = verify_uniqueness(spec, lat, seed=seed)
     passed = station.passed and suff.passed and uniq.passed
     return CriterionResult(

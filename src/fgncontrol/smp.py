@@ -36,7 +36,7 @@ from .dynamics import (
     ModelSpec,
     StateProcess,
     BOUNDARY_TOL,
-    _central_diff,
+    _fd_step,
     _stage_value,
     _StagedProcess,
     _states,
@@ -327,12 +327,11 @@ def _stage_derivatives(model: ModelSpec, n: int, x, u) -> np.ndarray:
 
     Rows run b, sigma, l, five each, shaped as x and u broadcast together:
     (q^n,) for level-n tables, () for scalars.  Second derivatives are the
-    central differences of `dynamics._central_diff` of the supplied first
-    derivatives, with the x and u steps taken once.  Raises NonFiniteValue
+    central differences of the supplied first derivatives, with the x and u
+    steps of `dynamics._fd_step` taken once.  Raises NonFiniteValue
     if any entry is non-finite.
     """
-    hx = 1e-6 * np.maximum(1.0, np.abs(x))
-    hu = 1e-6 * np.maximum(1.0, np.abs(u))
+    hx, hu = _fd_step(x), _fd_step(u)
     x_up, x_down, u_up, u_down = x + hx, x - hx, u + hu, u - hu
 
     def at(fn, xs, us):
@@ -371,7 +370,10 @@ def _backward_pass(model, u, x, lat):
     """
     n_stages = model.horizon
     x_final = x[n_stages]
-    phi_xx = _central_diff(lambda n, x, u: model.phi_x(x), n_stages, x_final, x_final, "x")
+    h = _fd_step(x_final)
+    phi_xx = (np.asarray(model.phi_x(x_final + h), float)
+              - np.asarray(model.phi_x(x_final - h), float)) / (2 * h)
+    del h  # a leaf-sized table, not to be held through the stages
     v_x, v_xx = (
         t if t.ndim == 0 and np.isfinite(t) else _stage_value(lat, n_stages, t)
         for t in (np.asarray(model.phi_x(x_final), float), phi_xx)

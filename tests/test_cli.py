@@ -444,6 +444,42 @@ class TestSmpCheckAndOptimize:
         assert model.control_set.lower == -0.05 and model.control_set.upper == 0.05
 
 
+class TestConfigNumbers:
+    """JSON reads NaN, Infinity and 1e999 as floats and takes integers of any
+    size; each is a configuration error (exit 2) naming the file, the key and
+    the value, raised when the config is read."""
+
+    HUGE = "1" + "0" * 400  # an integer no float can hold
+
+    @pytest.mark.parametrize(
+        "command, config, keys, literal, shown",
+        [
+            ("solve-bsde", BSDE_CONFIG, ("terminal", "constant"), "NaN", "nan"),
+            ("optimize", MODEL_CONFIG, ("model", "c"), "Infinity", "inf"),
+            ("optimize", MODEL_CONFIG, ("initial_state",), "NaN", "nan"),
+            ("optimize", MODEL_CONFIG, ("initial_state",), "1e999", "inf"),
+            ("optimize", MODEL_CONFIG, ("initial_state",), HUGE, HUGE),
+            ("lq", LQ_CONFIG, ("x",), "NaN", "nan"),
+        ],
+        ids=["bsde-constant-nan", "model-c-inf", "initial-state-nan", "initial-state-1e999",
+             "initial-state-huge-int", "lq-x-nan"],
+    )
+    def test_exits_2_at_load(self, tmp_path, capsys, command, config, keys, literal, shown):
+        config = json.loads(json.dumps(config))
+        *outer, key = keys
+        obj = config
+        for name in outer:
+            obj = obj[name]
+        obj[key] = "@"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace('"@"', literal))
+        assert run(command, "--config", path, "--out", tmp_path / "o") == 2
+        where = ".".join((str(path), *outer))
+        assert capsys.readouterr().err == (
+            f"error: {where}: {key} must be a finite number, got {shown}\n"
+        )
+
+
 # The status `main` returns for each error a command raises.
 EXIT_STATUS = {
     errors.NotConverged: 5, errors.NoDescent: 5,

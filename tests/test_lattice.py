@@ -7,6 +7,7 @@ the contraction-based condexp implementation.
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,13 @@ class TestLatticeConstruction:
         basis = whiten(fgn_covariance(0.7, 9))
         with pytest.raises(LatticeTooLarge):
             NoiseLattice(9, gauss_hermite(8), basis)  # 8^9 > 1e7
+
+    def test_path_cap_before_whitening(self):
+        # whitening 200 001 increments would first ask numpy for ~300 GiB
+        start = time.perf_counter()
+        with pytest.raises(LatticeTooLarge, match=r"3\^200000"):
+            lattice_for_hurst(0.7, 200_000, 3)
+        assert time.perf_counter() - start < 1.0
 
     def test_probabilities_sum_to_one(self):
         # every (q, depth) pair under the path cap

@@ -23,7 +23,7 @@ from fgncontrol import cli, reporting
 from fgncontrol.bsde import BsdeSolution
 from fgncontrol.dynamics import ControlProcess, random_control
 from fgncontrol.lattice import SamplePaths, lattice_for_hurst
-from fgncontrol.lq import LqIterationPoint, as_model, lq_fixed_point
+from fgncontrol.lq import as_model, lq_fixed_point
 from fgncontrol.reporting import (
     read_control_csv,
     read_matrix_csv,
@@ -31,7 +31,6 @@ from fgncontrol.reporting import (
     write_bsde_csv,
     write_control_csv,
     write_json,
-    write_lq_trace_csv,
     write_matrix_csv,
     write_optimize_trace_csv,
     write_paths_csv,
@@ -224,19 +223,9 @@ def test_optimize_trace(tmp_path):
     assert "\n1,0,0.125," in read(path)
 
 
-def test_lq_trace(tmp_path):
-    trace = [LqIterationPoint(0, 2.0 / 3.0, -0.0), LqIterationPoint(3, 1e22, 1.5e-14)]
-    path = str(tmp_path / "t.csv")
-    write_lq_trace_csv(path, trace)
-    rows = [(pt.iteration, g(pt.cost), g(pt.residual)) for pt in trace]
-    assert_text(read(path), reference(("iter", "J", "residual"), rows))
-
-
 def test_empty_traces_write_header_only(tmp_path):
     write_optimize_trace_csv(str(tmp_path / "o.csv"), [])
-    write_lq_trace_csv(str(tmp_path / "l.csv"), [])
     assert_text(read(str(tmp_path / "o.csv")), "iter,J,step,worst_residual\n")
-    assert_text(read(str(tmp_path / "l.csv")), "iter,J,residual\n")
 
 
 def test_paths(tmp_path):
@@ -481,8 +470,18 @@ def test_lq_float_columns_share_one_kernel_call_per_file(tmp_path, monkeypatch):
     assert_text(read(out / "residual.csv"), residual_reference(sol.rho, control, classification))
     assert_text(read(out / "u_star.csv"), state_reference(lat, control))
     assert_text(read(out / "adjoint.csv"), adjoint_reference(sol.adjoint))
-    rows = [(pt.iteration, g(pt.cost), g(pt.residual)) for pt in sol.trace]
+    rows = [(0, g(sol.cost), g(sol.residual))]
     assert_text(read(out / "iterations.csv"), reference(("iter", "J", "residual"), rows))
+
+
+def test_lq_trace_is_the_one_step_of_the_report(tmp_path):
+    # the LQ solve is one DDP Newton step: iterations.csv is its one row
+    path, _ = lq_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["lq", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(read(out / "report.json"))
+    row = "0,%.17g,%.17g\n" % (report["J"], report["residual"])
+    assert_text(read(out / "iterations.csv"), "iter,J,residual\n" + row)
 
 
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])

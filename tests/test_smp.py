@@ -118,9 +118,9 @@ def leaf_form_backward_pass(model, u, x, lat):
     q, w = lat.rule.q, lat.rule.weights
     n_stages = model.horizon
     v_x = lam = np.asarray(model.phi_x(x[n_stages]), float)
-    v_xx = dynamics._central_diff(
-        lambda n, x, u: model.phi_x(x), n_stages, x[n_stages], x[n_stages], "x"
-    )
+    h = dynamics._fd_step(x[n_stages])
+    v_xx = (np.asarray(model.phi_x(x[n_stages] + h), float)
+            - np.asarray(model.phi_x(x[n_stages] - h), float)) / (2 * h)
     gains, rho = [], []
     for n in reversed(range(n_stages)):
         table = smp._stage_derivatives(model, n, x[n], u[n])
