@@ -3,6 +3,8 @@
 Validation here is structural: key sets, types, and array lengths.
 Value ranges (Hurst index, quadrature order, weight signs, box bounds)
 are enforced by the domain constructors so the rules live in one place.
+The one exception is the horizon: it is checked against `MAX_DEPTH`
+first, because a model's guards cost O(horizon) before any lattice check.
 Unknown keys are rejected everywhere.
 """
 
@@ -16,7 +18,7 @@ import numpy as np
 from .bsde import DriverSpec
 from .dynamics import Box, ModelSpec, Unconstrained, sin_drift_model
 from .errors import ConfigError
-from .lattice import NoiseLattice, _children
+from .lattice import MAX_DEPTH, NoiseLattice, _children
 from .lq import LqSpec, _lq_model
 
 __all__ = [
@@ -84,6 +86,14 @@ def _integer(obj: dict, key: str, where: str) -> int:
     return value
 
 
+def _horizon(obj: dict, where: str) -> int:
+    """The config's `horizon`, an integer in [1, MAX_DEPTH]."""
+    horizon = _integer(obj, "horizon", where)
+    if not 1 <= horizon <= MAX_DEPTH:
+        raise ConfigError(f"{where}: horizon must be in [1, {MAX_DEPTH}], got {horizon}")
+    return horizon
+
+
 def _number_list(obj: dict, key: str, length: int, where: str) -> np.ndarray:
     value = obj[key]
     if not isinstance(value, list) or len(value) != length:
@@ -136,7 +146,7 @@ def parse_model_config(obj, where: str = "config") -> ModelConfig:
         frozenset(),
         where,
     )
-    horizon = _integer(obj, "horizon", where)
+    horizon = _horizon(obj, where)
     model_obj = _expect_mapping(obj["model"], f"{where}.model")
     if "type" not in model_obj:
         raise ConfigError(f"{where}.model: missing key 'type'")
@@ -193,7 +203,7 @@ def parse_lq_config(obj, where: str = "config") -> LqConfig:
         frozenset(),
         where,
     )
-    horizon = _integer(obj, "horizon", where)
+    horizon = _horizon(obj, where)
     spec = LqSpec(
         horizon=horizon,
         G=_number(obj, "G", where),
@@ -255,9 +265,7 @@ def parse_bsde_config(obj, where: str = "config") -> BsdeConfig:
         frozenset(),
         where,
     )
-    horizon = _integer(obj, "horizon", where)
-    if horizon < 1:
-        raise ConfigError(f"{where}: horizon must be >= 1, got {horizon}")
+    horizon = _horizon(obj, where)
     terminal = _expect_mapping(obj["terminal"], f"{where}.terminal")
     _check_keys(
         terminal,

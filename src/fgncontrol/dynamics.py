@@ -10,10 +10,7 @@ wrong gradient later.
 
 Coefficient callables receive ``(n, x, u)`` where x and u are dense node
 arrays; they must vectorise (plain numpy expressions do) and may return
-a scalar when the coefficient is constant.  The private state step
-`_step` also accepts tables with a leading row axis, (rows, q^n), one
-row per control: `_batch_costs` rolls many controls out in one pass
-this way, and the coefficients then see (rows, q^n) arrays.
+a scalar when the coefficient is constant.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from .errors import (
     OutOfControlSet,
     TerminalConditionViolated,
 )
-from .lattice import AdaptedValue, NoiseLattice, _children, _contract, _expect, _frozen
+from .lattice import AdaptedValue, NoiseLattice, _children, _expect, _frozen
 
 _SPOT_POINTS = 16
 _FD_REL_TOL = 1e-5
@@ -261,35 +258,28 @@ def random_control(
     return ControlProcess(stages)
 
 
-def _stage_value(lat, level, raw, rows: tuple[int, ...] = ()) -> np.ndarray:
-    """A coefficient's output as a contiguous level-`level` table, checked finite.
-
-    `rows` is the leading row axis of a batched table, () for one table.
-    """
-    shape = (*rows, lat.level_size(level))
-    out = np.ascontiguousarray(np.broadcast_to(np.asarray(raw, float), shape))
+def _stage_value(lat, level, raw) -> np.ndarray:
+    """A coefficient's output as a contiguous level-`level` table, checked finite."""
+    out = np.ascontiguousarray(np.broadcast_to(np.asarray(raw, float), lat.level_size(level)))
     if not np.all(np.isfinite(out)):
         raise NonFiniteValue(f"coefficient produced non-finite values at level {level}")
     return out
 
 
 def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> np.ndarray:
-    """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n as a table, checked finite.
-
-    xn may carry a leading row axis, (rows, q^n); the result keeps it and
-    is frozen.  `_children` writes it column by column, so no leaf-sized
-    temporary is built.
-    """
-    rows = xn.shape[:-1]
-    base = xn + _stage_value(lat, n, model.b(n, xn, un), rows)
-    nxt = _children(lat, n, base, _stage_value(lat, n, model.sigma(n, xn, un), rows))
+    """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n as a frozen
+    table, checked finite.  `_children` writes it column by column, so no
+    leaf-sized temporary is built."""
+    base = xn + _stage_value(lat, n, model.b(n, xn, un))
+    nxt = _children(lat, n, base, _stage_value(lat, n, model.sigma(n, xn, un)))
     if not np.all(np.isfinite(nxt)):
         raise NonFiniteValue(f"state became non-finite at stage {n + 1}")
-    return _frozen(nxt).reshape(*rows, -1)
+    return _frozen(nxt).reshape(-1)
 
 
-def _check_depth(model: ModelSpec, lat: NoiseLattice, stages: int):
-    """A control of `stages` stages fits the model's horizon and the lattice depth."""
+def _check_depth(model, lat: NoiseLattice, stages: int):
+    """A control of `stages` stages fits the horizon of `model`, a ModelSpec or
+    an LqSpec, and the lattice depth."""
     if stages != model.horizon:
         raise DepthMismatch(f"control has {stages} stages, model needs {model.horizon}")
     if lat.depth < model.horizon:
@@ -347,30 +337,6 @@ def _total_cost(lat: NoiseLattice, tables) -> float:
     for n, table in enumerate(tables):
         total += _expect(lat, table, n)
     if not np.isfinite(total):
-        raise NonFiniteValue("cost is non-finite")
-    return total
-
-
-def _batch_costs(model: ModelSpec, lat: NoiseLattice, start: float, controls) -> np.ndarray:
-    """J of many controls at once, one per row, without storing the state path.
-
-    Stage n of `controls` is a (rows, q^n) table whose values lie in the
-    model's control set.  Each row starts at the state `start`, not the
-    model's, and gets the same additions as `cost(model, u, forward(model, u,
-    lat), lat)` of the model started there; only the contractions run over
-    more rows at a time.
-    """
-    _check_depth(model, lat, len(controls))
-    rows = controls[0].shape[:-1]
-    xn = np.full((*rows, 1), float(start))
-    total = np.zeros(rows)
-    for n, un in enumerate(controls):
-        running = _stage_value(lat, n, model.l(n, xn, un), rows)
-        total += _contract(lat, running.reshape(-1), n)
-        xn = _step(model, lat, n, xn, un)
-    terminal = _stage_value(lat, model.horizon, model.phi(xn), rows)
-    total += _contract(lat, terminal.reshape(-1), model.horizon)
-    if not np.all(np.isfinite(total)):
         raise NonFiniteValue("cost is non-finite")
     return total
 

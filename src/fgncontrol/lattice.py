@@ -53,18 +53,25 @@ from .noise import WhiteningBasis, fgn_covariance, whiten
 MAX_ORDER = 16
 # Hard cap on q^depth; a dense table above this is a configuration error.
 MAX_PATHS = 10**7
+# Hard cap on the depth.  Only q = 1 reaches it under MAX_PATHS (2^24 >
+# MAX_PATHS), but the whitening is O(depth^2) in memory and a model's
+# guards make O(depth) Python calls, whatever q is.
+MAX_DEPTH = 1024
 # Child-table entries written per block of parent nodes: one block of the
 # table stays in cache across its q column passes.
 _BLOCK_LEAVES = 2**16
 
 
 def _check_paths(q: int, depth: int) -> None:
-    """LatticeTooLarge when a depth-`depth` q-ary tree has over MAX_PATHS leaves.
+    """LatticeTooLarge when a depth-`depth` q-ary tree has over MAX_PATHS
+    leaves or over MAX_DEPTH levels.
 
     Every q >= 2 has q^64 > MAX_PATHS, so the power is capped at 64 and a
     huge depth costs no big-integer arithmetic."""
     if q ** min(depth, 64) > MAX_PATHS:
         raise LatticeTooLarge(f"q^depth = {q}^{depth} exceeds the cap of {MAX_PATHS:.0e} paths")
+    if depth > MAX_DEPTH:
+        raise LatticeTooLarge(f"depth {depth} exceeds the cap of {MAX_DEPTH} stages")
 
 
 @dataclass(frozen=True)
@@ -153,7 +160,7 @@ def lattice_for_hurst(h, depth: int, order: int) -> NoiseLattice:
     The basis covers depth + 1 stages: a backward equation over `depth`
     stages whose stage-`depth` driver multiplies xi_depth needs
     E[xi_depth | first depth noises], which reads basis row `depth`.
-    The path cap is checked before the O(depth^2) whitening.
+    The path and depth caps are checked before the O(depth^2) whitening.
     """
     rule = gauss_hermite(order)
     _check_paths(rule.q, depth)
@@ -399,6 +406,7 @@ def sample_paths(basis: WhiteningBasis, horizon: int, count: int, seed: int) -> 
 
 __all__ = [
     "AdaptedValue",
+    "MAX_DEPTH",
     "MAX_ORDER",
     "MAX_PATHS",
     "NoiseLattice",

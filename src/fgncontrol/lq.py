@@ -29,12 +29,13 @@ from .dynamics import (
     ModelSpec,
     StateProcess,
     Unconstrained,
-    _batch_costs,
     _check_depth,
     _total_cost,
 )
-from .errors import InvalidSpec, LevelMismatch, NotConverged, WrongHorizon
-from .lattice import AdaptedValue, NoiseLattice, _chunks, _contract
+from .errors import InvalidSpec, LevelMismatch, NonFiniteValue, NotConverged, WrongHorizon
+from .lattice import (
+    AdaptedValue, NoiseLattice, _children, _chunks, _contract, _mean, _moments, _product,
+)
 from .smp import SmpResidual, _backward_pass, _gradient, _rollout
 
 # Leaf budget of one stacked certificate pass: rows * q^N stays within it
@@ -203,6 +204,34 @@ def _draw(lat: NoiseLattice, horizon: int, rng: np.random.Generator, rows: int) 
     return np.split(rng.standard_normal((rows, sum(sizes))), np.cumsum(sizes[:-1]), axis=1)
 
 
+def _batch_costs(spec: LqSpec, lat: NoiseLattice, start: float, controls) -> np.ndarray:
+    """J of many controls from the state `start`, one per row of the (rows, q^n) stages.
+
+    X_{n+1} = X_n + (A_n X_n + B_n u_n) + (C_n X_n + D_n u_n) xi_n, added as in
+    `as_model(spec)`, with running cost 0.5 (Q_n X_n^2 + R_n u_n^2).  On level
+    N-1, X_N = c0 + c1 eta_{N-1}, so E[0.5 G X_N^2 | N-1] is read off the
+    lattice's moments of eta, exact for every q: no leaf table is built.
+    """
+    _check_depth(spec, lat, len(controls))
+    last = spec.horizon - 1
+    xn = np.full((*controls[0].shape[:-1], 1), float(start))
+    total = np.zeros(xn.shape[:-1])
+    for n, un in enumerate(controls):
+        total += _contract(lat, (0.5 * (spec.Q[n] * xn**2 + spec.R[n] * un**2)).reshape(-1), n)
+        drift = xn + (spec.A[n] * xn + spec.B[n] * un)
+        vol = spec.C[n] * xn + spec.D[n] * un
+        if n < last:
+            xn = _children(lat, n, drift, vol).reshape(*drift.shape[:-1], -1)
+            if not np.all(np.isfinite(xn)):
+                raise NonFiniteValue(f"state became non-finite at stage {n + 1}")
+    c = (drift + vol * _mean(lat, last), vol * lat.basis.b_mat[last, last])
+    terminal = 0.5 * spec.G * _product(_moments(lat, 1.0, 3), c, c)
+    total += _contract(lat, terminal.reshape(-1), last)
+    if not np.all(np.isfinite(total)):
+        raise NonFiniteValue("cost is non-finite")
+    return total
+
+
 def verify_sufficiency(
     spec: LqSpec,
     u_star: ControlProcess,
@@ -215,23 +244,23 @@ def verify_sufficiency(
     and eps from {1, 0.1, 0.01}, then requires J(u* + eps v) >= J(u*) - 1e-10
     and the quadratic lower bound
     J(u) - J(u*) >= 0.5 E sum R_n (eps v_n)^2 - 1e-9.
-    The trials are rolled out as one stacked pass per chunk of at most
-    _CHUNK_LEAVES leaves; the directions are the draws of a per-trial
-    loop of `random_control` and `perturb` with the same seed.
+    Each J is priced by `_batch_costs` on the spec's own recursion, its last
+    stage in closed form, one stacked pass per chunk of at most _CHUNK_LEAVES
+    leaves; the directions are the draws of a per-trial loop of
+    `random_control` and `perturb` with the same seed.
     """
     if u_star.lattice is not lat:
         raise LevelMismatch("u_star lives on a different lattice")
-    model = as_model(spec)
-    u_star.validate_in(model.control_set)
+    u_star.validate_in(Unconstrained())
     star = [u.values for u in u_star]
-    j_star = _batch_costs(model, lat, spec.x, [s[None] for s in star])[0]
+    j_star = _batch_costs(spec, lat, spec.x, [s[None] for s in star])[0]
     rng = np.random.default_rng(seed)
     eps_cycle = np.array([1.0, 0.1, 0.01])
     min_gap = worst_slack = np.inf
     for start, stop in _chunks(_SUFFICIENCY_TRIALS, lat.rule.q**spec.horizon, _CHUNK_LEAVES):
         eps = eps_cycle[np.arange(start, stop) % 3, None]
         u = [s + eps * v for s, v in zip(star, _draw(lat, spec.horizon, rng, stop - start))]
-        gap = _batch_costs(model, lat, spec.x, u) - j_star
+        gap = _batch_costs(spec, lat, spec.x, u) - j_star
         quad = 0.5 * sum(
             spec.R[n] * _contract(lat, ((u[n] - star[n]) ** 2).reshape(-1), n)
             for n in range(spec.horizon)
@@ -264,14 +293,14 @@ def verify_uniqueness(
     must hold with 1e-9 slack; it follows from R_n >= theta > 0.  The
     dynamics are linear in (x, u) and J is quadratic in the path, so
     J(u1) + J(u2) - 2 J((u1+u2)/2) = 0.5 J_0(u1 - u2) exactly, J_0 the cost
-    from x0 = 0: uniqueness does not depend on x0.  Each pair is one rollout
-    of u1 - u2 from 0, stacked in one pass per chunk of at most _CHUNK_LEAVES
-    leaves; u1, u2 are the draws of a per-pair loop of two `random_control`
-    calls with the same seed.  DepthMismatch when the lattice is shallower
-    than the horizon.
+    from x0 = 0: uniqueness does not depend on x0.  Each pair is one
+    `_batch_costs` row of u1 - u2 from 0, on the spec's own recursion with
+    its last stage in closed form, stacked in one pass per chunk of at most
+    _CHUNK_LEAVES leaves; u1, u2 are the draws of a per-pair loop of two
+    `random_control` calls with the same seed.  DepthMismatch when the
+    lattice is shallower than the horizon.
     """
-    model = as_model(spec)
-    _check_depth(model, lat, spec.horizon)
+    _check_depth(spec, lat, spec.horizon)
     rng = np.random.default_rng(seed)
     theta = float(np.min(spec.R))
     worst_slack = np.inf
@@ -279,7 +308,7 @@ def verify_uniqueness(
         draws = _draw(lat, spec.horizon, rng, 2 * (stop - start))
         delta = [u[0::2] - u[1::2] for u in draws]
         sq = sum(_contract(lat, (d**2).reshape(-1), n) for n, d in enumerate(delta))
-        slack = 0.5 * _batch_costs(model, lat, 0.0, delta) - 0.25 * theta * sq
+        slack = 0.5 * _batch_costs(spec, lat, 0.0, delta) - 0.25 * theta * sq
         worst_slack = min(worst_slack, np.min(slack))
     return UniquenessReport(
         passed=bool(worst_slack >= -1e-9),

@@ -17,7 +17,7 @@ from fgncontrol import cli, errors, smp
 from fgncontrol.cli import main
 from fgncontrol.configs import parse_bsde_config, parse_model_config
 from fgncontrol.dynamics import ModelSpec
-from fgncontrol.lattice import lattice_for_hurst, noise_value
+from fgncontrol.lattice import MAX_DEPTH, lattice_for_hurst, noise_value
 from fgncontrol.reporting import read_matrix_csv, write_matrix_csv
 
 
@@ -478,6 +478,48 @@ class TestConfigNumbers:
         assert capsys.readouterr().err == (
             f"error: {where}: {key} must be a finite number, got {shown}\n"
         )
+
+
+class TestHorizonCap:
+    """A horizon over MAX_DEPTH exits 2 when the config is read, before a
+    model's O(horizon) guards and the lattice's O(horizon^2) whitening.  Each
+    run is a fresh interpreter under a 4 GiB address-space limit, so a
+    regression ends in MemoryError rather than asking for ~300 GiB; the child
+    times `main` alone."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    CAPPED = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from fgncontrol.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - start)
+"""
+    DEEP = 200_000
+
+    def run_capped(self, tmp_path, command, config):
+        path = write_json_file(tmp_path / "deep.json", config)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (self.SRC, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CAPPED, command, "--config", path, "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, seconds = proc.stdout.split()
+        assert int(code) == 2
+        assert float(seconds) < 1.0
+        assert proc.stderr == f"error: {path}: horizon must be in [1, {MAX_DEPTH}], got {self.DEEP}\n"
+
+    def test_order_one_lq(self, tmp_path):
+        # 1^depth passes the path cap: whitening 200 001 increments ran out of memory
+        coeffs = {name: [0.5] * self.DEEP for name in "ABCDQR"}
+        self.run_capped(tmp_path, "lq", dict(LQ_CONFIG, horizon=self.DEEP, quadrature_order=1, **coeffs))
+
+    def test_sin_drift_model(self, tmp_path):
+        # the model's guards ran for ~20 s before the lattice's path cap exited 2
+        self.run_capped(tmp_path, "optimize", dict(MODEL_CONFIG, horizon=self.DEEP))
 
 
 # The status `main` returns for each error a command raises.

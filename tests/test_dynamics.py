@@ -16,7 +16,6 @@ from fgncontrol.dynamics import (
     ControlProcess,
     ModelSpec,
     Unconstrained,
-    _batch_costs,
     _step,
     constant_control,
     cost,
@@ -37,6 +36,7 @@ from fgncontrol.errors import (
 from fgncontrol import lattice
 from fgncontrol.lattice import (
     AdaptedValue,
+    _children,
     _is_frozen,
     expectation,
     lattice_for_hurst,
@@ -344,25 +344,6 @@ def test_adapted_values_built_only_at_the_boundary(monkeypatch):
     assert len(created) == model.horizon + 1
 
 
-def test_batch_costs_match_per_row_rollouts():
-    # stacked rows through the nonlinear sin drift: each row is its own J,
-    # rolled from the model's start and from 0; the reference for 0 is a
-    # model built to start there
-    lat = lattice_for_hurst(0.7, depth=4, order=3)
-    model = sin_drift_model(4, initial_state=0.8, noise_gain=0.7)
-    rng = np.random.default_rng(5)
-    controls = [random_control(lat, 4, rng, scale=1.5) for _ in range(6)]
-    stacked = [np.stack([u[n].values for u in controls]) for n in range(4)]
-    zero_start = sin_drift_model(4, initial_state=0.0, noise_gain=0.7)
-    for start, started in ((0.8, model), (0.0, zero_start)):
-        got = _batch_costs(model, lat, start, stacked)
-        expected = [cost(started, u, forward(started, u, lat), lat) for u in controls]
-        assert got.shape == (6,)
-        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
-    with pytest.raises(DepthMismatch):
-        _batch_costs(model, lat, 0.8, stacked[:3])
-
-
 class TestChildTablesAcrossNodeBlocks:
     """Child tables built block by block against the broadcast formulas.
 
@@ -384,6 +365,8 @@ class TestChildTablesAcrossNodeBlocks:
 
     @pytest.mark.parametrize("rows", [(), (2,)], ids=["one_table", "row_axis"])
     def test_step_equals_the_broadcast_lift(self, big, rows):
+        # one table through the model's state step; with a row axis through
+        # `_children` itself, which keeps the axis for the LQ certificates
         n = self.DEPTH - 1
         model = sin_drift_model(self.DEPTH, noise_gain=0.6)
         rng = np.random.default_rng(11)
@@ -392,7 +375,10 @@ class TestChildTablesAcrossNodeBlocks:
         drift, vol = model.b(n, xn, un), model.sigma(n, xn, un)
         want = vol[..., None] * self._noise(big, n)
         want += (xn + drift)[..., None]
-        got = _step(model, big, n, xn, un)
+        if rows:
+            got = _children(big, n, xn + drift, vol).reshape(*rows, -1)
+        else:
+            got = _step(model, big, n, xn, un)
         assert got.shape == (*rows, big.level_size(n + 1))
         assert got.tobytes() == want.tobytes()
 

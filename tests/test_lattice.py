@@ -21,6 +21,7 @@ from fgncontrol.errors import (
     UnsupportedOrder,
 )
 from fgncontrol.lattice import (
+    MAX_DEPTH,
     AdaptedValue,
     NoiseLattice,
     condexp,
@@ -119,6 +120,15 @@ class TestLatticeConstruction:
         with pytest.raises(LatticeTooLarge, match=r"3\^200000"):
             lattice_for_hurst(0.7, 200_000, 3)
         assert time.perf_counter() - start < 1.0
+
+    def test_depth_cap_before_whitening(self):
+        # 1^depth is never over MAX_PATHS, so at q = 1 only the depth cap
+        # stops an O(depth^2) whitening (~300 GiB at 200 000 stages)
+        with pytest.raises(LatticeTooLarge, match=f"depth {MAX_DEPTH + 1} exceeds"):
+            lattice_for_hurst(0.7, MAX_DEPTH + 1, 1)
+        # every q >= 2 meets the path cap first
+        with pytest.raises(LatticeTooLarge, match=rf"2\^{MAX_DEPTH + 1} exceeds"):
+            lattice_for_hurst(0.7, MAX_DEPTH + 1, 2)
 
     def test_probabilities_sum_to_one(self):
         # every (q, depth) pair under the path cap

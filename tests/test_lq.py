@@ -6,6 +6,7 @@ from scratch, giving exact feedback gains the tree solve must reproduce.
 The DDP optimizer and the SMP residual check the solve independently.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -368,8 +369,8 @@ class TestSufficiency:
         star = [u.values for u in sol.control]
         batch_costs = lq._batch_costs
 
-        def half_the_bound(model, lat, start, u):
-            j_star = batch_costs(model, lat, start, [s[None] for s in star])[0]
+        def half_the_bound(spec, lat, start, u):
+            j_star = batch_costs(spec, lat, start, [s[None] for s in star])[0]
             quad = 0.5 * sum(
                 spec3.R[n] * _contract(lat, ((u[n] - star[n]) ** 2).reshape(-1), n)
                 for n in range(spec3.horizon)
@@ -411,20 +412,45 @@ class TestUniqueness:
         assert sum(rows) == 5
 
     def test_one_pair_per_chunk_stays_under_seven_leaf_tables(self, monkeypatch):
-        # a chunk of one pair, as at the MAX_PATHS cap, rolls one leaf-sized
-        # row: u1 - u2 from x0 = 0
+        # a chunk of one pair, as at the MAX_PATHS cap, rolls one row:
+        # u1 - u2 from x0 = 0
         q, depth = 3, 9
         spec = _random_lq_spec(np.random.default_rng([0, q, depth, 0]), depth)
         lat = lattice_for_hurst(0.7, depth, q)
         monkeypatch.setattr(lq, "_CHUNK_LEAVES", 1)
-        verify_uniqueness(spec, lat)  # builds the model and the lattice's cached tables
-        tracemalloc.start()
-        try:
-            verify_uniqueness(spec, lat)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7 * 8 * lat.level_size(depth)
+        assert traced_peak(lambda: verify_uniqueness(spec, lat)) <= 7 * 8 * lat.level_size(depth)
+
+
+def traced_peak(run):
+    """Peak bytes tracemalloc sees during a second call of `run`; the first
+    builds the lattice's cached tables."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("q, depth", [(1, 6), (3, 5), (10, 4)])
+def test_batch_costs_match_per_row_rollouts(q, depth):
+    # the certificates' recursion on the LqSpec arrays, its last stage in
+    # closed form, against `cost(forward(...))` of the model row by row: from
+    # spec.x, and from 0 with a spec started there as the reference
+    lat = lattice_for_hurst(0.7, depth, q)
+    spec = _random_lq_spec(np.random.default_rng([1, q, depth, 0]), depth)
+    rng = np.random.default_rng(5)
+    controls = [random_control(lat, depth, rng, scale=1.5) for _ in range(6)]
+    stacked = [np.stack([u[n].values for u in controls]) for n in range(depth)]
+    for start, started in ((spec.x, spec), (0.0, dataclasses.replace(spec, x=0.0))):
+        model = as_model(started)
+        got = lq._batch_costs(spec, lat, start, stacked)
+        expected = [cost(model, u, forward(model, u, lat), lat) for u in controls]
+        assert got.shape == (6,)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
+    with pytest.raises(DepthMismatch):
+        lq._batch_costs(spec, lat, spec.x, stacked[:-1])
 
 
 def reference_sufficiency(spec, u_star, lat, trials=50, seed=0):
@@ -519,6 +545,19 @@ class TestStackedCertificates:
         monkeypatch.setattr(lq, "_CHUNK_LEAVES", 2 * lat.level_size(spec.horizon))
         self.check_uniqueness(verify_uniqueness(spec, lat, seed=3),
                               reference_uniqueness(spec, lat, seed=3))
+
+    def test_one_row_per_chunk_builds_no_leaf_state(self, monkeypatch):
+        # one row per chunk, as at the MAX_PATHS cap: the last stage is read
+        # off level N-1, so a pass holds its draws and a few level-(N-1)
+        # tables; building X_N took 2.39 and 2.57 leaf tables
+        q, depth = 10, 5
+        spec = _random_lq_spec(np.random.default_rng([0, q, depth, 0]), depth)
+        lat = lattice_for_hurst(0.7, depth, q)
+        u_star = lq_fixed_point(spec, lat).control
+        leaf = 8 * lat.level_size(depth)
+        monkeypatch.setattr(lq, "_CHUNK_LEAVES", 1)
+        assert traced_peak(lambda: verify_sufficiency(spec, u_star, lat)) <= 1.3 * leaf
+        assert traced_peak(lambda: verify_uniqueness(spec, lat)) <= 1.5 * leaf
 
     def test_candidate_on_another_lattice(self, spec3, lat7):
         other = lattice_for_hurst(0.7, depth=3, order=3)
