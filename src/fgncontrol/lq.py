@@ -34,7 +34,7 @@ from .dynamics import (
 )
 from .errors import InvalidSpec, LevelMismatch, NonFiniteValue, NotConverged, WrongHorizon
 from .lattice import (
-    AdaptedValue, NoiseLattice, _children, _chunks, _contract, _mean, _moments, _product,
+    AdaptedValue, NoiseLattice, _children, _chunks, _contract, _mean, _moments,
 )
 from .smp import SmpResidual, _backward_pass, _gradient, _rollout
 
@@ -224,8 +224,27 @@ def _batch_costs(spec: LqSpec, lat: NoiseLattice, start: float, controls) -> np.
             xn = _children(lat, n, drift, vol).reshape(*drift.shape[:-1], -1)
             if not np.all(np.isfinite(xn)):
                 raise NonFiniteValue(f"state became non-finite at stage {n + 1}")
-    c = (drift + vol * _mean(lat, last), vol * lat.basis.b_mat[last, last])
-    terminal = 0.5 * spec.G * _product(_moments(lat, 1.0, 3), c, c)
+    del xn
+    # `_product(m, c, c)` in place, in its order of operations, each
+    # level-(N-1) temporary dropped once used: c0 = drift + vol mu, c1 = vol b
+    m0, m1, m2 = _moments(lat, 1.0, 3)
+    c0 = vol * _mean(lat, last)
+    c0 += drift
+    del drift
+    vol *= lat.basis.b_mat[last, last]
+    terminal = c0 * c0
+    terminal *= m0
+    cross = c0 * vol
+    cross += vol * c0
+    del c0
+    cross *= m1
+    terminal += cross
+    del cross
+    vol *= vol
+    vol *= m2
+    terminal += vol
+    del vol
+    terminal *= 0.5 * spec.G
     total += _contract(lat, terminal.reshape(-1), last)
     if not np.all(np.isfinite(total)):
         raise NonFiniteValue("cost is non-finite")

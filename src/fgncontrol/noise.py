@@ -168,8 +168,8 @@ def whiten(cov: CovarianceSpec) -> WhiteningBasis:
     """
     b = _cholesky_lower(np.asarray(cov.sigma))
     a = np.eye(cov.size)
-    for k in range(cov.size):
-        a[k] /= b[k, k]
-        a[k + 1 :] -= np.outer(b[k + 1 :, k], a[k])
+    for k in range(cov.size):  # entries right of column k stay exactly +0.0
+        a[k, : k + 1] /= b[k, k]
+        a[k + 1 :, : k + 1] -= b[k + 1 :, k, None] * a[k, : k + 1]
     c = np.tril(-np.diag(b)[:, None] * a, -1)
     return WhiteningBasis(cov.size, b, a, c)

@@ -122,3 +122,36 @@ def test_uncertified_values_fall_back(tmp_path):
     _, _, certified = reporting._decimal(np.abs(values))
     assert not certified.any()
     assert written(tmp_path, values) == expected(values)
+
+
+def test_chunks_of_one_value_form(tmp_path):
+    # kernel chunks of only zeros, only fixed-form values (the 0.000ddd
+    # lead form included) and only exponent-form values (three-digit
+    # exponents included): each skips the exponent rows, the zero
+    # fix-ups, or both
+    rng = np.random.default_rng(23)
+    size = 2 * reporting._SHORT_COLUMN
+    mantissas = rng.uniform(1.0, 9.9, size) * rng.choice([-1.0, 1.0], size)
+    zeros = np.resize([0.0, -0.0], size)
+    fixed = mantissas * 10.0 ** rng.integers(-4, 16, size)
+    exponent = mantissas * 10.0 ** np.concatenate([rng.integers(-270, -4, size // 2),
+                                                   rng.integers(17, 270, size - size // 2)])
+    for values, form in ((fixed, True), (exponent, False)):
+        e = reporting._decimal(np.abs(values))[1]
+        assert np.all(((e >= -4) & (e <= 16)) == form)
+    for values in (zeros, fixed, exponent):
+        assert written(tmp_path, values) == expected(values)
+
+
+@pytest.mark.parametrize("extreme", [None, -2**31, 2**31, 2**62])
+def test_integer_columns_match_percent_d(tmp_path, monkeypatch, extreme):
+    # digits are taken in int32 when the column's largest |v| is below 2^31,
+    # else in int64
+    edges = [0, -1, 10**7, 2**31 - 1] + ([] if extreme is None else [extreme])
+    values = np.resize(np.array(edges, np.int64), 2 * reporting._SHORT_COLUMN)
+    digits, real = [], reporting._digits
+    monkeypatch.setattr(reporting, "_digits", lambda v, out: digits.append(v.dtype) or real(v, out))
+    path = tmp_path / "k.csv"
+    reporting._write_table(str(path), "k", [(values,)])
+    assert path.read_bytes() == ("k\n" + "".join("%d\n" % v for v in values.tolist())).encode()
+    assert digits == [np.dtype(np.int32 if extreme is None else np.int64)]

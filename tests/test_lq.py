@@ -559,6 +559,19 @@ class TestStackedCertificates:
         assert traced_peak(lambda: verify_sufficiency(spec, u_star, lat)) <= 1.3 * leaf
         assert traced_peak(lambda: verify_uniqueness(spec, lat)) <= 1.5 * leaf
 
+    def test_closed_last_stage_drops_its_level_tables(self, monkeypatch):
+        # at q = 3 a level-(N-1) table is a third of a leaf: the terminal
+        # term is accumulated in place, each of c0, c1 and the cross term
+        # freed once used (holding them all peaked at 3.57 and 4.54 leaves)
+        q, depth = 3, 9
+        spec = _random_lq_spec(np.random.default_rng([0, q, depth, 0]), depth)
+        lat = lattice_for_hurst(0.7, depth, q)
+        u_star = lq_fixed_point(spec, lat).control
+        leaf = 8 * lat.level_size(depth)
+        monkeypatch.setattr(lq, "_CHUNK_LEAVES", 1)
+        assert traced_peak(lambda: verify_sufficiency(spec, u_star, lat)) <= 2.7 * leaf
+        assert traced_peak(lambda: verify_uniqueness(spec, lat)) <= 3.7 * leaf
+
     def test_candidate_on_another_lattice(self, spec3, lat7):
         other = lattice_for_hurst(0.7, depth=3, order=3)
         sol = lq_fixed_point(spec3, other)

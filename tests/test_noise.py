@@ -193,6 +193,24 @@ class TestWhitenInverse:
             assert np.array_equal(whiten(fgn_covariance(0.5, m)).a_mat, np.eye(m))
 
 
+def outer_product_inverse(b):
+    """a = b^{-1} by the earlier forward substitution: whole rows, one outer product each."""
+    a = np.eye(len(b))
+    for k in range(len(b)):
+        a[k] /= b[k, k]
+        a[k + 1 :] -= np.outer(b[k + 1 :, k], a[k])
+    return a
+
+
+@pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("size", [1, 2, 9, 65, 257])
+def test_inverse_keeps_the_bytes_of_whole_row_substitution(h, size):
+    # the substitution touches only columns <= k; the rest stay +0.0, so
+    # every artifact built from a_mat keeps its bytes
+    basis = whiten(fgn_covariance(h, size))
+    assert basis.a_mat.tobytes() == outer_product_inverse(basis.b_mat).tobytes()
+
+
 class TestCustomCovariance:
     def test_accepts_ar1(self):
         phi = 0.6

@@ -379,6 +379,32 @@ def test_chunks_cross_stage_blocks(deep, tmp_path, monkeypatch, chunk):
     assert_text(read(str(tmp_path / "r.csv")), residual_reference(rho, control, classification))
 
 
+def chunk_sizes(rows):
+    """The chunks of a run of `rows` rows of the same fields."""
+    full, rest = divmod(rows, reporting._CHUNK_ROWS)
+    return [reporting._CHUNK_ROWS] * full + [rest] * (rest > 0)
+
+
+def test_bsde_fills_default_size_chunks(tmp_path, monkeypatch):
+    # q = 4, depth 8: stages 0-7 (21 845 rows) fill one full chunk, and the
+    # 65 536 leaves of the terminal stage fill three more
+    lat = lattice_for_hurst(0.7, depth=8, order=4)
+    sol = hand_solution(lat)
+    chunks = count_calls(monkeypatch, "_encode_rows")
+    path = str(tmp_path / "s.csv")
+    write_bsde_csv(path, lat, sol)
+    assert_text(read(path), bsde_reference(lat, sol))
+    sizes = [sum(len(piece[1]) for piece in pieces) for (pieces,) in chunks]
+    assert sizes == chunk_sizes(21_845) + chunk_sizes(4**8)
+    assert sizes.count(reporting._CHUNK_ROWS) >= 4
+
+
+def test_chunk_text_rows_are_an_odd_multiple_of_64_bytes():
+    # a power-of-two stride maps every row of a chunk's text to the same
+    # cache sets, and transposing it ran about twice as slow
+    assert reporting._CHUNK_ROWS % 64 == 0 and (reporting._CHUNK_ROWS // 64) % 2 == 1
+
+
 def test_short_blocks_join_into_one_kernel_chunk(tmp_path, monkeypatch):
     # q = 3, N = 6: six stage blocks of 1..243 rows, 364 rows in all
     lat = lattice_for_hurst(0.7, depth=6, order=3)
