@@ -26,7 +26,7 @@ from . import configs, reporting
 from .bsde import residual_orthogonality, solve_bsde
 from .dynamics import constant_control
 from .errors import ConfigError, FgnControlError
-from .lattice import lattice_for_hurst
+from .lattice import MAX_DEPTH
 from .lq import as_model, lq_fixed_point, verify_sufficiency, verify_uniqueness
 from .noise import custom_covariance, fgn_covariance, whiten
 from .smp import (
@@ -55,12 +55,6 @@ def _require_out(args) -> str:
     return args.out
 
 
-def _load_config(load, args):
-    """The config at --config, read by `load`, with --quadrature-order applied."""
-    cfg, order = load(args.config), args.quadrature_order
-    return cfg if order is None else dataclasses.replace(cfg, quadrature_order=order)
-
-
 def _stationarity_artifacts(out, model, control, residual, tol):
     """Residual classification CSV and report, from one `classify_nodes` per stage."""
     violations, passes = zip(*(
@@ -83,6 +77,9 @@ def cmd_whiten(args) -> int:
     else:
         if args.steps is None:
             raise ConfigError("--hurst requires --steps")
+        # the largest covariance a lattice whitens: depth MAX_DEPTH, plus one
+        if not 1 <= args.steps <= MAX_DEPTH + 1:
+            raise ConfigError(f"--steps must be in [1, {MAX_DEPTH + 1}], got {args.steps}")
         cov = fgn_covariance(args.hurst, args.steps)
     basis = whiten(cov)
     reporting.ensure_out_dir(out)
@@ -104,9 +101,9 @@ def cmd_whiten(args) -> int:
 
 def cmd_solve_bsde(args) -> int:
     out = _require_out(args)
-    cfg = _load_config(configs.load_bsde_config, args)
-    lat = lattice_for_hurst(cfg.hurst, cfg.horizon, cfg.quadrature_order)
-    sol = solve_bsde(cfg.build_driver(lat), lat)
+    cfg = configs.load_bsde_config(args.config)
+    lat = cfg.lattice
+    sol = solve_bsde(cfg.driver, lat)
     worst_mean, worst_eta = residual_orthogonality(sol, lat)
     passed = worst_mean <= ORTHOGONALITY_TOL and worst_eta <= ORTHOGONALITY_TOL
     reporting.ensure_out_dir(out)
@@ -125,8 +122,8 @@ def cmd_solve_bsde(args) -> int:
 
 def cmd_lq(args) -> int:
     out = _require_out(args)
-    cfg = _load_config(configs.load_lq_config, args)
-    lat = lattice_for_hurst(cfg.hurst, cfg.spec.horizon, cfg.quadrature_order)
+    cfg = configs.load_lq_config(args.config)
+    lat = cfg.lattice
     sol = lq_fixed_point(cfg.spec, lat)
     model = as_model(cfg.spec)
     reporting.ensure_out_dir(out)
@@ -155,10 +152,9 @@ def cmd_lq(args) -> int:
 def cmd_smp_check(args) -> int:
     out = _require_out(args)
     _check_tol(args.tol)
-    cfg = _load_config(configs.load_model_config, args)
-    model = cfg.model
-    lat = lattice_for_hurst(cfg.hurst, cfg.horizon, cfg.quadrature_order)
-    control = reporting.read_control_csv(args.control, lat, cfg.horizon)
+    cfg = configs.load_model_config(args.config)
+    model, lat = cfg.model, cfg.lattice
+    control = reporting.read_control_csv(args.control, lat, model.horizon)
     x, adj = solve_adjoint(model, control, lat, lat.basis)
     residual = smp_residual(model, control, adj, lat, lat.basis)
     reporting.ensure_out_dir(out)
@@ -173,13 +169,12 @@ def cmd_optimize(args) -> int:
     out = _require_out(args)
     if not np.isfinite(args.u0):
         raise ConfigError(f"--u0 must be finite, got {args.u0}")
-    cfg = _load_config(configs.load_model_config, args)
-    model = cfg.model
-    lat = lattice_for_hurst(cfg.hurst, cfg.horizon, cfg.quadrature_order)
+    cfg = configs.load_model_config(args.config)
+    model, lat = cfg.model, cfg.lattice
     start = model.control_set.project(np.array([args.u0]))[0]
     result = optimize(
         model,
-        constant_control(lat, cfg.horizon, float(start)),
+        constant_control(lat, model.horizon, float(start)),
         lat,
         tol=args.tol,
         max_iter=args.max_iter,
@@ -218,10 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_uint64, default=0, help="RNG seed (unsigned 64-bit)")
-    common.add_argument(
-        "--quadrature-order", type=int, default=None,
-        help="override the quadrature order from the config",
-    )
     common.add_argument("--out", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

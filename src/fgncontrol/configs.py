@@ -1,10 +1,16 @@
 """JSON problem configurations for the command-line front end.
 
+Each config is the problem on its own lattice: a parser reads the
+fields, then builds the lattice from `hurst`, `quadrature_order` and
+`horizon`, then the model, spec or driver on it.  A lattice over the
+path cap thus exits 2 when the config is read, before any model guard
+runs or any leaf-sized table is built.
+
 Validation here is structural: key sets, types, and array lengths.
 Value ranges (Hurst index, quadrature order, weight signs, box bounds)
 are enforced by the domain constructors so the rules live in one place.
 The one exception is the horizon: it is checked against `MAX_DEPTH`
-first, because a model's guards cost O(horizon) before any lattice check.
+first, because whitening and a model's guards cost O(horizon) or more.
 Unknown keys are rejected everywhere.
 """
 
@@ -18,7 +24,7 @@ import numpy as np
 from .bsde import DriverSpec
 from .dynamics import Box, ModelSpec, Unconstrained, sin_drift_model
 from .errors import ConfigError
-from .lattice import MAX_DEPTH, NoiseLattice, _children
+from .lattice import MAX_DEPTH, NoiseLattice, _children, _frozen, lattice_for_hurst
 from .lq import LqSpec, _lq_model
 
 __all__ = [
@@ -94,6 +100,13 @@ def _horizon(obj: dict, where: str) -> int:
     return horizon
 
 
+def _lattice(obj: dict, horizon: int, where: str) -> NoiseLattice:
+    """The depth-`horizon` lattice of the config's `hurst` and `quadrature_order`."""
+    return lattice_for_hurst(
+        _number(obj, "hurst", where), horizon, _integer(obj, "quadrature_order", where)
+    )
+
+
 def _number_list(obj: dict, key: str, length: int, where: str) -> np.ndarray:
     value = obj[key]
     if not isinstance(value, list) or len(value) != length:
@@ -122,20 +135,15 @@ _LQ_COEFFS = ("A", "B", "C", "D", "Q", "R")
 
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
-    """Controlled-dynamics problem: a built model, on which lattice.
+    """Controlled-dynamics problem: a built model and the lattice it runs on.
 
-    The model is built when the config is parsed, so a model the
-    constructors refuse (bad LQ weights, a nonvanishing stage-N
-    coefficient) fails at load.
+    Both are built when the config is parsed, the lattice first, so an
+    oversized lattice, then a model the constructors refuse (bad LQ
+    weights, a nonvanishing stage-N coefficient), fails at load.
     """
 
     model: ModelSpec
-    hurst: float
-    quadrature_order: int
-
-    @property
-    def horizon(self) -> int:
-        return self.model.horizon
+    lattice: NoiseLattice
 
 
 def parse_model_config(obj, where: str = "config") -> ModelConfig:
@@ -176,12 +184,10 @@ def parse_model_config(obj, where: str = "config") -> ModelConfig:
 
     else:
         raise ConfigError(f'{where}.model: type must be "sin_drift" or "lq", got {kind!r}')
-    # the model is built last, so a field fault is reported before a model fault
     initial_state = _number(obj, "initial_state", where)
-    hurst = _number(obj, "hurst", where)
-    quadrature_order = _integer(obj, "quadrature_order", where)
-    model = build(initial_state, _parse_control_set(obj["control_set"], where))
-    return ModelConfig(model=model, hurst=hurst, quadrature_order=quadrature_order)
+    control_set = _parse_control_set(obj["control_set"], where)
+    lattice = _lattice(obj, horizon, where)
+    return ModelConfig(model=build(initial_state, control_set), lattice=lattice)
 
 
 def load_model_config(path: str) -> ModelConfig:
@@ -191,8 +197,7 @@ def load_model_config(path: str) -> ModelConfig:
 @dataclasses.dataclass(frozen=True)
 class LqConfig:
     spec: LqSpec
-    hurst: float
-    quadrature_order: int
+    lattice: NoiseLattice
 
 
 def parse_lq_config(obj, where: str = "config") -> LqConfig:
@@ -204,17 +209,13 @@ def parse_lq_config(obj, where: str = "config") -> LqConfig:
         where,
     )
     horizon = _horizon(obj, where)
-    spec = LqSpec(
-        horizon=horizon,
+    fields = dict(
         G=_number(obj, "G", where),
         x=_number(obj, "x", where),
         **{name: _number_list(obj, name, horizon, where) for name in _LQ_COEFFS},
     )
-    return LqConfig(
-        spec=spec,
-        hurst=_number(obj, "hurst", where),
-        quadrature_order=_integer(obj, "quadrature_order", where),
-    )
+    lattice = _lattice(obj, horizon, where)
+    return LqConfig(spec=LqSpec(horizon=horizon, **fields), lattice=lattice)
 
 
 def load_lq_config(path: str) -> LqConfig:
@@ -226,35 +227,33 @@ _STAGE_KEYS = ("f_constant", "f_y", "f_z", "g_constant", "g_y", "g_z")
 
 @dataclasses.dataclass(frozen=True)
 class BsdeConfig:
-    """Affine-driver backward equation.
+    """Affine-driver backward equation and the lattice it is solved on.
 
     Terminal value c0 + sum_k coeff[k] xi_k; at stage s in 1..N the
     drivers are f = f_constant + f_y y + f_z z and likewise for g.  It is
     solved on a depth-N lattice whatever the stage-N g coefficients.
     """
 
-    horizon: int
-    hurst: float
-    quadrature_order: int
-    terminal_constant: float
-    terminal_coefficients: np.ndarray
-    stages: tuple[dict, ...]
+    driver: DriverSpec
+    lattice: NoiseLattice
 
-    def build_driver(self, lat: NoiseLattice) -> DriverSpec:
-        acc = np.full(1, float(self.terminal_constant))
-        for k in range(self.horizon):
-            acc = _children(lat, k, acc, self.terminal_coefficients[k]).reshape(-1)
-        terminal = lat.from_values(self.horizon, acc)
 
-        def f(s, y, z):
-            coeff = self.stages[s - 1]
-            return coeff["f_constant"] + coeff["f_y"] * y + coeff["f_z"] * z
+def _build_driver(lat: NoiseLattice, constant: float, coefficients, stages) -> DriverSpec:
+    horizon = len(stages)
+    acc = np.full(1, constant)
+    for k in range(horizon):
+        acc = _frozen(_children(lat, k, acc, coefficients[k])).reshape(-1)
+    terminal = lat.from_values(horizon, acc)
 
-        def g(s, y, z):
-            coeff = self.stages[s - 1]
-            return coeff["g_constant"] + coeff["g_y"] * y + coeff["g_z"] * z
+    def f(s, y, z):
+        coeff = stages[s - 1]
+        return coeff["f_constant"] + coeff["f_y"] * y + coeff["f_z"] * z
 
-        return DriverSpec(horizon=self.horizon, terminal=terminal, f=f, g=g)
+    def g(s, y, z):
+        coeff = stages[s - 1]
+        return coeff["g_constant"] + coeff["g_y"] * y + coeff["g_z"] * z
+
+    return DriverSpec(horizon=horizon, terminal=terminal, f=f, g=g)
 
 
 def parse_bsde_config(obj, where: str = "config") -> BsdeConfig:
@@ -286,15 +285,11 @@ def parse_bsde_config(obj, where: str = "config") -> BsdeConfig:
         raise ConfigError(
             f"{where}: stage {horizon} z-coefficients must be 0 (Z at the final stage is fixed to zero)"
         )
+    constant = _number(terminal, "constant", f"{where}.terminal")
+    coefficients = _number_list(terminal, "noise_coefficients", horizon, f"{where}.terminal")
+    lattice = _lattice(obj, horizon, where)
     return BsdeConfig(
-        horizon=horizon,
-        hurst=_number(obj, "hurst", where),
-        quadrature_order=_integer(obj, "quadrature_order", where),
-        terminal_constant=_number(terminal, "constant", f"{where}.terminal"),
-        terminal_coefficients=_number_list(
-            terminal, "noise_coefficients", horizon, f"{where}.terminal"
-        ),
-        stages=tuple(stages),
+        driver=_build_driver(lattice, constant, coefficients, tuple(stages)), lattice=lattice
     )
 
 

@@ -352,7 +352,7 @@ def noise_value(lat: NoiseLattice, n: int) -> AdaptedValue:
     if not 0 <= n <= lat.depth - 1:
         raise IndexOutOfRange(f"noise stage {n} outside [0, {lat.depth - 1}]")
     xi = _mean(lat, n)[:, None] + lat.basis.b_mat[n, n] * lat.rule.nodes
-    return AdaptedValue(lat, n + 1, xi)
+    return AdaptedValue(lat, n + 1, _frozen(xi))
 
 
 def noise_conditional_mean(lat: NoiseLattice, n: int) -> AdaptedValue:
@@ -371,7 +371,7 @@ def condexp(value: AdaptedValue, level: int) -> AdaptedValue:
     if not 0 <= level <= value.level:
         raise LevelMismatch(f"target level {level} outside [0, {value.level}]")
     lat = value.lattice
-    return AdaptedValue(lat, level, _contract(lat, value.values, value.level - level))
+    return AdaptedValue(lat, level, _frozen(_contract(lat, value.values, value.level - level)))
 
 
 def expectation(value: AdaptedValue) -> float:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .dynamics import ControlProcess
 from .errors import ConfigError
-from .lattice import NoiseLattice, SamplePaths, _moments
+from .lattice import MAX_DEPTH, NoiseLattice, SamplePaths, _moments
 
 __all__ = [
     "ensure_out_dir",
@@ -365,7 +365,9 @@ def write_matrix_csv(path: str, mat: np.ndarray) -> None:
 def read_matrix_csv(path: str) -> np.ndarray:
     """Inverse of write_matrix_csv; size inferred from the largest index.
 
-    Raises ConfigError on schema violations.  OSError propagates.
+    Raises ConfigError on schema violations, on a repeated (n, k) and on
+    an index above MAX_DEPTH: the largest covariance a lattice whitens
+    has MAX_DEPTH + 1 increments.  OSError propagates.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -375,7 +377,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
             raise ConfigError(f"{path}: empty matrix file") from None
         if header != ["n", "k", "value"]:
             raise ConfigError(f"{path}: expected header n,k,value, got {header!r}")
-        entries = []
+        entries = {}
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 3:
                 raise ConfigError(f"{path}: line {lineno}: expected 3 fields")
@@ -385,12 +387,18 @@ def read_matrix_csv(path: str) -> np.ndarray:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from None
             if n < 0 or k < 0:
                 raise ConfigError(f"{path}: line {lineno}: negative index")
-            entries.append((n, k, value))
+            if max(n, k) > MAX_DEPTH:
+                raise ConfigError(
+                    f"{path}: line {lineno}: index {max(n, k)} exceeds the cap of {MAX_DEPTH}"
+                )
+            if (n, k) in entries:
+                raise ConfigError(f"{path}: line {lineno}: entry ({n}, {k}) repeated")
+            entries[n, k] = value
     if not entries:
         raise ConfigError(f"{path}: no matrix entries")
-    size = 1 + max(max(n, k) for n, k, _ in entries)
+    size = 1 + max(map(max, entries))
     mat = np.zeros((size, size))
-    for n, k, value in entries:
+    for (n, k), value in entries.items():
         mat[n, k] = value
     return mat
 

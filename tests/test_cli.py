@@ -5,19 +5,21 @@ h = 0.5 every factor is the identity, and the h = 0.7 lag-1 covariance
 is (2^1.4 - 2)/2 = 0.3195079107728942.
 """
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from fgncontrol import cli, errors, smp
+from fgncontrol import cli, configs, errors, smp
 from fgncontrol.cli import main
-from fgncontrol.configs import parse_bsde_config, parse_model_config
+from fgncontrol.configs import parse_bsde_config, parse_lq_config, parse_model_config
 from fgncontrol.dynamics import ModelSpec
-from fgncontrol.lattice import MAX_DEPTH, lattice_for_hurst, noise_value
+from fgncontrol.lattice import MAX_DEPTH, MAX_PATHS, lattice_for_hurst, noise_value
 from fgncontrol.reporting import read_matrix_csv, write_matrix_csv
 
 
@@ -107,6 +109,18 @@ class TestWhiten:
     def test_hurst_without_steps_exits_2(self, tmp_path):
         assert run("whiten", "--hurst", 0.5, "--out", tmp_path / "w") == 2
 
+    @pytest.mark.parametrize("steps", [0, MAX_DEPTH + 2])
+    def test_steps_outside_budget_exits_2(self, tmp_path, capsys, steps):
+        assert run("whiten", "--hurst", 0.7, "--steps", steps, "--out", tmp_path / "w") == 2
+        assert capsys.readouterr().err == f"error: --steps must be in [1, {MAX_DEPTH + 1}], got {steps}\n"
+        assert not (tmp_path / "w").exists()
+
+    def test_cov_file_index_over_budget_exits_2(self, tmp_path, capsys):
+        cov_path = tmp_path / "cov.csv"
+        cov_path.write_text(f"n,k,value\n0,0,1.0\n{MAX_DEPTH + 1},0,0.5\n")
+        assert run("whiten", "--cov-file", cov_path, "--out", tmp_path / "w") == 2
+        assert f"line 3: index {MAX_DEPTH + 1} exceeds the cap of {MAX_DEPTH}" in capsys.readouterr().err
+
     def test_hurst_out_of_range_exits_2(self, tmp_path):
         assert run("whiten", "--hurst", 1.7, "--steps", 4, "--out", tmp_path / "w") == 2
 
@@ -182,25 +196,27 @@ class TestSolveBsde:
             "terminal": {"constant": 0.3, "noise_coefficients": coeffs},
             "driver": [zero_stage] * horizon,
         })
-        lat = lattice_for_hurst(0.7, horizon, q)
+        lat = cfg.lattice
+        assert (lat.depth, lat.rule.q) == (horizon, q)
         # the route that lifts every xi_k to the leaves and adds, in stage order
         lifted = lat.constant(0.3, horizon)
         for k, c in enumerate(coeffs):
             lifted = lifted + noise_value(lat, k).at_level(horizon) * c
-        terminal = cfg.build_driver(lat).terminal
+        terminal = cfg.driver.terminal
         assert terminal.level == horizon
         assert np.array_equal(terminal.values, lifted.values)
 
-    def test_order_override_flag(self, tmp_path):
-        cfg = write_json_file(tmp_path / "b.json", BSDE_CONFIG)
-        out = tmp_path / "o"
-        assert run("solve-bsde", "--config", cfg, "--quadrature-order", 5, "--out", out) == 0
-        rows = (out / "solution.csv").read_text().splitlines()
-        assert rows[-1].startswith("2,24,")  # 5^2 terminal nodes
-
     def test_unsupported_order_exits_2(self, tmp_path):
+        cfg = write_json_file(tmp_path / "b.json", dict(BSDE_CONFIG, quadrature_order=17))
+        assert run("solve-bsde", "--config", cfg, "--out", tmp_path / "o") == 2
+
+    def test_order_flag_is_gone(self, tmp_path):
+        # the config's quadrature_order is the one source of q
         cfg = write_json_file(tmp_path / "b.json", BSDE_CONFIG)
-        assert run("solve-bsde", "--config", cfg, "--quadrature-order", 17, "--out", tmp_path / "o") == 2
+        with pytest.raises(SystemExit) as info:
+            run("solve-bsde", "--config", cfg, "--quadrature-order", 5, "--out", tmp_path / "o")
+        assert info.value.code == 2
+        assert not (tmp_path / "o").exists()
 
 
 def count_classifications(monkeypatch):
@@ -261,7 +277,7 @@ class TestLq:
 
     def test_shallow_lattice_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
-            cli, "lattice_for_hurst", lambda h, depth, order: lattice_for_hurst(h, depth - 1, order)
+            configs, "lattice_for_hurst", lambda h, depth, order: lattice_for_hurst(h, depth - 1, order)
         )
         cfg = write_json_file(tmp_path / "lq.json", LQ_CONFIG)
         assert run("lq", "--config", cfg, "--out", tmp_path / "o") == 3
@@ -481,11 +497,11 @@ class TestConfigNumbers:
 
 
 class TestHorizonCap:
-    """A horizon over MAX_DEPTH exits 2 when the config is read, before a
-    model's O(horizon) guards and the lattice's O(horizon^2) whitening.  Each
-    run is a fresh interpreter under a 4 GiB address-space limit, so a
-    regression ends in MemoryError rather than asking for ~300 GiB; the child
-    times `main` alone."""
+    """A horizon over MAX_DEPTH, or a `whiten` size over MAX_DEPTH + 1, exits 2
+    before a model's O(horizon) guards and the O(size^2) whitening.  Each run
+    is a fresh interpreter under a 4 GiB address-space limit, so a regression
+    ends in MemoryError rather than asking for ~300 GiB; the child times
+    `main` alone."""
 
     SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     CAPPED = """
@@ -498,28 +514,110 @@ print(code, time.perf_counter() - start)
 """
     DEEP = 200_000
 
-    def run_capped(self, tmp_path, command, config):
-        path = write_json_file(tmp_path / "deep.json", config)
+    def run_capped(self, argv, message):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (self.SRC, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", self.CAPPED, command, "--config", path, "--out", str(tmp_path / "o")],
+            [sys.executable, "-c", self.CAPPED, *map(str, argv)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         code, seconds = proc.stdout.split()
         assert int(code) == 2
         assert float(seconds) < 1.0
-        assert proc.stderr == f"error: {path}: horizon must be in [1, {MAX_DEPTH}], got {self.DEEP}\n"
+        assert proc.stderr == f"error: {message}\n"
+
+    def run_deep(self, tmp_path, command, config):
+        path = write_json_file(tmp_path / "deep.json", config)
+        self.run_capped(
+            [command, "--config", path, "--out", tmp_path / "o"],
+            f"{path}: horizon must be in [1, {MAX_DEPTH}], got {self.DEEP}",
+        )
 
     def test_order_one_lq(self, tmp_path):
         # 1^depth passes the path cap: whitening 200 001 increments ran out of memory
         coeffs = {name: [0.5] * self.DEEP for name in "ABCDQR"}
-        self.run_capped(tmp_path, "lq", dict(LQ_CONFIG, horizon=self.DEEP, quadrature_order=1, **coeffs))
+        self.run_deep(tmp_path, "lq", dict(LQ_CONFIG, horizon=self.DEEP, quadrature_order=1, **coeffs))
 
     def test_sin_drift_model(self, tmp_path):
         # the model's guards ran for ~20 s before the lattice's path cap exited 2
-        self.run_capped(tmp_path, "optimize", dict(MODEL_CONFIG, horizon=self.DEEP))
+        self.run_deep(tmp_path, "optimize", dict(MODEL_CONFIG, horizon=self.DEEP))
+
+    def test_whiten_steps(self, tmp_path):
+        # fgn_covariance asked for 298 GiB and died in MemoryError, exit 1
+        self.run_capped(
+            ["whiten", "--hurst", 0.7, "--steps", self.DEEP, "--out", tmp_path / "o"],
+            f"--steps must be in [1, {MAX_DEPTH + 1}], got {self.DEEP}",
+        )
+
+    def test_whiten_cov_file_index(self, tmp_path):
+        # read_matrix_csv sized its matrix from the largest index: MemoryError, exit 1
+        path = tmp_path / "cov.csv"
+        path.write_text(f"n,k,value\n{self.DEEP},{self.DEEP},1.0\n")
+        self.run_capped(
+            ["whiten", "--cov-file", path, "--out", tmp_path / "o"],
+            f"{path}: line 2: index {self.DEEP} exceeds the cap of {MAX_DEPTH}",
+        )
+
+
+def at_horizon(config, horizon):
+    """A copy of LQ_CONFIG, MODEL_CONFIG or BSDE_CONFIG with every per-stage
+    list stretched to `horizon` stages."""
+    config = json.loads(json.dumps(config))
+    config["horizon"] = horizon
+    for name in "ABCDQR":
+        if name in config:
+            config[name] = config[name][:1] * horizon
+    if "driver" in config:
+        config["driver"] = config["driver"][:1] * (horizon - 1) + config["driver"][-1:]
+        config["terminal"]["noise_coefficients"] = [0.5] * horizon
+    return config
+
+
+class TestLatticeAtLoad:
+    """Each parser builds the config's lattice, so a lattice fault is a
+    configuration error (exit 2) raised when the config is read."""
+
+    PARSERS = {
+        "solve-bsde": (parse_bsde_config, BSDE_CONFIG),
+        "lq": (parse_lq_config, LQ_CONFIG),
+        "optimize": (parse_model_config, MODEL_CONFIG),
+    }
+
+    @pytest.mark.parametrize("command", list(PARSERS))
+    @pytest.mark.parametrize(
+        "fault, error, message",
+        [
+            ({"hurst": 1.5}, ValueError, "Hurst index must lie in (0, 1), got 1.5"),
+            ({"quadrature_order": 17}, errors.UnsupportedOrder, "quadrature order must be an int in [1, 16], got 17"),
+            ({"quadrature_order": 10, "horizon": 8}, errors.LatticeTooLarge, f"10^8 exceeds the cap of {MAX_PATHS:.0e} paths"),
+        ],
+        ids=["hurst", "order", "paths"],
+    )
+    def test_exits_2_at_load(self, tmp_path, capsys, command, fault, error, message):
+        parse, base = self.PARSERS[command]
+        config = dict(at_horizon(base, fault.get("horizon", base["horizon"])), **fault)
+        with pytest.raises(error, match=re.escape(message)):
+            parse(config)
+        path = write_json_file(tmp_path / "config.json", config)
+        assert run(command, "--config", path, "--out", tmp_path / "o") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_lattice_is_built_before_the_model(self):
+        # a negative R fails the LQ model; at (10, 8) the path cap is reported first
+        model = {"type": "lq", "G": 1.1, "R": [-1.0] * 8, **{name: [0.5] * 8 for name in "ABCDQ"}}
+        config = dict(MODEL_CONFIG, horizon=8, model=model)
+        with pytest.raises(errors.InvalidSpec, match="R_n > 0"):
+            parse_model_config(config)
+        with pytest.raises(errors.LatticeTooLarge, match=re.escape("10^8 exceeds the cap")):
+            parse_model_config(dict(config, quadrature_order=10))
+
+    def test_config_holds_its_lattice(self):
+        cfg = parse_lq_config(dict(LQ_CONFIG, hurst=0.3, quadrature_order=4))
+        lat = cfg.lattice
+        assert (lat.depth, lat.rule.q, cfg.spec.horizon) == (2, 4, 2)
+        assert np.array_equal(lat.basis.b_mat, lattice_for_hurst(0.3, 2, 4).basis.b_mat)
 
 
 # The status `main` returns for each error a command raises.
@@ -586,6 +684,20 @@ print(json.dumps({"codes": codes, "parsers": len(calls)}))
 
     def test_build_parser_returns_a_fresh_tree(self):
         assert cli.build_parser() is not cli.build_parser()
+
+    def test_readme_names_only_existing_flags(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md")) as fh:
+            section = fh.read().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+        parser = cli.build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            flag for sub in commands.choices.values() for action in sub._actions
+            for flag in action.option_strings
+        }
+        assert "--seed" in named
+        assert named <= flags, sorted(named - flags)
 
 
 class TestSeedValidation:

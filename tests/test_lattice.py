@@ -259,6 +259,27 @@ class TestAdaptedValue:
         assert out.level == 10
         assert peak <= 1.25 * 8 * 3**10
 
+    @pytest.mark.parametrize(
+        "build, level",
+        [
+            pytest.param(lambda lat, v: condexp(v, 10), 10, id="condexp"),
+            pytest.param(lambda lat, v: noise_value(lat, 10), 11, id="noise_value"),
+        ],
+    )
+    def test_built_table_is_wrapped_without_a_copy(self, build, level):
+        # condexp and noise_value freeze the table they build, so wrapping shares it
+        lat = lattice_for_hurst(0.7, depth=11, order=3)
+        value = AdaptedValue(lat, 11, np.random.default_rng(4).standard_normal(3**11))
+        noise_conditional_mean(lat, 10)  # the cached means, built before tracing
+        tracemalloc.start()
+        try:
+            out = build(lat, value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.level == level
+        assert peak <= 1.2 * 8 * 3**level
+
     @pytest.mark.parametrize("dtype", [np.float32, ">f8"])
     def test_frozen_input_of_other_dtype_is_copied(self, lat_h07, dtype):
         table = np.arange(3.0).astype(dtype)

@@ -14,6 +14,7 @@ count the chunks a file takes.
 import csv
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 from fgncontrol import cli, reporting
 from fgncontrol.bsde import BsdeSolution
 from fgncontrol.dynamics import ControlProcess, random_control
+from fgncontrol.errors import ConfigError
 from fgncontrol.lattice import SamplePaths, lattice_for_hurst
 from fgncontrol.lq import as_model, lq_fixed_point
 from fgncontrol.reporting import (
@@ -96,6 +98,14 @@ def test_matrix_skips_zero_entries(tmp_path):
     assert len(rows) == 5
     assert_text(read(path), reference(("n", "k", "value"), rows))
     assert np.array_equal(read_matrix_csv(path), mat)
+
+
+def test_matrix_rejects_a_repeated_entry(tmp_path):
+    # the last of two (0, 0) rows used to win silently
+    path = tmp_path / "m.csv"
+    path.write_text("n,k,value\n0,0,1.0\n1,1,1.0\n0,0,4.0\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: line 4: entry (0, 0) repeated")):
+        read_matrix_csv(str(path))
 
 
 def test_matrix_of_zeros_writes_header_only(tmp_path):
