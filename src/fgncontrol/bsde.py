@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import ControlProcess, ModelSpec, StateProcess, _stage_value
+from .dynamics import ControlProcess, ModelSpec, StateProcess, _factor, _stage_value
 from .errors import DepthMismatch, NonFiniteValue
 from .lattice import AdaptedValue, NoiseLattice, _chunks, _frozen, _mean, _moments
 
@@ -143,6 +143,11 @@ def residual_orthogonality(sol: BsdeSolution, lat: NoiseLattice) -> tuple[float,
     return worst_mean, worst_eta
 
 
+def _zero(coeff) -> bool:
+    """A 0-d zero coefficient: its term of the adjoint driver is dropped."""
+    return coeff.ndim == 0 and coeff == 0.0
+
+
 def adjoint_driver(model: ModelSpec, u_star: ControlProcess, x_star: StateProcess) -> DriverSpec:
     """Adjoint backward equation along a reference pair (u*, X*).
 
@@ -154,7 +159,9 @@ def adjoint_driver(model: ModelSpec, u_star: ControlProcess, x_star: StateProces
     with coefficients frozen along the reference pair and b the whitening
     of the reference's lattice, `x_star.lattice.basis`.  Stage-N
     coefficients vanish: `ModelSpec` refuses a model whose b_x, sigma_x
-    or l_x does not vanish at the final stage.
+    or l_x does not vanish at the final stage.  A coefficient the model
+    returns as a scalar stays a scalar, and a scalar zero drops its term,
+    so a zero sigma_x makes g the scalar 0 (no noise term is built).
     """
     n_stages = model.horizon
     if x_star.horizon != n_stages or u_star.horizon != n_stages:
@@ -165,7 +172,7 @@ def adjoint_driver(model: ModelSpec, u_star: ControlProcess, x_star: StateProces
     # a control exists.  Stage N never contributes.
     b_x, sigma_x, l_x = (
         [None] + [
-            _stage_value(lat, k, getattr(model, name)(k, x_star[k].values, u_star[k].values))
+            _factor(lat, k, getattr(model, name)(k, x_star[k].values, u_star[k].values))
             for k in range(1, n_stages)
         ]
         for name in ("b_x", "sigma_x", "l_x")
@@ -176,10 +183,15 @@ def adjoint_driver(model: ModelSpec, u_star: ControlProcess, x_star: StateProces
     def f(k, p, q):
         if k == n_stages:
             return 0.0
-        return b_x[k] * p.values + b_diag[k] * (sigma_x[k] * q.values) + l_x[k]
+        out = 0.0 if _zero(b_x[k]) else b_x[k] * p.values
+        if not _zero(sigma_x[k]):
+            out += b_diag[k] * (sigma_x[k] * q.values)
+        if not _zero(l_x[k]):
+            out += l_x[k]
+        return out
 
     def g(k, p, q):
-        if k == n_stages:
+        if k == n_stages or _zero(sigma_x[k]):
             return 0.0
         return sigma_x[k] * p.values
 

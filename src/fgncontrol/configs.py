@@ -101,10 +101,15 @@ def _horizon(obj: dict, where: str) -> int:
 
 
 def _lattice(obj: dict, horizon: int, where: str) -> NoiseLattice:
-    """The depth-`horizon` lattice of the config's `hurst` and `quadrature_order`."""
-    return lattice_for_hurst(
-        _number(obj, "hurst", where), horizon, _integer(obj, "quadrature_order", where)
-    )
+    """The depth-`horizon` lattice of the config's `hurst` and `quadrature_order`.
+
+    A lattice fault (Hurst index, order, path cap) keeps its class and its
+    message, prefixed with `where` as every other config fault is."""
+    hurst, order = _number(obj, "hurst", where), _integer(obj, "quadrature_order", where)
+    try:
+        return lattice_for_hurst(hurst, horizon, order)
+    except ValueError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _number_list(obj: dict, key: str, length: int, where: str) -> np.ndarray:

@@ -10,7 +10,10 @@ wrong gradient later.
 
 Coefficient callables receive ``(n, x, u)`` where x and u are dense node
 arrays; they must vectorise (plain numpy expressions do) and may return
-a scalar when the coefficient is constant.
+a scalar when the coefficient is constant.  A scalar derivative is never
+expanded to a table: the variation, the adjoint driver and the gradient
+multiply it in as a checked-finite scalar.  `cost` reads the leaf level
+only by blocks of parent nodes, contracting phi(X_N) as it goes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,15 @@ from .errors import (
     OutOfControlSet,
     TerminalConditionViolated,
 )
-from .lattice import AdaptedValue, NoiseLattice, _children, _expect, _frozen
+from .lattice import (
+    AdaptedValue,
+    NoiseLattice,
+    _children,
+    _chunks,
+    _contract,
+    _expect,
+    _frozen,
+)
 
 _SPOT_POINTS = 16
 _FD_REL_TOL = 1e-5
@@ -104,6 +115,12 @@ class ModelSpec:
     Each guard stacks its stages and derivatives into one array and
     compares them in one pass; a NaN or infinite stage-N value, stated
     derivative or difference quotient fails its guard.
+
+    Any coefficient may return a scalar where it is constant.  A scalar
+    derivative is never expanded to a table on the adjoint route
+    (`variation`, `bsde.adjoint_driver`, the gradient rho), and a scalar
+    zero b_x, sigma_x or l_x drops its term from the adjoint driver.
+    `cost` reads the leaf level only by blocks.
     """
 
     horizon: int
@@ -266,6 +283,17 @@ def _stage_value(lat, level, raw) -> np.ndarray:
     return out
 
 
+def _factor(lat, level, raw) -> np.ndarray:
+    """A coefficient that only multiplies tables, checked finite: a 0-d output
+    stays a float64 scalar, any other becomes `_stage_value`'s level table."""
+    out = np.asarray(raw, float)
+    if out.ndim:
+        return _stage_value(lat, level, out)
+    if not np.isfinite(out):
+        raise NonFiniteValue(f"coefficient produced non-finite values at level {level}")
+    return out
+
+
 def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> np.ndarray:
     """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n as a frozen
     table, checked finite.  `_children` writes it column by column, so no
@@ -316,9 +344,28 @@ def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProc
 
 
 def cost(model: ModelSpec, u: ControlProcess, x: StateProcess, lat: NoiseLattice) -> float:
-    """Expected running plus terminal cost of (u, x)."""
-    tables = _cost_tables(model, lat, [s.values for s in u], [s.values for s in x])
-    return _total_cost(lat, tables)
+    """Expected running plus terminal cost of (u, x), summed in stage order.
+
+    Each stage's l table is contracted as soon as it is built.  phi(X_N) is
+    evaluated and contracted to level N-1 one block of parent nodes at a
+    time, each block checked finite, so no leaf-sized cost table is built.
+    """
+    n_final = model.horizon
+    total = 0.0
+    for n in range(n_final):
+        total += _expect(lat, _stage_value(lat, n, model.l(n, x[n].values, u[n].values)), n)
+    leaves = x[n_final].values.reshape(lat.level_size(n_final - 1), lat.rule.q)
+    parents = np.empty(leaves.shape[0])
+    for start, stop in _chunks(*leaves.shape):
+        block = leaves[start:stop].reshape(-1)
+        phi = np.broadcast_to(np.asarray(model.phi(block), float), block.shape)
+        if not np.all(np.isfinite(phi)):
+            raise NonFiniteValue(f"coefficient produced non-finite values at level {n_final}")
+        parents[start:stop] = _contract(lat, phi)
+    total += _expect(lat, parents, n_final - 1)
+    if not np.isfinite(total):
+        raise NonFiniteValue("cost is non-finite")
+    return total
 
 
 def _cost_tables(model: ModelSpec, lat: NoiseLattice, u, x) -> list[np.ndarray]:
@@ -362,10 +409,10 @@ def variation(
     out = [lat.constant(0.0, 0)]
     for n in range(model.horizon):
         xn, un, vn, var = x_star[n].values, u_star[n].values, v[n].values, out[n].values
-        bx = _stage_value(lat, n, model.b_x(n, xn, un))
-        bu = _stage_value(lat, n, model.b_u(n, xn, un))
-        sx = _stage_value(lat, n, model.sigma_x(n, xn, un))
-        su = _stage_value(lat, n, model.sigma_u(n, xn, un))
+        bx, bu, sx, su = (
+            _factor(lat, n, getattr(model, name)(n, xn, un))
+            for name in ("b_x", "b_u", "sigma_x", "sigma_u")
+        )
         nxt = _children(lat, n, var + bx * var + bu * vn, sx * var + su * vn)
         if not np.all(np.isfinite(nxt)):
             raise NonFiniteValue(f"variation became non-finite at stage {n + 1}")
@@ -413,10 +460,10 @@ def sin_drift_model(
         l=lambda n, x, u: active(n) * 0.5 * u**2,
         phi=lambda x: 0.5 * x**2,
         b_x=lambda n, x, u: active(n) * np.cos(x),
-        b_u=lambda n, x, u: active(n) * np.ones_like(u),
-        sigma_x=lambda n, x, u: np.zeros_like(x),
-        sigma_u=lambda n, x, u: active(n) * c * np.ones_like(u),
-        l_x=lambda n, x, u: np.zeros_like(x),
+        b_u=lambda n, x, u: active(n),
+        sigma_x=lambda n, x, u: 0.0,
+        sigma_u=lambda n, x, u: active(n) * c,
+        l_x=lambda n, x, u: 0.0,
         l_u=lambda n, x, u: active(n) * u,
         phi_x=lambda x: x,
         control_set=control_set if control_set is not None else Unconstrained(),

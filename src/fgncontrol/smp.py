@@ -36,6 +36,7 @@ from .dynamics import (
     ModelSpec,
     StateProcess,
     BOUNDARY_TOL,
+    _factor,
     _fd_step,
     _stage_value,
     _StagedProcess,
@@ -115,11 +116,19 @@ def _gradient(
     stages = []
     for n in range(model.horizon):
         xn, un = x[n], u[n].values
-        bu = _stage_value(lat, n, model.b_u(n, xn, un))
-        su = _stage_value(lat, n, model.sigma_u(n, xn, un))
-        lu = _stage_value(lat, n, model.l_u(n, xn, un))
+        bu, su, lu = (
+            _factor(lat, n, getattr(model, name)(n, xn, un)) for name in ("b_u", "sigma_u", "l_u")
+        )
         p_n, q_n = adjoint.y[n].values, adjoint.z[n].values
-        rho = bu * p_n + su * p_n * _mean(lat, n) + b_diag[n] * (su * q_n) + lu
+        # bu p + su p mu + b[n,n] (su q) + lu, accumulated in that order
+        rho = bu * p_n
+        term = su * p_n
+        term *= _mean(lat, n)
+        rho += term
+        np.multiply(su, q_n, out=term)
+        term *= b_diag[n]
+        rho += term
+        rho += lu
         stages.append(AdaptedValue(lat, n, _frozen(rho)))
     return SmpResidual(stages)
 
@@ -173,10 +182,10 @@ def _derivative_routes(
     primal = 0.0
     for n in range(n_stages):
         xn, un = x_star[n].values, u_star[n].values
-        lx = _stage_value(lat, n, model.l_x(n, xn, un))
-        lu = _stage_value(lat, n, model.l_u(n, xn, un))
+        lx = _factor(lat, n, model.l_x(n, xn, un))
+        lu = _factor(lat, n, model.l_u(n, xn, un))
         primal += _expect(lat, lx * var[n].values + lu * v[n].values, n)
-    phi_x = _stage_value(lat, n_stages, model.phi_x(x_star[n_stages].values))
+    phi_x = _factor(lat, n_stages, model.phi_x(x_star[n_stages].values))
     primal += _expect(lat, phi_x * var[n_stages].values, n_stages)
 
     adj = solve_bsde(adjoint_driver(model, u_star, x_star), lat)

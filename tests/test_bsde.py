@@ -414,7 +414,9 @@ class TestAdjointDriver:
             s = n + 1
             if s < 3:
                 bx = lat5.from_values(s, model.b_x(s, x[s].values, u[s].values))
-                lx = lat5.from_values(s, model.l_x(s, x[s].values, u[s].values))
+                lx = lat5.from_values(
+                    s, np.broadcast_to(model.l_x(s, x[s].values, u[s].values), lat5.level_size(s))
+                )
                 rhs = p[s] + bx * p[s] + lx  # sigma_x = 0 for this model
             else:
                 rhs = p[s]

@@ -604,6 +604,26 @@ class TestLatticeAtLoad:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "name, fault, error, message",
+        [
+            ("badh.json", {"hurst": 1.5}, ValueError, "Hurst index must lie in (0, 1), got 1.5"),
+            ("badq.json", {"quadrature_order": 17}, errors.UnsupportedOrder,
+             "quadrature order must be an int in [1, 16], got 17"),
+            ("big.json", {"quadrature_order": 10, "horizon": 8}, errors.LatticeTooLarge,
+             f"q^depth = 10^8 exceeds the cap of {MAX_PATHS:.0e} paths"),
+        ],
+        ids=["hurst", "order", "paths"],
+    )
+    def test_error_names_the_file(self, tmp_path, capsys, name, fault, error, message):
+        config = dict(at_horizon(MODEL_CONFIG, fault.get("horizon", 2)), **fault)
+        path = write_json_file(tmp_path / name, config)
+        with pytest.raises(error) as caught:
+            configs.load_model_config(path)
+        assert type(caught.value) is error and str(caught.value) == f"{path}: {message}"
+        assert run("optimize", "--config", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_lattice_is_built_before_the_model(self):
         # a negative R fails the LQ model; at (10, 8) the path cap is reported first
         model = {"type": "lq", "G": 1.1, "R": [-1.0] * 8, **{name: [0.5] * 8 for name in "ABCDQ"}}

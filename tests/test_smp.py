@@ -34,6 +34,7 @@ from fgncontrol.lattice import (
     white_value,
 )
 from fgncontrol.lq import LqSpec, as_model
+from fgncontrol.selftest import _random_lq_spec
 from fgncontrol.smp import (
     SmpResidual,
     check_stationarity,
@@ -437,6 +438,71 @@ class TestCheckStationarity:
         u = np.array([0.0, 5e-11, 1e-10])
         violation, passed = smp.classify_nodes(sign * np.array([0.3, 2.0, 1e-3]), u, box, 1e-8)
         assert np.array_equal(violation, np.zeros(3)) and passed.all()
+
+
+def tabled(model: ModelSpec, *names: str) -> ModelSpec:
+    """A copy of `model` whose named derivatives return full np.full tables
+    of the values the original returns as scalars."""
+    def full(fn):
+        return lambda n, x, u: np.full(np.broadcast_shapes(np.shape(x), np.shape(u)), fn(n, x, u))
+
+    return dataclasses.replace(model, **{name: full(getattr(model, name)) for name in names})
+
+
+def adjoint_route(model, lat, horizon, seed):
+    """X, Y, Z, R, rho, J and a directional derivative on a random control,
+    through the library route; exact zeros as +0.0, since a dropped zero term
+    may flip their sign."""
+    u = random_control(lat, horizon, np.random.default_rng([seed, 0]), scale=0.4)
+    v = random_control(lat, horizon, np.random.default_rng([seed, 1]))
+    x, adj = solve_adjoint(model, u, lat, lat.basis)
+    rho = smp_residual(model, u, adj, lat, lat.basis)
+    tables = [s.values for proc in (x, adj.y, adj.z, adj.r, rho) for s in proc]
+    return [t + 0.0 for t in tables], cost(model, u, x, lat), directional_derivative(model, u, v, lat)
+
+
+class TestScalarCoefficients:
+    """A derivative returned as a scalar stays a scalar on the adjoint route
+    (driver, gradient, variation and cost), with the bits of full tables."""
+
+    @pytest.mark.parametrize("q, depth", [(3, 6), (3, 11)])
+    @pytest.mark.parametrize("kind", ["sin_drift", "lq"])
+    def test_scalars_and_tables_give_the_same_bits(self, q, depth, kind):
+        # (3, 11): 3^10 parent nodes, several blocks of the terminal cost
+        lat = lattice_for_hurst(0.7, depth=depth, order=q)
+        if kind == "sin_drift":
+            scalars = sin_drift_model(depth, initial_state=1.0)
+            tables = tabled(scalars, "b_u", "sigma_x", "sigma_u", "l_x")
+        else:
+            scalars = as_model(_random_lq_spec(np.random.default_rng([0, q, depth, 0]), depth))
+            tables = tabled(scalars, "b_x", "b_u", "sigma_x", "sigma_u")
+        got, want = adjoint_route(scalars, lat, depth, 3), adjoint_route(tables, lat, depth, 3)
+        assert len(got[0]) == len(want[0])
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+        assert got[1:] == want[1:]
+
+    def test_adjoint_driver_and_cost_stay_below_leaf_tables(self):
+        # at (3, 11) the driver keeps only its b_x tables (half a leaf) and cost
+        # holds level N-1 and one block of phi; with the constants as tables and
+        # phi(X_N) built whole they rose 1.63 and 1.95 leaf tables
+        q, depth = 3, 11
+        lat = lattice_for_hurst(0.7, depth=depth, order=q)
+        model = sin_drift_model(depth, initial_state=1.0)
+        u = random_control(lat, depth, np.random.default_rng(11), scale=0.4)
+        x = forward(model, u, lat)
+        leaf = 8 * lat.level_size(depth)
+
+        def rise(run):
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1] / leaf
+            finally:
+                tracemalloc.stop()
+
+        assert rise(lambda: adjoint_driver(model, u, x)) <= 0.75
+        assert rise(lambda: cost(model, u, x, lat)) <= 1.3
 
 
 class TestBackwardPass:
