@@ -12,8 +12,8 @@ Coefficient callables receive ``(n, x, u)`` where x and u are dense node
 arrays; they must vectorise (plain numpy expressions do) and may return
 a scalar when the coefficient is constant.  A scalar derivative is never
 expanded to a table: the variation, the adjoint driver and the gradient
-multiply it in as a checked-finite scalar.  `cost` reads the leaf level
-only by blocks of parent nodes, contracting phi(X_N) as it goes.
+multiply it in as a checked-finite scalar.  J, in `cost` and in every
+solver, reads phi(X_N) only as E[phi | N-1], built by blocks of parent nodes.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class ModelSpec:
     derivative is never expanded to a table on the adjoint route
     (`variation`, `bsde.adjoint_driver`, the gradient rho), and a scalar
     zero b_x, sigma_x or l_x drops its term from the adjoint driver.
-    `cost` reads the leaf level only by blocks.
+    J reads phi(X_N) only as E[phi | N-1], by blocks.
     """
 
     horizon: int
@@ -305,11 +305,11 @@ def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> np.ndarray:
     return _frozen(nxt).reshape(-1)
 
 
-def _check_depth(model, lat: NoiseLattice, stages: int):
-    """A control of `stages` stages fits the horizon of `model`, a ModelSpec or
-    an LqSpec, and the lattice depth."""
+def _check_depth(model, lat: NoiseLattice, stages: int, what: str = "control"):
+    """A control (or state) of `stages` stages fits the horizon of `model`, a
+    ModelSpec or an LqSpec, and the lattice depth."""
     if stages != model.horizon:
-        raise DepthMismatch(f"control has {stages} stages, model needs {model.horizon}")
+        raise DepthMismatch(f"{what} has {stages} stages, model needs {model.horizon}")
     if lat.depth < model.horizon:
         raise DepthMismatch(f"lattice depth {lat.depth} < horizon {model.horizon}")
 
@@ -344,17 +344,29 @@ def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProc
 
 
 def cost(model: ModelSpec, u: ControlProcess, x: StateProcess, lat: NoiseLattice) -> float:
-    """Expected running plus terminal cost of (u, x), summed in stage order.
+    """Expected running plus terminal cost of (u, x), `_total_cost` of `_cost_tables`.
 
-    Each stage's l table is contracted as soon as it is built.  phi(X_N) is
-    evaluated and contracted to level N-1 one block of parent nodes at a
-    time, each block checked finite, so no leaf-sized cost table is built.
+    u and x must have the model's horizon, on a lattice at least that deep
+    (DepthMismatch), and be built on `lat` (LevelMismatch).
+    """
+    _check_depth(model, lat, u.horizon)
+    _check_depth(model, lat, x.horizon, "state")
+    if u.lattice is not lat or x.lattice is not lat:
+        raise LevelMismatch("control or state lives on a different lattice")
+    return _total_cost(lat, _cost_tables(model, lat, [s.values for s in u], [s.values for s in x]))
+
+
+def _cost_tables(model: ModelSpec, lat: NoiseLattice, u, x):
+    """Yield l(n, X_n, u_n) as level-n tables for n < N, then E[phi(X_N) | N-1]
+    as a level-(N-1) table, each checked finite; u holds u_0..u_{N-1}, x X_0..X_N.
+
+    phi(X_N) is evaluated, checked and contracted one `_chunks` block of
+    level-(N-1) nodes at a time, so no leaf-sized cost table is built.
     """
     n_final = model.horizon
-    total = 0.0
     for n in range(n_final):
-        total += _expect(lat, _stage_value(lat, n, model.l(n, x[n].values, u[n].values)), n)
-    leaves = x[n_final].values.reshape(lat.level_size(n_final - 1), lat.rule.q)
+        yield _stage_value(lat, n, model.l(n, x[n], u[n]))
+    leaves = x[n_final].reshape(lat.level_size(n_final - 1), lat.rule.q)
     parents = np.empty(leaves.shape[0])
     for start, stop in _chunks(*leaves.shape):
         block = leaves[start:stop].reshape(-1)
@@ -362,27 +374,17 @@ def cost(model: ModelSpec, u: ControlProcess, x: StateProcess, lat: NoiseLattice
         if not np.all(np.isfinite(phi)):
             raise NonFiniteValue(f"coefficient produced non-finite values at level {n_final}")
         parents[start:stop] = _contract(lat, phi)
-    total += _expect(lat, parents, n_final - 1)
-    if not np.isfinite(total):
-        raise NonFiniteValue("cost is non-finite")
-    return total
-
-
-def _cost_tables(model: ModelSpec, lat: NoiseLattice, u, x) -> list[np.ndarray]:
-    """l(n, X_n, u_n) for n < N, then phi(X_N): level-n tables, checked finite.
-
-    u holds the control tables u_0..u_{N-1}, x the state tables X_0..X_N.
-    """
-    tables = [_stage_value(lat, n, model.l(n, x[n], u[n])) for n in range(model.horizon)]
-    tables.append(_stage_value(lat, model.horizon, model.phi(x[model.horizon])))
-    return tables
+    yield parents
 
 
 def _total_cost(lat: NoiseLattice, tables) -> float:
-    """J from `_cost_tables`: the stage expectations summed in stage order."""
-    total = 0.0
-    for n, table in enumerate(tables):
-        total += _expect(lat, table, n)
+    """J from `_cost_tables` (a list, or the generator itself): the stage
+    expectations summed in stage order; the last table sits at level N-1."""
+    total, n = 0.0, 0
+    for table in tables:
+        total += _expect(lat, table, n - (table.size < lat.level_size(n)))
+        n += 1
+        del table  # not held while the generator builds the next table
     if not np.isfinite(total):
         raise NonFiniteValue("cost is non-finite")
     return total

@@ -146,7 +146,8 @@ def lq_fixed_point(spec: LqSpec, lat: NoiseLattice) -> LqSolution:
     E[P eta_n^k | n], k <= 2.  Q_uu = R_n + E[P gamma^2 | n] > 0 for
     gamma = B_n + D_n xi_n, so the step is exact; the constants stay scalars
     and build no leaf-sized table.  One `smp._rollout` of u_n = K_n X_n from x
-    gives u*, the state `forward(u*)` returns, and J.  The SMP residual
+    gives u*, the state `forward(u*)` returns, and J, whose terminal cost it
+    reads only as E[G X_N^2 / 2 | N-1], by blocks.  The SMP residual
     max_n max_node |rho_n| / R_n of the adjoint pair solved there, with b
     from `lat.basis`, certifies it: NotConverged is raised when it exceeds
     _RESIDUAL_TOL, and DepthMismatch when the lattice is shallower than the

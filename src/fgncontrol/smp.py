@@ -38,7 +38,6 @@ from .dynamics import (
     BOUNDARY_TOL,
     _factor,
     _fd_step,
-    _stage_value,
     _StagedProcess,
     _states,
     _cost_tables,
@@ -383,10 +382,7 @@ def _backward_pass(model, u, x, lat):
     phi_xx = (np.asarray(model.phi_x(x_final + h), float)
               - np.asarray(model.phi_x(x_final - h), float)) / (2 * h)
     del h  # a leaf-sized table, not to be held through the stages
-    v_x, v_xx = (
-        t if t.ndim == 0 and np.isfinite(t) else _stage_value(lat, n_stages, t)
-        for t in (np.asarray(model.phi_x(x_final), float), phi_xx)
-    )
+    v_x, v_xx = (_factor(lat, n_stages, t) for t in (model.phi_x(x_final), phi_xx))
     lam = v_x
     gains, rho = [None] * n_stages, [None] * n_stages
     for n in reversed(range(n_stages)):
@@ -425,7 +421,7 @@ def _rollout(model, u, x, gains, step, lat):
     """One closed-loop trial u_n + step k_n + K_n (X'_n - X_n), projected.
 
     Rolls the trial out once and returns its control tables, its state
-    tables X'_0..X'_N and its `_cost_tables`, all frozen level-n tables.
+    tables X'_0..X'_N and its `_cost_tables`, phi(X'_N) only as E[phi | N-1].
     A trial value outside the control set (a non-finite one) raises
     OutOfControlSet, as `forward` would.
     """
@@ -436,23 +432,27 @@ def _rollout(model, u, x, gains, step, lat):
             raise OutOfControlSet(f"stage {n} control leaves {model.control_set!r}")
         controls.append(un)
         states.append(_step(model, lat, n, states[n], un))
-    return controls, states, _cost_tables(model, lat, controls, states)
+    return controls, states, list(_cost_tables(model, lat, controls, states))
 
 
 def _decrease(lat: NoiseLattice, old, new) -> tuple[float, float]:
     """J(old) - J(new) from two `_cost_tables`, and its rounding bound.
 
-    The difference is taken node by node and contracted stage by stage,
-    so a node the step leaves unchanged adds an exact 0 and a decrease far
-    below the rounding of J itself is still resolved.  The bound is
-    _ROUNDING times the same contraction of |old| + |new| over the nodes
-    that changed.
+    The difference is taken node by node from level N-1 down, phi(X_N) only
+    as E[phi | N-1], and contracted stage by stage, so a node the step leaves
+    unchanged (a parent of unchanged children too) adds an exact 0 and a
+    decrease far below the rounding of J itself is still resolved.  At level
+    N-1 it is the difference of two contracted values, not the contraction of
+    a leaf difference.  The bound is _ROUNDING times the same contraction of
+    |old| + |new| over the nodes that changed, where a changed parent at level
+    N-1 counts all q of its children.
     """
+    last = len(old) - 2  # the level of E[phi | N-1] and of l_{N-1}
     diff, size = _node_changes(old[-1], new[-1])
-    for n in reversed(range(len(old) - 1)):
+    for n in reversed(range(last + 1)):
         diff_n, size_n = _node_changes(old[n], new[n])
-        diff = _contract(lat, diff) + diff_n
-        size = _contract(lat, size) + size_n
+        diff = _contract(lat, diff, n < last) + diff_n
+        size = _contract(lat, size, n < last) + size_n
     return float(diff[0]), _ROUNDING * float(size[0])
 
 
@@ -492,7 +492,8 @@ def optimize(
     1e-4 times the path inner product <rho, u - u_new>, the decrease taken
     as one expectation of nodewise cost differences, so the cost never
     increases beyond rounding and a decrease below the rounding of J
-    itself is not lost.  The lattice supplies the whitening b, `lat.basis`.
+    itself is not lost.  For the iterate and every trial, phi(X_N) is read
+    only as E[phi | N-1], by blocks.  The lattice supplies b, `lat.basis`.
 
     The backward pass also yields rho from its open-loop adjoint lambda,
     and the stationarity check at `tol` runs on it.  When it passes, the
@@ -511,7 +512,7 @@ def optimize(
     _check_tol(tol)
     x = _states(model, u_init, lat, model.horizon)
     u = [un.values for un in u_init]
-    costs = _cost_tables(model, lat, u, x)
+    costs = list(_cost_tables(model, lat, u, x))
     j_curr = _total_cost(lat, costs)
     trace: list[TracePoint] = []
     step = 0.0

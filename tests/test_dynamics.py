@@ -323,6 +323,30 @@ class TestCost:
         expected = 0.5 * (q0 * x0**2 + g * ((1 + a0) ** 2 + c0**2) * x0**2)
         assert cost(model, u, x, lat) == pytest.approx(expected, abs=1e-12)
 
+    def test_state_of_another_horizon_rejected(self, lat):
+        # it indexed past the state's last stage (IndexError)
+        model = sin_drift_model(3)
+        u = constant_control(lat, 3, 0.2)
+        short = forward(sin_drift_model(2), constant_control(lat, 2, 0.2), lat)
+        with pytest.raises(DepthMismatch, match="state has 2 stages"):
+            cost(model, u, short, lat)
+
+    def test_pair_from_another_order_rejected(self, lat):
+        # its tables do not fit the order-3 weights (numpy's broadcast error)
+        other = lattice_for_hurst(0.7, depth=3, order=5)
+        model = sin_drift_model(3)
+        u = constant_control(other, 3, 0.2)
+        with pytest.raises(LevelMismatch, match="different lattice"):
+            cost(model, u, forward(model, u, other), lat)
+
+    def test_pair_from_another_hurst_rejected(self, lat):
+        # same q and depth, so the tables fit and it returned a number
+        other = lattice_for_hurst(0.3, depth=3, order=3)
+        model = sin_drift_model(3)
+        u = random_control(other, 3, np.random.default_rng(5))
+        with pytest.raises(LevelMismatch, match="different lattice"):
+            cost(model, u, forward(model, u, other), lat)
+
 
 def test_adapted_values_built_only_at_the_boundary(monkeypatch):
     # forward wraps each final stage once; cost reads tables and wraps none

@@ -27,6 +27,7 @@ from fgncontrol.dynamics import (
 from fgncontrol import dynamics, lattice, smp
 from fgncontrol.errors import DualityMismatch, LevelMismatch, NoDescent, NonFiniteValue
 from fgncontrol.lattice import (
+    AdaptedValue,
     expectation,
     lattice_for_hurst,
     noise_conditional_mean,
@@ -558,6 +559,76 @@ class TestBackwardPass:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 8 * lat.level_size(6)
+
+
+def leaf_cost_tables(model, lat, u, x):
+    """The cost tables with phi(X_N) built whole: l(n, X_n, u_n) for n < N, then phi(X_N)."""
+    tables = [dynamics._stage_value(lat, n, model.l(n, x[n], u[n])) for n in range(model.horizon)]
+    tables.append(dynamics._stage_value(lat, model.horizon, model.phi(x[model.horizon])))
+    return tables
+
+
+def leaf_decrease(lat, old, new):
+    """J(old) - J(new) and its rounding bound from two `leaf_cost_tables`, the
+    leaf differences contracted stage by stage from level N."""
+    diff, size = smp._node_changes(old[-1], new[-1])
+    for n in reversed(range(len(old) - 1)):
+        diff_n, size_n = smp._node_changes(old[n], new[n])
+        diff = lattice._contract(lat, diff) + diff_n
+        size = lattice._contract(lat, size) + size_n
+    return float(diff[0]), smp._ROUNDING * float(size[0])
+
+
+class TestTerminalCostByBlocks:
+    """J and the Armijo decrease read phi(X_N) only as E[phi | N-1]."""
+
+    @staticmethod
+    def rolled(model, lat, tables):
+        u = ControlProcess(AdaptedValue(lat, n, t) for n, t in enumerate(tables))
+        return [s.values for s in forward(model, u, lat)]
+
+    @pytest.mark.parametrize("q, depth", [(3, 6), (10, 4), (3, 11)])
+    def test_decrease_matches_the_leaf_form(self, q, depth):
+        # (3, 11): 3^10 parent nodes, several blocks of phi
+        lat = lattice_for_hurst(0.7, depth=depth, order=q)
+        model = double_well_model(depth, 0.3)
+        u = [s.values for s in random_control(lat, depth, np.random.default_rng(31), scale=0.4)]
+        trial = [t.copy() for t in u]
+        j = q // 2  # the heaviest stage-1 node; only its subtree changes
+        for n in range(1, depth):
+            width = lat.level_size(n - 1)
+            trial[n][j * width:(j + 1) * width] += 0.3
+        x, x_trial = self.rolled(model, lat, u), self.rolled(model, lat, trial)
+        old = list(dynamics._cost_tables(model, lat, u, x))
+        new = list(dynamics._cost_tables(model, lat, trial, x_trial))
+        assert len(old) == depth + 1 and old[-1].shape == (lat.level_size(depth - 1),)
+        assert smp._decrease(lat, old, old) == (0.0, 0.0)
+        again = list(dynamics._cost_tables(model, lat, u, x))
+        assert smp._decrease(lat, old, again) == (0.0, 0.0)
+        got = smp._decrease(lat, old, new)
+        want = leaf_decrease(
+            lat, leaf_cost_tables(model, lat, u, x), leaf_cost_tables(model, lat, trial, x_trial)
+        )
+        assert got[0] != 0.0
+        assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0.0)
+        # every child of a changed parent changed, and phi >= 0: the same bound
+        assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0.0)
+
+    def test_rollout_rises_at_most_two_leaf_tables(self):
+        # it holds the trial's states and one block of phi; with phi(X_N)
+        # built whole it rose 2.46 leaf tables
+        lat = lattice_for_hurst(0.7, depth=6, order=10)
+        model = sin_drift_model(6, noise_gain=0.5)
+        u = random_control(lat, 6, np.random.default_rng(5), scale=0.4)
+        u, x = [s.values for s in u], [s.values for s in forward(model, u, lat)]
+        gains, _ = smp._backward_pass(model, u, x, lat)
+        tracemalloc.start()
+        try:
+            smp._rollout(model, u, x, gains, 0.5, lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 8 * lat.level_size(6)
 
 
 class TestOptimize:
