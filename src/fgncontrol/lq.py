@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsde import BsdeSolution, adjoint_driver, solve_bsde
+from .bsde import BsdeSolution
 from .dynamics import (
     ControlProcess,
     ModelSpec,
@@ -33,10 +33,8 @@ from .dynamics import (
     _total_cost,
 )
 from .errors import InvalidSpec, LevelMismatch, NonFiniteValue, NotConverged, WrongHorizon
-from .lattice import (
-    AdaptedValue, NoiseLattice, _children, _chunks, _contract, _mean, _moments,
-)
-from .smp import SmpResidual, _backward_pass, _gradient, _rollout
+from .lattice import NoiseLattice, _children, _chunks, _contract, _mean, _moments
+from .smp import SmpResidual, _backward_pass, _certify, _rollout
 
 # Leaf budget of one stacked certificate pass: rows * q^N stays within it
 # (a single row is still rolled out when q^N alone exceeds it).  Tables
@@ -147,11 +145,11 @@ def lq_fixed_point(spec: LqSpec, lat: NoiseLattice) -> LqSolution:
     gamma = B_n + D_n xi_n, so the step is exact; the constants stay scalars
     and build no leaf-sized table.  One `smp._rollout` of u_n = K_n X_n from x
     gives u*, the state `forward(u*)` returns, and J, whose terminal cost it
-    reads only as E[G X_N^2 / 2 | N-1], by blocks.  The SMP residual
-    max_n max_node |rho_n| / R_n of the adjoint pair solved there, with b
-    from `lat.basis`, certifies it: NotConverged is raised when it exceeds
-    _RESIDUAL_TOL, and DepthMismatch when the lattice is shallower than the
-    horizon.
+    reads only as E[G X_N^2 / 2 | N-1], by blocks.  `smp._certify` solves
+    the adjoint pair along (u*, X*), with b from `lat.basis`, and reads rho
+    there; the SMP residual max_n max_node |rho_n| / R_n certifies u*:
+    NotConverged is raised when it exceeds _RESIDUAL_TOL, and DepthMismatch
+    when the lattice is shallower than the horizon.
     """
     model = as_model(spec)
     _check_depth(model, lat, spec.horizon)
@@ -160,10 +158,7 @@ def lq_fixed_point(spec: LqSpec, lat: NoiseLattice) -> LqSolution:
     us, xs, costs = _rollout(model, zero_u, zero_x, gains, 1.0, lat)
     j = _total_cost(lat, costs)
     del gains, costs
-    u = ControlProcess(AdaptedValue(lat, n, un) for n, un in enumerate(us))
-    x = StateProcess(AdaptedValue(lat, n, xn) for n, xn in enumerate(xs))
-    adj = solve_bsde(adjoint_driver(model, u, x), lat)
-    rho = _gradient(model, u, xs, adj, lat)
+    u, x, adj, rho = _certify(model, us, xs, lat)
     residual = max(float(np.max(np.abs(r.values)) / r_n) for r, r_n in zip(rho, spec.R))
     if residual > _RESIDUAL_TOL:
         raise NotConverged(

@@ -1,8 +1,11 @@
 """Built-in acceptance suite: twelve numbered criteria, each self-checking.
 
-Every criterion recomputes its expected values independently of the code
-under test: closed forms, explicit path enumeration with Python loops,
-finite differences, or a from-scratch white-noise recursion.  The same
+Every criterion but one recomputes its expected values independently of
+the code under test: closed forms, explicit path enumeration with Python
+loops, finite differences, or a from-scratch white-noise recursion.
+Criterion 11 is the exception: `optimize` and `lq_fixed_point` share
+`smp._backward_pass` and `smp._certify`, so it shows that the two solvers
+agree, not that either is right on its own.  The same
 functions back both the `selftest` subcommand and the acceptance tests,
 so a criterion can fail loudly in either place but never silently.
 
@@ -492,7 +495,11 @@ def criterion_lq_certificates(seed: int) -> CriterionResult:
 
 def criterion_cross_solver(seed: int) -> CriterionResult:
     """The DDP optimizer iterated from u = 0 lands on the LQ solution (its
-    first Newton step) nodewise to 1e-6, N = 3, q = 3, h = 0.7."""
+    first Newton step) nodewise to 1e-6, N = 3, q = 3, h = 0.7.
+
+    Not an independent oracle: both solvers run `smp._backward_pass` and
+    certify by `smp._certify`, so a fault shared there passes this check.
+    """
     lat = lattice_for_hurst(0.7, depth=3, order=3)
     rng = _rng(seed, 11)
     worst = 0.0

@@ -6,20 +6,23 @@ backward along (u, X), the cost gradient representative at stage n is
     rho_n = b_u(n) p_n + sigma_u(n) p_n E[xi_n | level n]
             + b[n,n] sigma_u(n) q_n + l_u(n),
 
-an adapted level-n value.  The directional derivative of the cost in an
-admissible direction v equals sum_n E[rho_n v_n]; it is computed here by
-two independent routes (state variation vs adjoint pairing) and the two
-must agree, otherwise something upstream is broken and we refuse to
-continue.  Stationarity of a candidate control is classified nodewise
-against the control set.  `optimize` takes second-order steps from
-differential dynamic programming on the tree, dividing by Q_uu where it is
-positive and by max(-Q_uu, 1e-8) elsewhere, so that a non-convex node
-still gets a descent step, with Armijo backtracking (step 1 halved up to
-40 times, slope constant 1e-4).  Every route reads the whitening b of
-the lattice, `lat.basis`.  Its backward pass,
-in moment form, carries the open-loop adjoint lambda, which is p: each
-iteration reads rho from it, and once rho passes, the adjoint equation is
-solved to certify it.  `lq` takes one such pass from the zero control.
+an adapted level-n value.  One routine, `_certify`, solves the adjoint
+along (u, X) and reads rho there, for `solve_adjoint`, the adjoint route
+of the derivative, the certificate of `optimize` and `lq.lq_fixed_point`.
+The directional derivative of the cost in an admissible direction v
+equals sum_n E[rho_n v_n]; it is computed here by two independent routes
+(state variation vs adjoint pairing) and the two must agree, otherwise
+something upstream is broken and we refuse to continue.  Stationarity of
+a candidate control is classified nodewise against the control set.
+`optimize` takes second-order steps from differential dynamic programming
+on the tree, dividing by Q_uu where it is positive and by max(-Q_uu, 1e-8)
+elsewhere, so that a non-convex node still gets a descent step, with
+Armijo backtracking (step 1 halved up to 40 times, slope constant 1e-4).
+Every route reads the whitening b of the lattice, `lat.basis`.  Its
+backward pass, in moment form, carries the open-loop adjoint lambda,
+which is p: each iteration reads rho from it, and once rho passes,
+`_certify` solves the adjoint equation to certify it.  `lq` takes one
+such pass from the zero control.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ from .dynamics import (
     forward,
     variation,
 )
-from .errors import DualityMismatch, LevelMismatch, NoDescent, NonFiniteValue, OutOfControlSet
+from .errors import (
+    DepthMismatch, DualityMismatch, LevelMismatch, NoDescent, NonFiniteValue, OutOfControlSet,
+)
 from .lattice import (
     AdaptedValue,
     NoiseLattice,
@@ -69,12 +74,12 @@ class SmpResidual(_StagedProcess):
 
 @dataclass(frozen=True)
 class _RolledAdjoint(BsdeSolution):
-    """An adjoint from `solve_adjoint`, with the model, control and state it
-    was solved along, so `smp_residual` reads that state instead of rolling it."""
+    """An adjoint from `solve_adjoint`, with the model and control it was solved
+    along and the rho `_certify` read there, which `smp_residual` returns."""
 
     _model: ModelSpec = field(repr=False, compare=False)
     _control: ControlProcess = field(repr=False, compare=False)
-    _state: StateProcess = field(repr=False, compare=False)
+    _rho: SmpResidual = field(repr=False, compare=False)
 
 
 def _check_basis(lat: NoiseLattice, basis: WhiteningBasis):
@@ -86,17 +91,27 @@ def _check_basis(lat: NoiseLattice, basis: WhiteningBasis):
 def solve_adjoint(
     model: ModelSpec, u: ControlProcess, lat: NoiseLattice, basis: WhiteningBasis
 ) -> tuple[StateProcess, BsdeSolution]:
-    """Forward state plus backward adjoint pair for a control.
+    """Forward state plus backward adjoint pair for a control, by `_certify`.
 
     The adjoint driver reads b from `lat.basis`; `basis` must have the same
-    b_mat, else LevelMismatch.  The adjoint keeps the state it was solved
-    along (shared, not copied), so `smp_residual` with this model and
-    control does not roll it again.
+    b_mat, else LevelMismatch.  The adjoint keeps the rho read along
+    (u, X), so `smp_residual` with this model and control returns it.
     """
     _check_basis(lat, basis)
     x = forward(model, u, lat)
-    adj = solve_bsde(adjoint_driver(model, u, x), lat)
-    return x, _RolledAdjoint(adj.y, adj.z, adj.r, model, u, x)
+    _, _, adj, rho = _certify(model, [s.values for s in u], [s.values for s in x], lat)
+    return x, _RolledAdjoint(adj.y, adj.z, adj.r, model, u, rho)
+
+
+def _certify(model: ModelSpec, u, x, lat: NoiseLattice):
+    """(control, state, adjoint, rho) along the frozen tables u_0..u_{N-1}, X_0..X_N.
+
+    Each table is wrapped once, shared; rho_n is `_gradient` of the adjoint BSDE's (p, q).
+    """
+    control = ControlProcess(AdaptedValue(lat, n, un) for n, un in enumerate(u))
+    state = StateProcess(AdaptedValue(lat, n, xn) for n, xn in enumerate(x))
+    adj = solve_bsde(adjoint_driver(model, control, state), lat)
+    return control, state, adj, _gradient(model, control, x, adj, lat)
 
 
 def _gradient(
@@ -142,22 +157,23 @@ def smp_residual(
     """Gradient representative along u*, using an adjoint solved at u*.
 
     b is read from `lat.basis`; `basis` must have the same b_mat, else
-    LevelMismatch.  An adjoint from `solve_adjoint` on this model and
-    control (the same objects) and on `lat` brings its state along, and
-    that state is read.  Any other adjoint rolls out X_0..X_{N-1} only: rho
-    never reads X_N, whose finiteness the `forward` that built the adjoint
-    has already checked.
+    LevelMismatch.  An adjoint of another horizon raises DepthMismatch, one
+    solved on another lattice LevelMismatch, before it is read.  An adjoint
+    from `solve_adjoint` on this model and control (the same objects) and
+    on `lat` brings the rho `_certify` read, and that rho is returned.  Any
+    other adjoint is read by `_gradient` along X_0..X_{N-1}, rolled out
+    here: rho never reads X_N, whose finiteness the `forward` that built
+    the adjoint has already checked.
     """
     _check_basis(lat, basis)
-    if (
-        isinstance(adjoint, _RolledAdjoint)
-        and adjoint._model is model
-        and adjoint._control is u_star
-        and adjoint._state.lattice is lat
-    ):
-        x = [s.values for s in adjoint._state]
-    else:
-        x = _states(model, u_star, lat, model.horizon - 1)
+    if adjoint.horizon != model.horizon:
+        raise DepthMismatch(f"adjoint has horizon {adjoint.horizon}, model needs {model.horizon}")
+    if adjoint.y[0].lattice is not lat:
+        raise LevelMismatch("adjoint lives on a different lattice")
+    if (isinstance(adjoint, _RolledAdjoint)
+            and adjoint._model is model and adjoint._control is u_star):
+        return adjoint._rho
+    x = _states(model, u_star, lat, model.horizon - 1)
     return _gradient(model, u_star, x, adjoint, lat)
 
 
@@ -187,8 +203,7 @@ def _derivative_routes(
     phi_x = _factor(lat, n_stages, model.phi_x(x_star[n_stages].values))
     primal += _expect(lat, phi_x * var[n_stages].values, n_stages)
 
-    adj = solve_bsde(adjoint_driver(model, u_star, x_star), lat)
-    rho = _gradient(model, u_star, [s.values for s in x_star], adj, lat)
+    _, _, _, rho = _certify(model, [s.values for s in u_star], [s.values for s in x_star], lat)
     dual = sum(_expect(lat, rho[n].values * v[n].values, n) for n in range(n_stages))
     return primal, dual
 
@@ -250,9 +265,15 @@ def check_stationarity(
 ) -> StationarityReport:
     """Classify every node of the residual against the control set (tol finite, >= 0).
 
-    A NaN or infinite residual raises NonFiniteValue.
+    The residual and the control must have as many stages (DepthMismatch)
+    and live on one lattice (LevelMismatch).  A NaN or infinite residual
+    raises NonFiniteValue.
     """
     _check_tol(tol)
+    if len(residual) != len(u_star):
+        raise DepthMismatch(f"residual has {len(residual)} stages, control has {len(u_star)}")
+    if residual.lattice is not u_star.lattice:
+        raise LevelMismatch("residual and control live on different lattices")
     return _stationarity(
         [rho.values for rho in residual], [un.values for un in u_star], control_set, tol
     )
@@ -496,13 +517,13 @@ def optimize(
     only as E[phi | N-1], by blocks.  The lattice supplies b, `lat.basis`.
 
     The backward pass also yields rho from its open-loop adjoint lambda,
-    and the stationarity check at `tol` runs on it.  When it passes, the
-    adjoint BSDE is solved once along the iterate and its rho certifies
-    the result: DualityMismatch if the two rho differ by more than
+    and the stationarity check at `tol` runs on it.  When it passes,
+    `_certify` solves the adjoint BSDE once along the iterate and its rho
+    certifies the result: DualityMismatch if the two rho differ by more than
     DUALITY_TOL, converged=True only if the certified rho passes too,
     otherwise the iterations go on.  A u_init that already passes returns
     with zero iterations.  Raises NoDescent when backtracking exhausts its
-    halvings, and NotConverged never: hitting max_iter solves the adjoint
+    halvings, and NotConverged never: hitting max_iter runs `_certify`
     once, checks its rho and returns converged=False unless it passes, so
     the caller can inspect the trace.  A negative max_iter or bad tol
     raises ValueError.
@@ -523,10 +544,7 @@ def optimize(
             gains, rho = _backward_pass(model, u, x, lat)
             report = _stationarity(rho, u, model.control_set, tol)
         if final or report.passed:
-            control = ControlProcess(AdaptedValue(lat, n, un) for n, un in enumerate(u))
-            state = StateProcess(AdaptedValue(lat, n, xn) for n, xn in enumerate(x))
-            adj = solve_bsde(adjoint_driver(model, control, state), lat)
-            residual = _gradient(model, control, x, adj, lat)
+            control, state, adj, residual = _certify(model, u, x, lat)
             if not final:
                 _check_duality(rho, residual)
             report = check_stationarity(residual, control, model.control_set, tol)

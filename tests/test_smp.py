@@ -25,7 +25,9 @@ from fgncontrol.dynamics import (
     variation,
 )
 from fgncontrol import dynamics, lattice, smp
-from fgncontrol.errors import DualityMismatch, LevelMismatch, NoDescent, NonFiniteValue
+from fgncontrol.errors import (
+    DepthMismatch, DualityMismatch, LevelMismatch, NoDescent, NonFiniteValue,
+)
 from fgncontrol.lattice import (
     AdaptedValue,
     expectation,
@@ -34,7 +36,7 @@ from fgncontrol.lattice import (
     noise_value,
     white_value,
 )
-from fgncontrol.lq import LqSpec, as_model
+from fgncontrol.lq import LqSpec, as_model, lq_fixed_point
 from fgncontrol.selftest import _random_lq_spec
 from fgncontrol.smp import (
     SmpResidual,
@@ -386,6 +388,66 @@ class TestSmpResidual:
         for n in range(3):
             assert np.array_equal(got[n].values, want[n].values)
 
+    def test_adjoint_from_another_lattice_rejected(self, lat):
+        # an h = 0.3 adjoint read on the h = 0.7 lattice would mix the two noises
+        model = sin_drift_model(3, initial_state=1.0)
+        u = random_control(lat, 3, np.random.default_rng(8), scale=0.4)
+        other = lattice_for_hurst(0.3, depth=3, order=3)
+        moved = ControlProcess(other.from_values(n, u[n].values) for n in range(3))
+        _, adj = solve_adjoint(model, moved, other, other.basis)
+        with pytest.raises(LevelMismatch, match="adjoint lives on a different lattice"):
+            smp_residual(model, u, adj, lat, lat.basis)
+
+    def test_adjoint_of_another_horizon_rejected(self, lat):
+        short = sin_drift_model(2, initial_state=1.0)
+        _, adj = solve_adjoint(short, constant_control(lat, 2, 0.0), lat, lat.basis)
+        model = sin_drift_model(3, initial_state=1.0)
+        with pytest.raises(DepthMismatch, match="adjoint has horizon 2, model needs 3"):
+            smp_residual(model, constant_control(lat, 3, 0.0), adj, lat, lat.basis)
+
+    def test_solve_adjoint_pair_reads_rho_once(self, lat, monkeypatch):
+        # smp_residual returns the rho that solve_adjoint read: no state
+        # step and no second `_gradient`; a foreign control takes both
+        model = sin_drift_model(3, initial_state=1.0)
+        u = random_control(lat, 3, np.random.default_rng(8), scale=0.4)
+        _, adj = solve_adjoint(model, u, lat, lat.basis)
+        steps, gradients = self._count_steps(monkeypatch), []
+        gradient = smp._gradient
+
+        def counted(*args):
+            gradients.append(1)
+            return gradient(*args)
+
+        monkeypatch.setattr(smp, "_gradient", counted)
+        smp_residual(model, u, adj, lat, lat.basis)
+        assert steps == [] and gradients == []
+        smp_residual(model, ControlProcess(u), adj, lat, lat.basis)
+        assert steps == [0, 1] and gradients == [1]
+
+
+def _bytes(*processes) -> list[list[bytes]]:
+    return [[stage.values.tobytes() for stage in process] for process in processes]
+
+
+@pytest.mark.parametrize("q, horizon", [(3, 6), (5, 5), (3, 8)])
+@pytest.mark.parametrize("draw", [0, 1, 2])
+def test_one_certified_path_repeats_the_lq_certificate(q, horizon, draw):
+    # solve_adjoint + smp_residual and optimize from u* read the adjoint
+    # and rho of lq_fixed_point to the byte: all three certify by `_certify`
+    spec = _random_lq_spec(np.random.default_rng([0, q, horizon, draw]), horizon)
+    lat = lattice_for_hurst(0.7, depth=horizon, order=q)
+    model = as_model(spec)
+    sol = lq_fixed_point(spec, lat)
+    want = _bytes(sol.state, sol.adjoint.y, sol.adjoint.z, sol.adjoint.r)
+    x, adj = solve_adjoint(model, sol.control, lat, lat.basis)
+    rho = smp_residual(model, sol.control, adj, lat, lat.basis)
+    assert _bytes(x, adj.y, adj.z, adj.r) == want
+    assert _bytes(rho) == _bytes(sol.rho)
+    result = optimize(model, sol.control, lat)
+    assert result.iterations == 0 and result.converged
+    assert _bytes(result.state, result.adjoint.y, result.adjoint.z, result.adjoint.r) == want
+    assert _bytes(result.control) == _bytes(sol.control)
+
 
 class TestCheckStationarity:
     def test_zero_residual_passes(self, lat):
@@ -439,6 +501,19 @@ class TestCheckStationarity:
         u = np.array([0.0, 5e-11, 1e-10])
         violation, passed = smp.classify_nodes(sign * np.array([0.3, 2.0, 1e-3]), u, box, 1e-8)
         assert np.array_equal(violation, np.zeros(3)) and passed.all()
+
+    def test_residual_of_another_horizon_rejected(self, lat):
+        # zipping the stages would drop stage 2, the only violation
+        res = SmpResidual(tuple(lat.constant(1.0 if n == 2 else 0.0, n) for n in range(3)))
+        with pytest.raises(DepthMismatch, match="residual has 3 stages, control has 2"):
+            check_stationarity(res, constant_control(lat, 2, 0.0), Unconstrained(), tol=1e-8)
+
+    def test_control_from_another_lattice_rejected(self, lat):
+        # same q, so the tables fit: only the lattice tells them apart
+        res = SmpResidual(tuple(lat.constant(0.0, n) for n in range(2)))
+        other = lattice_for_hurst(0.3, depth=3, order=3)
+        with pytest.raises(LevelMismatch, match="residual and control live on different"):
+            check_stationarity(res, constant_control(other, 2, -1.0), Box(-1.0, 1.0), tol=1e-8)
 
 
 def tabled(model: ModelSpec, *names: str) -> ModelSpec:
