@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import ControlProcess, ModelSpec, StateProcess, _factor, _stage_value
+from .dynamics import ControlProcess, ModelSpec, StateProcess, _check_on, _factor, _stage_value
 from .errors import DepthMismatch, NonFiniteValue
 from .lattice import AdaptedValue, NoiseLattice, _chunks, _frozen, _mean, _moments
 
@@ -66,6 +66,10 @@ class DriverSpec:
                 f"terminal data at level {self.terminal.level}, expected {self.horizon}"
             )
 
+    @property
+    def lattice(self) -> NoiseLattice:
+        return self.terminal.lattice
+
 
 @dataclass(frozen=True)
 class BsdeSolution:
@@ -82,18 +86,19 @@ class BsdeSolution:
     def horizon(self) -> int:
         return len(self.y) - 1
 
+    @property
+    def lattice(self) -> NoiseLattice:
+        return self.y[0].lattice
+
 
 def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
     """Solve the backward equation on the lattice by exact projections.
 
-    Needs lattice depth >= horizon.  A nonzero stage-N g on a depth-N
-    lattice also needs basis row N and raises DepthMismatch without it.
+    `_check_on` checks the driver against `lat`.  A nonzero stage-N g on a
+    depth-N lattice also needs basis row N and raises DepthMismatch without it.
     """
     n_stages = driver.horizon
-    if lat.depth < n_stages:
-        raise DepthMismatch(f"lattice depth {lat.depth} < horizon {n_stages}")
-    if driver.terminal.lattice is not lat:
-        raise DepthMismatch("terminal data lives on a different lattice")
+    _check_on(lat, n_stages, driver=driver)
 
     # built backward; stage s = n + 1 reads y[-1] and z[-1], and z[0] is Z_N = 0
     z_final = _frozen(np.zeros(lat.level_size(n_stages)))
@@ -133,7 +138,9 @@ def _driver_table(lat: NoiseLattice, s: int, raw) -> np.ndarray:
 
 
 def residual_orthogonality(sol: BsdeSolution, lat: NoiseLattice) -> tuple[float, float]:
-    """Worst nodewise |E[R_n|level n]| and |E[eta_n R_n|level n]|."""
+    """Worst nodewise |E[R_n|level n]| and |E[eta_n R_n|level n]|, after
+    `_check_on` checks the solution against `lat`."""
+    _check_on(lat, sol.horizon, solution=sol)
     worst_mean = 0.0
     worst_eta = 0.0
     for res in sol.r:
@@ -162,11 +169,10 @@ def adjoint_driver(model: ModelSpec, u_star: ControlProcess, x_star: StateProces
     or l_x does not vanish at the final stage.  A coefficient the model
     returns as a scalar stays a scalar, and a scalar zero drops its term,
     so a zero sigma_x makes g the scalar 0 (no noise term is built).
+    `_check_on` checks the pair against the model and X*'s lattice.
     """
-    n_stages = model.horizon
-    if x_star.horizon != n_stages or u_star.horizon != n_stages:
-        raise DepthMismatch("reference pair does not match the model horizon")
-    lat = x_star.lattice
+    n_stages, lat = model.horizon, x_star.lattice
+    _check_on(lat, n_stages, control=u_star, state=x_star)
 
     # Coefficients at stage k use (X*_k, u*_k); k runs over 1..N-1 where
     # a control exists.  Stage N never contributes.

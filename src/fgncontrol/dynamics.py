@@ -232,13 +232,13 @@ class _StagedProcess:
     def lattice(self) -> NoiseLattice:
         return self.stages[0].lattice
 
-
-class ControlProcess(_StagedProcess):
-    """Admissible control: stage n is a level-n value, n = 0..N-1."""
-
     @property
     def horizon(self) -> int:
         return len(self.stages)
+
+
+class ControlProcess(_StagedProcess):
+    """Admissible control: stage n is a level-n value, n = 0..N-1."""
 
     def validate_in(self, control_set):
         for n, u in enumerate(self.stages):
@@ -305,13 +305,17 @@ def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> np.ndarray:
     return _frozen(nxt).reshape(-1)
 
 
-def _check_depth(model, lat: NoiseLattice, stages: int, what: str = "control"):
-    """A control (or state) of `stages` stages fits the horizon of `model`, a
-    ModelSpec or an LqSpec, and the lattice depth."""
-    if stages != model.horizon:
-        raise DepthMismatch(f"{what} has {stages} stages, model needs {model.horizon}")
-    if lat.depth < model.horizon:
-        raise DepthMismatch(f"lattice depth {lat.depth} < horizon {model.horizon}")
+def _check_on(lat: NoiseLattice, horizon: int, **processes):
+    """The boundary check of every public entry: DepthMismatch when `lat` is
+    shallower than `horizon` or a named process (anything with `horizon` and
+    `lattice`) has another, LevelMismatch when one is on another lattice."""
+    if lat.depth < horizon:
+        raise DepthMismatch(f"lattice depth {lat.depth} < horizon {horizon}")
+    for name, process in processes.items():
+        if process.horizon != horizon:
+            raise DepthMismatch(f"{name} has {process.horizon} stages, expected {horizon}")
+        if process.lattice is not lat:
+            raise LevelMismatch(f"{name} lives on a different lattice")
 
 
 def _states(
@@ -319,12 +323,10 @@ def _states(
 ) -> list[np.ndarray]:
     """X_0..X_stages under control u as frozen level-n tables, 0 <= stages <= horizon.
 
-    Runs `forward`'s checks: lattice depth >= horizon, u built on `lat`
-    and every control value inside the model's control set.
+    Runs `forward`'s checks: `_check_on` for u, then every control value
+    inside the model's control set.
     """
-    _check_depth(model, lat, u.horizon)
-    if u.lattice is not lat:
-        raise LevelMismatch("control lives on a different lattice")
+    _check_on(lat, model.horizon, control=u)
     u.validate_in(model.control_set)
     states = [_frozen(np.full(1, float(model.initial_state)))]
     for n in range(stages):
@@ -335,8 +337,8 @@ def _states(
 def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProcess:
     """Roll the state forward under control u.
 
-    Requires lattice depth >= horizon, a control built on `lat` and every
-    control value inside the model's control set.  Builds one
+    `_check_on` checks u against the model and `lat`; every control value
+    must lie inside the model's control set.  Builds one
     `AdaptedValue` per stage, sharing the rolled tables.
     """
     states = _states(model, u, lat, model.horizon)
@@ -346,13 +348,9 @@ def forward(model: ModelSpec, u: ControlProcess, lat: NoiseLattice) -> StateProc
 def cost(model: ModelSpec, u: ControlProcess, x: StateProcess, lat: NoiseLattice) -> float:
     """Expected running plus terminal cost of (u, x), `_total_cost` of `_cost_tables`.
 
-    u and x must have the model's horizon, on a lattice at least that deep
-    (DepthMismatch), and be built on `lat` (LevelMismatch).
+    `_check_on` checks u and x against the model and `lat`.
     """
-    _check_depth(model, lat, u.horizon)
-    _check_depth(model, lat, x.horizon, "state")
-    if u.lattice is not lat or x.lattice is not lat:
-        raise LevelMismatch("control or state lives on a different lattice")
+    _check_on(lat, model.horizon, control=u, state=x)
     return _total_cost(lat, _cost_tables(model, lat, [s.values for s in u], [s.values for s in x]))
 
 
@@ -379,14 +377,15 @@ def _cost_tables(model: ModelSpec, lat: NoiseLattice, u, x):
 
 def _total_cost(lat: NoiseLattice, tables) -> float:
     """J from `_cost_tables` (a list, or the generator itself): the stage
-    expectations summed in stage order; the last table sits at level N-1."""
+    expectations summed in stage order; the last table, stage N's, sits at
+    level N-1.  NonFiniteValue names the stage where the sum overflowed."""
     total, n = 0.0, 0
-    for table in tables:
+    for table in tables:  # not `enumerate`, whose cached tuple would hold it
         total += _expect(lat, table, n - (table.size < lat.level_size(n)))
-        n += 1
         del table  # not held while the generator builds the next table
-    if not np.isfinite(total):
-        raise NonFiniteValue("cost is non-finite")
+        if not np.isfinite(total):
+            raise NonFiniteValue(f"cost became non-finite at stage {n}")
+        n += 1
     return total
 
 
@@ -401,13 +400,10 @@ def variation(
 
     V_0 = 0 and
     V_{n+1} = V_n + b_x V_n + b_u v_n + (sigma_x V_n + sigma_u v_n) xi_n,
-    all coefficients evaluated along (X*, u*).  The direction must be
-    built on `lat`, else LevelMismatch.
+    all coefficients evaluated along (X*, u*).  `_check_on` checks u*, X*
+    and v against the model and `lat`.
     """
-    if v.horizon != model.horizon:
-        raise DepthMismatch(f"direction has {v.horizon} stages, model needs {model.horizon}")
-    if v.lattice is not lat:
-        raise LevelMismatch("direction lives on a different lattice")
+    _check_on(lat, model.horizon, control=u_star, state=x_star, direction=v)
     out = [lat.constant(0.0, 0)]
     for n in range(model.horizon):
         xn, un, vn, var = x_star[n].values, u_star[n].values, v[n].values, out[n].values
@@ -427,13 +423,12 @@ def perturb(
 ) -> ControlProcess:
     """Convex perturbation u* + eps * v, 0 <= eps <= 1.
 
-    With a control set given, raises OutOfControlSet when any perturbed
-    value leaves it instead of silently projecting.
+    `_check_on` checks v against u*.  With a control set given, raises
+    OutOfControlSet when any perturbed value leaves it instead of projecting.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
-    if v.horizon != u_star.horizon:
-        raise DepthMismatch("direction and control have different horizons")
+    _check_on(u_star.lattice, u_star.horizon, direction=v)
     out = ControlProcess(u_star[n] + eps * v[n] for n in range(u_star.horizon))
     if control_set is not None:
         out.validate_in(control_set)

@@ -51,11 +51,13 @@ class IndexOutOfRange(FgnControlError, IndexError):
 
 
 class LevelMismatch(FgnControlError, ValueError):
-    """Adapted values live on incompatible information levels."""
+    """Adapted values on incompatible information levels; at a public entry,
+    a process built on another lattice than the one given, even of the same q."""
 
 
 class DepthMismatch(FgnControlError, ValueError):
-    """Lattice depth is insufficient for the requested computation."""
+    """Lattice too shallow for the requested computation; at a public entry,
+    also a process whose stage count is not the horizon."""
 
 
 class NonFiniteValue(FgnControlError, ArithmeticError):

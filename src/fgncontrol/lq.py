@@ -29,10 +29,10 @@ from .dynamics import (
     ModelSpec,
     StateProcess,
     Unconstrained,
-    _check_depth,
+    _check_on,
     _total_cost,
 )
-from .errors import InvalidSpec, LevelMismatch, NonFiniteValue, NotConverged, WrongHorizon
+from .errors import DepthMismatch, InvalidSpec, NonFiniteValue, NotConverged, WrongHorizon
 from .lattice import NoiseLattice, _children, _chunks, _contract, _mean, _moments
 from .smp import SmpResidual, _backward_pass, _certify, _rollout
 
@@ -148,11 +148,11 @@ def lq_fixed_point(spec: LqSpec, lat: NoiseLattice) -> LqSolution:
     reads only as E[G X_N^2 / 2 | N-1], by blocks.  `smp._certify` solves
     the adjoint pair along (u*, X*), with b from `lat.basis`, and reads rho
     there; the SMP residual max_n max_node |rho_n| / R_n certifies u*:
-    NotConverged is raised when it exceeds _RESIDUAL_TOL, and DepthMismatch
-    when the lattice is shallower than the horizon.
+    NotConverged is raised when it exceeds _RESIDUAL_TOL; `_check_on` checks
+    the depth of `lat` first.
     """
+    _check_on(lat, spec.horizon)
     model = as_model(spec)
-    _check_depth(model, lat, spec.horizon)
     zero_u, zero_x = [0.0] * spec.horizon, [0.0] * (spec.horizon + 1)
     gains, _ = _backward_pass(model, zero_u, zero_x, lat)
     us, xs, costs = _rollout(model, zero_u, zero_x, gains, 1.0, lat)
@@ -208,7 +208,8 @@ def _batch_costs(spec: LqSpec, lat: NoiseLattice, start: float, controls) -> np.
     N-1, X_N = c0 + c1 eta_{N-1}, so E[0.5 G X_N^2 | N-1] is read off the
     lattice's moments of eta, exact for every q: no leaf table is built.
     """
-    _check_depth(spec, lat, len(controls))
+    if len(controls) != spec.horizon:
+        raise DepthMismatch(f"{len(controls)} control tables, expected {spec.horizon}")
     last = spec.horizon - 1
     xn = np.full((*controls[0].shape[:-1], 1), float(start))
     total = np.zeros(xn.shape[:-1])
@@ -262,10 +263,10 @@ def verify_sufficiency(
     Each J is priced by `_batch_costs` on the spec's own recursion, its last
     stage in closed form, one stacked pass per chunk of at most _CHUNK_LEAVES
     leaves; the directions are the draws of a per-trial loop of
-    `random_control` and `perturb` with the same seed.
+    `random_control` and `perturb` with the same seed.  `_check_on` checks
+    u* against the spec's horizon and `lat`.
     """
-    if u_star.lattice is not lat:
-        raise LevelMismatch("u_star lives on a different lattice")
+    _check_on(lat, spec.horizon, control=u_star)
     u_star.validate_in(Unconstrained())
     star = [u.values for u in u_star]
     j_star = _batch_costs(spec, lat, spec.x, [s[None] for s in star])[0]
@@ -312,10 +313,10 @@ def verify_uniqueness(
     `_batch_costs` row of u1 - u2 from 0, on the spec's own recursion with
     its last stage in closed form, stacked in one pass per chunk of at most
     _CHUNK_LEAVES leaves; u1, u2 are the draws of a per-pair loop of two
-    `random_control` calls with the same seed.  DepthMismatch when the
-    lattice is shallower than the horizon.
+    `random_control` calls with the same seed.  `_check_on` checks the depth
+    of `lat` first.
     """
-    _check_depth(spec, lat, spec.horizon)
+    _check_on(lat, spec.horizon)
     rng = np.random.default_rng(seed)
     theta = float(np.min(spec.R))
     worst_slack = np.inf

@@ -42,6 +42,7 @@ from .dynamics import (
     _factor,
     _fd_step,
     _StagedProcess,
+    _check_on,
     _states,
     _cost_tables,
     _step,
@@ -50,7 +51,7 @@ from .dynamics import (
     variation,
 )
 from .errors import (
-    DepthMismatch, DualityMismatch, LevelMismatch, NoDescent, NonFiniteValue, OutOfControlSet,
+    DualityMismatch, LevelMismatch, NoDescent, NonFiniteValue, OutOfControlSet,
 )
 from .lattice import (
     AdaptedValue,
@@ -157,19 +158,15 @@ def smp_residual(
     """Gradient representative along u*, using an adjoint solved at u*.
 
     b is read from `lat.basis`; `basis` must have the same b_mat, else
-    LevelMismatch.  An adjoint of another horizon raises DepthMismatch, one
-    solved on another lattice LevelMismatch, before it is read.  An adjoint
-    from `solve_adjoint` on this model and control (the same objects) and
-    on `lat` brings the rho `_certify` read, and that rho is returned.  Any
+    LevelMismatch.  `_check_on` checks u* and the adjoint against the model
+    and `lat`.  An adjoint from `solve_adjoint` on this model and control
+    (the same objects) brings the rho `_certify` read, which is returned.  Any
     other adjoint is read by `_gradient` along X_0..X_{N-1}, rolled out
     here: rho never reads X_N, whose finiteness the `forward` that built
     the adjoint has already checked.
     """
     _check_basis(lat, basis)
-    if adjoint.horizon != model.horizon:
-        raise DepthMismatch(f"adjoint has horizon {adjoint.horizon}, model needs {model.horizon}")
-    if adjoint.y[0].lattice is not lat:
-        raise LevelMismatch("adjoint lives on a different lattice")
+    _check_on(lat, model.horizon, control=u_star, adjoint=adjoint)
     if (isinstance(adjoint, _RolledAdjoint)
             and adjoint._model is model and adjoint._control is u_star):
         return adjoint._rho
@@ -265,15 +262,11 @@ def check_stationarity(
 ) -> StationarityReport:
     """Classify every node of the residual against the control set (tol finite, >= 0).
 
-    The residual and the control must have as many stages (DepthMismatch)
-    and live on one lattice (LevelMismatch).  A NaN or infinite residual
-    raises NonFiniteValue.
+    `_check_on` checks the residual against the control's horizon and
+    lattice.  A NaN or infinite residual raises NonFiniteValue.
     """
     _check_tol(tol)
-    if len(residual) != len(u_star):
-        raise DepthMismatch(f"residual has {len(residual)} stages, control has {len(u_star)}")
-    if residual.lattice is not u_star.lattice:
-        raise LevelMismatch("residual and control live on different lattices")
+    _check_on(u_star.lattice, u_star.horizon, residual=residual)
     return _stationarity(
         [rho.values for rho in residual], [un.values for un in u_star], control_set, tol
     )

@@ -640,6 +640,84 @@ class TestLatticeAtLoad:
         assert np.array_equal(lat.basis.b_mat, lattice_for_hurst(0.3, 2, 4).basis.b_mat)
 
 
+class TestUserInputFaults:
+    """Each fault of a user's CSV or JSON file exits 2 with one `error:`
+    line on stderr, which names the file (and the place in it) and the fault."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty matrix file"),
+            ("a,b,c\n", "expected header n,k,value, got ['a', 'b', 'c']"),
+            ("n,k,value\n0,0\n", "line 2: expected 3 fields"),
+            ("n,k,value\n0,x,1\n", "line 2: invalid literal for int() with base 10: 'x'"),
+            ("n,k,value\n0,-1,1\n", "line 2: negative index"),
+            (f"n,k,value\n0,0,1\n{MAX_DEPTH + 1},0,1\n",
+             f"line 3: index {MAX_DEPTH + 1} exceeds the cap of {MAX_DEPTH}"),
+            ("n,k,value\n0,0,1\n0,0,2\n", "line 3: entry (0, 0) repeated"),
+            ("n,k,value\n", "no matrix entries"),
+        ],
+        ids=["empty", "header", "fields", "number", "negative", "cap", "repeated", "no-entries"],
+    )
+    def test_whiten_cov_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cov.csv"
+        path.write_text(text)
+        assert run("whiten", "--cov-file", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    STAGES = "stage,node_index,value\n0,0,0.1\n1,0,0.1\n1,1,0.2\n1,2,0.3\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty control file"),
+            ("stage,node\n",
+             "expected header stage,node_index,value[,probability], got ['stage', 'node']"),
+            ("stage,node_index,value\n0,0\n", "line 2: expected 3 or 4 fields"),
+            ("stage,node_index,value\n0,0,abc\n",
+             "line 2: could not convert string to float: 'abc'"),
+            ("stage,node_index,value\n0,0,0.1\n", "missing rows for stage 1"),
+            (STAGES.rsplit("1,2", 1)[0], "stage 1 must have node indices 0..2"),
+            (STAGES + "5,0,0.0\n", "unexpected stages [5]"),
+        ],
+        ids=["empty", "header", "fields", "number", "missing-stage", "nodes", "extra-stage"],
+    )
+    def test_smp_check_control(self, tmp_path, capsys, text, message):
+        config = write_json_file(tmp_path / "model.json", MODEL_CONFIG)
+        path = tmp_path / "u.csv"
+        path.write_text(text)
+        assert run("smp-check", "--config", config, "--control", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, config, where, message",
+        [
+            ("optimize", [], "", "expected a JSON object, got list"),
+            ("lq", {k: v for k, v in LQ_CONFIG.items() if k != "horizon"}, "",
+             "missing keys ['horizon']"),
+            ("lq", dict(LQ_CONFIG, x="1.3"), "", "x must be a number, got '1.3'"),
+            ("solve-bsde", dict(BSDE_CONFIG, quadrature_order=3.0), "",
+             "quadrature_order must be an integer, got 3.0"),
+            ("solve-bsde",
+             dict(BSDE_CONFIG, terminal={"constant": 0.2, "noise_coefficients": [0.5]}),
+             ".terminal", "noise_coefficients must be a list of 2 numbers"),
+            ("optimize", dict(MODEL_CONFIG, control_set={"box": [0.0]}), ".control_set",
+             "box must be [lower, upper]"),
+            ("optimize", dict(MODEL_CONFIG, control_set="free"), "",
+             'control_set must be "unconstrained" or {"box": [lo, hi]}'),
+            ("optimize", dict(MODEL_CONFIG, model={"c": 0.5}), ".model", "missing key 'type'"),
+            ("optimize", dict(MODEL_CONFIG, model={"type": "cubic"}), ".model",
+             "type must be \"sin_drift\" or \"lq\", got 'cubic'"),
+        ],
+        ids=["not-object", "missing-key", "not-number", "not-integer", "list-length",
+             "box-shape", "control-set", "model-type-missing", "model-type"],
+    )
+    def test_config(self, tmp_path, capsys, command, config, where, message):
+        path = write_json_file(tmp_path / "config.json", config)
+        assert run(command, "--config", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {path}{where}: {message}\n"
+
+
 # The status `main` returns for each error a command raises.
 EXIT_STATUS = {
     errors.NotConverged: 5, errors.NoDescent: 5,

@@ -402,7 +402,7 @@ class TestSmpResidual:
         short = sin_drift_model(2, initial_state=1.0)
         _, adj = solve_adjoint(short, constant_control(lat, 2, 0.0), lat, lat.basis)
         model = sin_drift_model(3, initial_state=1.0)
-        with pytest.raises(DepthMismatch, match="adjoint has horizon 2, model needs 3"):
+        with pytest.raises(DepthMismatch, match="adjoint has 2 stages, expected 3"):
             smp_residual(model, constant_control(lat, 3, 0.0), adj, lat, lat.basis)
 
     def test_solve_adjoint_pair_reads_rho_once(self, lat, monkeypatch):
@@ -505,14 +505,14 @@ class TestCheckStationarity:
     def test_residual_of_another_horizon_rejected(self, lat):
         # zipping the stages would drop stage 2, the only violation
         res = SmpResidual(tuple(lat.constant(1.0 if n == 2 else 0.0, n) for n in range(3)))
-        with pytest.raises(DepthMismatch, match="residual has 3 stages, control has 2"):
+        with pytest.raises(DepthMismatch, match="residual has 3 stages, expected 2"):
             check_stationarity(res, constant_control(lat, 2, 0.0), Unconstrained(), tol=1e-8)
 
     def test_control_from_another_lattice_rejected(self, lat):
         # same q, so the tables fit: only the lattice tells them apart
         res = SmpResidual(tuple(lat.constant(0.0, n) for n in range(2)))
         other = lattice_for_hurst(0.3, depth=3, order=3)
-        with pytest.raises(LevelMismatch, match="residual and control live on different"):
+        with pytest.raises(LevelMismatch, match="residual lives on a different lattice"):
             check_stationarity(res, constant_control(other, 2, -1.0), Box(-1.0, 1.0), tol=1e-8)
 
 
