@@ -38,7 +38,7 @@ import numpy as np
 
 from .dynamics import ControlProcess, ModelSpec, StateProcess, _check_on, _factor, _stage_value
 from .errors import DepthMismatch, NonFiniteValue
-from .lattice import AdaptedValue, NoiseLattice, _chunks, _frozen, _mean, _moments
+from .lattice import AdaptedValue, NoiseLattice, _blocks, _frozen, _mean, _moments
 
 Driver = Callable[[int, AdaptedValue, AdaptedValue], AdaptedValue | float | np.ndarray]
 
@@ -118,15 +118,13 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
                 raise NonFiniteValue(f"{name}_{n} is non-finite")
         y.append(AdaptedValue(lat, n, _frozen(y_n)))
         z.append(AdaptedValue(lat, n, _frozen(z_n)))
-        # R_n = M - Y_n - Z_n eta_n is written over M, which nothing reads now,
-        # one child column j at a time over blocks of level-n nodes, so no
-        # temporary is larger than a block
-        blocks = projected.reshape(-1, lat.rule.q)
-        for start, stop in _chunks(y_n.shape[0], lat.rule.q):
+        # R_n = M - Y_n - Z_n eta_n over M, which nothing reads now, a child column
+        # at a time per `_blocks` block, so no temporary is larger than a block
+        for part, block in _blocks(lat, projected):
             for j, eta_j in enumerate(lat.rule.nodes):
-                col = blocks[start:stop, j]
-                col -= y_n[start:stop]
-                col -= z_n[start:stop] * eta_j
+                col = block[:, j]
+                col -= y_n[part]
+                col -= z_n[part] * eta_j
         r.append(AdaptedValue(lat, s, _frozen(projected)))
     return BsdeSolution(y=tuple(y[::-1]), z=tuple(z[:0:-1]), r=tuple(r[::-1]))
 

@@ -24,7 +24,7 @@ import numpy as np
 from .bsde import DriverSpec
 from .dynamics import Box, ModelSpec, Unconstrained, sin_drift_model
 from .errors import ConfigError
-from .lattice import MAX_DEPTH, NoiseLattice, _children, _frozen, lattice_for_hurst
+from .lattice import MAX_DEPTH, NoiseLattice, _children, lattice_for_hurst
 from .lq import LqSpec, _lq_model
 
 __all__ = [
@@ -247,7 +247,7 @@ def _build_driver(lat: NoiseLattice, constant: float, coefficients, stages) -> D
     horizon = len(stages)
     acc = np.full(1, constant)
     for k in range(horizon):
-        acc = _frozen(_children(lat, k, acc, coefficients[k])).reshape(-1)
+        acc = _children(lat, k, acc, coefficients[k], "terminal")
     terminal = lat.from_values(horizon, acc)
 
     def f(s, y, z):

@@ -13,7 +13,7 @@ arrays; they must vectorise (plain numpy expressions do) and may return
 a scalar when the coefficient is constant.  A scalar derivative is never
 expanded to a table: the variation, the adjoint driver and the gradient
 multiply it in as a checked-finite scalar.  J, in `cost` and in every
-solver, reads phi(X_N) only as E[phi | N-1], built by blocks of parent nodes.
+solver, reads phi(X_N) only as E[phi | N-1], built by `lattice._blocks` blocks.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .errors import (
 from .lattice import (
     AdaptedValue,
     NoiseLattice,
+    _blocks,
     _children,
-    _chunks,
     _contract,
     _expect,
     _frozen,
@@ -295,14 +295,10 @@ def _factor(lat, level, raw) -> np.ndarray:
 
 
 def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> np.ndarray:
-    """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n as a frozen
-    table, checked finite.  `_children` writes it column by column, so no
-    leaf-sized temporary is built."""
+    """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n: `_children`'s frozen,
+    checked table, written column by column with no leaf-sized temporary."""
     base = xn + _stage_value(lat, n, model.b(n, xn, un))
-    nxt = _children(lat, n, base, _stage_value(lat, n, model.sigma(n, xn, un)))
-    if not np.all(np.isfinite(nxt)):
-        raise NonFiniteValue(f"state became non-finite at stage {n + 1}")
-    return _frozen(nxt).reshape(-1)
+    return _children(lat, n, base, _stage_value(lat, n, model.sigma(n, xn, un)), "state")
 
 
 def _check_on(lat: NoiseLattice, horizon: int, **processes):
@@ -358,20 +354,18 @@ def _cost_tables(model: ModelSpec, lat: NoiseLattice, u, x):
     """Yield l(n, X_n, u_n) as level-n tables for n < N, then E[phi(X_N) | N-1]
     as a level-(N-1) table, each checked finite; u holds u_0..u_{N-1}, x X_0..X_N.
 
-    phi(X_N) is evaluated, checked and contracted one `_chunks` block of
-    level-(N-1) nodes at a time, so no leaf-sized cost table is built.
+    phi(X_N) is evaluated, checked and contracted one `lattice._blocks` block
+    of level-(N-1) nodes at a time, so no leaf-sized cost table is built.
     """
     n_final = model.horizon
     for n in range(n_final):
         yield _stage_value(lat, n, model.l(n, x[n], u[n]))
-    leaves = x[n_final].reshape(lat.level_size(n_final - 1), lat.rule.q)
-    parents = np.empty(leaves.shape[0])
-    for start, stop in _chunks(*leaves.shape):
-        block = leaves[start:stop].reshape(-1)
-        phi = np.broadcast_to(np.asarray(model.phi(block), float), block.shape)
+    parents = np.empty(lat.level_size(n_final - 1))
+    for part, leaves in _blocks(lat, x[n_final]):
+        phi = np.broadcast_to(np.asarray(model.phi(leaves.reshape(-1)), float), leaves.size)
         if not np.all(np.isfinite(phi)):
             raise NonFiniteValue(f"coefficient produced non-finite values at level {n_final}")
-        parents[start:stop] = _contract(lat, phi)
+        parents[part] = _contract(lat, phi)
     yield parents
 
 
@@ -411,10 +405,8 @@ def variation(
             _factor(lat, n, getattr(model, name)(n, xn, un))
             for name in ("b_x", "b_u", "sigma_x", "sigma_u")
         )
-        nxt = _children(lat, n, var + bx * var + bu * vn, sx * var + su * vn)
-        if not np.all(np.isfinite(nxt)):
-            raise NonFiniteValue(f"variation became non-finite at stage {n + 1}")
-        out.append(AdaptedValue(lat, n + 1, _frozen(nxt)))
+        nxt = _children(lat, n, var + bx * var + bu * vn, sx * var + su * vn, "variation")
+        out.append(AdaptedValue(lat, n + 1, nxt))
     return StateProcess(out)
 
 

@@ -7,11 +7,11 @@ white noises is a dense table of q^n values; node (i_0, ..., i_{n-1}) is
 encoded big-endian, index ``i_0 q^{n-1} + ... + i_{n-1}``.  The solvers
 work on these flat float64 tables: a stage step views a level-(n+1)
 table as (q^n, q) child blocks and contracts the children against the
-weights to get E[. | level n] exactly.  `_children` builds a child table
-base + scale xi_n from level-n tables one child column at a time, over
-blocks of parent nodes holding at most `_BLOCK_LEAVES` entries, so each
-column op runs on flat level-n operands instead of broadcasting along a
-trailing axis of length q.  `_moments` is the general contraction: the
+weights to get E[. | level n] exactly.  `_blocks` owns the walk over
+those blocks, a parent slice of at most `_BLOCK_LEAVES` entries at a
+time; `_children` writes base + scale xi_n through it one child column
+at a time on flat level-n operands, and returns the flat level-(n+1)
+table checked finite.  `_moments` is the general contraction: the
 moments E[table eta_n^j | level n], j < k, each one (q^n, q) @ (q,)
 product against the weight vector w eta^j cached per lattice, so no
 leaf-sized eta-weighted table is ever built; `_contract` is its k = 1
@@ -46,6 +46,7 @@ from .errors import (
     IndexOutOfRange,
     LatticeTooLarge,
     LevelMismatch,
+    NonFiniteValue,
     UnsupportedOrder,
 )
 from .noise import WhiteningBasis, fgn_covariance, whiten
@@ -308,7 +309,7 @@ def _mean(lat: NoiseLattice, n: int) -> np.ndarray:
     return _conditional_mean(lat, n)
 
 
-def _chunks(count: int, width: int, budget: int = _BLOCK_LEAVES):
+def _chunks(count: int, width: int, budget: int):
     """[start, stop) ranges over `count` items of `width` entries each,
     at most `budget` entries (or one item) per range."""
     size = max(1, budget // width)
@@ -316,24 +317,34 @@ def _chunks(count: int, width: int, budget: int = _BLOCK_LEAVES):
         yield start, min(start + size, count)
 
 
-def _children(lat: NoiseLattice, n: int, base: np.ndarray, scale) -> np.ndarray:
-    """base + scale xi_n as a fresh (..., q^n, q) table of child blocks.
+def _blocks(lat: NoiseLattice, table: np.ndarray):
+    """(parent slice, (..., parents, q) view of its children) over a child-level table, each
+    block at most `_BLOCK_LEAVES` entries (read per call; row axes count) or one parent."""
+    view = table.reshape(*table.shape[:-1], -1, lat.rule.q)
+    for start, stop in _chunks(view.shape[-2], table.size // view.shape[-2], _BLOCK_LEAVES):
+        yield slice(start, stop), view[..., start:stop, :]
+
+
+def _children(lat: NoiseLattice, n: int, base: np.ndarray, scale, what: str) -> np.ndarray:
+    """base + scale xi_n as a fresh frozen level-(n+1) table (..., q^(n+1)).
 
     base is a level-n table, possibly with leading row axes, and scale
     broadcasts to it.  Each child column j is written as
     scale (E[xi_n | level n] + b[n,n] eta_j) + base, the arithmetic of the
-    broadcast form bit for bit, one block of parent nodes at a time; the
-    row axes count toward the block's entries.
+    broadcast form bit for bit, a `_blocks` block at a time.  A non-finite
+    value raises NonFiniteValue: "`what` became non-finite at stage n + 1".
     """
     mean, shift = _mean(lat, n), lat.basis.b_mat[n, n] * lat.rule.nodes
     scale = np.broadcast_to(scale, base.shape)
-    out = np.empty((*base.shape, lat.rule.q))
-    for start, stop in _chunks(base.shape[-1], out.size // base.shape[-1]):
+    out = np.empty((*base.shape[:-1], base.shape[-1] * lat.rule.q))
+    for part, block in _blocks(lat, out):
         for j, shift_j in enumerate(shift):
-            col = out[..., start:stop, j]
-            np.multiply(scale[..., start:stop], mean[start:stop] + shift_j, out=col)
-            col += base[..., start:stop]
-    return out
+            col = block[..., j]
+            np.multiply(scale[..., part], mean[part] + shift_j, out=col)
+            col += base[..., part]
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteValue(f"{what} became non-finite at stage {n + 1}")
+    return _frozen(out)
 
 
 def white_value(lat: NoiseLattice, n: int) -> AdaptedValue:

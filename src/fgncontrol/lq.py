@@ -218,9 +218,7 @@ def _batch_costs(spec: LqSpec, lat: NoiseLattice, start: float, controls) -> np.
         drift = xn + (spec.A[n] * xn + spec.B[n] * un)
         vol = spec.C[n] * xn + spec.D[n] * un
         if n < last:
-            xn = _children(lat, n, drift, vol).reshape(*drift.shape[:-1], -1)
-            if not np.all(np.isfinite(xn)):
-                raise NonFiniteValue(f"state became non-finite at stage {n + 1}")
+            xn = _children(lat, n, drift, vol, "state")
     del xn
     # `_product(m, c, c)` in place, in its order of operations, each
     # level-(N-1) temporary dropped once used: c0 = drift + vol mu, c1 = vol b
@@ -273,7 +271,7 @@ def verify_sufficiency(
     rng = np.random.default_rng(seed)
     eps_cycle = np.array([1.0, 0.1, 0.01])
     min_gap = worst_slack = np.inf
-    for start, stop in _chunks(_SUFFICIENCY_TRIALS, lat.rule.q**spec.horizon, _CHUNK_LEAVES):
+    for start, stop in _chunks(_SUFFICIENCY_TRIALS, lat.level_size(spec.horizon), _CHUNK_LEAVES):
         eps = eps_cycle[np.arange(start, stop) % 3, None]
         u = [s + eps * v for s, v in zip(star, _draw(lat, spec.horizon, rng, stop - start))]
         gap = _batch_costs(spec, lat, spec.x, u) - j_star
@@ -320,7 +318,7 @@ def verify_uniqueness(
     rng = np.random.default_rng(seed)
     theta = float(np.min(spec.R))
     worst_slack = np.inf
-    for start, stop in _chunks(5, lat.rule.q**spec.horizon, _CHUNK_LEAVES):
+    for start, stop in _chunks(5, lat.level_size(spec.horizon), _CHUNK_LEAVES):
         draws = _draw(lat, spec.horizon, rng, 2 * (stop - start))
         delta = [u[0::2] - u[1::2] for u in draws]
         sq = sum(_contract(lat, (d**2).reshape(-1), n) for n, d in enumerate(delta))

@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import os
 
 import numpy as np
@@ -420,9 +421,9 @@ def read_control_csv(path: str, lat: NoiseLattice, horizon: int) -> ControlProce
     """Read a control written by write_control_csv onto the given lattice.
 
     The probability column is ignored; each stage n must supply exactly
-    one value per level-n node, in node order.
+    one finite value per level-n node, in node order.
     """
-    per_stage: dict[int, list[tuple[int, float]]] = {}
+    per_stage: dict[int, dict[int, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -440,12 +441,16 @@ def read_control_csv(path: str, lat: NoiseLattice, horizon: int) -> ControlProce
                 stage, idx, value = int(row[0]), int(row[1]), float(row[2])
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from None
-            per_stage.setdefault(stage, []).append((idx, value))
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}: line {lineno}: value must be finite, got {row[2]!r}")
+            if idx in per_stage.setdefault(stage, {}):
+                raise ConfigError(f"{path}: line {lineno}: entry ({stage}, {idx}) repeated")
+            per_stage[stage][idx] = value
     stages = []
     for n in range(horizon):
         if n not in per_stage:
             raise ConfigError(f"{path}: missing rows for stage {n}")
-        got = sorted(per_stage[n])
+        got = sorted(per_stage[n].items())
         expected = lat.level_size(n)
         if [i for i, _ in got] != list(range(expected)):
             raise ConfigError(

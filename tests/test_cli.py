@@ -717,6 +717,25 @@ class TestUserInputFaults:
         assert run(command, "--config", path, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == f"error: {path}{where}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,1,nan", "line 4: value must be finite, got 'nan'"),
+            ("1,1,-inf", "line 4: value must be finite, got '-inf'"),
+            ("1,1,1e999", "line 4: value must be finite, got '1e999'"),
+            ("1,0,0.4", "line 4: entry (1, 0) repeated"),
+        ],
+        ids=["nan", "inf", "overflow", "repeated"],
+    )
+    def test_smp_check_control_value(self, tmp_path, capsys, row, message):
+        # the row goes in as line 4, after stage 0 and the first stage-1 row
+        config = write_json_file(tmp_path / "model.json", MODEL_CONFIG)
+        lines = self.STAGES.splitlines(keepends=True)
+        path = tmp_path / "u.csv"
+        path.write_text("".join(lines[:3]) + row + "\n" + "".join(lines[3:]))
+        assert run("smp-check", "--config", config, "--control", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
 
 # The status `main` returns for each error a command raises.
 EXIT_STATUS = {

@@ -1,0 +1,131 @@
+"""Construction invariants and solver guards that no valid input trips.
+
+Each test builds the one faulty object or trial that reaches its raise
+and asserts the class and the whole message.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from fgncontrol import smp
+from fgncontrol.bsde import DriverSpec
+from fgncontrol.dynamics import (
+    Box,
+    ControlProcess,
+    StateProcess,
+    constant_control,
+    forward,
+    sin_drift_model,
+)
+from fgncontrol.errors import (
+    DepthMismatch,
+    DualityMismatch,
+    NonFiniteValue,
+    NotSymmetric,
+    OutOfControlSet,
+)
+from fgncontrol.lattice import NoiseLattice, QuadratureRule, lattice_for_hurst
+from fgncontrol.noise import CovarianceSpec
+
+N = 3
+
+
+@pytest.fixture(scope="module")
+def lat():
+    return lattice_for_hurst(0.7, depth=N, order=3)
+
+
+def exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
+def test_duality_mismatch_names_both_routes(lat, monkeypatch):
+    # the two routes agree for any stated derivatives, so shift the adjoint
+    # route's rho_0 by 1e-6: its derivative along v = 1 moves by 1e-6
+    gradient = smp._gradient
+
+    def shifted(*args):
+        rho = gradient(*args)
+        return smp.SmpResidual((rho[0] + 1e-6, *rho[1:]))
+
+    monkeypatch.setattr(smp, "_gradient", shifted)
+    model = sin_drift_model(N, noise_gain=0.5)
+    u, v = constant_control(lat, N, 0.2), constant_control(lat, N, 1.0)
+    primal, dual = smp._derivative_routes(model, u, v, lat)
+    message = (
+        f"variation route {primal!r} vs adjoint route {dual!r} "
+        f"differ by {abs(primal - dual):.3e}"
+    )
+    with pytest.raises(DualityMismatch, match=exactly(message)):
+        smp.directional_derivative(model, u, v, lat)
+
+
+@pytest.mark.parametrize("box", [False, True], ids=["free", "box"])
+def test_rollout_rejects_a_nan_step(lat, box):
+    model = sin_drift_model(N, noise_gain=0.5, control_set=Box(-0.5, 0.5) if box else None)
+    u = constant_control(lat, N, 0.0)
+    x = forward(model, u, lat)
+    gains = [(np.ones(lat.level_size(n)), 0.0) for n in range(N)]
+    message = f"stage 0 control leaves {model.control_set!r}"
+    with pytest.raises(OutOfControlSet, match=exactly(message)):
+        smp._rollout(model, [s.values for s in u], [s.values for s in x], gains, np.nan, lat)
+
+
+class TestModelSpec:
+    def test_horizon_below_one(self):
+        with pytest.raises(ValueError, match=exactly("horizon must be >= 1, got 0")):
+            sin_drift_model(0)
+
+    @pytest.mark.parametrize("x0", [np.nan, np.inf])
+    def test_non_finite_initial_state(self, x0):
+        with pytest.raises(NonFiniteValue, match=exactly("initial state must be finite")):
+            sin_drift_model(N, initial_state=x0)
+
+
+class TestStagedProcess:
+    ONE_LATTICE = "all stages must be AdaptedValue on one lattice"
+
+    def test_no_stage(self):
+        with pytest.raises(ValueError, match=exactly("process needs at least one stage")):
+            ControlProcess([])
+
+    def test_stage_on_another_lattice(self, lat):
+        other = lattice_for_hurst(0.7, depth=N, order=3)
+        with pytest.raises(ValueError, match=exactly(self.ONE_LATTICE)):
+            ControlProcess([lat.constant(0.0, 0), other.constant(0.0, 1)])
+
+    def test_stage_not_an_adapted_value(self, lat):
+        with pytest.raises(ValueError, match=exactly(self.ONE_LATTICE)):
+            StateProcess([lat.constant(0.0, 0), np.zeros(3)])
+
+    def test_stage_at_another_level(self, lat):
+        with pytest.raises(ValueError, match=exactly("stage 1 must sit at level 1, got 2")):
+            ControlProcess([lat.constant(0.0, 0), lat.constant(0.0, 2)])
+
+
+class TestDriverSpec:
+    def test_horizon_below_one(self, lat):
+        with pytest.raises(ValueError, match=exactly("horizon must be >= 1, got 0")):
+            DriverSpec(0, lat.constant(1.0, 0), f=lambda s, y, z: 0.0, g=lambda s, y, z: 0.0)
+
+    def test_terminal_at_another_level(self, lat):
+        with pytest.raises(DepthMismatch, match=exactly("terminal data at level 2, expected 3")):
+            DriverSpec(N, lat.constant(1.0, 2), f=lambda s, y, z: 0.0, g=lambda s, y, z: 0.0)
+
+
+def test_lattice_depth_below_one(lat):
+    with pytest.raises(ValueError, match=exactly("depth must be >= 1, got 0")):
+        NoiseLattice(0, lat.rule, lat.basis)
+
+
+@pytest.mark.parametrize("nodes, weights", [([0.0, 1.0], [1.0]), ([0.0], [0.5, 0.5])])
+def test_quadrature_rule_lengths(nodes, weights):
+    with pytest.raises(ValueError, match=exactly("nodes and weights must both have length q")):
+        QuadratureRule(1, nodes, weights)
+
+
+def test_covariance_spec_shape():
+    with pytest.raises(NotSymmetric, match=exactly("covariance must be 2x2, got shape (2, 3)")):
+        CovarianceSpec(2, np.zeros((2, 3)))

@@ -400,7 +400,7 @@ class TestChildTablesAcrossNodeBlocks:
         want = vol[..., None] * self._noise(big, n)
         want += (xn + drift)[..., None]
         if rows:
-            got = _children(big, n, xn + drift, vol).reshape(*rows, -1)
+            got = _children(big, n, xn + drift, vol, "state").reshape(*rows, -1)
         else:
             got = _step(model, big, n, xn, un)
         assert got.shape == (*rows, big.level_size(n + 1))

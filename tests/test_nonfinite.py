@@ -6,6 +6,8 @@ the state goes, so they pass its guards; overflow warnings are silenced so
 that the guard, not numpy, reports the fault.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from fgncontrol.dynamics import (
     forward,
     variation,
 )
+from fgncontrol.cli import main
 from fgncontrol.errors import NonFiniteValue
 from fgncontrol.lattice import lattice_for_hurst
 from fgncontrol.lq import LqSpec, verify_uniqueness
@@ -124,3 +127,20 @@ def test_lq_certificate_state():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteValue, match="^state became non-finite at stage 3$"):
             verify_uniqueness(spec, lattice_for_hurst(0.7, depth=4, order=3))
+
+
+def test_bsde_config_terminal(tmp_path, capsys):
+    # constant 1.5e308 is finite at stage 1; 1e308 xi_1 takes it past the
+    # largest float at stage 2, so the config fails at load, before the solver
+    zero = dict.fromkeys(("f_constant", "f_y", "f_z", "g_constant", "g_y", "g_z"), 0.0)
+    config = {
+        "horizon": 2, "hurst": 0.7, "quadrature_order": 3,
+        "terminal": {"constant": 1.5e308, "noise_coefficients": [0.0, 1e308]},
+        "driver": [zero, zero],
+    }
+    path = tmp_path / "bsde.json"
+    path.write_text(json.dumps(config))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["solve-bsde", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: terminal became non-finite at stage 2\n"
