@@ -26,6 +26,7 @@ from .dynamics import Box, ModelSpec, Unconstrained, sin_drift_model
 from .errors import ConfigError
 from .lattice import MAX_DEPTH, NoiseLattice, _children, lattice_for_hurst
 from .lq import LqSpec, _lq_model
+from .reporting import _utf8_text
 
 __all__ = [
     "BsdeConfig",
@@ -39,8 +40,8 @@ __all__ = [
 
 
 def load_json(path: str):
-    """Parse a JSON file; malformed content reports line and column."""
-    with open(path) as fh:
+    """Parse a UTF-8 JSON file; malformed content reports line and column."""
+    with _utf8_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -16,8 +16,8 @@ moments E[table eta_n^j | level n], j < k, each one (q^n, q) @ (q,)
 product against the weight vector w eta^j cached per lattice, so no
 leaf-sized eta-weighted table is ever built; `_contract` is its k = 1
 case.  `_affine` and `_product` read E[T c | n] and E[T c d | n] off
-those moments for stage factors c0 + c1 eta_n such as x + b + sigma xi_n,
-which are never built at the leaves.  The private primitives below own
+those moments for stage factors c0 + c1 eta_n, `_stage_factor`'s form of
+x + b + sigma xi_n, never built at the leaves.  The private primitives below own
 that format; `AdaptedValue` is the validated boundary type of the public API.
 
 An `AdaptedValue` owns a read-only table.  It shares its input when no
@@ -49,7 +49,7 @@ from .errors import (
     NonFiniteValue,
     UnsupportedOrder,
 )
-from .noise import WhiteningBasis, fgn_covariance, whiten
+from .noise import WhiteningBasis, _count, fgn_covariance, whiten
 
 MAX_ORDER = 16
 # Hard cap on q^depth; a dense table above this is a configuration error.
@@ -96,7 +96,7 @@ class QuadratureRule:
 
 def gauss_hermite(q: int) -> QuadratureRule:
     """Order-q Gauss-Hermite rule normalised to the standard normal law."""
-    if not isinstance(q, (int, np.integer)) or not 1 <= q <= MAX_ORDER:
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or not 1 <= q <= MAX_ORDER:
         raise UnsupportedOrder(f"quadrature order must be an int in [1, {MAX_ORDER}], got {q!r}")
     nodes, weights = hermegauss(int(q))
     return QuadratureRule(int(q), nodes, weights / np.sqrt(2.0 * np.pi))
@@ -104,15 +104,14 @@ def gauss_hermite(q: int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class NoiseLattice:
-    """Full q-ary tree of depth `depth` over a whitening basis."""
+    """Full q-ary tree of depth `depth`, an integer >= 1, over a whitening basis."""
 
     depth: int
     rule: QuadratureRule
     basis: WhiteningBasis
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        object.__setattr__(self, "depth", _count(self.depth, "depth"))
         if self.basis.size < self.depth:
             raise DepthMismatch(
                 f"basis covers {self.basis.size} stages, lattice needs {self.depth}"
@@ -163,7 +162,7 @@ def lattice_for_hurst(h, depth: int, order: int) -> NoiseLattice:
     E[xi_depth | first depth noises], which reads basis row `depth`.
     The path and depth caps are checked before the O(depth^2) whitening.
     """
-    rule = gauss_hermite(order)
+    rule, depth = gauss_hermite(order), _count(depth, "depth")
     _check_paths(rule.q, depth)
     return NoiseLattice(depth, rule, whiten(fgn_covariance(h, depth + 1)))
 
@@ -309,6 +308,12 @@ def _mean(lat: NoiseLattice, n: int) -> np.ndarray:
     return _conditional_mean(lat, n)
 
 
+def _stage_factor(lat: NoiseLattice, n: int, base, scale) -> tuple:
+    """base + scale xi_n as its (c0, c1) in c0 + c1 eta_n, the form `_affine` and
+    `_product` read: (base + scale E[xi_n | level n], scale b[n,n])."""
+    return base + scale * _mean(lat, n), scale * lat.basis.b_mat[n, n]
+
+
 def _chunks(count: int, width: int, budget: int):
     """[start, stop) ranges over `count` items of `width` entries each,
     at most `budget` entries (or one item) per range."""
@@ -400,13 +405,13 @@ def sample_paths(basis: WhiteningBasis, horizon: int, count: int, seed: int) -> 
     """Draw `count` increment paths of length `horizon` from the basis.
 
     Uses the counter-based Philox generator keyed by `seed`, so output is
-    a pure function of (basis, horizon, count, seed).  The seed must be an
-    integer in [0, 2^64), the key's range; anything else raises ValueError.
+    a pure function of (basis, horizon, count, seed).  The horizon and
+    count must be integers >= 1 and the seed an integer in [0, 2^64), the
+    key's range; anything else raises ValueError.
     """
-    if not 1 <= horizon <= basis.size:
+    horizon, count = _count(horizon, "horizon"), _count(count, "count")
+    if horizon > basis.size:
         raise DepthMismatch(f"horizon {horizon} outside [1, {basis.size}]")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -33,7 +33,7 @@ from .dynamics import (
     _total_cost,
 )
 from .errors import DepthMismatch, InvalidSpec, NonFiniteValue, NotConverged, WrongHorizon
-from .lattice import NoiseLattice, _children, _chunks, _contract, _mean, _moments
+from .lattice import NoiseLattice, _children, _chunks, _contract, _moments, _product, _stage_factor
 from .smp import SmpResidual, _backward_pass, _certify, _rollout
 
 # Leaf budget of one stacked certificate pass: rows * q^N stays within it
@@ -205,8 +205,9 @@ def _batch_costs(spec: LqSpec, lat: NoiseLattice, start: float, controls) -> np.
 
     X_{n+1} = X_n + (A_n X_n + B_n u_n) + (C_n X_n + D_n u_n) xi_n, added as in
     `as_model(spec)`, with running cost 0.5 (Q_n X_n^2 + R_n u_n^2).  On level
-    N-1, X_N = c0 + c1 eta_{N-1}, so E[0.5 G X_N^2 | N-1] is read off the
-    lattice's moments of eta, exact for every q: no leaf table is built.
+    N-1, X_N is the `_stage_factor` c0 + c1 eta_{N-1}, so E[0.5 G X_N^2 | N-1]
+    is `_product` over the lattice's moments of eta, exact for every q: no
+    leaf table is built.
     """
     if len(controls) != spec.horizon:
         raise DepthMismatch(f"{len(controls)} control tables, expected {spec.horizon}")
@@ -220,26 +221,9 @@ def _batch_costs(spec: LqSpec, lat: NoiseLattice, start: float, controls) -> np.
         if n < last:
             xn = _children(lat, n, drift, vol, "state")
     del xn
-    # `_product(m, c, c)` in place, in its order of operations, each
-    # level-(N-1) temporary dropped once used: c0 = drift + vol mu, c1 = vol b
-    m0, m1, m2 = _moments(lat, 1.0, 3)
-    c0 = vol * _mean(lat, last)
-    c0 += drift
-    del drift
-    vol *= lat.basis.b_mat[last, last]
-    terminal = c0 * c0
-    terminal *= m0
-    cross = c0 * vol
-    cross += vol * c0
-    del c0
-    cross *= m1
-    terminal += cross
-    del cross
-    vol *= vol
-    vol *= m2
-    terminal += vol
-    del vol
-    terminal *= 0.5 * spec.G
+    c = _stage_factor(lat, last, drift, vol)
+    del drift, vol
+    terminal = 0.5 * spec.G * _product(_moments(lat, 1.0, 3), c, c)
     total += _contract(lat, terminal.reshape(-1), last)
     if not np.all(np.isfinite(total)):
         raise NonFiniteValue("cost is non-finite")

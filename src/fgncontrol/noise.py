@@ -96,17 +96,26 @@ class WhiteningBasis:
             object.__setattr__(self, name, mat)
 
 
+def _count(value, name: str) -> int:
+    """`value`, an int or numpy integer >= 1, as an int; else ValueError naming
+    it.  A bool or a float is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 def fgn_covariance(h, size: int) -> CovarianceSpec:
     """Covariance of the first `size` unit-step fractional Gaussian increments.
 
     Parameters
     ----------
     h : HurstParameter or float in (0, 1).
-    size : number of increments, >= 1.
+    size : number of increments, an integer >= 1.
     """
     hp = _as_hurst(h)
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    size = _count(size, "size")
     two_h = 2.0 * hp.h
     d = np.arange(size, dtype=np.float64)
     # Stationary: entry depends on |n - m| only.

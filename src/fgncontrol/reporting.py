@@ -34,6 +34,7 @@ faster than in int64.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -357,6 +358,25 @@ def _stage(n: int, rows: int) -> np.ndarray:
     return np.broadcast_to(np.int64(n), (rows,))
 
 
+@contextlib.contextmanager
+def _utf8_text(path: str, **kwargs):
+    """`path` opened as UTF-8 text, whatever the locale.  A byte that is not
+    UTF-8 raises ConfigError naming its line: the file is decoded again line
+    by line, since no UTF-8 sequence spans a newline."""
+    try:
+        with open(path, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ConfigError(f"{path}: line {lineno}: byte 0x{raw[exc.start]:02x} "
+                                      f"is not UTF-8 ({exc.reason})") from None
+        raise
+
+
 def write_matrix_csv(path: str, mat: np.ndarray) -> None:
     """Header `n,k,value`, one row per nonzero entry, row-major order."""
     n, k = np.nonzero(mat)
@@ -366,11 +386,12 @@ def write_matrix_csv(path: str, mat: np.ndarray) -> None:
 def read_matrix_csv(path: str) -> np.ndarray:
     """Inverse of write_matrix_csv; size inferred from the largest index.
 
-    Raises ConfigError on schema violations, on a repeated (n, k) and on
-    an index above MAX_DEPTH: the largest covariance a lattice whitens
-    has MAX_DEPTH + 1 increments.  OSError propagates.
+    The file is read as UTF-8.  Raises ConfigError on a byte that is not
+    UTF-8, on schema violations, on a repeated (n, k) and on an index above
+    MAX_DEPTH: the largest covariance a lattice whitens has MAX_DEPTH + 1
+    increments.  OSError propagates.
     """
-    with open(path, newline="") as fh:
+    with _utf8_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -420,11 +441,12 @@ def write_control_csv(path: str, lat: NoiseLattice, control: ControlProcess) -> 
 def read_control_csv(path: str, lat: NoiseLattice, horizon: int) -> ControlProcess:
     """Read a control written by write_control_csv onto the given lattice.
 
-    The probability column is ignored; each stage n must supply exactly
-    one finite value per level-n node, in node order.
+    The file is read as UTF-8.  The probability column is ignored; each
+    stage n must supply exactly one finite value per level-n node, in node
+    order.
     """
     per_stage: dict[int, dict[int, float]] = {}
-    with open(path, newline="") as fh:
+    with _utf8_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

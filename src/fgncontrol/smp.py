@@ -6,9 +6,11 @@ backward along (u, X), the cost gradient representative at stage n is
     rho_n = b_u(n) p_n + sigma_u(n) p_n E[xi_n | level n]
             + b[n,n] sigma_u(n) q_n + l_u(n),
 
-an adapted level-n value.  One routine, `_certify`, solves the adjoint
-along (u, X) and reads rho there, for `solve_adjoint`, the adjoint route
-of the derivative, the certificate of `optimize` and `lq.lq_fixed_point`.
+an adapted level-n value, l_u + E[(p_n + q_n eta_n)(b_u + sigma_u xi_n) | n]:
+`_affine` of (p_n, q_n) and the `_stage_factor` b_u + sigma_u xi_n, as the
+backward pass reads it.  One routine, `_certify`, solves the adjoint along
+(u, X) and reads rho there, for `solve_adjoint`, the adjoint route of the
+derivative, the certificate of `optimize` and `lq.lq_fixed_point`.
 The directional derivative of the cost in an admissible direction v
 equals sum_n E[rho_n v_n]; it is computed here by two independent routes
 (state variation vs adjoint pairing) and the two must agree, otherwise
@@ -60,9 +62,9 @@ from .lattice import (
     _contract,
     _expect,
     _frozen,
-    _mean,
     _moments,
     _product,
+    _stage_factor,
 )
 from .noise import WhiteningBasis
 
@@ -124,26 +126,18 @@ def _gradient(
 ) -> SmpResidual:
     """rho_n along (u, X), with the adjoint solved there.
 
-    x holds the level-n state tables X_0..X_{N-1} of forward(u); a
-    stage-N table, if present, is not read.
+    rho_n = l_u + `_affine`((p_n, q_n), f_u), the backward pass's formula with the
+    BSDE's (p, q) for lambda's moments.  x holds the level-n state tables
+    X_0..X_{N-1} of forward(u); a stage-N table, if present, is not read.
     """
-    b_diag = np.diag(lat.basis.b_mat)
     stages = []
     for n in range(model.horizon):
         xn, un = x[n], u[n].values
         bu, su, lu = (
             _factor(lat, n, getattr(model, name)(n, xn, un)) for name in ("b_u", "sigma_u", "l_u")
         )
-        p_n, q_n = adjoint.y[n].values, adjoint.z[n].values
-        # bu p + su p mu + b[n,n] (su q) + lu, accumulated in that order
-        rho = bu * p_n
-        term = su * p_n
-        term *= _mean(lat, n)
-        rho += term
-        np.multiply(su, q_n, out=term)
-        term *= b_diag[n]
-        rho += term
-        rho += lu
+        f_u = _stage_factor(lat, n, bu, su)
+        rho = lu + _affine((adjoint.y[n].values, adjoint.z[n].values), f_u)
         stages.append(AdaptedValue(lat, n, _frozen(rho)))
     return SmpResidual(stages)
 
@@ -409,9 +403,8 @@ def _backward_stage(model, lat, n, x, u, v_x, v_xx, lam):
     bx, bu, bxx, buu, bux, sx, su, sxx, suu, sux, lx, lu, lxx, luu, lux = (
         _stage_derivatives(model, n, x[n], u[n])
     )
-    mu, beta = _mean(lat, n), lat.basis.b_mat[n, n]
-    f_x, f_u, f_xx, f_uu, f_ux = (  # each as its (c0, c1) in c0 + c1 eta_n
-        (drift + vol * mu, vol * beta)
+    f_x, f_u, f_xx, f_uu, f_ux = (
+        _stage_factor(lat, n, drift, vol)
         for drift, vol in ((1.0 + bx, sx), (bu, su), (bxx, sxx), (buu, suu), (bux, sux))
     )
     m_x, m_xx = _moments(lat, v_x, 2), _moments(lat, v_xx, 3)

@@ -736,6 +736,30 @@ class TestUserInputFaults:
         assert run("smp-check", "--config", config, "--control", path, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    # 2 000 rows put the bad byte well past the first 8 KiB decoded
+    MATRIX_ROWS = "n,k,value\n" + "".join(f"{i % 40},{i // 40},0.5\n" for i in range(2000))
+
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            ("lq", b"\xff\xfe" + json.dumps(LQ_CONFIG).encode("utf-16-le"),
+             "line 1: byte 0xff is not UTF-8 (invalid start byte)"),
+            ("whiten", MATRIX_ROWS.encode() + b"0,50,0.5\xff\n",
+             "line 2002: byte 0xff is not UTF-8 (invalid start byte)"),
+            ("smp-check", STAGES.replace("0.2", "0.\xe92").encode("latin-1"),
+             "line 4: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+        ],
+        ids=["lq-config-utf16", "whiten-cov-file", "smp-check-control-latin1"],
+    )
+    def test_not_utf8(self, tmp_path, capsys, command, data, message):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        config = write_json_file(tmp_path / "model.json", MODEL_CONFIG)
+        argv = {"lq": ("--config", path), "whiten": ("--cov-file", path),
+                "smp-check": ("--config", config, "--control", path)}[command]
+        assert run(command, *argv, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
 
 # The status `main` returns for each error a command raises.
 EXIT_STATUS = {

@@ -12,6 +12,7 @@ with a per-node Riccati pass over leaf-sized child blocks, also on the
 one-node rule (q = 1, eta = 0), whose E[eta^2] reads 0.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -128,6 +129,43 @@ def test_smp_residual_equals_gradient_on_the_full_roll(q, depth, hurst):
     assert len(got) == depth
     for n in range(depth):
         assert got[n].values.tobytes() == want[n].values.tobytes()
+
+
+def quadratic_noise_model(depth: int):
+    """Sin drift with the noise 0.5 u + 0.1 u^2, so sigma_u = 0.5 + 0.2 u is a table."""
+    active = np.arange(depth + 1) < depth
+    return dataclasses.replace(
+        sin_drift_model(depth, initial_state=0.8),
+        sigma=lambda n, x, u: active[n] * (0.5 * u + 0.1 * u**2),
+        sigma_u=lambda n, x, u: active[n] * (0.5 + 0.2 * u),
+    )
+
+
+@pytest.mark.parametrize("q,depth,hurst", CASES)
+@pytest.mark.parametrize("make_model", [
+    lambda depth: sin_drift_model(depth, initial_state=0.8, noise_gain=0.6),
+    quadratic_noise_model,
+], ids=["sin-drift", "quadratic-noise"])
+def test_rho_matches_leaf_oracle(q, depth, hurst, make_model):
+    # rho_n = l_u + E[(p_n + q_n eta_n)(b_u + sigma_u xi_n) | n]: the library's
+    # (p, q) lifted to the leaves, with the oracle's own xi, eta and contraction
+    lat = lattice_for_hurst(hurst, depth, q)
+    model = make_model(depth)
+    u = random_control(lat, depth, np.random.default_rng(13), scale=0.7)
+    x, adj = smp.solve_adjoint(model, u, lat, lat.basis)
+    rho = smp_residual(model, u, adj, lat, lat.basis)
+
+    oracle = LeafOracle(q, depth, hurst)
+    for n in range(depth):
+        at = oracle.prefix(n)
+        xn, un = x[n].values[at], u[n].values[at]
+        b_u, sigma_u, l_u = (np.broadcast_to(getattr(model, name)(n, xn, un), un.shape)
+                             for name in ("b_u", "sigma_u", "l_u"))
+        pq = adj.y[n].values[at] + adj.z[n].values[at] * oracle.eta[:, n]
+        terms = pq * (b_u + sigma_u * oracle.xi[:, n])
+        want = oracle.condexp(terms, n) + l_u
+        scale = max(1.0, float(np.max(np.abs(terms))), float(np.max(np.abs(l_u))))
+        np.testing.assert_allclose(rho[n].values[at], want, rtol=0.0, atol=1e-13 * scale)
 
 
 @pytest.mark.parametrize("q,depth,hurst", CASES_H07)

@@ -7,6 +7,7 @@ the contraction-based condexp implementation.
 
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -129,6 +130,39 @@ class TestLatticeConstruction:
         # every q >= 2 meets the path cap first
         with pytest.raises(LatticeTooLarge, match=rf"2\^{MAX_DEPTH + 1} exceeds"):
             lattice_for_hurst(0.7, MAX_DEPTH + 1, 2)
+
+    @pytest.mark.parametrize("depth", [True, 3.0, np.float64(3.0), "3", None])
+    def test_depth_must_be_an_integer(self, depth):
+        basis = whiten(fgn_covariance(0.7, 4))
+        message = f"depth must be an integer, got {depth!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lattice_for_hurst(0.7, depth, 3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseLattice(depth, gauss_hermite(3), basis)
+
+    @pytest.mark.parametrize("order", [True, False, 3.0, np.bool_(True)])
+    def test_order_must_be_an_integer(self, order):
+        message = f"quadrature order must be an int in [1, 16], got {order!r}"
+        with pytest.raises(UnsupportedOrder, match=f"^{re.escape(message)}$"):
+            lattice_for_hurst(0.7, 3, order)
+        with pytest.raises(UnsupportedOrder, match=f"^{re.escape(message)}$"):
+            gauss_hermite(order)
+
+    @pytest.mark.parametrize("size", [True, 4.0, np.float64(4.0)])
+    def test_covariance_size_must_be_an_integer(self, size):
+        message = f"size must be an integer, got {size!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fgn_covariance(0.7, size)
+
+    def test_numpy_integers_are_sizes(self):
+        lat = lattice_for_hurst(0.7, np.int64(3), np.int32(3))
+        assert (type(lat.depth), lat.depth, type(lat.rule.q), lat.rule.q) == (int, 3, int, 3)
+        assert lat.basis.b_mat.tobytes() == lattice_for_hurst(0.7, 3, 3).basis.b_mat.tobytes()
+        cov = fgn_covariance(0.7, np.int16(4))
+        assert (type(cov.size), cov.size) == (int, 4)
+        # a numpy power would wrap: 3^40 > 2^63, and the cap read it as negative
+        with pytest.raises(LatticeTooLarge, match=r"3\^40 exceeds"):
+            lattice_for_hurst(0.7, np.int64(40), 3)
 
     def test_probabilities_sum_to_one(self):
         # every (q, depth) pair under the path cap
@@ -470,6 +504,15 @@ class TestSamplePaths:
             sample_paths(basis, 5, 10, seed=0)
         with pytest.raises(ValueError):
             sample_paths(basis, 4, 0, seed=0)
+
+    @pytest.mark.parametrize("value", [True, 2.0])
+    def test_horizon_and_count_must_be_integers(self, value):
+        # each raised numpy's bare TypeError
+        basis = whiten(fgn_covariance(0.7, 4))
+        with pytest.raises(ValueError, match=re.escape(f"horizon must be an integer, got {value!r}")):
+            sample_paths(basis, value, 10, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"count must be an integer, got {value!r}")):
+            sample_paths(basis, 4, value, seed=0)
 
     @pytest.mark.parametrize("seed", [1.5, -1, 2**64, True, "1", np.float64(1.0), None])
     def test_seed_outside_uint64_rejected(self, seed):
