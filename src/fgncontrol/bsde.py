@@ -114,7 +114,7 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
             projected += g * _mean(lat, s)
         y_n, z_n = _moments(lat, projected, 2)
         for name, val in (("Y", y_n), ("Z", z_n)):
-            if not np.all(np.isfinite(val)):
+            if not np.isfinite(val).all():
                 raise NonFiniteValue(f"{name}_{n} is non-finite")
         y.append(AdaptedValue(lat, n, _frozen(y_n)))
         z.append(AdaptedValue(lat, n, _frozen(z_n)))
@@ -132,7 +132,7 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
 def _driver_table(lat: NoiseLattice, s: int, raw) -> np.ndarray:
     """A driver's output (adapted value, array or scalar) as a level-s table."""
     raw = raw.at_level(s).values if isinstance(raw, AdaptedValue) else raw
-    return np.broadcast_to(np.asarray(raw, dtype=np.float64), (lat.level_size(s),))
+    return np.broadcast_to(np.asarray(raw, dtype=np.float64), (lat.rule.q**s,))
 
 
 def residual_orthogonality(sol: BsdeSolution, lat: NoiseLattice) -> tuple[float, float]:

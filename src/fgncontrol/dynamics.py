@@ -55,7 +55,7 @@ class Unconstrained:
         return np.asarray(values, dtype=np.float64)
 
     def contains(self, values: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(values)))
+        return bool(np.isfinite(values).all())
 
     def __repr__(self):
         return "Unconstrained()"
@@ -83,9 +83,9 @@ class Box:
     def contains(self, values: np.ndarray) -> bool:
         values = np.asarray(values)
         return bool(
-            np.all(np.isfinite(values))
-            and np.all(values >= self.lower - _ZERO_TOL)
-            and np.all(values <= self.upper + _ZERO_TOL)
+            np.isfinite(values).all()
+            and (values >= self.lower - _ZERO_TOL).all()
+            and (values <= self.upper + _ZERO_TOL).all()
         )
 
 
@@ -276,11 +276,22 @@ def random_control(
 
 
 def _stage_value(lat, level, raw) -> np.ndarray:
-    """A coefficient's output as a contiguous level-`level` table, checked finite."""
-    out = np.ascontiguousarray(np.broadcast_to(np.asarray(raw, float), lat.level_size(level)))
-    if not np.all(np.isfinite(out)):
+    """A coefficient's output as a read-only contiguous level-`level` table, checked finite.
+
+    A C-contiguous float64 table of the level's q^level entries, what a
+    vectorised coefficient returns on level-n operands, is shared through a
+    read-only view; a scalar, a size-1 output or any other array is broadcast
+    and copied.  `level` comes from the caller's own stage loop, unchecked.
+    """
+    size = lat.rule.q**level
+    if (isinstance(raw, np.ndarray) and raw.dtype == np.float64
+            and raw.shape == (size,) and raw.flags.c_contiguous):
+        out = raw.view()
+    else:
+        out = np.ascontiguousarray(np.broadcast_to(np.asarray(raw, float), size))
+    if not np.isfinite(out).all():
         raise NonFiniteValue(f"coefficient produced non-finite values at level {level}")
-    return out
+    return _frozen(out)
 
 
 def _factor(lat, level, raw) -> np.ndarray:
@@ -360,10 +371,10 @@ def _cost_tables(model: ModelSpec, lat: NoiseLattice, u, x):
     n_final = model.horizon
     for n in range(n_final):
         yield _stage_value(lat, n, model.l(n, x[n], u[n]))
-    parents = np.empty(lat.level_size(n_final - 1))
+    parents = np.empty(lat.rule.q ** (n_final - 1))
     for part, leaves in _blocks(lat, x[n_final]):
         phi = np.broadcast_to(np.asarray(model.phi(leaves.reshape(-1)), float), leaves.size)
-        if not np.all(np.isfinite(phi)):
+        if not np.isfinite(phi).all():
             raise NonFiniteValue(f"coefficient produced non-finite values at level {n_final}")
         parents[part] = _contract(lat, phi)
     yield parents
@@ -375,7 +386,7 @@ def _total_cost(lat: NoiseLattice, tables) -> float:
     level N-1.  NonFiniteValue names the stage where the sum overflowed."""
     total, n = 0.0, 0
     for table in tables:  # not `enumerate`, whose cached tuple would hold it
-        total += _expect(lat, table, n - (table.size < lat.level_size(n)))
+        total += _expect(lat, table, n - (table.size < lat.rule.q**n))
         del table  # not held while the generator builds the next table
         if not np.isfinite(total):
             raise NonFiniteValue(f"cost became non-finite at stage {n}")

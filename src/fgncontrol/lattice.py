@@ -263,9 +263,9 @@ def _moments(lat: NoiseLattice, table: np.ndarray, k: int) -> tuple[np.ndarray, 
     """E[table eta_n^j | level n] for j < k (k <= 3) of a level-(n+1) table;
     of a constant c (a 0-d table), the scalars c sum_i w_i eta_i^j."""
     if np.ndim(table) == 0:
-        return tuple(table * w.sum() for w in lat._moment_weights[:k])
+        return tuple([table * w.sum() for w in lat._moment_weights[:k]])
     blocks = table.reshape(-1, lat.rule.q)
-    return tuple(blocks @ w for w in lat._moment_weights[:k])
+    return tuple([blocks @ w for w in lat._moment_weights[:k]])
 
 
 def _affine(m, c):
@@ -340,14 +340,15 @@ def _children(lat: NoiseLattice, n: int, base: np.ndarray, scale, what: str) -> 
     value raises NonFiniteValue: "`what` became non-finite at stage n + 1".
     """
     mean, shift = _mean(lat, n), lat.basis.b_mat[n, n] * lat.rule.nodes
-    scale = np.broadcast_to(scale, base.shape)
+    if np.shape(scale) != base.shape:
+        scale = np.broadcast_to(scale, base.shape)
     out = np.empty((*base.shape[:-1], base.shape[-1] * lat.rule.q))
     for part, block in _blocks(lat, out):
         for j, shift_j in enumerate(shift):
             col = block[..., j]
             np.multiply(scale[..., part], mean[part] + shift_j, out=col)
             col += base[..., part]
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteValue(f"{what} became non-finite at stage {n + 1}")
     return _frozen(out)
 

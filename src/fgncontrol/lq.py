@@ -68,7 +68,7 @@ class LqSpec:
             arr = np.array(getattr(self, name), dtype=np.float64).reshape(-1)
             if arr.shape != (self.horizon,):
                 raise InvalidSpec(f"{name} must have length {self.horizon}, got {arr.shape[0]}")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise InvalidSpec(f"{name} contains non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -225,7 +225,7 @@ def _batch_costs(spec: LqSpec, lat: NoiseLattice, start: float, controls) -> np.
     del drift, vol
     terminal = 0.5 * spec.G * _product(_moments(lat, 1.0, 3), c, c)
     total += _contract(lat, terminal.reshape(-1), last)
-    if not np.all(np.isfinite(total)):
+    if not np.isfinite(total).all():
         raise NonFiniteValue("cost is non-finite")
     return total
 

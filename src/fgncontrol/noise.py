@@ -136,7 +136,7 @@ def custom_covariance(entries) -> CovarianceSpec:
     sigma = np.array(entries, dtype=np.float64)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise NotSymmetric(f"covariance must be square, got shape {sigma.shape}")
-    if not np.all(np.isfinite(sigma)):
+    if not np.isfinite(sigma).all():
         raise NotSymmetric("covariance contains non-finite entries")
     scale = max(1.0, float(np.max(np.abs(sigma))))
     if float(np.max(np.abs(sigma - sigma.T))) > _SYMMETRY_TOL * scale:

@@ -16,11 +16,11 @@ field becomes a NUL-padded fixed-width byte matrix, built position by
 position, and the NULs are dropped from the finished text.  Floats go
 through `_float_field`, a `%.17g` kernel in plain float64 arithmetic
 whose output equals Python's formatting byte for byte; the few values it
-cannot certify, and every value of a chunk under `_SHORT_COLUMN` rows,
-are formatted by `'%.17g' %` one at a time.  The kernel's cost is mostly
-fixed per call, so the float columns of a short chunk (at most
-`_SHARED_VALUES` values in all) share one call; a longer chunk takes one
-call per column.
+cannot certify, and every float of a chunk whose float columns hold
+under `_SHORT_FLOATS` values in all, are formatted by `'%.17g' %` one at
+a time.  The kernel's cost is mostly fixed per call, so the float
+columns of a short chunk (at most `_SHARED_VALUES` values in all) share
+one call; a longer chunk takes one call per column.
 
 Three choices keep the work per chunk down.  `_CHUNK_ROWS` is 2^14 + 64,
 so a full chunk's text rows lie an odd multiple of 64 B apart and do not
@@ -70,9 +70,18 @@ __all__ = [
 # 2^14 B every row of the text maps to the same cache sets, and
 # `text.T.tobytes()` ran about twice as slow.
 _CHUNK_ROWS = 2**14 + 64
-# A chunk shorter than this is formatted value by value: below it,
-# numpy's fixed cost per call outweighs `'%.17g' %` on each value.
+# An integer column of a chunk shorter than this is formatted value by
+# value, by `astype` to text; a longer one goes through `_int_field`.
 _SHORT_COLUMN = 2**8
+# A chunk whose float columns hold fewer values than this in all formats
+# them value by value, `'%.17g' %` on each; at or above it they share one
+# `_float_field` call.  The kernel's cost is mostly fixed per call, so the
+# crossover is a count of values, not of rows.  `_encode_rows` on one
+# piece of [stage, node, float] columns, best of 5 x 50 on a 2-core x86
+# VM, took 162 µs by value vs 180 µs by kernel at 128 rows and 249 vs
+# 189 µs at 200, crossing at about 150 rows; with two float columns it
+# crossed at about 80 rows (183 vs 183 µs).
+_SHORT_FLOATS = 160
 # A chunk whose float columns hold at most this many values in all sends
 # them through one kernel call.  The kernel's cost per value is flat above
 # about 3 000 values, so longer chunks gain nothing from sharing a call and
@@ -261,7 +270,7 @@ def _fill(column: np.ndarray, out: np.ndarray) -> None:
     kind = column.dtype.kind
     if kind == "f":
         column = _float64(column)
-    if kind == "f" and len(column) >= _SHORT_COLUMN:
+    if kind == "f" and len(column) >= _SHORT_FLOATS:
         _float_field(column, out)
     elif kind in "iu" and len(column) >= _SHORT_COLUMN:
         _int_field(column, out)
@@ -283,17 +292,18 @@ def _encode_rows(pieces) -> bytes:
 
     A piece is a run of rows of one block, as a list of columns; every
     piece of a chunk has `None` in the same fields.  A column is joined
-    across the pieces only for its own fill.  In a chunk of at least
-    `_SHORT_COLUMN` rows whose float columns hold at most `_SHARED_VALUES`
-    values in all, those columns share one `_float_field` call, and each
-    copies its rows out of the shared matrix.
+    across the pieces only for its own fill.  In a chunk whose float
+    columns hold from `_SHORT_FLOATS` to `_SHARED_VALUES` values in all,
+    those columns share one `_float_field` call, and each copies its rows
+    out of the shared matrix; below that range each is formatted value by
+    value, above it each takes its own call.
     """
     fields = list(zip(*pieces))
     widths = [0 if parts[0] is None else max(map(_width, parts)) for parts in fields]
     size = sum(map(len, next(parts for parts in fields if parts[0] is not None)))
     floats = [k for k, parts in enumerate(fields) if _is_float(parts[0])]
     shared = {}
-    if floats and _SHORT_COLUMN <= size and len(floats) * size <= _SHARED_VALUES:
+    if floats and _SHORT_FLOATS <= len(floats) * size <= _SHARED_VALUES:
         matrix = np.zeros((_FLOAT_WIDTH, len(floats) * size), np.uint8)
         _float_field(np.concatenate([_float64(_join(fields[k])) for k in floats]), matrix)
         shared = dict(zip(floats, np.split(matrix, len(floats), axis=1)))
@@ -322,13 +332,13 @@ def _write_table(path: str, header: str, blocks) -> None:
     field.  The blocks form one stream of rows, cut into chunks: a chunk
     may hold the tail of one block and the heads of the next ones, and
     only a change in which fields are `None` ends a chunk early.  Empty
-    blocks add nothing.  Within a chunk, float columns of at least
-    `_SHORT_COLUMN` rows go through the `_float_field` kernel, which
-    leaves ties, non-finite values and |x| outside `_CERTIFIED` to
-    `'%.17g' %`; shorter ones are formatted value by value.  Blocks are
-    consumed one at a time, so a generator of blocks holds the columns of
-    the stages that the open chunk reaches, and the text of one chunk is
-    the only other memory the writer holds.
+    blocks add nothing.  Within a chunk whose float columns hold at least
+    `_SHORT_FLOATS` values in all, they go through the `_float_field`
+    kernel, which leaves ties, non-finite values and |x| outside
+    `_CERTIFIED` to `'%.17g' %`; fewer are formatted value by value.
+    Blocks are consumed one at a time, so a generator of blocks holds the
+    columns of the stages that the open chunk reaches, and the text of one
+    chunk is the only other memory the writer holds.
     """
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")

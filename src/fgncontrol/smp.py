@@ -344,24 +344,25 @@ def _stage_derivatives(model: ModelSpec, n: int, x, u) -> np.ndarray:
     Rows run b, sigma, l, five each, shaped as x and u broadcast together:
     (q^n,) for level-n tables, () for scalars.  Second derivatives are the
     central differences of the supplied first derivatives, with the x and u
-    steps of `dynamics._fd_step` taken once.  Raises NonFiniteValue
-    if any entry is non-finite.
+    steps of `dynamics._fd_step` and their widths 2h taken once.  Raises
+    NonFiniteValue if any entry is non-finite.
     """
     hx, hu = _fd_step(x), _fd_step(u)
     x_up, x_down, u_up, u_down = x + hx, x - hx, u + hu, u - hu
+    width_x, width_u = 2 * hx, 2 * hu
 
     def at(fn, xs, us):
         return np.asarray(fn(n, xs, us), float)
 
-    out = np.empty((3, 5, *np.broadcast_shapes(np.shape(x), np.shape(u))))
+    out = np.empty((3, 5, *np.broadcast(x, u).shape))
     for rows, name in zip(out, ("b", "sigma", "l")):
         d_x, d_u = getattr(model, name + "_x"), getattr(model, name + "_u")
         rows[0] = d_x(n, x, u)
         rows[1] = d_u(n, x, u)
-        rows[2] = (at(d_x, x_up, u) - at(d_x, x_down, u)) / (2 * hx)
-        rows[3] = (at(d_u, x, u_up) - at(d_u, x, u_down)) / (2 * hu)
-        rows[4] = (at(d_u, x_up, u) - at(d_u, x_down, u)) / (2 * hx)
-    if not np.all(np.isfinite(out)):
+        rows[2] = (at(d_x, x_up, u) - at(d_x, x_down, u)) / width_x
+        rows[3] = (at(d_u, x, u_up) - at(d_u, x, u_down)) / width_u
+        rows[4] = (at(d_u, x_up, u) - at(d_u, x_down, u)) / width_x
+    if not np.isfinite(out).all():
         raise NonFiniteValue(f"coefficient produced non-finite values at level {n}")
     return out.reshape(15, *out.shape[2:])
 

@@ -16,6 +16,7 @@ from fgncontrol.dynamics import (
     ControlProcess,
     ModelSpec,
     Unconstrained,
+    _stage_value,
     _step,
     constant_control,
     cost,
@@ -443,6 +444,51 @@ class TestChildTablesAcrossNodeBlocks:
             tracemalloc.stop()
         assert len(x) == self.DEPTH + 1
         assert peak - kept <= 1.1 * 8 * big.level_size(self.DEPTH)
+
+    @pytest.mark.parametrize("rows", [(), (2,)], ids=["one_table", "row_axis"])
+    def test_scalar_scale_writes_the_bytes_of_its_full_table(self, big, rows):
+        # a scalar scale is broadcast, a table of the base's shape is read as it is
+        n = self.DEPTH - 1
+        base = np.random.default_rng(14).standard_normal((*rows, big.level_size(n)))
+        scalar = _children(big, n, base, 0.37, "state")
+        full = _children(big, n, base, np.full(base.shape, 0.37), "state")
+        assert scalar.tobytes() == full.tobytes()
+
+
+class TestStageValue:
+    """`_stage_value` shares a contiguous float64 level table and broadcasts or
+    copies anything else; every path returns a read-only table, checked finite."""
+
+    N = 2
+
+    def test_level_table_is_shared_read_only(self, lat):
+        raw = np.random.default_rng(15).standard_normal(lat.level_size(self.N))
+        out = _stage_value(lat, self.N, raw)
+        assert np.shares_memory(out, raw) and out.tobytes() == raw.tobytes()
+        assert not out.flags.writeable and raw.flags.writeable
+
+    @pytest.mark.parametrize("raw", [2.5, np.float64(2.5), np.array([2.5])],
+                             ids=["scalar", "numpy_scalar", "size_one"])
+    def test_scalar_or_size_one_is_broadcast(self, lat, raw):
+        out = _stage_value(lat, self.N, raw)
+        assert out.shape == (lat.level_size(self.N),) and np.all(out == 2.5)
+        assert out.flags.c_contiguous and not out.flags.writeable
+
+    def test_non_contiguous_table_is_copied(self, lat):
+        wide = np.random.default_rng(16).standard_normal(2 * lat.level_size(self.N))
+        out = _stage_value(lat, self.N, wide[::2])
+        assert not np.shares_memory(out, wide) and out.tobytes() == wide[::2].tobytes()
+        assert out.flags.c_contiguous and not out.flags.writeable
+
+    @pytest.mark.parametrize("path", ["scalar", "size_one", "table", "strided"])
+    def test_nan_raises_one_message_on_every_path(self, lat, path):
+        table = np.ones(2 * lat.level_size(self.N))
+        table[4] = np.nan
+        raw = {"scalar": np.nan, "size_one": np.array([np.nan]),
+               "table": table[:lat.level_size(self.N)], "strided": table[::2]}[path]
+        message = f"^coefficient produced non-finite values at level {self.N}$"
+        with pytest.raises(NonFiniteValue, match=message):
+            _stage_value(lat, self.N, raw)
 
 
 class TestVariation:

@@ -4,7 +4,7 @@ Every reference cell is `format(x + 0.0, ".17g")` (17 significant
 digits; adding 0.0 turns -0.0 into 0.0), so each test pins the exact
 bytes of one writer.  The tables mix -0.0, subnormals, large magnitudes
 and values that need all 17 digits.  The depth-2 fixtures stay below
-the writers' short-column threshold, so they exercise the value-by-value
+the writers' short-chunk threshold, so they exercise the value-by-value
 path; the deep cases run the numpy kernel over several chunks.  The
 stage blocks of a file form one stream of rows, so the last cases cut
 chunks across stage boundaries, mix index widths and empty fields, and
@@ -428,6 +428,22 @@ def test_short_blocks_join_into_one_kernel_chunk(tmp_path, monkeypatch):
     assert_text(read(path), state_reference(lat, list(control)))
     assert len(chunks) == 1
     assert [len(x) for x, _ in kernel] == [2 * sum(sizes)]  # value and probability, one call
+
+
+@pytest.mark.parametrize("floats", [1, 2])
+def test_short_floats_counts_values_not_rows(tmp_path, monkeypatch, floats):
+    # 100 rows: one float column is 100 values, formatted value by value;
+    # two are 200, at least _SHORT_FLOATS, and share one kernel call
+    rows = 100
+    assert rows < reporting._SHORT_FLOATS <= 2 * rows
+    values = [np.random.default_rng(37 + k).standard_normal(rows) for k in range(floats)]
+    header = ["node"] + [f"v{k}" for k in range(floats)]
+    kernel = count_calls(monkeypatch, "_float_field")
+    path = str(tmp_path / "t.csv")
+    reporting._write_table(path, ",".join(header), [(range(rows), *values)])
+    want = [(k, *map(g, row)) for k, row in enumerate(zip(*values))]
+    assert_text(read(path), reference(header, want))
+    assert [len(x) for x, _ in kernel] == ([] if floats == 1 else [floats * rows])
 
 
 def test_index_width_changes_inside_a_chunk(tmp_path):

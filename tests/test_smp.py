@@ -6,6 +6,9 @@ adjoint route to dJ/deps are computed independently and must coincide to
 """
 
 import dataclasses
+import importlib.util
+import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -46,6 +49,16 @@ from fgncontrol.smp import (
     smp_residual,
     solve_adjoint,
 )
+
+
+def _load_bench_workloads():
+    """`bench/workloads.py`, loaded by path once: the benchmark's reference values."""
+    if "bench_workloads" not in sys.modules:
+        path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        sys.modules["bench_workloads"] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # its dataclasses look themselves up there
+    return sys.modules["bench_workloads"]
 
 
 def shift(u: ControlProcess, v: ControlProcess, t: float) -> ControlProcess:
@@ -736,6 +749,22 @@ class TestOptimize:
         # J non-increasing along the trace
         costs = [pt.cost for pt in result.trace]
         assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
+
+    @pytest.mark.parametrize("horizon, iterations", [(3, 9), (4, 2), (5, 1)])
+    def test_sin_drift_path_is_pinned(self, horizon, iterations):
+        # optimize-small's solves: the iteration count, every accepted step
+        # length at N = 3 and J to 1e-14 of the benchmark's reference, so a
+        # change meant to keep the bits cannot move the line search unseen
+        workloads = _load_bench_workloads()
+        lat = lattice_for_hurst(workloads.HURST, horizon, 3)
+        model = sin_drift_model(horizon, initial_state=1.0, noise_gain=0.5)
+        result = optimize(model, constant_control(lat, horizon, 0.0), lat, tol=1e-8)
+        assert result.converged and result.iterations == iterations
+        if horizon == 3:
+            steps = [0.0, 1.0, 1 / 16, 1 / 2, 1 / 4, 1.0, 1 / 8, 1.0, 1.0, 1.0]
+            assert [pt.step for pt in result.trace] == steps
+        want = workloads.OPTIMIZE_REFERENCE_J[horizon]
+        assert abs(result.cost - want) <= 1e-14 * abs(want)
 
     def test_stationary_point_passes_necessity(self, lat):
         model = sin_drift_model(3, initial_state=1.0)
