@@ -39,6 +39,7 @@ import numpy as np
 from .dynamics import ControlProcess, ModelSpec, StateProcess, _check_on, _factor, _stage_value
 from .errors import DepthMismatch, NonFiniteValue
 from .lattice import AdaptedValue, NoiseLattice, _blocks, _frozen, _mean, _moments
+from .noise import _count
 
 Driver = Callable[[int, AdaptedValue, AdaptedValue], AdaptedValue | float | np.ndarray]
 
@@ -59,8 +60,7 @@ class DriverSpec:
     g: Driver
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        object.__setattr__(self, "horizon", _count(self.horizon, "horizon"))
         if self.terminal.level != self.horizon:
             raise DepthMismatch(
                 f"terminal data at level {self.terminal.level}, expected {self.horizon}"

@@ -73,7 +73,9 @@ def cmd_whiten(args) -> int:
     if args.cov_file is not None:
         if args.steps is not None:
             raise ConfigError("--steps cannot be combined with --cov-file")
-        cov = custom_covariance(reporting.read_matrix_csv(args.cov_file))
+        entries = reporting.read_matrix_csv(args.cov_file)
+        with configs._naming(args.cov_file):
+            cov = custom_covariance(entries)
     else:
         if args.steps is None:
             raise ConfigError("--hurst requires --steps")

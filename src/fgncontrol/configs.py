@@ -8,7 +8,8 @@ runs or any leaf-sized table is built.
 
 Validation here is structural: key sets, types, and array lengths.
 Value ranges (Hurst index, quadrature order, weight signs, box bounds)
-are enforced by the domain constructors so the rules live in one place.
+are enforced by the domain constructors so the rules live in one place;
+`_naming` prefixes a fault they raise with the file (and key) it came from.
 The one exception is the horizon: it is checked against `MAX_DEPTH`
 first, because whitening and a model's guards cost O(horizon) or more.
 Unknown keys are rejected everywhere.
@@ -16,6 +17,7 @@ Unknown keys are rejected everywhere.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 
@@ -101,16 +103,25 @@ def _horizon(obj: dict, where: str) -> int:
     return horizon
 
 
-def _lattice(obj: dict, horizon: int, where: str) -> NoiseLattice:
-    """The depth-`horizon` lattice of the config's `hurst` and `quadrature_order`.
-
-    A lattice fault (Hurst index, order, path cap) keeps its class and its
-    message, prefixed with `where` as every other config fault is."""
-    hurst, order = _number(obj, "hurst", where), _integer(obj, "quadrature_order", where)
+@contextlib.contextmanager
+def _naming(where: str):
+    """A domain fault raised inside, a ValueError of any class, keeps its class
+    and its message, prefixed with `where` as every config fault is; a
+    ConfigError names its place already and passes unchanged."""
     try:
-        return lattice_for_hurst(hurst, horizon, order)
+        yield
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise type(exc)(f"{where}: {exc}") from None
+
+
+def _lattice(obj: dict, horizon: int, where: str) -> NoiseLattice:
+    """The depth-`horizon` lattice of the config's `hurst` and `quadrature_order`;
+    a lattice fault (Hurst index, order, path cap) names `where`."""
+    hurst, order = _number(obj, "hurst", where), _integer(obj, "quadrature_order", where)
+    with _naming(where):
+        return lattice_for_hurst(hurst, horizon, order)
 
 
 def _number_list(obj: dict, key: str, length: int, where: str) -> np.ndarray:
@@ -128,9 +139,10 @@ def _parse_control_set(value, where: str):
         bounds = value["box"]
         if not isinstance(bounds, list) or len(bounds) != 2:
             raise ConfigError(f"{where}.control_set: box must be [lower, upper]")
-        return Box(*(
-            _finite(v, f"box[{i}]", f"{where}.control_set") for i, v in enumerate(bounds)
-        ))
+        with _naming(f"{where}.control_set"):
+            return Box(*(
+                _finite(v, f"box[{i}]", f"{where}.control_set") for i, v in enumerate(bounds)
+            ))
     raise ConfigError(
         f'{where}: control_set must be "unconstrained" or {{"box": [lo, hi]}}'
     )
@@ -193,7 +205,8 @@ def parse_model_config(obj, where: str = "config") -> ModelConfig:
     initial_state = _number(obj, "initial_state", where)
     control_set = _parse_control_set(obj["control_set"], where)
     lattice = _lattice(obj, horizon, where)
-    return ModelConfig(model=build(initial_state, control_set), lattice=lattice)
+    with _naming(where):
+        return ModelConfig(model=build(initial_state, control_set), lattice=lattice)
 
 
 def load_model_config(path: str) -> ModelConfig:
@@ -221,7 +234,8 @@ def parse_lq_config(obj, where: str = "config") -> LqConfig:
         **{name: _number_list(obj, name, horizon, where) for name in _LQ_COEFFS},
     )
     lattice = _lattice(obj, horizon, where)
-    return LqConfig(spec=LqSpec(horizon=horizon, **fields), lattice=lattice)
+    with _naming(where):
+        return LqConfig(spec=LqSpec(horizon=horizon, **fields), lattice=lattice)
 
 
 def load_lq_config(path: str) -> LqConfig:

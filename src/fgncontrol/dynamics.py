@@ -40,6 +40,7 @@ from .lattice import (
     _expect,
     _frozen,
 )
+from .noise import _count
 
 _SPOT_POINTS = 16
 _FD_REL_TOL = 1e-5
@@ -139,8 +140,7 @@ class ModelSpec:
     control_set: Unconstrained | Box = field(default_factory=Unconstrained)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        object.__setattr__(self, "horizon", _count(self.horizon, "horizon"))
         if not np.isfinite(self.initial_state):
             raise NonFiniteValue("initial state must be finite")
         x, u = self._spot_points()
@@ -255,7 +255,7 @@ class StateProcess(_StagedProcess):
 
 
 def constant_control(lat: NoiseLattice, horizon: int, value: float) -> ControlProcess:
-    return ControlProcess(lat.constant(value, n) for n in range(horizon))
+    return ControlProcess(lat.constant(value, n) for n in range(_count(horizon, "horizon")))
 
 
 def random_control(
@@ -267,7 +267,7 @@ def random_control(
 ) -> ControlProcess:
     """Adapted control with independent N(0, scale^2) node values."""
     stages = []
-    for n in range(horizon):
+    for n in range(_count(horizon, "horizon")):
         vals = scale * rng.standard_normal(lat.level_size(n))
         if control_set is not None:
             vals = control_set.project(vals)
@@ -447,13 +447,14 @@ def sin_drift_model(
     """Nonlinear benchmark: b = sin(x) + u, sigma = noise_gain * u, l = u^2 / 2,
     terminal cost x^2 / 2.  Smooth, non-quadratic, control-dependent noise."""
     c = float(noise_gain)
-    n_final = int(horizon)
+    if not np.isfinite(c):
+        raise ValueError(f"noise_gain must be finite, got {c}")
 
     def active(n):
-        return 1.0 if n < n_final else 0.0
+        return 1.0 if n < horizon else 0.0
 
     return ModelSpec(
-        horizon=n_final,
+        horizon=horizon,
         initial_state=initial_state,
         b=lambda n, x, u: active(n) * (np.sin(x) + u),
         sigma=lambda n, x, u: active(n) * c * u,

@@ -34,6 +34,7 @@ from .dynamics import (
 )
 from .errors import DepthMismatch, InvalidSpec, NonFiniteValue, NotConverged, WrongHorizon
 from .lattice import NoiseLattice, _children, _chunks, _contract, _moments, _product, _stage_factor
+from .noise import _count
 from .smp import SmpResidual, _backward_pass, _certify, _rollout
 
 # Leaf budget of one stacked certificate pass: rows * q^N stays within it
@@ -62,8 +63,7 @@ class LqSpec:
     x: float
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise InvalidSpec(f"horizon must be >= 1, got {self.horizon}")
+        object.__setattr__(self, "horizon", _count(self.horizon, "horizon"))
         for name in ("A", "B", "C", "D", "Q", "R"):
             arr = np.array(getattr(self, name), dtype=np.float64).reshape(-1)
             if arr.shape != (self.horizon,):

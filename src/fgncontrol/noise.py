@@ -27,30 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, NotSymmetric
+from .errors import InvalidSpec, NotPositiveDefinite, NotSymmetric
 
 # Pivot floor for the Cholesky recursion.  At or below this the matrix is
 # treated as numerically singular.
 PIVOT_TOL = 1e-12
 
 _SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HurstParameter:
-    """Hurst index of the driving fractional noise, 0 < h < 1."""
-
-    h: float
-
-    def __post_init__(self):
-        h = float(self.h)
-        if not np.isfinite(h) or not 0.0 < h < 1.0:
-            raise ValueError(f"Hurst index must lie in (0, 1), got {self.h!r}")
-        object.__setattr__(self, "h", h)
-
-
-def _as_hurst(h) -> HurstParameter:
-    return h if isinstance(h, HurstParameter) else HurstParameter(float(h))
 
 
 @dataclass(frozen=True)
@@ -97,12 +80,13 @@ class WhiteningBasis:
 
 
 def _count(value, name: str) -> int:
-    """`value`, an int or numpy integer >= 1, as an int; else ValueError naming
-    it.  A bool or a float is not a count."""
+    """`value`, an int or numpy integer >= 1, as an int; else InvalidSpec (a
+    ValueError) naming it.  A bool or a float is not a count.  Every public
+    stage count, depth, size and path count goes through this one rule."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
     if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+        raise InvalidSpec(f"{name} must be >= 1, got {value}")
     return int(value)
 
 
@@ -111,12 +95,15 @@ def fgn_covariance(h, size: int) -> CovarianceSpec:
 
     Parameters
     ----------
-    h : HurstParameter or float in (0, 1).
+    h : Hurst index, a real number in (0, 1); anything else, NaN included,
+        raises ValueError.
     size : number of increments, an integer >= 1.
     """
-    hp = _as_hurst(h)
+    hurst = float(h)
+    if not 0.0 < hurst < 1.0:
+        raise ValueError(f"Hurst index must lie in (0, 1), got {hurst!r}")
     size = _count(size, "size")
-    two_h = 2.0 * hp.h
+    two_h = 2.0 * hurst
     d = np.arange(size, dtype=np.float64)
     # Stationary: entry depends on |n - m| only.
     row = 0.5 * (

@@ -70,9 +70,6 @@ __all__ = [
 # 2^14 B every row of the text maps to the same cache sets, and
 # `text.T.tobytes()` ran about twice as slow.
 _CHUNK_ROWS = 2**14 + 64
-# An integer column of a chunk shorter than this is formatted value by
-# value, by `astype` to text; a longer one goes through `_int_field`.
-_SHORT_COLUMN = 2**8
 # A chunk whose float columns hold fewer values than this in all formats
 # them value by value, `'%.17g' %` on each; at or above it they share one
 # `_float_field` call.  The kernel's cost is mostly fixed per call, so the
@@ -272,7 +269,7 @@ def _fill(column: np.ndarray, out: np.ndarray) -> None:
         column = _float64(column)
     if kind == "f" and len(column) >= _SHORT_FLOATS:
         _float_field(column, out)
-    elif kind in "iu" and len(column) >= _SHORT_COLUMN:
+    elif kind in "iu":
         _int_field(column, out)
     else:
         if kind == "f":
@@ -397,9 +394,10 @@ def read_matrix_csv(path: str) -> np.ndarray:
     """Inverse of write_matrix_csv; size inferred from the largest index.
 
     The file is read as UTF-8.  Raises ConfigError on a byte that is not
-    UTF-8, on schema violations, on a repeated (n, k) and on an index above
-    MAX_DEPTH: the largest covariance a lattice whitens has MAX_DEPTH + 1
-    increments.  OSError propagates.
+    UTF-8, on schema violations, on a value that is not finite, on a
+    repeated (n, k) and on an index above MAX_DEPTH: the largest
+    covariance a lattice whitens has MAX_DEPTH + 1 increments.  OSError
+    propagates.
     """
     with _utf8_text(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -417,6 +415,8 @@ def read_matrix_csv(path: str) -> np.ndarray:
                 n, k, value = int(row[0]), int(row[1]), float(row[2])
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}: line {lineno}: value must be finite, got {row[2]!r}")
             if n < 0 or k < 0:
                 raise ConfigError(f"{path}: line {lineno}: negative index")
             if max(n, k) > MAX_DEPTH:

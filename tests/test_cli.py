@@ -656,8 +656,13 @@ class TestUserInputFaults:
              f"line 3: index {MAX_DEPTH + 1} exceeds the cap of {MAX_DEPTH}"),
             ("n,k,value\n0,0,1\n0,0,2\n", "line 3: entry (0, 0) repeated"),
             ("n,k,value\n", "no matrix entries"),
+            ("n,k,value\n0,0,nan\n", "line 2: value must be finite, got 'nan'"),
+            ("n,k,value\n0,0,-inf\n", "line 2: value must be finite, got '-inf'"),
+            ("n,k,value\n0,0,1e999\n", "line 2: value must be finite, got '1e999'"),
+            ("n,k,value\n0,0,1\n0,1,0.5\n1,1,1\n", "covariance is not symmetric"),
         ],
-        ids=["empty", "header", "fields", "number", "negative", "cap", "repeated", "no-entries"],
+        ids=["empty", "header", "fields", "number", "negative", "cap", "repeated", "no-entries",
+             "nan", "inf", "overflow", "asymmetric"],
     )
     def test_whiten_cov_file(self, tmp_path, capsys, text, message):
         path = tmp_path / "cov.csv"
@@ -708,14 +713,30 @@ class TestUserInputFaults:
             ("optimize", dict(MODEL_CONFIG, model={"c": 0.5}), ".model", "missing key 'type'"),
             ("optimize", dict(MODEL_CONFIG, model={"type": "cubic"}), ".model",
              "type must be \"sin_drift\" or \"lq\", got 'cubic'"),
+            # faults of the domain constructors, LqSpec and Box
+            ("lq", dict(LQ_CONFIG, R=[-1.0, 1.2]), "", "control weights require R_n > 0"),
+            ("optimize", dict(MODEL_CONFIG, model={
+                "type": "lq", "G": 1.1, **{k: LQ_CONFIG[k] for k in "ABCDQ"}, "R": [-1.0, 1.2],
+            }), "", "control weights require R_n > 0"),
+            ("optimize", dict(MODEL_CONFIG, control_set={"box": [1, 0]}), ".control_set",
+             "need lower < upper, got [1.0, 0.0]"),
         ],
         ids=["not-object", "missing-key", "not-number", "not-integer", "list-length",
-             "box-shape", "control-set", "model-type-missing", "model-type"],
+             "box-shape", "control-set", "model-type-missing", "model-type",
+             "lq-weights", "model-lq-weights", "box-bounds"],
     )
     def test_config(self, tmp_path, capsys, command, config, where, message):
         path = write_json_file(tmp_path / "config.json", config)
         assert run(command, "--config", path, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == f"error: {path}{where}: {message}\n"
+
+    def test_whiten_singular_cov_file(self, tmp_path, capsys):
+        # custom_covariance's NotPositiveDefinite keeps its exit status 3
+        path = tmp_path / "cov.csv"
+        path.write_text("n,k,value\n0,0,1\n0,1,1\n1,0,1\n1,1,1\n")
+        assert run("whiten", "--cov-file", path, "--out", tmp_path / "o") == 3
+        message = "pivot 0.000e+00 at step 1 is below tolerance 1e-12"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize(
         "row, message",

@@ -4,6 +4,7 @@ Each test builds the one faulty object or trial that reaches its raise
 and asserts the class and the whole message.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -17,17 +18,20 @@ from fgncontrol.dynamics import (
     StateProcess,
     constant_control,
     forward,
+    random_control,
     sin_drift_model,
 )
 from fgncontrol.errors import (
     DepthMismatch,
     DualityMismatch,
+    InvalidSpec,
     NonFiniteValue,
     NotSymmetric,
     OutOfControlSet,
 )
-from fgncontrol.lattice import NoiseLattice, QuadratureRule, lattice_for_hurst
-from fgncontrol.noise import CovarianceSpec
+from fgncontrol.lattice import NoiseLattice, QuadratureRule, lattice_for_hurst, sample_paths
+from fgncontrol.lq import LqSpec
+from fgncontrol.noise import CovarianceSpec, fgn_covariance
 
 N = 3
 
@@ -73,10 +77,64 @@ def test_rollout_rejects_a_nan_step(lat, box):
         smp._rollout(model, [s.values for s in u], [s.values for s in x], gains, np.nan, lat)
 
 
+# Each public entry that takes a count: (name of the count, build on `lat`
+# with the count, read the stored count back).
+COUNTS = {
+    "NoiseLattice": ("depth", lambda lat, k: NoiseLattice(k, lat.rule, lat.basis),
+                     lambda out: out.depth),
+    "lattice_for_hurst": ("depth", lambda lat, k: lattice_for_hurst(0.7, k, 3),
+                          lambda out: out.depth),
+    "fgn_covariance": ("size", lambda lat, k: fgn_covariance(0.7, k), lambda out: out.size),
+    "sample_paths.horizon": ("horizon", lambda lat, k: sample_paths(lat.basis, k, 2, seed=0),
+                             lambda out: out.xi.shape[1]),
+    "sample_paths.count": ("count", lambda lat, k: sample_paths(lat.basis, 2, k, seed=0),
+                           lambda out: out.xi.shape[0]),
+    "ModelSpec": ("horizon", lambda lat, k: dataclasses.replace(sin_drift_model(N), horizon=k),
+                  lambda out: out.horizon),
+    "sin_drift_model": ("horizon", lambda lat, k: sin_drift_model(k), lambda out: out.horizon),
+    "LqSpec": ("horizon", lambda lat, k: LqSpec(k, *[[0.5] * N] * 6, G=1.0, x=1.0),
+               lambda out: out.horizon),
+    "DriverSpec": ("horizon", lambda lat, k: DriverSpec(k, lat.constant(1.0, N), f=None, g=None),
+                   lambda out: out.horizon),
+    "constant_control": ("horizon", lambda lat, k: constant_control(lat, k, 0.0),
+                         lambda out: out.horizon),
+    "random_control": ("horizon", lambda lat, k: random_control(lat, k, np.random.default_rng(0)),
+                       lambda out: out.horizon),
+}
+
+
+class TestCounts:
+    """Every count goes through `noise._count`: an int or numpy integer >= 1,
+    stored as an int; anything else raises InvalidSpec at construction."""
+
+    @pytest.mark.parametrize("entry", list(COUNTS))
+    @pytest.mark.parametrize("value", [True, 2.0, np.float64(2.0), 0], ids=repr)
+    def test_rejected(self, lat, entry, value):
+        name, build, _ = COUNTS[entry]
+        if value == 0:
+            message = f"{name} must be >= 1, got 0"
+        else:
+            message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(InvalidSpec, match=exactly(message)):
+            build(lat, value)
+
+    @pytest.mark.parametrize("entry", list(COUNTS))
+    def test_numpy_integer_stored_as_int(self, lat, entry):
+        _, build, stored = COUNTS[entry]
+        out = stored(build(lat, np.int64(N)))
+        assert type(out) is int and out == N
+
+
 class TestModelSpec:
     def test_horizon_below_one(self):
         with pytest.raises(ValueError, match=exactly("horizon must be >= 1, got 0")):
             sin_drift_model(0)
+
+    @pytest.mark.parametrize("gain", [np.nan, np.inf])
+    def test_non_finite_noise_gain(self, gain):
+        # a NaN gain used to surface as a nonvanishing sigma at stage N
+        with pytest.raises(ValueError, match=exactly(f"noise_gain must be finite, got {gain}")):
+            sin_drift_model(N, noise_gain=gain)
 
     @pytest.mark.parametrize("x0", [np.nan, np.inf])
     def test_non_finite_initial_state(self, x0):

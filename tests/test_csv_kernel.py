@@ -4,7 +4,7 @@ Every value goes through `_write_table` as one float column, so the
 kernel (`_float_field`), its per-value fallback and the chunking all
 take part; each file must equal `format(x + 0.0, ".17g")` line by line.
 The edge sets come first, so they land in a chunk long enough for the
-kernel rather than the short-column path.  Seeds are fixed.
+kernel rather than the value-by-value path.  Seeds are fixed.
 """
 
 from fractions import Fraction
@@ -130,7 +130,7 @@ def test_chunks_of_one_value_form(tmp_path):
     # exponents included): each skips the exponent rows, the zero
     # fix-ups, or both
     rng = np.random.default_rng(23)
-    size = 2 * reporting._SHORT_COLUMN
+    size = 512
     mantissas = rng.uniform(1.0, 9.9, size) * rng.choice([-1.0, 1.0], size)
     zeros = np.resize([0.0, -0.0], size)
     fixed = mantissas * 10.0 ** rng.integers(-4, 16, size)
@@ -148,10 +148,26 @@ def test_integer_columns_match_percent_d(tmp_path, monkeypatch, extreme):
     # digits are taken in int32 when the column's largest |v| is below 2^31,
     # else in int64
     edges = [0, -1, 10**7, 2**31 - 1] + ([] if extreme is None else [extreme])
-    values = np.resize(np.array(edges, np.int64), 2 * reporting._SHORT_COLUMN)
+    values = np.resize(np.array(edges, np.int64), 512)
     digits, real = [], reporting._digits
     monkeypatch.setattr(reporting, "_digits", lambda v, out: digits.append(v.dtype) or real(v, out))
     path = tmp_path / "k.csv"
     reporting._write_table(str(path), "k", [(values,)])
     assert path.read_bytes() == ("k\n" + "".join("%d\n" % v for v in values.tolist())).encode()
     assert digits == [np.dtype(np.int32 if extreme is None else np.int64)]
+
+
+@pytest.mark.parametrize("rows", [1, 13, 40, 255])
+def test_short_integer_columns_match_percent_d(tmp_path, monkeypatch, rows):
+    # every integer column goes through the kernel, however short its chunk;
+    # negatives and |v| >= 2^31 lead, random magnitudes follow
+    rng = np.random.default_rng(rows)
+    random = rng.integers(-2**40, 2**40, rows) >> rng.integers(0, 40, rows)
+    values = np.concatenate([[-2**33 - 5, 2**31, -1, 0], random])[:rows]
+    kernel = []
+    real = reporting._int_field
+    monkeypatch.setattr(reporting, "_int_field", lambda v, out: kernel.append(len(v)) or real(v, out))
+    path = tmp_path / "k.csv"
+    reporting._write_table(str(path), "k", [(values,)])
+    assert path.read_bytes() == ("k\n" + "".join("%d\n" % v for v in values.tolist())).encode()
+    assert kernel == [rows]

@@ -6,6 +6,7 @@ Brownian motion covariance 0.5*(t^{2h} + s^{2h} - |t-s|^{2h}).
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ import pytest
 from fgncontrol.errors import NotPositiveDefinite, NotSymmetric
 from fgncontrol.noise import (
     CovarianceSpec,
-    HurstParameter,
     WhiteningBasis,
     custom_covariance,
     fgn_covariance,
@@ -44,13 +44,15 @@ LAG1_H07 = 0.3195079107728942
 
 
 class TestHurstParameter:
+    """The Hurst index is checked where it is read, by `fgn_covariance`."""
+
     def test_accepts_interior(self):
-        assert HurstParameter(0.3).h == 0.3
+        assert fgn_covariance(0.3, 2).sigma[0, 1] == 0.5 * (2**0.6 - 2)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, float("nan")])
     def test_rejects_boundary_and_outside(self, bad):
-        with pytest.raises(ValueError):
-            HurstParameter(bad)
+        with pytest.raises(ValueError, match=re.escape(f"Hurst index must lie in (0, 1), got {bad!r}")):
+            fgn_covariance(bad, 2)
 
 
 class TestFgnCovariance:

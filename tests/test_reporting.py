@@ -262,7 +262,7 @@ def test_json_sorted_with_trailing_newline(tmp_path):
     assert_text(read(path), '{\n  "a": 2,\n  "b": 0.5,\n  "c": true\n}\n')
 
 
-# Deep cases: stage blocks above the short-column threshold, several chunks.
+# Deep cases: stage blocks of 256 rows and more, several chunks.
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +276,7 @@ def wide():
 
 
 def test_deep_lattices_reach_the_kernel(deep, wide):
-    assert deep.level_size(7) >= reporting._SHORT_COLUMN
+    assert deep.level_size(7) >= 256
     assert 6 * wide.level_size(6) > 2 * reporting._CHUNK_ROWS  # paths.csv rows
 
 
@@ -420,7 +420,7 @@ def test_short_blocks_join_into_one_kernel_chunk(tmp_path, monkeypatch):
     lat = lattice_for_hurst(0.7, depth=6, order=3)
     control = random_control(lat, 6, np.random.default_rng(35))
     sizes = [lat.level_size(n) for n in range(6)]
-    assert max(sizes) < reporting._SHORT_COLUMN < sum(sizes) < reporting._CHUNK_ROWS
+    assert max(sizes) < 256 < sum(sizes) < reporting._CHUNK_ROWS
     chunks = count_calls(monkeypatch, "_encode_rows")
     kernel = count_calls(monkeypatch, "_float_field")
     path = str(tmp_path / "u.csv")
