@@ -36,7 +36,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import ControlProcess, ModelSpec, StateProcess, _check_on, _factor, _stage_value
+from .dynamics import (
+    ControlProcess, ModelSpec, StateProcess, _check_on, _factor, _stage_value, _zero,
+)
 from .errors import DepthMismatch, NonFiniteValue
 from .lattice import AdaptedValue, NoiseLattice, _blocks, _frozen, _mean, _moments
 from .noise import _count
@@ -146,11 +148,6 @@ def residual_orthogonality(sol: BsdeSolution, lat: NoiseLattice) -> tuple[float,
         worst_mean = max(worst_mean, float(np.max(np.abs(mean))))
         worst_eta = max(worst_eta, float(np.max(np.abs(eta))))
     return worst_mean, worst_eta
-
-
-def _zero(coeff) -> bool:
-    """A 0-d zero coefficient: its term of the adjoint driver is dropped."""
-    return coeff.ndim == 0 and coeff == 0.0
 
 
 def adjoint_driver(model: ModelSpec, u_star: ControlProcess, x_star: StateProcess) -> DriverSpec:

@@ -1,23 +1,28 @@
 """Controlled scalar dynamics on the noise lattice.
 
 The state follows ``X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n``
-with cost ``J(u) = E[sum_n l(n, X_n, u_n) + Phi(X_N)]``.  Stage-N
-coefficients of b, sigma, l and their x-derivatives (the adjoint's
-driver) must vanish identically; the constructor spot checks this, and
-checks every supplied derivative against central finite differences, so
-a mistyped model fails at build time instead of producing a plausible
-wrong gradient later.
+with cost ``J(u) = E[sum_n l(n, X_n, u_n) + Phi(X_N)]``.  A model states
+the first and second derivatives of b, sigma, l and phi; the second ones
+default to 0.  Stage-N coefficients of b, sigma, l and their
+x-derivatives (the adjoint's driver) must vanish identically; the
+constructor spot checks this, and checks every stated derivative against
+central finite differences of what it differentiates, so a mistyped
+model, or one that leaves a nonzero second derivative at its default,
+fails at build time instead of producing a plausible wrong gradient or
+Newton step later.
 
 Coefficient callables receive ``(n, x, u)`` where x and u are dense node
 arrays; they must vectorise (plain numpy expressions do) and may return
 a scalar when the coefficient is constant.  A scalar derivative is never
-expanded to a table: the variation, the adjoint driver and the gradient
-multiply it in as a checked-finite scalar.  J, in `cost` and in every
-solver, reads phi(X_N) only as E[phi | N-1], built by `lattice._blocks` blocks.
+expanded to a table: the variation, the adjoint driver, the gradient and
+the DDP backward pass multiply it in as a checked-finite scalar.  J, in
+`cost` and in every solver, reads phi(X_N) only as E[phi | N-1], built
+by `lattice._blocks` blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,6 +31,7 @@ import numpy as np
 from .errors import (
     DepthMismatch,
     DerivativeMismatch,
+    InvalidSpec,
     LevelMismatch,
     NonFiniteValue,
     OutOfControlSet,
@@ -93,35 +99,47 @@ class Box:
 Coefficient = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 
 
-def _dense(values, size: int) -> np.ndarray:
-    """A coefficient's values as a float64 array of `size` entries; a scalar is broadcast."""
-    return np.broadcast_to(np.asarray(values, dtype=np.float64), (size,))
-
-
 def _fd_step(v) -> np.ndarray:
     """The step of a central difference at v: 1e-6 relative, 1e-6 absolute below |v| = 1."""
     return 1e-6 * np.maximum(1.0, np.abs(v))
+
+
+def _no_term(*_):
+    """The default of every stated second derivative, of b, sigma, l and phi: 0."""
+    return 0.0
+
+
+_VALUES = ("b", "sigma", "l")
+# The stated derivatives of each value, in the guard's and the solver's order.
+_WRT = ("x", "u", "xx", "uu", "xu")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Scalar controlled model over `horizon` stages.
 
-    b, sigma, l and their x/u derivatives are stage coefficients; phi and
-    phi_x act on the terminal state alone.  Construction draws one set of
-    random spot points and runs two guards on them: the stage-`horizon`
-    values of b, sigma, l, b_x, sigma_x and l_x must vanish
-    (TerminalConditionViolated), and each derivative must agree with
-    central differences of its value to 1e-5 relative (DerivativeMismatch).
-    Each guard stacks its stages and derivatives into one array and
-    compares them in one pass; a NaN or infinite stage-N value, stated
-    derivative or difference quotient fails its guard.
+    b, sigma, l and their x/u derivatives are stage coefficients, and so
+    are the second derivatives b_xx, b_uu, b_xu, sigma_xx, ..., l_xu, which
+    default to 0; phi, phi_x and phi_xx (default 0) act on the terminal
+    state alone.  Construction draws one set of random spot points and runs
+    two guards on them: the stage-`horizon` values of b, sigma, l, b_x,
+    sigma_x and l_x must vanish (TerminalConditionViolated), and each stated
+    derivative must agree to 1e-5 relative with central differences of what
+    it differentiates (DerivativeMismatch): a first derivative of its value,
+    _xx and _uu of _x and _u, and _xu the x-difference of _u.  Each guard
+    writes its coefficients' outputs into the rows of one preallocated
+    array, a scalar broadcast by the assignment, and compares them in one
+    pass; a NaN or infinite stage-N value, stated derivative or difference
+    quotient fails its guard, and a non-finite spot value of b, sigma, l or
+    phi raises InvalidSpec naming it.
 
     Any coefficient may return a scalar where it is constant.  A scalar
     derivative is never expanded to a table on the adjoint route
-    (`variation`, `bsde.adjoint_driver`, the gradient rho), and a scalar
-    zero b_x, sigma_x or l_x drops its term from the adjoint driver.
-    J reads phi(X_N) only as E[phi | N-1], by blocks.
+    (`variation`, `bsde.adjoint_driver`, the gradient rho) or in the DDP
+    backward pass, and a scalar zero b_x, sigma_x or l_x drops its term from
+    the adjoint driver, a scalar zero second derivative of b and sigma its
+    term from the backward pass.  J reads phi(X_N) only as E[phi | N-1], by
+    blocks.
     """
 
     horizon: int
@@ -137,6 +155,16 @@ class ModelSpec:
     l_x: Coefficient
     l_u: Coefficient
     phi_x: Callable[[np.ndarray], np.ndarray]
+    b_xx: Coefficient = _no_term
+    b_xu: Coefficient = _no_term
+    b_uu: Coefficient = _no_term
+    sigma_xx: Coefficient = _no_term
+    sigma_xu: Coefficient = _no_term
+    sigma_uu: Coefficient = _no_term
+    l_xx: Coefficient = _no_term
+    l_xu: Coefficient = _no_term
+    l_uu: Coefficient = _no_term
+    phi_xx: Callable[[np.ndarray], np.ndarray] = _no_term
     control_set: Unconstrained | Box = field(default_factory=Unconstrained)
 
     def __post_init__(self):
@@ -144,8 +172,9 @@ class ModelSpec:
         if not np.isfinite(self.initial_state):
             raise NonFiniteValue("initial state must be finite")
         x, u = self._spot_points()
-        self._check_terminal_zero(x, u)
-        self._check_derivatives(x, u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._check_terminal_zero(x, u)
+            self._check_derivatives(x, u)
 
     def _spot_points(self):
         rng = np.random.default_rng(1729)
@@ -158,45 +187,64 @@ class ModelSpec:
     def _check_terminal_zero(self, x, u):
         n = self.horizon
         names = ("b", "sigma", "l", "b_x", "sigma_x", "l_x")
-        vals = np.stack([_dense(getattr(self, name)(n, x, u), x.size) for name in names])
-        bad = ~np.all(np.abs(vals) <= _ZERO_TOL, axis=1)  # NaN fails too
+        vals = np.empty((len(names), x.size))
+        for i, name in enumerate(names):
+            vals[i] = getattr(self, name)(n, x, u)
+        bad = ~(np.abs(vals) <= _ZERO_TOL).all(axis=1)  # NaN fails too
         if bad.any():
             raise TerminalConditionViolated(
-                f"{names[np.argmax(bad)]}({n}, x, u) must vanish identically at the final stage"
+                f"{names[bad.argmax()]}({n}, x, u) must vanish identically at the final stage"
             )
 
     def _check_derivatives(self, x, u):
         """Every stated derivative against central differences, in one comparison.
 
-        Per stage each of b, sigma and l is called once, on the spot points
-        stacked as (x + h, u), (x - h, u), (x, u + h) and (x, u - h); phi on
-        x ± h.  The first failing (stage, derivative) pair, stages in order
-        and b_x, b_u, sigma_x, sigma_u, l_x, l_u within one, raises
-        DerivativeMismatch; a non-finite derivative or difference fails.
+        The spot points are stacked as (x + h, u), (x - h, u), (x, u + h),
+        (x, u - h) and (x, u).  Per stage each of b, sigma and l and its
+        stated _x and _u are called once on them, and its stated _xx, _uu and
+        _xu once at (x, u); phi and phi_x on the stacked x, phi_xx on x, as a
+        stage `horizon` whose other rows are 0.  A non-finite value of b,
+        sigma, l or phi at a stacked point raises InvalidSpec naming it and its
+        stage, first stage first.  Otherwise the first failing (stage,
+        derivative) pair, stages in order and _x, _u, _xx, _uu, _xu of b,
+        sigma and l within one, raises DerivativeMismatch; a non-finite
+        derivative or difference fails.
         """
-        s = x.size
+        s, stages = x.size, self.horizon
         hx, hu = _fd_step(x), _fd_step(u)
-        xs = np.concatenate([x + hx, x - hx, x, x])
-        us = np.concatenate([u, u, u + hu, u - hu])
-        names, stated, moved = [], [], []
-        for n in range(self.horizon):
-            for value in ("b", "sigma", "l"):
-                moved.append(_dense(getattr(self, value)(n, xs, us), 4 * s))
-                for wrt in "xu":
-                    names.append((f"{value}_{wrt}", n))
-                    stated.append(_dense(getattr(self, f"{value}_{wrt}")(n, x, u), s))
-        names.append(("phi_x", self.horizon))
-        stated.append(_dense(self.phi_x(x), s))
-        stated, m = np.stack(stated), np.stack(moved).reshape(-1, 4, s)
-        phi = _dense(self.phi(xs[:2 * s]), 2 * s)
-        with np.errstate(invalid="ignore", over="ignore"):
-            fd = np.stack([(m[:, 0] - m[:, 1]) / (2 * hx), (m[:, 2] - m[:, 3]) / (2 * hu)], axis=1)
-            fd = np.concatenate([fd.reshape(-1, s), [(phi[:s] - phi[s:]) / (2 * hx)]])
-            scale = np.maximum(1.0, np.maximum(np.abs(stated), np.abs(fd)))
-            bad = ~np.all(np.abs(stated - fd) / scale <= _FD_REL_TOL, axis=1)  # NaN fails too
+        xs = np.concatenate([x + hx, x - hx, x, x, x])
+        us = np.concatenate([u, u, u + hu, u - hu, u])
+        moved = np.zeros((stages + 1, 3, 3, 5 * s))  # the value, _x and _u at (xs, us)
+        second = np.zeros((stages + 1, 3, 3, s))  # _xx, _uu and _xu at (x, u)
+        for n in range(stages):
+            for i, value in enumerate(_VALUES):
+                for j, name in enumerate((value, f"{value}_x", f"{value}_u")):
+                    moved[n, i, j] = getattr(self, name)(n, xs, us)
+                for j, wrt in enumerate(_WRT[2:]):
+                    second[n, i, j] = getattr(self, f"{value}_{wrt}")(n, x, u)
+        moved[stages, 0, 0] = self.phi(xs)
+        moved[stages, 0, 1] = self.phi_x(xs)
+        second[stages, 0, 0] = self.phi_xx(x)
+
+        def named(n, i):
+            return "phi" if n == stages else _VALUES[i]
+
+        bad = ~np.isfinite(moved[:, :, 0]).all(axis=-1)
         if bad.any():
-            name, n = names[np.argmax(bad)]
-            raise DerivativeMismatch(f"{name} disagrees with finite differences at stage {n}")
+            n, i = np.unravel_index(bad.argmax(), bad.shape)
+            raise InvalidSpec(f"{named(n, i)} is not finite at a spot point of stage {n}")
+        moved = moved.reshape(stages + 1, 3, 3, 5, s)
+        dx = (moved[..., 0, :] - moved[..., 1, :]) / (2 * hx)
+        du = (moved[..., 2, :] - moved[..., 3, :]) / (2 * hu)
+        stated = np.concatenate([moved[:, :, 1:, 4], second], axis=2)  # in _WRT order
+        fd = np.stack([dx[:, :, 0], du[:, :, 0], dx[:, :, 1], du[:, :, 2], dx[:, :, 2]], axis=2)
+        scale = np.maximum(1.0, np.maximum(np.abs(stated), np.abs(fd)))
+        bad = ~(np.abs(stated - fd) / scale <= _FD_REL_TOL).all(axis=-1)  # NaN fails too
+        if bad.any():
+            n, i, j = np.unravel_index(bad.argmax(), bad.shape)
+            raise DerivativeMismatch(
+                f"{named(n, i)}_{_WRT[j]} disagrees with finite differences at stage {n}"
+            )
 
 
 class _StagedProcess:
@@ -296,13 +344,19 @@ def _stage_value(lat, level, raw) -> np.ndarray:
 
 def _factor(lat, level, raw) -> np.ndarray:
     """A coefficient that only multiplies tables, checked finite: a 0-d output
-    stays a float64 scalar, any other becomes `_stage_value`'s level table."""
-    out = np.asarray(raw, float)
+    stays a float64 scalar, any other becomes `_stage_value`'s level table.
+    A Python float, the usual constant, skips numpy's array conversion."""
+    out = np.float64(raw) if type(raw) is float else np.asarray(raw, float)
     if out.ndim:
         return _stage_value(lat, level, out)
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise NonFiniteValue(f"coefficient produced non-finite values at level {level}")
     return out
+
+
+def _zero(coeff) -> bool:
+    """A 0-d zero coefficient from `_factor`: a term it multiplies is dropped."""
+    return coeff.ndim == 0 and coeff == 0.0
 
 
 def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> np.ndarray:
@@ -445,7 +499,9 @@ def sin_drift_model(
     control_set=None,
 ) -> ModelSpec:
     """Nonlinear benchmark: b = sin(x) + u, sigma = noise_gain * u, l = u^2 / 2,
-    terminal cost x^2 / 2.  Smooth, non-quadratic, control-dependent noise."""
+    terminal cost x^2 / 2.  Smooth, non-quadratic, control-dependent noise.
+    Its stated second derivatives are b_xx = -sin(x), l_uu = 1 and phi_xx = 1,
+    every constant one a scalar."""
     c = float(noise_gain)
     if not np.isfinite(c):
         raise ValueError(f"noise_gain must be finite, got {c}")
@@ -467,5 +523,8 @@ def sin_drift_model(
         l_x=lambda n, x, u: 0.0,
         l_u=lambda n, x, u: active(n) * u,
         phi_x=lambda x: x,
+        b_xx=lambda n, x, u: active(n) * -np.sin(x),
+        l_uu=lambda n, x, u: active(n),
+        phi_xx=lambda x: 1.0,
         control_set=control_set if control_set is not None else Unconstrained(),
     )

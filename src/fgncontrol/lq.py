@@ -103,6 +103,9 @@ def _lq_model(spec: LqSpec, control_set) -> ModelSpec:
         l_x=lambda n, x, u: q[n] * x,
         l_u=lambda n, x, u: r[n] * u,
         phi_x=lambda x: g * x,
+        l_xx=lambda n, x, u: q[n],
+        l_uu=lambda n, x, u: r[n],
+        phi_xx=lambda x: g,
         control_set=control_set,
     )
 
@@ -137,9 +140,8 @@ def lq_fixed_point(spec: LqSpec, lat: NoiseLattice) -> LqSolution:
 
     It is the fixed point of u = u - rho / R.  `smp._backward_pass` runs along
     u = 0 and X = 0, the model's path from x0 = 0, where every stage derivative
-    is a constant: b and sigma are linear, and the central differences of
-    l_x = Q x, l_u = R u and phi_x = G x, taken at exactly +-h, give Q_n, R_n
-    and G to an ulp.  There V_x = 0, so k = 0, and K_n = -Q_ux / Q_uu and
+    is a constant: b and sigma are linear, and the model states l_xx = Q_n,
+    l_uu = R_n and phi_xx = G, so the pass reads them exactly.  There V_x = 0, so k = 0, and K_n = -Q_ux / Q_uu and
     V_xx = Q_xx - Q_ux^2 / Q_uu are the Riccati gain and P_n, read off
     E[P eta_n^k | n], k <= 2.  Q_uu = R_n + E[P gamma^2 | n] > 0 for
     gamma = B_n + D_n xi_n, so the step is exact; the constants stay scalars

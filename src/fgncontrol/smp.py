@@ -17,7 +17,8 @@ equals sum_n E[rho_n v_n]; it is computed here by two independent routes
 something upstream is broken and we refuse to continue.  Stationarity of
 a candidate control is classified nodewise against the control set.
 `optimize` takes second-order steps from differential dynamic programming
-on the tree, dividing by Q_uu where it is positive and by max(-Q_uu, 1e-8)
+on the tree, with the second derivatives the model states (no finite
+differences), dividing by Q_uu where it is positive and by max(-Q_uu, 1e-8)
 elsewhere, so that a non-convex node still gets a descent step, with
 Armijo backtracking (step 1 halved up to 40 times, slope constant 1e-4).
 Every route reads the whitening b of the lattice, `lat.basis`.  Its
@@ -41,14 +42,16 @@ from .dynamics import (
     ModelSpec,
     StateProcess,
     BOUNDARY_TOL,
+    _VALUES,
+    _WRT,
     _factor,
-    _fd_step,
     _StagedProcess,
     _check_on,
     _states,
     _cost_tables,
     _step,
     _total_cost,
+    _zero,
     forward,
     variation,
 )
@@ -338,44 +341,27 @@ _SLOPE_CONSTANT = 1e-4
 _MAX_HALVINGS = 40
 
 
-def _stage_derivatives(model: ModelSpec, n: int, x, u) -> np.ndarray:
-    """(_x, _u, _xx, _uu, _ux) of b, sigma and l at stage n: one table of 15 rows.
+_STAGE_DERIVATIVES = tuple(f"{value}_{wrt}" for value in _VALUES for wrt in _WRT)
 
-    Rows run b, sigma, l, five each, shaped as x and u broadcast together:
-    (q^n,) for level-n tables, () for scalars.  Second derivatives are the
-    central differences of the supplied first derivatives, with the x and u
-    steps of `dynamics._fd_step` and their widths 2h taken once.  Raises
-    NonFiniteValue if any entry is non-finite.
-    """
-    hx, hu = _fd_step(x), _fd_step(u)
-    x_up, x_down, u_up, u_down = x + hx, x - hx, u + hu, u - hu
-    width_x, width_u = 2 * hx, 2 * hu
 
-    def at(fn, xs, us):
-        return np.asarray(fn(n, xs, us), float)
-
-    out = np.empty((3, 5, *np.broadcast(x, u).shape))
-    for rows, name in zip(out, ("b", "sigma", "l")):
-        d_x, d_u = getattr(model, name + "_x"), getattr(model, name + "_u")
-        rows[0] = d_x(n, x, u)
-        rows[1] = d_u(n, x, u)
-        rows[2] = (at(d_x, x_up, u) - at(d_x, x_down, u)) / width_x
-        rows[3] = (at(d_u, x, u_up) - at(d_u, x, u_down)) / width_u
-        rows[4] = (at(d_u, x_up, u) - at(d_u, x_down, u)) / width_x
-    if not np.isfinite(out).all():
-        raise NonFiniteValue(f"coefficient produced non-finite values at level {n}")
-    return out.reshape(15, *out.shape[2:])
+def _stage_derivatives(model: ModelSpec, lat: NoiseLattice, n: int, x, u) -> tuple:
+    """The stated (_x, _u, _xx, _uu, _xu) of b, sigma and l at stage n, fifteen
+    values in that order, each through `_factor`: a 0-d output stays a float64
+    scalar, any other becomes a checked level-n table.  Raises NonFiniteValue
+    if any entry is non-finite."""
+    return tuple(_factor(lat, n, getattr(model, name)(n, x, u)) for name in _STAGE_DERIVATIVES)
 
 
 def _backward_pass(model, u, x, lat):
     """DDP gains (k_n, K_n) and the gradient rho_n along (u, X), level-n tables.
 
     u holds the control tables u_0..u_{N-1}, x the state tables X_0..X_N (a
-    scalar is a constant table).  V_x and V_xx start from phi_x and phi_xx at
-    X_N, finite scalars kept as scalars.  Given level n, the derivatives of
-    f = x + b + sigma xi_n are affine in eta_n, so stage n reads Q_x, Q_u,
-    Q_xx, Q_uu, Q_ux (V_x f_xx, f_uu, f_ux included) off the moments of V_x
-    and V_xx and takes the modified Newton step k = -Q_u / c, K = -Q_ux / c
+    scalar is a constant table).  V_x and V_xx start from the model's phi_x
+    and phi_xx at X_N, finite scalars kept as scalars.  Given level n, the
+    derivatives of f = x + b + sigma xi_n are affine in eta_n, so stage n
+    reads Q_x, Q_u, Q_xx, Q_uu, Q_ux (V_x f_xx, f_uu, f_ux included, each
+    from the model's stated second derivatives) off the moments of V_x and
+    V_xx and takes the modified Newton step k = -Q_u / c, K = -Q_ux / c
     with c = Q_uu where Q_uu > 0, else max(-Q_uu, _CURVATURE_FLOOR) (Nocedal &
     Wright, Numerical Optimization, 3.4): where Q_uu <= 0 the step is a descent
     direction, and the curvature of every other node is left exact.  A node
@@ -386,12 +372,7 @@ def _backward_pass(model, u, x, lat):
     stationarity residual.  Returns (gains, rho), both indexed by n.
     """
     n_stages = model.horizon
-    x_final = x[n_stages]
-    h = _fd_step(x_final)
-    phi_xx = (np.asarray(model.phi_x(x_final + h), float)
-              - np.asarray(model.phi_x(x_final - h), float)) / (2 * h)
-    del h  # a leaf-sized table, not to be held through the stages
-    v_x, v_xx = (_factor(lat, n_stages, t) for t in (model.phi_x(x_final), phi_xx))
+    v_x, v_xx = (_factor(lat, n_stages, phi(x[n_stages])) for phi in (model.phi_x, model.phi_xx))
     lam = v_x
     gains, rho = [None] * n_stages, [None] * n_stages
     for n in reversed(range(n_stages)):
@@ -402,19 +383,25 @@ def _backward_pass(model, u, x, lat):
 def _backward_stage(model, lat, n, x, u, v_x, v_xx, lam):
     """Stage n of `_backward_pass`; its temporaries die before stage n - 1's."""
     bx, bu, bxx, buu, bux, sx, su, sxx, suu, sux, lx, lu, lxx, luu, lux = (
-        _stage_derivatives(model, n, x[n], u[n])
+        _stage_derivatives(model, lat, n, x[n], u[n])
     )
-    f_x, f_u, f_xx, f_uu, f_ux = (
-        _stage_factor(lat, n, drift, vol)
-        for drift, vol in ((1.0 + bx, sx), (bu, su), (bxx, sxx), (buu, suu), (bux, sux))
-    )
+    f_x, f_u = _stage_factor(lat, n, 1.0 + bx, sx), _stage_factor(lat, n, bu, su)
     m_x, m_xx = _moments(lat, v_x, 2), _moments(lat, v_xx, 3)
     m_lam = m_x if lam is v_x else _moments(lat, lam, 2)
+
+    def q_second(l_ab, f_a, f_b, drift, vol):
+        """l_ab + E[V_xx f_a f_b + V_x f_ab | n] for f_ab = drift + vol xi_n;
+        a 0-d zero drift and vol drop the V_x f_ab term."""
+        out = _product(m_xx, f_a, f_b)
+        if not (_zero(drift) and _zero(vol)):
+            out = out + _affine(m_x, _stage_factor(lat, n, drift, vol))
+        return l_ab + out
+
     q_x = lx + _affine(m_x, f_x)
     q_u = lu + _affine(m_x, f_u)
-    q_xx = lxx + (_product(m_xx, f_x, f_x) + _affine(m_x, f_xx))
-    q_uu = luu + (_product(m_xx, f_u, f_u) + _affine(m_x, f_uu))
-    q_ux = lux + (_product(m_xx, f_u, f_x) + _affine(m_x, f_ux))
+    q_xx = q_second(lxx, f_x, f_x, bxx, sxx)
+    q_uu = q_second(luu, f_u, f_u, buu, suu)
+    q_ux = q_second(lux, f_u, f_x, bux, sux)
     curvature = np.where(q_uu > 0.0, q_uu, np.maximum(-q_uu, _CURVATURE_FLOOR))
     newton = u[n] - q_u / curvature
     target = model.control_set.project(newton)

@@ -108,6 +108,7 @@ def test_optimize(monkeypatch, q, horizon, control_set):
     model = dataclasses.replace(
         sin_drift_model(horizon, initial_state=0.3, noise_gain=0.5, control_set=control_set),
         phi=lambda x: 0.25 * (x**2 - 1.0) ** 2, phi_x=lambda x: x**3 - x,
+        phi_xx=lambda x: 3.0 * x**2 - 1.0,
     )
 
     def compute():

@@ -363,6 +363,7 @@ class TestAdjointDriver:
             l_x=lambda n, x, u: np.zeros_like(x),
             l_u=lambda n, x, u: np.zeros_like(u),
             phi_x=lambda x: g * x,
+            phi_xx=lambda x: g,
         )
         u = constant_control(lat1, 1, u0)
         x = forward(model, u, lat1)

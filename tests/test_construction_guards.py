@@ -15,6 +15,7 @@ from fgncontrol.bsde import DriverSpec
 from fgncontrol.dynamics import (
     Box,
     ControlProcess,
+    ModelSpec,
     StateProcess,
     constant_control,
     forward,
@@ -23,6 +24,7 @@ from fgncontrol.dynamics import (
 )
 from fgncontrol.errors import (
     DepthMismatch,
+    DerivativeMismatch,
     DualityMismatch,
     InvalidSpec,
     NonFiniteValue,
@@ -140,6 +142,55 @@ class TestModelSpec:
     def test_non_finite_initial_state(self, x0):
         with pytest.raises(NonFiniteValue, match=exactly("initial state must be finite")):
             sin_drift_model(N, initial_state=x0)
+
+
+def active(n):
+    return 1.0 if n < N else 0.0
+
+
+def left_at_default(model, *names):
+    """`model` built again with the named second derivatives left out, so at their default 0."""
+    fields = dataclasses.fields(model)
+    return ModelSpec(**{f.name: getattr(model, f.name) for f in fields if f.name not in names})
+
+
+# Each model states or leaves out one second derivative wrongly: (model, the
+# derivative the guard names, its stage).
+SECOND_DERIVATIVES = {
+    "b_xx-wrong": (
+        lambda: dataclasses.replace(sin_drift_model(N), b_xx=lambda n, x, u: active(n) * np.sin(x)),
+        "b_xx", 0,
+    ),
+    "b_xx-default": (lambda: left_at_default(sin_drift_model(N), "b_xx"), "b_xx", 0),
+    "sigma_uu-default": (
+        lambda: dataclasses.replace(
+            sin_drift_model(N),
+            sigma=lambda n, x, u: active(n) * (0.5 * u + 0.1 * u**2),
+            sigma_u=lambda n, x, u: active(n) * (0.5 + 0.2 * u),
+        ),
+        "sigma_uu", 0,
+    ),
+    "l_xu-default": (
+        lambda: dataclasses.replace(
+            sin_drift_model(N),
+            l=lambda n, x, u: active(n) * (0.5 * u**2 + 0.1 * x * u),
+            l_x=lambda n, x, u: active(n) * 0.1 * u,
+            l_u=lambda n, x, u: active(n) * (u + 0.1 * x),
+        ),
+        "l_xu", 0,
+    ),
+    "phi_xx-wrong": (
+        lambda: dataclasses.replace(sin_drift_model(N), phi_xx=lambda x: 2.0), "phi_xx", N,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SECOND_DERIVATIVES))
+def test_second_derivative_mismatch_is_named(case):
+    build, name, stage = SECOND_DERIVATIVES[case]
+    message = f"{name} disagrees with finite differences at stage {stage}"
+    with pytest.raises(DerivativeMismatch, match=exactly(message)):
+        build()
 
 
 class TestStagedProcess:

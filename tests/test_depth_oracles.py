@@ -138,6 +138,7 @@ def quadratic_noise_model(depth: int):
         sin_drift_model(depth, initial_state=0.8),
         sigma=lambda n, x, u: active[n] * (0.5 * u + 0.1 * u**2),
         sigma_u=lambda n, x, u: active[n] * (0.5 + 0.2 * u),
+        sigma_uu=lambda n, x, u: active[n] * 0.2,
     )
 
 

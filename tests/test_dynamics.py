@@ -29,6 +29,7 @@ from fgncontrol.dynamics import (
 from fgncontrol.errors import (
     DepthMismatch,
     DerivativeMismatch,
+    InvalidSpec,
     LevelMismatch,
     NonFiniteValue,
     OutOfControlSet,
@@ -72,7 +73,7 @@ def drift_only_model(horizon, x0, drift_fn, drift_x, drift_u):
     )
 
 
-def additive_noise_model(horizon, x0, phi, phi_x):
+def additive_noise_model(horizon, x0, phi, phi_x, phi_xx=lambda x: 0.0):
     """b = 0, sigma = 1: the state is x0 plus the running noise sum."""
 
     def active(n):
@@ -92,6 +93,7 @@ def additive_noise_model(horizon, x0, phi, phi_x):
         l_x=lambda n, x, u: np.zeros_like(x),
         l_u=lambda n, x, u: np.zeros_like(x),
         phi_x=phi_x,
+        phi_xx=phi_xx,
     )
 
 
@@ -113,6 +115,9 @@ def one_step_lq_model(a0, b0, c0, d0, q0, r0, g, x0):
         l_x=lambda n, x, u: active(n) * q0 * x,
         l_u=lambda n, x, u: active(n) * r0 * u,
         phi_x=lambda x: g * x,
+        l_xx=lambda n, x, u: active(n) * q0,
+        l_uu=lambda n, x, u: active(n) * r0,
+        phi_xx=lambda x: g,
     )
 
 
@@ -197,12 +202,18 @@ class TestModelSpecValidation:
 
     @pytest.mark.parametrize("name, bad", [("b_x", np.nan), ("b", np.nan), ("b_x", np.inf)])
     def test_non_finite_derivative_or_difference_rejected(self, name, bad):
-        # bad for x > 0 at the stages before N, in b_x or in b itself
+        # bad for x > 0 at the stages before N, in b_x or in b itself; a
+        # non-finite value is named as such, before any difference is taken
         model = sin_drift_model(3)
         fn = getattr(model, name)
         changed = {name: lambda n, x, u: np.where(x > 0, bad, fn(n, x, u)) if n < 3 else fn(n, x, u)}
-        with pytest.raises(DerivativeMismatch, match="b_x disagrees with finite differences at stage 0"):
+        if name == "b":
+            error, message = InvalidSpec, "^b is not finite at a spot point of stage 0$"
+        else:
+            error, message = DerivativeMismatch, "b_x disagrees with finite differences at stage 0"
+        with pytest.raises(error, match=message) as err:
             dataclasses.replace(model, **changed)
+        assert err.type is error
 
     def test_first_failing_pair_is_reported(self):
         # wrong l_u at stage 2 and wrong sigma_x at stage 0: stages come first
@@ -308,7 +319,9 @@ class TestCost:
 
     def test_quadratic_terminal_cost_two_stages(self, lat):
         x0 = 1.1
-        model = additive_noise_model(2, x0, phi=lambda x: x**2, phi_x=lambda x: 2 * x)
+        model = additive_noise_model(
+            2, x0, phi=lambda x: x**2, phi_x=lambda x: 2 * x, phi_xx=lambda x: 2.0
+        )
         u = constant_control(lat, 2, 0.0)
         x = forward(model, u, lat)
         sigma = fgn_covariance(0.7, 3).sigma

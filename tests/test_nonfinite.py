@@ -1,5 +1,6 @@
 """Each finiteness guard on the solver paths raises NonFiniteValue, naming
-the stage or level where the values overflowed.
+the stage or level where the values overflowed; `ModelSpec`'s guard raises
+InvalidSpec, naming the coefficient that is not finite at a spot point.
 
 The models are finite at `ModelSpec`'s spot points and blow up only where
 the state goes, so they pass its guards; overflow warnings are silenced so
@@ -33,10 +34,11 @@ def lat():
     return lattice_for_hurst(0.7, depth=N, order=3)
 
 
-def model(b=None, b_x=None, b_u=None, l=None, phi=None, phi_x=None, x0=0.0):
+def model(b=None, b_x=None, b_u=None, l=None, phi=None, phi_x=None, phi_xx=None, x0=0.0):
     """A model on N stages with noise 0.5 u and, unless replaced, zero drift,
     running cost u^2 / 2 and terminal cost x^2 / 2; every stage coefficient
-    is 0 at the final stage."""
+    is 0 at the final stage.  A replaced drift or running cost states no
+    second derivative."""
 
     def staged(f):
         return lambda n, x, u: f(n, x, u) if n < N else 0.0
@@ -49,7 +51,9 @@ def model(b=None, b_x=None, b_u=None, l=None, phi=None, phi_x=None, x0=0.0):
         sigma_u=staged(lambda n, x, u: 0.5),
         l=staged(l or (lambda n, x, u: 0.5 * u**2)), l_x=zero,
         l_u=staged(zero if l else (lambda n, x, u: u)),
+        l_uu=staged(zero if l else (lambda n, x, u: 1.0)),
         phi=phi or (lambda x: 0.5 * x**2), phi_x=phi_x or (lambda x: x),
+        phi_xx=phi_xx or (lambda x: 1.0),
     )
 
 
@@ -80,6 +84,7 @@ def test_terminal_cost_by_blocks(lat):
         b=lambda n, x, u: 4.0,
         phi=lambda x: np.exp(7.1 * x**2),
         phi_x=lambda x: 14.2 * x * np.exp(7.1 * x**2),
+        phi_xx=lambda x: (14.2 + 14.2**2 * x**2) * np.exp(7.1 * x**2),
     )
     u = constant_control(lat, N, 0.0)
     x = forward(m, u, lat)
@@ -144,3 +149,19 @@ def test_bsde_config_terminal(tmp_path, capsys):
         code = main(["solve-bsde", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 3
     assert capsys.readouterr().err == "error: terminal became non-finite at stage 2\n"
+
+
+def test_model_config_coefficient(tmp_path, capsys):
+    # sigma = c u with c = 1e308 overflows at the guard's spot points: the
+    # guard names sigma, not the derivative whose difference it spoils, and
+    # numpy prints no warning
+    config = {
+        "horizon": 3, "initial_state": 1e308, "hurst": 0.7, "quadrature_order": 3,
+        "control_set": "unconstrained", "model": {"type": "sin_drift", "c": 1e308},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    code = main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    message = f"error: {path}: sigma is not finite at a spot point of stage 0\n"
+    assert capsys.readouterr().err == message

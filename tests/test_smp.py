@@ -86,6 +86,9 @@ def double_well_model(horizon: int, initial_state: float, noise_gain: float = 1.
         l_x=lambda n, x, u: np.zeros_like(x),
         l_u=lambda n, x, u: active(n) * u,
         phi_x=lambda x: x**3 - x,
+        b_xx=lambda n, x, u: active(n) * -np.sin(x),
+        l_uu=lambda n, x, u: active(n),
+        phi_xx=lambda x: 3.0 * x**2 - 1.0,
     )
 
 
@@ -112,6 +115,15 @@ def coupled_model(horizon: int, control_set=None) -> ModelSpec:
         l_x=lambda n, x, u: active(n) * 0.2 * x * u,
         l_u=lambda n, x, u: active(n) * (u + 0.1 * x**2),
         phi_x=lambda x: x**3 - x,
+        b_xx=lambda n, x, u: active(n) * -np.sin(x),
+        b_xu=lambda n, x, u: active(n) * 0.1,
+        sigma_xx=lambda n, x, u: active(n) * -0.1 * np.sin(x) * u,
+        sigma_xu=lambda n, x, u: active(n) * 0.1 * np.cos(x),
+        sigma_uu=lambda n, x, u: active(n) * 0.2,
+        l_xx=lambda n, x, u: active(n) * 0.2 * u,
+        l_xu=lambda n, x, u: active(n) * 0.2 * x,
+        l_uu=lambda n, x, u: active(n),
+        phi_xx=lambda x: 3.0 * x**2 - 1.0,
         control_set=control_set if control_set is not None else Unconstrained(),
     )
 
@@ -126,21 +138,27 @@ def quadratic_noise_model(horizon: int) -> ModelSpec:
         sin_drift_model(horizon, initial_state=1.0),
         sigma=lambda n, x, u: active(n) * (0.5 * u + 0.1 * u**2),
         sigma_u=lambda n, x, u: active(n) * (0.5 + 0.2 * u),
+        sigma_uu=lambda n, x, u: active(n) * 0.2,
     )
 
 
 def leaf_form_backward_pass(model, u, x, lat):
     """`smp._backward_pass` with xi_n, f_x and f_u built as (q^n, q) child
-    tables and every product contracted against the weights."""
+    tables, every stated derivative read as a full table and every product
+    contracted against the weights."""
     q, w = lat.rule.q, lat.rule.weights
     n_stages = model.horizon
-    v_x = lam = np.asarray(model.phi_x(x[n_stages]), float)
-    h = dynamics._fd_step(x[n_stages])
-    v_xx = (np.asarray(model.phi_x(x[n_stages] + h), float)
-            - np.asarray(model.phi_x(x[n_stages] - h), float)) / (2 * h)
+    leaves = np.shape(x[n_stages])
+    v_x = lam = np.broadcast_to(np.asarray(model.phi_x(x[n_stages]), float), leaves)
+    v_xx = np.broadcast_to(np.asarray(model.phi_xx(x[n_stages]), float), leaves)
     gains, rho = [], []
     for n in reversed(range(n_stages)):
-        table = smp._stage_derivatives(model, n, x[n], u[n])
+        nodes = np.broadcast_shapes(np.shape(x[n]), np.shape(u[n]))
+        table = np.stack([
+            np.broadcast_to(np.asarray(getattr(model, f"{value}_{wrt}")(n, x[n], u[n]), float),
+                            nodes)
+            for value in ("b", "sigma", "l") for wrt in ("x", "u", "xx", "uu", "xu")
+        ])
         bx, bu, bxx, buu, bux, sx, su, sxx, suu, sux = table[:10, :, None]
         lx, lu, lxx, luu, lux = table[10:]
         xi = noise_value(lat, n).values.reshape(-1, q)
@@ -618,11 +636,9 @@ class TestBackwardPass:
 
     def test_leaf_moments_taken_twice(self, monkeypatch):
         # at stage N-1 lambda is V_x, so its moments are V_x's: one leaf-level
-        # _moments call for V_x and one for V_xx
+        # _moments call for V_x, and one for V_xx where phi_xx is a table (the
+        # double well); sin drift's phi_xx = 1 is a scalar, with no leaf table
         lat = lattice_for_hurst(0.7, depth=4, order=3)
-        model = sin_drift_model(4, noise_gain=0.5)
-        u = random_control(lat, 4, np.random.default_rng(5), scale=0.4)
-        u, x = [s.values for s in u], [s.values for s in forward(model, u, lat)]
         sizes, moments = [], smp._moments
 
         def spy(lattice, table, k):
@@ -630,15 +646,22 @@ class TestBackwardPass:
             return moments(lattice, table, k)
 
         monkeypatch.setattr(smp, "_moments", spy)
-        smp._backward_pass(model, u, x, lat)
-        assert sizes.count(lat.level_size(4)) == 2
+        cases = ((double_well_model(4, 0.3, 0.5), 2), (sin_drift_model(4, noise_gain=0.5), 1))
+        for model, taken in cases:
+            u = random_control(lat, 4, np.random.default_rng(5), scale=0.4)
+            u, x = [s.values for s in u], [s.values for s in forward(model, u, lat)]
+            sizes.clear()
+            smp._backward_pass(model, u, x, lat)
+            assert sizes.count(lat.level_size(4)) == taken
 
-    def test_rises_at_most_six_leaf_tables(self):
-        # the moment form builds no child-sized factor; what remains is the
-        # terminal phi_xx and the level-(N-1) stage tables, a tenth each
-        lat = lattice_for_hurst(0.7, depth=6, order=10)
-        model = sin_drift_model(6, noise_gain=0.5)
-        u = random_control(lat, 6, np.random.default_rng(5), scale=0.4)
+    @pytest.mark.parametrize("q, depth, leaf_tables", [(3, 12, 9.0), (10, 6, 2.5)])
+    def test_rise_in_leaf_tables(self, q, depth, leaf_tables):
+        # the moment form builds no child-sized factor and sin drift's phi_xx
+        # is a scalar; what remains is phi_x(X_N) and the level-(N-1) stage
+        # tables, a third of a leaf table each at q = 3 and a tenth at q = 10
+        lat = lattice_for_hurst(0.7, depth=depth, order=q)
+        model = sin_drift_model(depth, noise_gain=0.5)
+        u = random_control(lat, depth, np.random.default_rng(5), scale=0.4)
         u, x = [s.values for s in u], [s.values for s in forward(model, u, lat)]
         tracemalloc.start()
         try:
@@ -646,7 +669,7 @@ class TestBackwardPass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 8 * lat.level_size(6)
+        assert peak <= leaf_tables * 8 * lat.level_size(depth)
 
 
 def leaf_cost_tables(model, lat, u, x):
@@ -946,9 +969,9 @@ class TestOptimize:
         stage_derivatives = smp._stage_derivatives
 
         def without_lx(*args):
-            table = stage_derivatives(*args)
-            table[10] = 0.0  # rows b, sigma, l, five each; l_x is row 10
-            return table
+            values = list(stage_derivatives(*args))
+            values[10] = 0.0  # b, sigma, l, five each; l_x is the eleventh
+            return tuple(values)
 
         monkeypatch.setattr(smp, "_stage_derivatives", without_lx)
         with pytest.raises(DualityMismatch, match="backward pass and adjoint disagree on rho_"):
