@@ -36,11 +36,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (
-    ControlProcess, ModelSpec, StateProcess, _check_on, _factor, _stage_value, _zero,
-)
+from .dynamics import ControlProcess, ModelSpec, StateProcess, _check_on, _factor, _stage_value
 from .errors import DepthMismatch, NonFiniteValue
-from .lattice import AdaptedValue, NoiseLattice, _blocks, _frozen, _mean, _moments
+from .lattice import AdaptedValue, NoiseLattice, _blocks, _frozen, _mean, _moments, _zero
 from .noise import _count
 
 Driver = Callable[[int, AdaptedValue, AdaptedValue], AdaptedValue | float | np.ndarray]

@@ -354,11 +354,6 @@ def _factor(lat, level, raw) -> np.ndarray:
     return out
 
 
-def _zero(coeff) -> bool:
-    """A 0-d zero coefficient from `_factor`: a term it multiplies is dropped."""
-    return coeff.ndim == 0 and coeff == 0.0
-
-
 def _step(model: ModelSpec, lat: NoiseLattice, n: int, xn, un) -> np.ndarray:
     """X_{n+1} = X_n + b(n, X_n, u_n) + sigma(n, X_n, u_n) xi_n: `_children`'s frozen,
     checked table, written column by column with no leaf-sized temporary."""

@@ -17,7 +17,8 @@ product against the weight vector w eta^j cached per lattice, so no
 leaf-sized eta-weighted table is ever built; `_contract` is its k = 1
 case.  `_affine` and `_product` read E[T c | n] and E[T c d | n] off
 those moments for stage factors c0 + c1 eta_n, `_stage_factor`'s form of
-x + b + sigma xi_n, never built at the leaves.  The private primitives below own
+x + b + sigma xi_n, never built at the leaves; a 0-d zero factor (`_zero`)
+drops the terms it multiplies.  The private primitives below own
 that format; `AdaptedValue` is the validated boundary type of the public API.
 
 An `AdaptedValue` owns a read-only table.  It shares its input when no
@@ -268,14 +269,31 @@ def _moments(lat: NoiseLattice, table: np.ndarray, k: int) -> tuple[np.ndarray, 
     return tuple([blocks @ w for w in lat._moment_weights[:k]])
 
 
+def _zero(coeff) -> bool:
+    """A 0-d zero (a float or a 0-d array): a term it multiplies is dropped."""
+    return not getattr(coeff, "ndim", 0) and coeff == 0.0
+
+
 def _affine(m, c):
-    """E[T (c0 + c1 eta_n) | level n] from the moments m = `_moments(lat, T, k)`, k >= 2."""
+    """E[T (c0 + c1 eta_n) | level n] from the moments m = `_moments(lat, T, k)`, k >= 2;
+    a 0-d zero c1 drops its term."""
+    if _zero(c[1]):
+        return c[0] * m[0]
     return c[0] * m[0] + c[1] * m[1]
 
 
 def _product(m, c, d):
-    """E[T (c0 + c1 eta_n)(d0 + d1 eta_n) | level n] from the moments m, k >= 3."""
-    return c[0] * d[0] * m[0] + (c[0] * d[1] + c[1] * d[0]) * m[1] + c[1] * d[1] * m[2]
+    """E[T (c0 + c1 eta_n)(d0 + d1 eta_n) | level n] from the moments m, k >= 3;
+    a 0-d zero c1 or d1 drops the terms it multiplies."""
+    no_c1, no_d1 = _zero(c[1]), _zero(d[1])
+    if not (no_c1 or no_d1):
+        return c[0] * d[0] * m[0] + (c[0] * d[1] + c[1] * d[0]) * m[1] + c[1] * d[1] * m[2]
+    out = c[0] * d[0] * m[0]
+    if not no_c1:
+        out = out + c[1] * d[0] * m[1]
+    if not no_d1:
+        out = out + c[0] * d[1] * m[1]
+    return out
 
 
 def _contract(lat: NoiseLattice, table: np.ndarray, stages: int = 1) -> np.ndarray:
@@ -310,7 +328,10 @@ def _mean(lat: NoiseLattice, n: int) -> np.ndarray:
 
 def _stage_factor(lat: NoiseLattice, n: int, base, scale) -> tuple:
     """base + scale xi_n as its (c0, c1) in c0 + c1 eta_n, the form `_affine` and
-    `_product` read: (base + scale E[xi_n | level n], scale b[n,n])."""
+    `_product` read: (base + scale E[xi_n | level n], scale b[n,n]); a 0-d zero
+    scale gives (base, scale), with no level-n table built for it."""
+    if _zero(scale):
+        return base, scale
     return base + scale * _mean(lat, n), scale * lat.basis.b_mat[n, n]
 
 

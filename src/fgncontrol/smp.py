@@ -51,7 +51,6 @@ from .dynamics import (
     _cost_tables,
     _step,
     _total_cost,
-    _zero,
     forward,
     variation,
 )
@@ -68,6 +67,7 @@ from .lattice import (
     _moments,
     _product,
     _stage_factor,
+    _zero,
 )
 from .noise import WhiteningBasis
 

@@ -36,6 +36,7 @@ from fgncontrol.lattice import (
     _affine,
     _moments,
     _product,
+    _stage_factor,
 )
 from fgncontrol.noise import fgn_covariance, whiten
 
@@ -348,6 +349,18 @@ class TestConditionalExpectation:
                 for block, row in zip(table.reshape(9, 3), factor)
             ]
             np.testing.assert_allclose(moment, want, rtol=0.0, atol=1e-14)
+        # a 0-d zero c1 or d1 drops its terms with the bits of a zero table
+        flat, zeros = (c[0], 0.0), (c[0], np.zeros(9))
+        assert np.array_equal(_affine(got, flat), _affine(got, zeros))
+        pairs = ((flat, d, zeros, d), (d, flat, d, zeros), (flat, flat, zeros, zeros))
+        for f, g, f_table, g_table in pairs:
+            assert np.array_equal(_product(got, f, g), _product(got, f_table, g_table))
+
+    def test_stage_factor_of_a_zero_scale(self, lat_h07):
+        base = np.random.default_rng(4).standard_normal(9)
+        c0, c1 = _stage_factor(lat_h07, 2, base, 0.0)
+        assert c0 is base and c1 == 0.0
+        assert np.array_equal(c0, _stage_factor(lat_h07, 2, base, np.zeros(9))[0])
 
     def test_white_mean_zero(self, lat_h07):
         for n in range(3):
