@@ -141,9 +141,9 @@ def lq_fixed_point(spec: LqSpec, lat: NoiseLattice) -> LqSolution:
     It is the fixed point of u = u - rho / R.  `smp._backward_pass` runs along
     u = 0 and X = 0, the model's path from x0 = 0, where every stage derivative
     is a constant: b and sigma are linear, and the model states l_xx = Q_n,
-    l_uu = R_n and phi_xx = G, so the pass reads them exactly.  There V_x = 0, so k = 0, and K_n = -Q_ux / Q_uu and
-    V_xx = Q_xx - Q_ux^2 / Q_uu are the Riccati gain and P_n, read off
-    E[P eta_n^k | n], k <= 2.  Q_uu = R_n + E[P gamma^2 | n] > 0 for
+    l_uu = R_n and phi_xx = G, so the pass reads them exactly.  There V_x = 0,
+    so k = 0, and K_n = -Q_ux / Q_uu and V_xx = Q_xx - Q_ux^2 / Q_uu are the
+    Riccati gain and P_n, read off E[P eta_n^k | n], k <= 2.  Q_uu = R_n + E[P gamma^2 | n] > 0 for
     gamma = B_n + D_n xi_n, so the step is exact; the constants stay scalars
     and build no leaf-sized table.  One `smp._rollout` of u_n = K_n X_n from x
     gives u*, the state `forward(u*)` returns, and J, whose terminal cost it
