@@ -36,7 +36,9 @@ terminal = xi_sum * xi_sum
 
 
 # drivers are called per stage as f(n, y, z); the stage-horizon f and g
-# must ignore z (the solver passes a zero there)
+# must ignore z (the solver passes a zero there), and both must be
+# deterministic: the solver keeps only Y and Z, and reading sol.r[n]
+# rebuilds R_n from them by calling the drivers again
 def f(n, y, z):
     return 0.1 * y + 0.05 * z
 

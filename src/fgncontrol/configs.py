@@ -25,7 +25,7 @@ import numpy as np
 
 from .bsde import DriverSpec
 from .dynamics import Box, ModelSpec, Unconstrained, sin_drift_model
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteValue
 from .lattice import MAX_DEPTH, NoiseLattice, _children, lattice_for_hurst
 from .lq import LqSpec, _lq_model
 from .reporting import _utf8_text
@@ -105,14 +105,15 @@ def _horizon(obj: dict, where: str) -> int:
 
 @contextlib.contextmanager
 def _naming(where: str):
-    """A domain fault raised inside, a ValueError of any class, keeps its class
-    and its message, prefixed with `where` as every config fault is; a
-    ConfigError names its place already and passes unchanged."""
+    """A domain fault raised inside, a ValueError of any class or a
+    NonFiniteValue, keeps its class and its message, prefixed with `where`
+    as every config fault is; a ConfigError names its place already and
+    passes unchanged."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, NonFiniteValue) as exc:
         raise type(exc)(f"{where}: {exc}") from None
 
 
@@ -259,19 +260,28 @@ class BsdeConfig:
 
 
 def _build_driver(lat: NoiseLattice, constant: float, coefficients, stages) -> DriverSpec:
+    """The terminal value and the affine stage drivers; the terminal's
+    overflow raises NonFiniteValue, without numpy's warnings."""
     horizon = len(stages)
     acc = np.full(1, constant)
-    for k in range(horizon):
-        acc = _children(lat, k, acc, coefficients[k], "terminal")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(horizon):
+            acc = _children(lat, k, acc, coefficients[k], "terminal")
     terminal = lat.from_values(horizon, acc)
+
+    def affine(c, a, b, y, z):
+        """(c + a y) + b z on the tables of y and z; a term whose coefficient
+        is 0 is dropped, so with a = b = 0 it is the scalar c."""
+        out = c if a == 0.0 else a * y.values + c
+        return out if b == 0.0 else out + b * z.values
 
     def f(s, y, z):
         coeff = stages[s - 1]
-        return coeff["f_constant"] + coeff["f_y"] * y + coeff["f_z"] * z
+        return affine(coeff["f_constant"], coeff["f_y"], coeff["f_z"], y, z)
 
     def g(s, y, z):
         coeff = stages[s - 1]
-        return coeff["g_constant"] + coeff["g_y"] * y + coeff["g_z"] * z
+        return affine(coeff["g_constant"], coeff["g_y"], coeff["g_z"], y, z)
 
     return DriverSpec(horizon=horizon, terminal=terminal, f=f, g=g)
 
@@ -308,9 +318,9 @@ def parse_bsde_config(obj, where: str = "config") -> BsdeConfig:
     constant = _number(terminal, "constant", f"{where}.terminal")
     coefficients = _number_list(terminal, "noise_coefficients", horizon, f"{where}.terminal")
     lattice = _lattice(obj, horizon, where)
-    return BsdeConfig(
-        driver=_build_driver(lattice, constant, coefficients, tuple(stages)), lattice=lattice
-    )
+    with _naming(where):
+        driver = _build_driver(lattice, constant, coefficients, tuple(stages))
+    return BsdeConfig(driver=driver, lattice=lattice)
 
 
 def load_bsde_config(path: str) -> BsdeConfig:

@@ -40,6 +40,7 @@ from .errors import (
 from .lattice import (
     AdaptedValue,
     NoiseLattice,
+    _all_finite,
     _blocks,
     _children,
     _contract,
@@ -337,7 +338,7 @@ def _stage_value(lat, level, raw) -> np.ndarray:
         out = raw.view()
     else:
         out = np.ascontiguousarray(np.broadcast_to(np.asarray(raw, float), size))
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise NonFiniteValue(f"coefficient produced non-finite values at level {level}")
     return _frozen(out)
 
@@ -423,7 +424,7 @@ def _cost_tables(model: ModelSpec, lat: NoiseLattice, u, x):
     parents = np.empty(lat.rule.q ** (n_final - 1))
     for part, leaves in _blocks(lat, x[n_final]):
         phi = np.broadcast_to(np.asarray(model.phi(leaves.reshape(-1)), float), leaves.size)
-        if not np.isfinite(phi).all():
+        if not _all_finite(phi):
             raise NonFiniteValue(f"coefficient produced non-finite values at level {n_final}")
         parents[part] = _contract(lat, phi)
     yield parents

@@ -250,6 +250,12 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
+def _all_finite(table) -> bool:
+    """Every entry of `table` is finite: `np.isfinite(table).all()` as one ufunc
+    reduce, without numpy's Python-level `all` wrapper."""
+    return np.logical_and.reduce(np.isfinite(table), axis=None)
+
+
 def _is_frozen(values) -> bool:
     """No array in the base chain of `values` is writeable."""
     arr = values
@@ -369,7 +375,7 @@ def _children(lat: NoiseLattice, n: int, base: np.ndarray, scale, what: str) -> 
             col = block[..., j]
             np.multiply(scale[..., part], mean[part] + shift_j, out=col)
             col += base[..., part]
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise NonFiniteValue(f"{what} became non-finite at stage {n + 1}")
     return _frozen(out)
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .dynamics import ControlProcess
 from .errors import ConfigError
-from .lattice import MAX_DEPTH, NoiseLattice, SamplePaths, _moments
+from .lattice import MAX_DEPTH, NoiseLattice, SamplePaths
 
 __all__ = [
     "ensure_out_dir",
@@ -500,13 +500,14 @@ def write_bsde_csv(path: str, lat: NoiseLattice, sol) -> None:
 
     Stages 0..N-1 carry Y, Z and the two conditional moments of the
     orthogonal residual (all at level n); the terminal stage carries Y
-    only, with the remaining fields empty.
+    only, with the remaining fields empty.  The moments are the solution's
+    own, derived from R once and shared with `residual_orthogonality`.
     """
     def blocks():
         for n, y in enumerate(sol.y):
             size = y.values.size
             if n < sol.horizon:
-                tail = (sol.z[n].values, *_moments(lat, sol.r[n].values, 2))
+                tail = (sol.z[n].values, *sol._r_moments[n])
             else:
                 tail = (None, None, None)
             yield (_stage(n, size), range(size), y.values, *tail)

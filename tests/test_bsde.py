@@ -17,17 +17,29 @@ from fgncontrol.bsde import (
     residual_orthogonality,
     solve_bsde,
 )
-from fgncontrol.dynamics import ModelSpec, constant_control, forward, sin_drift_model
+from fgncontrol.dynamics import (
+    ModelSpec,
+    constant_control,
+    forward,
+    random_control,
+    sin_drift_model,
+)
 from fgncontrol.errors import DepthMismatch, LevelMismatch, TerminalConditionViolated
 from fgncontrol.lattice import (
+    AdaptedValue,
     NoiseLattice,
     _is_frozen,
+    _mean,
+    _moments,
     condexp,
     lattice_for_hurst,
     noise_value,
     white_value,
 )
+from fgncontrol.lq import as_model
 from fgncontrol.noise import fgn_covariance, whiten
+from fgncontrol.reporting import write_bsde_csv
+from fgncontrol.selftest import _random_lq_spec
 
 
 @pytest.fixture(scope="module")
@@ -270,9 +282,9 @@ class TestSolutionStructure:
         assert np.shares_memory(sol.y[3].values, x[3].values)
 
     def test_stage_n_residual_needs_no_leaf_sized_temporary(self):
-        # stage N must allocate M (overwritten by R), Y_{N-1} and Z_{N-1};
-        # subtracting Z eta column by column adds only level-(N-1)
-        # temporaries, where a broadcast product would add a leaf table
+        # stage N must allocate M, Y_{N-1} and Z_{N-1}; the solve takes Y and
+        # Z from M and drops it, and builds no R, whose column-by-column
+        # subtraction, when R is read, adds only level-(N-1) temporaries
         q, n_stages = 5, 7
         lat5 = lattice_for_hurst(0.7, depth=n_stages, order=q)
         leaf = 8 * lat5.level_size(n_stages)
@@ -445,3 +457,116 @@ class TestAdjointDriver:
         sigma = fgn_covariance(0.7, 2).sigma
         basis = whiten(fgn_covariance(0.7, 2))
         assert basis.b_mat[1, 0] == pytest.approx(sigma[0][1], abs=1e-12)
+
+
+def eager_residuals(driver, sol, lat):
+    """R_0..R_{N-1} as a solve that keeps them builds them: M = Y_s + f + g
+    E[xi_s | level s] from (Y_s, Z_s), Z_N a zero table, then Y_n and Z_n eta_j
+    subtracted from each child column j of M.  Y_n and Z_n are taken from M
+    here and must be the solution's bytes too."""
+    q, horizon, out = lat.rule.q, driver.horizon, []
+
+    def table(raw, s):
+        raw = raw.at_level(s).values if isinstance(raw, AdaptedValue) else raw
+        return np.broadcast_to(np.asarray(raw, dtype=np.float64), (q**s,))
+
+    for n in range(horizon):
+        s = n + 1
+        y = sol.y[s]
+        z = sol.z[s] if s < horizon else lat.from_values(s, np.zeros(q**s))
+        m = y.values + table(driver.f(s, y, z), s)
+        raw_g = driver.g(s, y, z)
+        if np.any(raw_g.values if isinstance(raw_g, AdaptedValue) else raw_g):
+            m += table(raw_g, s) * _mean(lat, s)
+        y_n, z_n = _moments(lat, m, 2)
+        assert y_n.tobytes() == sol.y[n].values.tobytes()
+        assert z_n.tobytes() == sol.z[n].values.tobytes()
+        columns = m.reshape(-1, q)
+        for j, eta_j in enumerate(lat.rule.nodes):
+            columns[:, j] -= y_n
+            columns[:, j] -= z_n * eta_j
+        out.append(m)
+    return out
+
+
+def random_affine_driver(lat, horizon, rng):
+    """f = a y + b z + c and g = d y + e z + h with every coefficient drawn,
+    so g != 0 at every stage including N; no z term at stage N.  f returns
+    an adapted value and g a table, the two forms a driver may take."""
+    coeffs = rng.uniform(-0.5, 0.5, (horizon + 1, 6))
+    coeffs[horizon, [1, 4]] = 0.0
+
+    def f(s, y, z):
+        a, b, c = coeffs[s, :3]
+        return a * y + b * z + c
+
+    def g(s, y, z):
+        d, e, h = coeffs[s, 3:]
+        return d * y.values + e * z.values + h
+
+    terminal = lat.from_values(horizon, rng.standard_normal(lat.level_size(horizon)))
+    return DriverSpec(horizon=horizon, terminal=terminal, f=f, g=g)
+
+
+class TestDerivedResidual:
+    """R is derived when read, with the bytes of the solve's own M."""
+
+    @staticmethod
+    def assert_residuals_equal(driver, lat):
+        sol = solve_bsde(driver, lat)
+        want = eager_residuals(driver, sol, lat)
+        first = [r.values.tobytes() for r in sol.r]
+        assert len(sol.r) == driver.horizon
+        assert first == [m.tobytes() for m in want]
+        assert [sol.r[n].values.tobytes() for n in range(driver.horizon)] == first
+        assert [r.level for r in sol.r] == list(range(1, driver.horizon + 1))
+
+    @pytest.mark.parametrize("q, horizon", [(3, 5), (5, 3), (2, 8)])
+    def test_random_affine_drivers(self, q, horizon):
+        # a depth-N lattice: the stage-N g reads basis row N
+        lat = lattice_for_hurst(0.7, depth=horizon, order=q)
+        rng = np.random.default_rng([q, horizon])
+        for _ in range(3):
+            self.assert_residuals_equal(random_affine_driver(lat, horizon, rng), lat)
+
+    @pytest.mark.parametrize("kind", ["sin_drift", "lq"])
+    def test_adjoint_drivers(self, kind):
+        q, horizon = 3, 5
+        lat = lattice_for_hurst(0.7, depth=horizon, order=q)
+        if kind == "sin_drift":
+            model = sin_drift_model(horizon, initial_state=1.0, noise_gain=0.5)
+        else:
+            model = as_model(_random_lq_spec(np.random.default_rng([1, q, horizon]), horizon))
+        u = random_control(lat, horizon, np.random.default_rng([2, q, horizon]), scale=0.4)
+        self.assert_residuals_equal(adjoint_driver(model, u, forward(model, u, lat)), lat)
+
+    def test_sequence_reads(self, lat):
+        driver = random_affine_driver(lat, 2, np.random.default_rng(3))
+        sol = solve_bsde(driver, lat)
+        assert sol.r[-1].values.tobytes() == sol.r[1].values.tobytes()
+        assert [r.level for r in sol.r[::-1]] == [2, 1]
+        with pytest.raises(IndexError):
+            sol.r[2]
+        with pytest.raises(TypeError):
+            sol.r[0] = sol.r[1]
+
+    def test_drivers_called_once_per_stage_and_once_more_by_the_reports(self, tmp_path):
+        horizon = 4
+        lat = lattice_for_hurst(0.7, depth=horizon, order=3)
+        inner = random_affine_driver(lat, horizon, np.random.default_rng(4))
+        calls = {"f": [], "g": []}
+
+        def counted(name, fn):
+            def driver(s, y, z):
+                calls[name].append(s)
+                return fn(s, y, z)
+            return driver
+
+        driver = DriverSpec(horizon, inner.terminal, counted("f", inner.f), counted("g", inner.g))
+        sol = solve_bsde(driver, lat)
+        stages = list(range(horizon, 0, -1))
+        assert calls == {"f": stages, "g": stages}
+        residual_orthogonality(sol, lat)
+        write_bsde_csv(str(tmp_path / "solution.csv"), lat, sol)
+        again = list(range(1, horizon + 1))
+        assert calls == {"f": stages + again, "g": stages + again}

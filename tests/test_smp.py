@@ -611,6 +611,29 @@ class TestScalarCoefficients:
         assert rise(lambda: adjoint_driver(model, u, x)) <= 0.75
         assert rise(lambda: cost(model, u, x, lat)) <= 1.3
 
+    def test_stationarity_results_hold_under_two_leaf_tables(self):
+        # held: X_N, one leaf table (Y_N = phi_x(X_N) = X_N shares it), and the
+        # level <= N-1 tables of X, Y, Z, rho and the adjoint's b_x, a ninth of a
+        # leaf table each at q = 10; an adjoint that kept every R_n held 2.56
+        q, depth = 10, 6
+        lat = lattice_for_hurst(0.7, depth=depth, order=q)
+        model = sin_drift_model(depth, initial_state=1.0, noise_gain=0.5)
+        u = random_control(lat, depth, np.random.default_rng([0, q, depth]))
+
+        def route():
+            x, adj = solve_adjoint(model, u, lat, lat.basis)
+            return x, adj, smp_residual(model, u, adj, lat, lat.basis), cost(model, u, x, lat)
+
+        route()  # builds the lattice's cached noise means and weights
+        tracemalloc.start()
+        try:
+            results = route()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(results[-1])
+        assert kept <= 1.75 * 8 * lat.level_size(depth)
+
 
 class TestBackwardPass:
     @pytest.mark.parametrize("q, depth, box", [
