@@ -5,10 +5,11 @@ Solves, for given terminal data y measurable at stage N,
     Y_n + Z_n eta_n = Y_{n+1} + f(n+1, Y_{n+1}, Z_{n+1})
                       + g(n+1, Y_{n+1}, Z_{n+1}) xi_{n+1},      Y_N = y,
 
-with Z_N = 0.  The right-hand side is generally not representable as an
-affine function of eta_n given level-n information, so the solver uses
-projections.  With s = n + 1 the drivers are level-s values, so the
-projection of the right-hand side onto level s is the closed form
+with Z_N = 0, a level-0 zero to the stage-N driver.  The right-hand side
+is generally not representable as an affine function of eta_n given
+level-n information, so the solver uses projections.  With s = n + 1 the
+drivers are level-s values, so the projection of the right-hand side
+onto level s is the closed form
 
     M = Y_s + f(s, .) + g(s, .) E[xi_s | level s],
 
@@ -26,7 +27,9 @@ reported so violations of the affine representation never pass silently.
 The solve builds each M, takes Y_n and Z_n from it and drops it: only
 (Y, Z) enter the maximum principle's gradient.  R is derived when it is
 read, M rebuilt from Y_{n+1}, Z_{n+1} and the driver by the solve's own
-arithmetic, so a read R_n has the bytes the solve's M gives.
+arithmetic, so a read R_n has the bytes the solve's M gives.  The adjoint
+driver stores no coefficient either: it reads stage k's from the model
+and the reference pair when a solve, or a read of R, reaches stage k.
 
 A depth-N lattice always suffices.  A nonzero stage-N g needs
 E[xi_N | level N], which reads row N of the whitening basis;
@@ -64,11 +67,11 @@ class DriverSpec:
     """Terminal data plus stage drivers f, g for stages 1..horizon.
 
     f and g are called as f(n, y, z) with y, z adapted values; the stage-
-    horizon f and g must not depend on z (the solver passes Z_N = 0
-    there).  A g that is zero at every node of its stage adds no noise
-    term, so no basis row is read for it.  f and g must be deterministic,
-    the same output for the same arguments: reading a solution's R calls
-    them again.
+    horizon f and g must not depend on z (the solver passes Z_N = 0 there,
+    a level-0 zero).  A g that is zero at every node of its stage adds no
+    noise term, so no basis row is read for it.  f and g must be
+    deterministic, the same output for the same arguments: reading a
+    solution's R calls them again.
     """
 
     horizon: int
@@ -135,7 +138,7 @@ class _Residuals(Sequence):
         if isinstance(stages, range):
             return tuple(self[k] for k in stages)
         lat, s = self._driver.lattice, stages + 1
-        z_s = self._z[s] if s < len(self._z) else _final_z(lat, s)
+        z_s = self._z[s] if s < len(self._z) else lat.constant(0.0, 0)
         projected = _projection(self._driver, s, self._y[s], z_s)
         # R_n = M - Y_n - Z_n eta_n in place, a child column at a time per
         # `_blocks` block, so no temporary is larger than a block
@@ -158,8 +161,8 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
     n_stages = driver.horizon
     _check_on(lat, n_stages, driver=driver)
 
-    # built backward from Y_N and Z_N = 0; M is dropped once its moments are taken
-    y, z, z_next = [driver.terminal], [], _final_z(lat, n_stages)
+    # built backward from Y_N and a level-0 Z_N = 0; M is dropped once its moments are taken
+    y, z, z_next = [driver.terminal], [], lat.constant(0.0, 0)
     for n in reversed(range(n_stages)):
         y_n, z_n = _moments(lat, _projection(driver, n + 1, y[-1], z_next), 2)
         for name, val in (("Y", y_n), ("Z", z_n)):
@@ -170,11 +173,6 @@ def solve_bsde(driver: DriverSpec, lat: NoiseLattice) -> BsdeSolution:
         z.append(z_next)
     y, z = tuple(y[::-1]), tuple(z[::-1])
     return BsdeSolution(y=y, z=z, r=_Residuals(driver, y, z))
-
-
-def _final_z(lat: NoiseLattice, n_stages: int) -> AdaptedValue:
-    """Z_N = 0 as a fresh level-N value."""
-    return AdaptedValue(lat, n_stages, _frozen(np.zeros(lat.level_size(n_stages))))
 
 
 def _projection(driver: DriverSpec, s: int, y: AdaptedValue, z: AdaptedValue) -> np.ndarray:
@@ -220,43 +218,37 @@ def adjoint_driver(model: ModelSpec, u_star: ControlProcess, x_star: StateProces
         f(k, p, q) = b_x*(k) p + b[k,k] sigma_x*(k) q + l_x*(k),
         g(k, p, q) = sigma_x*(k) p,
 
-    with coefficients frozen along the reference pair and b the whitening
-    of the reference's lattice, `x_star.lattice.basis`.  Stage-N
-    coefficients vanish: `ModelSpec` refuses a model whose b_x, sigma_x
-    or l_x does not vanish at the final stage.  A coefficient the model
-    returns as a scalar stays a scalar, and a scalar zero drops its term,
-    so a zero sigma_x makes g the scalar 0 (no noise term is built).
-    `_check_on` checks the pair against the model and X*'s lattice.
+    with b the whitening of the reference's lattice, `x_star.lattice.basis`.
+    Stage k's coefficients are read at (X*_k, u*_k) when a solve reaches
+    stage k, and again whenever R is read; the driver holds the caller's
+    tables X*_0..X*_{N-1} and u*, never X*_N.  Stage-N coefficients
+    vanish: `ModelSpec` refuses a model whose b_x, sigma_x or l_x does not
+    vanish at the final stage.  A coefficient the model returns as a scalar
+    stays a scalar, and a scalar zero drops its term, so a zero sigma_x
+    makes g the scalar 0 (no noise term is built).  `_check_on` checks the
+    pair against the model and X*'s lattice.
     """
     n_stages, lat = model.horizon, x_star.lattice
     _check_on(lat, n_stages, control=u_star, state=x_star)
+    x, u = [x_star[k].values for k in range(n_stages)], [s.values for s in u_star]
 
-    # Coefficients at stage k use (X*_k, u*_k); k runs over 1..N-1 where
-    # a control exists.  Stage N never contributes.
-    b_x, sigma_x, l_x = (
-        [None] + [
-            _factor(lat, k, getattr(model, name)(k, x_star[k].values, u_star[k].values))
-            for k in range(1, n_stages)
-        ]
-        for name in ("b_x", "sigma_x", "l_x")
-    )
-
-    b_diag = np.diag(lat.basis.b_mat)
+    def coefficient(name, k):
+        return _factor(lat, k, getattr(model, name)(k, x[k], u[k]))
 
     def f(k, p, q):
         if k == n_stages:
             return 0.0
-        out = 0.0 if _zero(b_x[k]) else b_x[k] * p.values
-        if not _zero(sigma_x[k]):
-            out += b_diag[k] * (sigma_x[k] * q.values)
-        if not _zero(l_x[k]):
-            out += l_x[k]
+        b_x, sigma_x, l_x = (coefficient(name, k) for name in ("b_x", "sigma_x", "l_x"))
+        out = 0.0 if _zero(b_x) else b_x * p.values
+        if not _zero(sigma_x):
+            out += lat.basis.b_mat[k, k] * (sigma_x * q.values)
+        if not _zero(l_x):
+            out += l_x
         return out
 
     def g(k, p, q):
-        if k == n_stages or _zero(sigma_x[k]):
-            return 0.0
-        return sigma_x[k] * p.values
+        sigma_x = 0.0 if k == n_stages else coefficient("sigma_x", k)
+        return 0.0 if _zero(sigma_x) else sigma_x * p.values
 
     terminal = _stage_value(lat, n_stages, model.phi_x(x_star[n_stages].values))
     return DriverSpec(horizon=n_stages, terminal=AdaptedValue(lat, n_stages, terminal), f=f, g=g)

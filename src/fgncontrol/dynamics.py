@@ -134,13 +134,14 @@ class ModelSpec:
     quotient fails its guard, and a non-finite spot value of b, sigma, l or
     phi raises InvalidSpec naming it.
 
-    Any coefficient may return a scalar where it is constant.  A scalar
-    derivative is never expanded to a table on the adjoint route
-    (`variation`, `bsde.adjoint_driver`, the gradient rho) or in the DDP
-    backward pass, and a scalar zero b_x, sigma_x or l_x drops its term from
-    the adjoint driver, a scalar zero second derivative of b and sigma its
-    term from the backward pass.  J reads phi(X_N) only as E[phi | N-1], by
-    blocks.
+    Coefficients must be deterministic: `bsde.adjoint_driver` calls b_x,
+    sigma_x and l_x again whenever an adjoint's R is read.  Any coefficient
+    may return a scalar where it is constant.  A scalar derivative is never
+    expanded to a table on the adjoint route (`variation`,
+    `bsde.adjoint_driver`, the gradient rho) or in the DDP backward pass,
+    and a scalar zero b_x, sigma_x or l_x drops its term from the adjoint
+    driver, a scalar zero second derivative of b and sigma its term from
+    the backward pass.  J reads phi(X_N) only as E[phi | N-1], by blocks.
     """
 
     horizon: int
@@ -304,7 +305,9 @@ class StateProcess(_StagedProcess):
 
 
 def constant_control(lat: NoiseLattice, horizon: int, value: float) -> ControlProcess:
-    return ControlProcess(lat.constant(value, n) for n in range(_count(horizon, "horizon")))
+    horizon = _count(horizon, "horizon")
+    _check_on(lat, horizon)
+    return ControlProcess(lat.constant(value, n) for n in range(horizon))
 
 
 def random_control(
@@ -314,9 +317,11 @@ def random_control(
     scale: float = 1.0,
     control_set=None,
 ) -> ControlProcess:
-    """Adapted control with independent N(0, scale^2) node values."""
+    """Adapted control with independent N(0, scale^2) node values, drawn after `_check_on`."""
+    horizon = _count(horizon, "horizon")
+    _check_on(lat, horizon)
     stages = []
-    for n in range(_count(horizon, "horizon")):
+    for n in range(horizon):
         vals = scale * rng.standard_normal(lat.level_size(n))
         if control_set is not None:
             vals = control_set.project(vals)

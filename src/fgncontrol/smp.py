@@ -499,9 +499,11 @@ def optimize(
     with zero iterations.  Raises NoDescent when backtracking exhausts its
     halvings, and NotConverged never: hitting max_iter runs `_certify`
     once, checks its rho and returns converged=False unless it passes, so
-    the caller can inspect the trace.  A negative max_iter or bad tol
-    raises ValueError.
+    the caller can inspect the trace.  A max_iter that is not an int or
+    numpy integer >= 0 (a bool is not), or a bad tol, raises ValueError.
     """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     _check_tol(tol)

@@ -16,7 +16,9 @@ import pytest
 
 from fgncontrol.bsde import adjoint_driver, residual_orthogonality, solve_bsde
 from fgncontrol.dynamics import (
+    ControlProcess,
     Unconstrained,
+    constant_control,
     cost,
     forward,
     perturb,
@@ -25,7 +27,7 @@ from fgncontrol.dynamics import (
     variation,
 )
 from fgncontrol.errors import DepthMismatch, LevelMismatch
-from fgncontrol.lattice import lattice_for_hurst
+from fgncontrol.lattice import AdaptedValue, lattice_for_hurst
 from fgncontrol.lq import LqSpec, lq_fixed_point, verify_sufficiency, verify_uniqueness
 from fgncontrol.smp import SmpResidual, check_stationarity, optimize, smp_residual
 
@@ -54,10 +56,16 @@ def processes(lat, horizon):
 def kits():
     lat = lattice_for_hurst(0.7, depth=N, order=3)
     shallow = lattice_for_hurst(0.7, depth=N - 1, order=3)
-    # a depth N - 1 lattice holds a control of N stages, but no state of N + 1
+    # a depth N - 1 lattice holds a control of N stages, but no state of N + 1;
+    # random_control refuses to draw one there, so it is built by hand
     on_shallow = processes(shallow, N - 1)
-    on_shallow.u = random_control(shallow, N, np.random.default_rng(1), scale=0.3)
-    on_shallow.v = random_control(shallow, N, np.random.default_rng(2), scale=0.3)
+    on_shallow.u, on_shallow.v = (
+        ControlProcess(
+            AdaptedValue(shallow, n, 0.3 * rng.standard_normal(shallow.level_size(n)))
+            for n in range(N)
+        )
+        for rng in (np.random.default_rng(1), np.random.default_rng(2))
+    )
     on_shallow.res = SmpResidual(shallow.constant(0.0, n) for n in range(N))
     return {
         "good": processes(lat, N),
@@ -168,3 +176,15 @@ class TestDefects:
         sol = processes(other, N).sol
         with pytest.raises(LevelMismatch, match="solution lives on a different lattice"):
             residual_orthogonality(sol, kits["good"].lat)
+
+    @pytest.mark.parametrize("build", [
+        lambda lat, rng: constant_control(lat, 5, 0.0),
+        lambda lat, rng: random_control(lat, 5, rng),
+    ], ids=["constant_control", "random_control"])
+    def test_control_longer_than_the_lattice(self, build):
+        # LevelMismatch "level 4 outside [0, 3]" from the stage-4 table
+        lat, rng = lattice_for_hurst(0.7, depth=3, order=3), np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(DepthMismatch, match="^lattice depth 3 < horizon 5$"):
+            build(lat, rng)
+        assert rng.bit_generator.state == state  # nothing was drawn

@@ -5,7 +5,9 @@ with plain Python loops and weighted sums; it shares nothing with the
 contraction-based solver.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from fgncontrol.dynamics import (
     random_control,
     sin_drift_model,
 )
+from fgncontrol.configs import _STAGE_KEYS, _build_driver
 from fgncontrol.errors import DepthMismatch, LevelMismatch, TerminalConditionViolated
 from fgncontrol.lattice import (
     AdaptedValue,
@@ -40,6 +43,7 @@ from fgncontrol.lq import as_model
 from fgncontrol.noise import fgn_covariance, whiten
 from fgncontrol.reporting import write_bsde_csv
 from fgncontrol.selftest import _random_lq_spec
+from fgncontrol.smp import solve_adjoint
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +313,29 @@ class TestSolutionStructure:
         kept = leaf + 2 * leaf // q
         assert peak - before - kept < leaf / 2
 
+    @pytest.mark.parametrize("g_final, leaf_tables", [(False, 2.5), (True, 4.5)])
+    def test_affine_config_solve_peak(self, g_final, leaf_tables):
+        # above its inputs the solve builds M and the stage-N f (two leaf tables)
+        # and reads Z_N = 0 as a level-0 value; a leaf-sized zero Z_N made the
+        # peak 3.0 and 5.0.  A stage-N g also builds E[xi_N | level N], not
+        # cached at the lattice's depth, and g times it: two more
+        q, n_stages = 3, 11
+        lat3 = lattice_for_hurst(0.7, depth=n_stages, order=q)
+        rng = np.random.default_rng([q, n_stages])
+        stages = [dict(zip(_STAGE_KEYS, rng.uniform(-0.5, 0.5, 6))) for _ in range(n_stages)]
+        stages[-1].update(f_z=0.0, g_z=0.0)
+        if not g_final:
+            stages[-1].update(g_constant=0.0, g_y=0.0)
+        driver = _build_driver(lat3, 0.5, rng.uniform(-1.0, 1.0, n_stages), tuple(stages))
+        solve_bsde(driver, lat3)  # builds the lattice's cached noise means and weights
+        tracemalloc.start()
+        try:
+            solve_bsde(driver, lat3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= leaf_tables * 8 * lat3.level_size(n_stages)
+
     def test_driver_finer_than_its_stage_rejected(self, lat):
         # xi_s is not measurable at stage s; projecting it away would
         # silently give Y_0 = 0
@@ -539,6 +566,27 @@ class TestDerivedResidual:
             model = as_model(_random_lq_spec(np.random.default_rng([1, q, horizon]), horizon))
         u = random_control(lat, horizon, np.random.default_rng([2, q, horizon]), scale=0.4)
         self.assert_residuals_equal(adjoint_driver(model, u, forward(model, u, lat)), lat)
+
+    @pytest.mark.parametrize("kind", ["sin_drift", "lq"])
+    def test_adjoint_residual_outlives_the_callers_pair(self, kind):
+        # the driver rereads the coefficients from the tables X*_0..X*_{N-1}
+        # and u* it holds; it holds no X*_N, so the LQ one (phi_x = G x, a new
+        # table) is freed with the caller's state
+        q, horizon = 3, 5
+        lat3 = lattice_for_hurst(0.7, depth=horizon, order=q)
+        if kind == "sin_drift":
+            model = sin_drift_model(horizon, initial_state=1.0, noise_gain=0.5)
+        else:
+            model = as_model(_random_lq_spec(np.random.default_rng([1, q, horizon]), horizon))
+        u = random_control(lat3, horizon, np.random.default_rng([2, q, horizon]), scale=0.4)
+        x, adj = solve_adjoint(model, u, lat3, lat3.basis)
+        first = [r.values.tobytes() for r in adj.r]
+        final = weakref.ref(x[horizon].values.base)
+        del x, u
+        gc.collect()
+        assert [r.values.tobytes() for r in adj.r] == first
+        if kind == "lq":
+            assert final() is None
 
     def test_sequence_reads(self, lat):
         driver = random_affine_driver(lat, 2, np.random.default_rng(3))
