@@ -221,12 +221,12 @@ def adjoint_driver(model: ModelSpec, u_star: ControlProcess, x_star: StateProces
     with b the whitening of the reference's lattice, `x_star.lattice.basis`.
     Stage k's coefficients are read at (X*_k, u*_k) when a solve reaches
     stage k, and again whenever R is read; the driver holds the caller's
-    tables X*_0..X*_{N-1} and u*, never X*_N.  Stage-N coefficients
-    vanish: `ModelSpec` refuses a model whose b_x, sigma_x or l_x does not
-    vanish at the final stage.  A coefficient the model returns as a scalar
-    stays a scalar, and a scalar zero drops its term, so a zero sigma_x
-    makes g the scalar 0 (no noise term is built).  `_check_on` checks the
-    pair against the model and X*'s lattice.
+    tables X*_0..X*_{N-1} and u*, never X*_N.  f and g are 0 at stage N:
+    the system does not act there, only the terminal data remains, and the
+    model is not called.  A coefficient the model returns as a scalar stays
+    a scalar, and a scalar zero drops its term, so a zero sigma_x makes g
+    the scalar 0 (no noise term is built).  `_check_on` checks the pair
+    against the model and X*'s lattice.
     """
     n_stages, lat = model.horizon, x_star.lattice
     _check_on(lat, n_stages, control=u_star, state=x_star)

@@ -109,7 +109,7 @@ def cmd_solve_bsde(args) -> int:
     worst_mean, worst_eta = residual_orthogonality(sol, lat)
     passed = worst_mean <= ORTHOGONALITY_TOL and worst_eta <= ORTHOGONALITY_TOL
     reporting.ensure_out_dir(out)
-    reporting.write_bsde_csv(os.path.join(out, "solution.csv"), lat, sol)
+    reporting.write_bsde_csv(os.path.join(out, "solution.csv"), sol)
     reporting.write_json(
         os.path.join(out, "orthogonality.json"),
         {

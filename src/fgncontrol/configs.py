@@ -158,7 +158,8 @@ class ModelConfig:
 
     Both are built when the config is parsed, the lattice first, so an
     oversized lattice, then a model the constructors refuse (bad LQ
-    weights, a nonvanishing stage-N coefficient), fails at load.
+    weights, a stated derivative that disagrees with its value), fails at
+    load.
     """
 
     model: ModelSpec

@@ -68,10 +68,6 @@ class OutOfControlSet(FgnControlError, ValueError):
     """A control value escaped the admissible set."""
 
 
-class TerminalConditionViolated(FgnControlError, ValueError):
-    """Stage-N coefficients that must vanish identically do not."""
-
-
 class DerivativeMismatch(InvalidSpec):
     """Supplied derivative disagrees with finite differences of the value."""
 

@@ -380,10 +380,15 @@ def _children(lat: NoiseLattice, n: int, base: np.ndarray, scale, what: str) -> 
     return _frozen(out)
 
 
+def _check_stage(lat: NoiseLattice, n: int, what: str):
+    """IndexOutOfRange "`what` stage n outside [0, depth - 1]" unless 0 <= n < depth."""
+    if not 0 <= n <= lat.depth - 1:
+        raise IndexOutOfRange(f"{what} stage {n} outside [0, {lat.depth - 1}]")
+
+
 def white_value(lat: NoiseLattice, n: int) -> AdaptedValue:
     """The stage-n white noise eta_n as a level n+1 value."""
-    if not 0 <= n <= lat.depth - 1:
-        raise IndexOutOfRange(f"white noise stage {n} outside [0, {lat.depth - 1}]")
+    _check_stage(lat, n, "white noise")
     return AdaptedValue(lat, n + 1, np.broadcast_to(lat.rule.nodes, (lat.level_size(n), lat.rule.q)))
 
 
@@ -393,8 +398,7 @@ def noise_value(lat: NoiseLattice, n: int) -> AdaptedValue:
     Broadcast from the lattice's cached E[xi_n | first n noises] plus
     b[n,n] eta_n; the level-(n+1) table itself is not cached.
     """
-    if not 0 <= n <= lat.depth - 1:
-        raise IndexOutOfRange(f"noise stage {n} outside [0, {lat.depth - 1}]")
+    _check_stage(lat, n, "noise")
     xi = _mean(lat, n)[:, None] + lat.basis.b_mat[n, n] * lat.rule.nodes
     return AdaptedValue(lat, n + 1, _frozen(xi))
 
@@ -405,8 +409,7 @@ def noise_conditional_mean(lat: NoiseLattice, n: int) -> AdaptedValue:
     Equivalent to the memory form sum_{k<n} c[n,k] xi_k.  Built once per
     lattice, so repeated calls return the same object.
     """
-    if not 0 <= n <= lat.depth - 1:
-        raise IndexOutOfRange(f"noise stage {n} outside [0, {lat.depth - 1}]")
+    _check_stage(lat, n, "noise")
     return lat._noise_means[n]
 
 

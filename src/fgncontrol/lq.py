@@ -86,9 +86,7 @@ class LqSpec:
 
 def _lq_model(spec: LqSpec, control_set) -> ModelSpec:
     """The LQ dynamics and cost as one ModelSpec on `control_set`."""
-    pad = lambda arr: np.append(arr, 0.0)
-    a, b, c, d = pad(spec.A), pad(spec.B), pad(spec.C), pad(spec.D)
-    q, r, g = pad(spec.Q), pad(spec.R), spec.G
+    a, b, c, d, q, r, g = spec.A, spec.B, spec.C, spec.D, spec.Q, spec.R, spec.G
     return ModelSpec(
         horizon=spec.horizon,
         initial_state=spec.x,
@@ -113,10 +111,10 @@ def _lq_model(spec: LqSpec, control_set) -> ModelSpec:
 def as_model(spec: LqSpec) -> ModelSpec:
     """The LQ problem as a generic ModelSpec (unconstrained control).
 
-    Coefficient arrays are padded with a zero final stage, which
-    realises the convention that stage-N coefficients vanish.  The model
-    is built (and its derivative guard run) once per spec and kept on it,
-    so every solver and certificate of one spec shares it.
+    Each coefficient reads stage n of the spec's arrays, n < horizon, with
+    no padding: the system does not act at stage N.  The model is built
+    (and its derivative guard run) once per spec and kept on it, so every
+    solver and certificate of one spec shares it.
     """
     return spec._model
 

@@ -495,7 +495,7 @@ def read_control_csv(path: str, lat: NoiseLattice, horizon: int) -> ControlProce
     return ControlProcess(stages)
 
 
-def write_bsde_csv(path: str, lat: NoiseLattice, sol) -> None:
+def write_bsde_csv(path: str, sol) -> None:
     """Header `stage,node_index,Y,Z,R_mean_check,R_eta_check`.
 
     Stages 0..N-1 carry Y, Z and the two conditional moments of the

@@ -164,7 +164,7 @@ def criterion_white_noise_reduction(seed: int) -> CriterionResult:
                 nxt[i * q + j] = drift + vol * nodes[j]
         x_slow.append(nxt)
 
-    # backward adjoint: p_N = G X_N, stage coefficients vanish at N
+    # backward adjoint: p_N = G X_N, no stage driver at N
     p_slow: list[np.ndarray] = [np.empty(0)] * (horizon + 1)
     z_slow: list[np.ndarray] = [np.empty(0)] * horizon
     p_slow[horizon] = spec.G * x_slow[horizon]

@@ -5,6 +5,7 @@ with plain Python loops and weighted sums; it shares nothing with the
 contraction-based solver.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -22,12 +23,14 @@ from fgncontrol.bsde import (
 from fgncontrol.dynamics import (
     ModelSpec,
     constant_control,
+    cost,
     forward,
     random_control,
     sin_drift_model,
+    variation,
 )
 from fgncontrol.configs import _STAGE_KEYS, _build_driver
-from fgncontrol.errors import DepthMismatch, LevelMismatch, TerminalConditionViolated
+from fgncontrol.errors import DepthMismatch, LevelMismatch
 from fgncontrol.lattice import (
     AdaptedValue,
     NoiseLattice,
@@ -43,7 +46,7 @@ from fgncontrol.lq import as_model
 from fgncontrol.noise import fgn_covariance, whiten
 from fgncontrol.reporting import write_bsde_csv
 from fgncontrol.selftest import _random_lq_spec
-from fgncontrol.smp import solve_adjoint
+from fgncontrol.smp import directional_derivative, optimize, smp_residual, solve_adjoint
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +352,44 @@ class TestSolutionStructure:
             solve_bsde(driver, lat)
 
 
+def refuse(n, x, u):
+    raise AssertionError(f"stage coefficient called at stage {n}")
+
+
+# Every stage coefficient of a ModelSpec: b, sigma, l and their derivatives.
+STAGE_COEFFICIENTS = tuple(
+    f"{value}{wrt}" for value in ("b", "sigma", "l") for wrt in ("", "_x", "_u", "_xx", "_uu", "_xu")
+)
+
+
+def past_horizon(model, coefficient):
+    """`model` with every stage coefficient replaced by `coefficient` at n >= horizon."""
+    def wrap(own):
+        return lambda n, x, u: own(n, x, u) if n < model.horizon else coefficient(n, x, u)
+
+    return dataclasses.replace(
+        model, **{name: wrap(getattr(model, name)) for name in STAGE_COEFFICIENTS}
+    )
+
+
+def adjoint_tables(model, u, lat):
+    """Y, Z and every R_n of the adjoint at u, from `solve_adjoint` and from a
+    plain `solve_bsde` of `adjoint_driver`, and the residual rho of each."""
+    x, cached = solve_adjoint(model, u, lat, lat.basis)
+    plain = solve_bsde(adjoint_driver(model, u, x), lat)
+    return [
+        s.values
+        for sol in (cached, plain)
+        for s in (*sol.y, *sol.z, *sol.r, *smp_residual(model, u, sol, lat, lat.basis))
+    ]
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 class TestAdjointDriver:
     def test_insensitive_model_gives_unit_adjoint(self, lat):
         # b = u, sigma = 1, l = 0, phi = x: nothing depends on the state,
@@ -416,26 +457,68 @@ class TestAdjointDriver:
             g * (c0 * x0 + d0 * u0) * b00, abs=1e-12
         )
 
-    def test_nonvanishing_terminal_derivative_rejected(self):
+    def test_nonvanishing_terminal_derivative_is_not_read(self, lat):
         # b vanishes at the final stage but the supplied b_x does not; the
-        # model must be refused rather than let the adjoint treat stage N
-        # as active.
-        with pytest.raises(TerminalConditionViolated):
-            ModelSpec(
+        # system does not act at stage N, so the adjoint is that of the model
+        # whose b_x vanishes there, byte for byte
+        def model(b_x_at_final):
+            return ModelSpec(
                 horizon=2,
-                initial_state=0.0,
+                initial_state=0.5,
                 b=lambda n, x, u: (x if n < 2 else np.zeros_like(x)),
-                sigma=lambda n, x, u: np.zeros_like(x),
+                sigma=lambda n, x, u: u,
                 l=lambda n, x, u: np.zeros_like(x),
-                phi=lambda x: x,
-                b_x=lambda n, x, u: np.ones_like(x),
+                phi=lambda x: 0.5 * x**2,
+                b_x=lambda n, x, u: np.ones_like(x) if n < 2 else b_x_at_final(x),
                 b_u=lambda n, x, u: np.zeros_like(u),
                 sigma_x=lambda n, x, u: np.zeros_like(x),
-                sigma_u=lambda n, x, u: np.zeros_like(u),
+                sigma_u=lambda n, x, u: np.ones_like(u),
                 l_x=lambda n, x, u: np.zeros_like(x),
                 l_u=lambda n, x, u: np.zeros_like(u),
-                phi_x=lambda x: np.ones_like(x),
+                phi_x=lambda x: x,
+                phi_xx=lambda x: 1.0,
             )
+
+        u = random_control(lat, 2, np.random.default_rng(40))
+        nonvanishing, vanishing = model(np.ones_like), model(np.zeros_like)
+        assert_same_bytes(
+            adjoint_tables(nonvanishing, u, lat), adjoint_tables(vanishing, u, lat)
+        )
+        # an LQ model whose every stage coefficient is 1 past the horizon
+        lq = as_model(_random_lq_spec(np.random.default_rng(41), 2))
+        assert_same_bytes(
+            adjoint_tables(past_horizon(lq, lambda n, x, u: np.ones_like(x)), u, lat),
+            adjoint_tables(lq, u, lat),
+        )
+
+    @pytest.mark.parametrize("depth", [3, 4])
+    def test_model_is_never_called_at_the_final_stage(self, depth):
+        # every stage coefficient of sin drift raises at n >= N; the model
+        # builds, and each route returns the unwrapped model's bytes
+        n_stages = 3
+        lat = lattice_for_hurst(0.7, depth=depth, order=3)
+        plain = sin_drift_model(n_stages)
+        guarded = past_horizon(plain, refuse)
+        u = random_control(lat, n_stages, np.random.default_rng(42))
+        v = random_control(lat, n_stages, np.random.default_rng(43))
+        results = []
+        for model in (plain, guarded):
+            x = forward(model, u, lat)
+            found = optimize(model, u, lat)
+            results.append([
+                *adjoint_tables(model, u, lat),
+                *(s.values for s in x),
+                *(s.values for s in variation(model, u, x, v, lat)),
+                *(s.values for s in found.control),
+                *(s.values for s in found.adjoint.y),
+                np.array([
+                    cost(model, u, x, lat),
+                    directional_derivative(model, u, v, lat),
+                    found.cost,
+                    found.iterations,
+                ]),
+            ])
+        assert_same_bytes(*results)
 
     def test_white_noise_reduction_matches_direct_recursion(self):
         # at h = 0.5 the adjoint collapses to the classical recursion
@@ -615,6 +698,6 @@ class TestDerivedResidual:
         stages = list(range(horizon, 0, -1))
         assert calls == {"f": stages, "g": stages}
         residual_orthogonality(sol, lat)
-        write_bsde_csv(str(tmp_path / "solution.csv"), lat, sol)
+        write_bsde_csv(str(tmp_path / "solution.csv"), sol)
         again = list(range(1, horizon + 1))
         assert calls == {"f": stages + again, "g": stages + again}

@@ -6,11 +6,13 @@ is (2^1.4 - 2)/2 = 0.3195079107728942.
 """
 
 import argparse
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -787,7 +789,7 @@ EXIT_STATUS = {
     errors.NotConverged: 5, errors.NoDescent: 5,
     errors.NotPositiveDefinite: 3, errors.NonFiniteValue: 3, errors.LevelMismatch: 3,
     errors.DepthMismatch: 3, errors.IndexOutOfRange: 3, errors.OutOfControlSet: 3,
-    errors.TerminalConditionViolated: 3, errors.DualityMismatch: 3,
+    errors.DualityMismatch: 3,
     errors.ConfigError: 2, errors.InvalidSpec: 2, errors.NotSymmetric: 2,
     errors.UnsupportedOrder: 2, errors.LatticeTooLarge: 2, errors.DerivativeMismatch: 2,
     errors.WrongHorizon: 2, ValueError: 2, OSError: 4,
@@ -810,6 +812,20 @@ class TestExitStatus:
             if isinstance(obj, type) and issubclass(obj, errors.FgnControlError)
         }
         assert raised - {errors.FgnControlError} == set(EXIT_STATUS) - {ValueError, OSError}
+
+    def test_every_error_type_has_a_raise_site(self):
+        # a guard removed without its class would leave the class behind
+        declared = {
+            name for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.FgnControlError)
+        }
+        raised = set()
+        for path in Path(errors.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                    func = node.exc.func
+                    raised.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+        assert declared - {"FgnControlError"} - raised == set()
 
 
 class TestParser:

@@ -33,7 +33,6 @@ from fgncontrol.errors import (
     LevelMismatch,
     NonFiniteValue,
     OutOfControlSet,
-    TerminalConditionViolated,
 )
 from fgncontrol import lattice
 from fgncontrol.lattice import (
@@ -149,24 +148,6 @@ class TestModelSpecValidation:
     def test_sin_drift_constructs(self):
         sin_drift_model(3)
 
-    def test_nonzero_terminal_drift_rejected(self):
-        with pytest.raises(TerminalConditionViolated):
-            ModelSpec(
-                horizon=1,
-                initial_state=0.0,
-                b=lambda n, x, u: x,  # does not vanish at n = 1
-                sigma=lambda n, x, u: np.zeros_like(x),
-                l=lambda n, x, u: np.zeros_like(x),
-                phi=lambda x: x,
-                b_x=lambda n, x, u: np.ones_like(x),
-                b_u=lambda n, x, u: np.zeros_like(u),
-                sigma_x=lambda n, x, u: np.zeros_like(x),
-                sigma_u=lambda n, x, u: np.zeros_like(u),
-                l_x=lambda n, x, u: np.zeros_like(x),
-                l_u=lambda n, x, u: np.zeros_like(u),
-                phi_x=lambda x: np.ones_like(x),
-            )
-
     def test_wrong_derivative_rejected(self):
         def active(n):
             return 1.0 if n < 1 else 0.0
@@ -191,14 +172,6 @@ class TestModelSpecValidation:
     def test_wrong_phi_derivative_rejected(self):
         with pytest.raises(DerivativeMismatch, match="phi_x disagrees with finite differences"):
             additive_noise_model(1, 0.0, phi=lambda x: x**2, phi_x=lambda x: x)
-
-    def test_nan_terminal_value_rejected(self):
-        # NaN > tol is False: a NaN must fail the guard all the same
-        model = sin_drift_model(3)
-        with pytest.raises(TerminalConditionViolated, match=r"b\(3, x, u\) must vanish"):
-            dataclasses.replace(
-                model, b=lambda n, x, u: np.sin(x) + u if n < 3 else np.full_like(x, np.nan)
-            )
 
     @pytest.mark.parametrize("name, bad", [("b_x", np.nan), ("b", np.nan), ("b_x", np.inf)])
     def test_non_finite_derivative_or_difference_rejected(self, name, bad):

@@ -175,7 +175,7 @@ def bsde_reference(lat, sol):
 def test_bsde_moments_and_empty_terminal_fields(lat, tmp_path):
     sol = hand_solution(lat)
     path = str(tmp_path / "s.csv")
-    write_bsde_csv(path, lat, sol)
+    write_bsde_csv(path, sol)
     text = read(path)
     assert_text(text, bsde_reference(lat, sol))
     assert text.startswith("stage,node_index,Y,Z,R_mean_check,R_eta_check\n0,0,0,")
@@ -319,12 +319,12 @@ def test_residual_deep(deep, tmp_path):
 def test_bsde_wide(wide, tmp_path, monkeypatch):
     sol = hand_solution(wide)
     path = str(tmp_path / "s.csv")
-    write_bsde_csv(path, wide, sol)
+    write_bsde_csv(path, sol)
     want = bsde_reference(wide, sol)
     assert_text(read(path), want)
     # chunk boundaries inside a stage block, with a 625-row last chunk
     monkeypatch.setattr(reporting, "_CHUNK_ROWS", 1000)
-    write_bsde_csv(path, wide, sol)
+    write_bsde_csv(path, sol)
     assert_text(read(path), want)
 
 
@@ -346,7 +346,7 @@ def test_bsde_write_memory_stays_within_two_leaf_tables(tmp_path):
     tracemalloc.start()
     try:
         entry, _ = tracemalloc.get_traced_memory()
-        write_bsde_csv(path, lat, sol)
+        write_bsde_csv(path, sol)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -379,7 +379,7 @@ def test_chunks_cross_stage_blocks(deep, tmp_path, monkeypatch, chunk):
     sol = hand_solution(deep)
     write_adjoint_csv(str(tmp_path / "a.csv"), sol)
     assert_text(read(str(tmp_path / "a.csv")), adjoint_reference(sol))
-    write_bsde_csv(str(tmp_path / "s.csv"), deep, sol)
+    write_bsde_csv(str(tmp_path / "s.csv"), sol)
     assert_text(read(str(tmp_path / "s.csv")), bsde_reference(deep, sol))
     rho = stages(deep, range(8), seed=32)
     control = stages(deep, range(8), seed=33)
@@ -402,7 +402,7 @@ def test_bsde_fills_default_size_chunks(tmp_path, monkeypatch):
     sol = hand_solution(lat)
     chunks = count_calls(monkeypatch, "_encode_rows")
     path = str(tmp_path / "s.csv")
-    write_bsde_csv(path, lat, sol)
+    write_bsde_csv(path, sol)
     assert_text(read(path), bsde_reference(lat, sol))
     sizes = [sum(len(piece[1]) for piece in pieces) for (pieces,) in chunks]
     assert sizes == chunk_sizes(21_845) + chunk_sizes(4**8)
@@ -463,7 +463,7 @@ def test_terminal_stage_closes_the_chunk(lat, tmp_path, monkeypatch):
     chunks = count_calls(monkeypatch, "_encode_rows")
     sol = hand_solution(lat)
     path = str(tmp_path / "s.csv")
-    write_bsde_csv(path, lat, sol)
+    write_bsde_csv(path, sol)
     assert_text(read(path), bsde_reference(lat, sol))
     assert len(chunks) == 2
 
