@@ -11,8 +11,9 @@ it, and uses those solutions to check and compute optimal controls:
     Gauss-Hermite product lattice, adapted random variables, and exact
     conditional expectations.
 ``dynamics``
-    Controlled scalar state recursions, running/terminal costs, and the
-    first-order variation process.
+    Controlled scalar state recursions, running/terminal costs, the
+    first-order variation process, and two example models: sin drift and
+    the non-convex double well.
 ``bsde``
     Backward solver producing the value, slope, and orthogonal-remainder
     processes for affine drivers.
@@ -42,6 +43,7 @@ from .dynamics import (
     Unconstrained,
     constant_control,
     cost,
+    double_well_model,
     forward,
     perturb,
     random_control,
@@ -153,6 +155,7 @@ __all__ = [
     "cost",
     "custom_covariance",
     "directional_derivative",
+    "double_well_model",
     "expectation",
     "fgn_covariance",
     "forward",

@@ -22,6 +22,7 @@ by `lattice._blocks` blocks.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -508,4 +509,21 @@ def sin_drift_model(
         l_uu=lambda n, x, u: 1.0,
         phi_xx=lambda x: 1.0,
         control_set=control_set if control_set is not None else Unconstrained(),
+    )
+
+
+def double_well_model(
+    horizon: int,
+    initial_state: float = 1.0,
+    noise_gain: float = 0.5,
+    control_set=None,
+) -> ModelSpec:
+    """Non-convex benchmark: `sin_drift_model`'s stages with the double-well
+    terminal cost (x^2 - 1)^2 / 4.  Its phi_xx = 3x^2 - 1 is negative for
+    |x| < 1/sqrt(3), so the backward pass's Q_uu can be too."""
+    return dataclasses.replace(
+        sin_drift_model(horizon, initial_state, noise_gain, control_set),
+        phi=lambda x: 0.25 * (x**2 - 1.0) ** 2,
+        phi_x=lambda x: x**3 - x,
+        phi_xx=lambda x: 3.0 * x**2 - 1.0,
     )

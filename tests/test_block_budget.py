@@ -11,8 +11,6 @@ row can depend on how many rows the call gets (one-row calls differ at
 q = 4 here), so a J or a trial J of `optimize` may move in its last bit.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -22,6 +20,7 @@ from fgncontrol.dynamics import (
     Box,
     constant_control,
     cost,
+    double_well_model,
     forward,
     random_control,
     Unconstrained,
@@ -105,11 +104,7 @@ def test_optimize(monkeypatch, q, horizon, control_set):
     # the double well (x^2 - 1)^2 / 4 from x0 = 0.3 takes several Newton
     # iterations: 7 at (3, 6) and the cap of 12 at (4, 5) without the box
     lat = lattice_for_hurst(0.7, depth=horizon, order=q)
-    model = dataclasses.replace(
-        sin_drift_model(horizon, initial_state=0.3, noise_gain=0.5, control_set=control_set),
-        phi=lambda x: 0.25 * (x**2 - 1.0) ** 2, phi_x=lambda x: x**3 - x,
-        phi_xx=lambda x: 3.0 * x**2 - 1.0,
-    )
+    model = double_well_model(horizon, initial_state=0.3, noise_gain=0.5, control_set=control_set)
 
     def compute():
         result = optimize(model, constant_control(lat, horizon, 0.0), lat, max_iter=12)

@@ -47,6 +47,7 @@ from fgncontrol.noise import fgn_covariance, whiten
 from fgncontrol.reporting import write_bsde_csv
 from fgncontrol.selftest import _random_lq_spec
 from fgncontrol.smp import directional_derivative, optimize, smp_residual, solve_adjoint
+from test_dynamics import one_step_lq_model
 
 
 @pytest.fixture(scope="module")
@@ -394,23 +395,20 @@ class TestAdjointDriver:
     def test_insensitive_model_gives_unit_adjoint(self, lat):
         # b = u, sigma = 1, l = 0, phi = x: nothing depends on the state,
         # so p carries the terminal slope 1 and q vanishes.
-        def active(n):
-            return 1.0 if n < 2 else 0.0
-
         model = ModelSpec(
             horizon=2,
             initial_state=0.5,
-            b=lambda n, x, u: active(n) * u,
-            sigma=lambda n, x, u: active(n) * np.ones_like(x),
-            l=lambda n, x, u: np.zeros_like(x),
+            b=lambda n, x, u: u,
+            sigma=lambda n, x, u: 1.0,
+            l=lambda n, x, u: 0.0,
             phi=lambda x: x,
-            b_x=lambda n, x, u: np.zeros_like(x),
-            b_u=lambda n, x, u: active(n) * np.ones_like(u),
-            sigma_x=lambda n, x, u: np.zeros_like(x),
-            sigma_u=lambda n, x, u: np.zeros_like(u),
-            l_x=lambda n, x, u: np.zeros_like(x),
-            l_u=lambda n, x, u: np.zeros_like(u),
-            phi_x=lambda x: np.ones_like(x),
+            b_x=lambda n, x, u: 0.0,
+            b_u=lambda n, x, u: 1.0,
+            sigma_x=lambda n, x, u: 0.0,
+            sigma_u=lambda n, x, u: 0.0,
+            l_x=lambda n, x, u: 0.0,
+            l_u=lambda n, x, u: 0.0,
+            phi_x=lambda x: 1.0,
         )
         u = constant_control(lat, 2, 0.3)
         x = forward(model, u, lat)
@@ -425,26 +423,7 @@ class TestAdjointDriver:
         lat1 = lattice_for_hurst(0.7, depth=1, order=3)
         a0, b0, c0, d0, g = 0.4, 1.1, -0.3, 0.7, 1.6
         x0, u0 = 1.2, 0.5
-
-        def active(n):
-            return 1.0 if n < 1 else 0.0
-
-        model = ModelSpec(
-            horizon=1,
-            initial_state=x0,
-            b=lambda n, x, u: active(n) * (a0 * x + b0 * u),
-            sigma=lambda n, x, u: active(n) * (c0 * x + d0 * u),
-            l=lambda n, x, u: np.zeros_like(x),
-            phi=lambda x: 0.5 * g * x**2,
-            b_x=lambda n, x, u: active(n) * a0 * np.ones_like(x),
-            b_u=lambda n, x, u: active(n) * b0 * np.ones_like(u),
-            sigma_x=lambda n, x, u: active(n) * c0 * np.ones_like(x),
-            sigma_u=lambda n, x, u: active(n) * d0 * np.ones_like(u),
-            l_x=lambda n, x, u: np.zeros_like(x),
-            l_u=lambda n, x, u: np.zeros_like(u),
-            phi_x=lambda x: g * x,
-            phi_xx=lambda x: g,
-        )
+        model = one_step_lq_model(a0, b0, c0, d0, 0.0, 0.0, g, x0)
         u = constant_control(lat1, 1, u0)
         x = forward(model, u, lat1)
         sol = solve_bsde(adjoint_driver(model, u, x), lat1)
@@ -460,21 +439,22 @@ class TestAdjointDriver:
     def test_nonvanishing_terminal_derivative_is_not_read(self, lat):
         # b vanishes at the final stage but the supplied b_x does not; the
         # system does not act at stage N, so the adjoint is that of the model
-        # whose b_x vanishes there, byte for byte
+        # whose b_x vanishes there, byte for byte.  The stage-N b_x is a table
+        # on purpose: a table is what a route that read it would multiply in
         def model(b_x_at_final):
             return ModelSpec(
                 horizon=2,
                 initial_state=0.5,
-                b=lambda n, x, u: (x if n < 2 else np.zeros_like(x)),
+                b=lambda n, x, u: x if n < 2 else 0.0,
                 sigma=lambda n, x, u: u,
-                l=lambda n, x, u: np.zeros_like(x),
+                l=lambda n, x, u: 0.0,
                 phi=lambda x: 0.5 * x**2,
-                b_x=lambda n, x, u: np.ones_like(x) if n < 2 else b_x_at_final(x),
-                b_u=lambda n, x, u: np.zeros_like(u),
-                sigma_x=lambda n, x, u: np.zeros_like(x),
-                sigma_u=lambda n, x, u: np.ones_like(u),
-                l_x=lambda n, x, u: np.zeros_like(x),
-                l_u=lambda n, x, u: np.zeros_like(u),
+                b_x=lambda n, x, u: 1.0 if n < 2 else b_x_at_final(x),
+                b_u=lambda n, x, u: 0.0,
+                sigma_x=lambda n, x, u: 0.0,
+                sigma_u=lambda n, x, u: 1.0,
+                l_x=lambda n, x, u: 0.0,
+                l_u=lambda n, x, u: 0.0,
                 phi_x=lambda x: x,
                 phi_xx=lambda x: 1.0,
             )
@@ -484,7 +464,7 @@ class TestAdjointDriver:
         assert_same_bytes(
             adjoint_tables(nonvanishing, u, lat), adjoint_tables(vanishing, u, lat)
         )
-        # an LQ model whose every stage coefficient is 1 past the horizon
+        # an LQ model whose every stage coefficient is a table of ones past the horizon
         lq = as_model(_random_lq_spec(np.random.default_rng(41), 2))
         assert_same_bytes(
             adjoint_tables(past_horizon(lq, lambda n, x, u: np.ones_like(x)), u, lat),

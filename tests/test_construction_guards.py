@@ -34,6 +34,7 @@ from fgncontrol.errors import (
 from fgncontrol.lattice import NoiseLattice, QuadratureRule, lattice_for_hurst, sample_paths
 from fgncontrol.lq import LqSpec
 from fgncontrol.noise import CovarianceSpec, fgn_covariance
+from test_smp import quadratic_noise_model
 
 N = 3
 
@@ -144,10 +145,6 @@ class TestModelSpec:
             sin_drift_model(N, initial_state=x0)
 
 
-def active(n):
-    return 1.0 if n < N else 0.0
-
-
 def left_at_default(model, *names):
     """`model` built again with the named second derivatives left out, so at their default 0."""
     fields = dataclasses.fields(model)
@@ -158,24 +155,19 @@ def left_at_default(model, *names):
 # derivative the guard names, its stage).
 SECOND_DERIVATIVES = {
     "b_xx-wrong": (
-        lambda: dataclasses.replace(sin_drift_model(N), b_xx=lambda n, x, u: active(n) * np.sin(x)),
+        lambda: dataclasses.replace(sin_drift_model(N), b_xx=lambda n, x, u: np.sin(x)),
         "b_xx", 0,
     ),
     "b_xx-default": (lambda: left_at_default(sin_drift_model(N), "b_xx"), "b_xx", 0),
     "sigma_uu-default": (
-        lambda: dataclasses.replace(
-            sin_drift_model(N),
-            sigma=lambda n, x, u: active(n) * (0.5 * u + 0.1 * u**2),
-            sigma_u=lambda n, x, u: active(n) * (0.5 + 0.2 * u),
-        ),
-        "sigma_uu", 0,
+        lambda: left_at_default(quadratic_noise_model(N), "sigma_uu"), "sigma_uu", 0,
     ),
     "l_xu-default": (
         lambda: dataclasses.replace(
             sin_drift_model(N),
-            l=lambda n, x, u: active(n) * (0.5 * u**2 + 0.1 * x * u),
-            l_x=lambda n, x, u: active(n) * 0.1 * u,
-            l_u=lambda n, x, u: active(n) * (u + 0.1 * x),
+            l=lambda n, x, u: 0.5 * u**2 + 0.1 * x * u,
+            l_x=lambda n, x, u: 0.1 * u,
+            l_u=lambda n, x, u: u + 0.1 * x,
         ),
         "l_xu", 0,
     ),

@@ -12,7 +12,6 @@ with a per-node Riccati pass over leaf-sized child blocks, also on the
 one-node rule (q = 1, eta = 0), whose E[eta^2] reads 0.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -26,6 +25,7 @@ from fgncontrol.lattice import lattice_for_hurst
 from fgncontrol.lq import as_model, lq_fixed_point
 from fgncontrol.selftest import _random_lq_spec
 from fgncontrol.smp import _gradient, smp_residual
+from test_smp import quadratic_noise_model
 
 CASES = [(3, 9, 0.7), (4, 7, 0.3)]
 CASES_H07 = [(3, 9, 0.7), (4, 7, 0.7)]
@@ -131,21 +131,10 @@ def test_smp_residual_equals_gradient_on_the_full_roll(q, depth, hurst):
         assert got[n].values.tobytes() == want[n].values.tobytes()
 
 
-def quadratic_noise_model(depth: int):
-    """Sin drift with the noise 0.5 u + 0.1 u^2, so sigma_u = 0.5 + 0.2 u is a table."""
-    active = np.arange(depth + 1) < depth
-    return dataclasses.replace(
-        sin_drift_model(depth, initial_state=0.8),
-        sigma=lambda n, x, u: active[n] * (0.5 * u + 0.1 * u**2),
-        sigma_u=lambda n, x, u: active[n] * (0.5 + 0.2 * u),
-        sigma_uu=lambda n, x, u: active[n] * 0.2,
-    )
-
-
 @pytest.mark.parametrize("q,depth,hurst", CASES)
 @pytest.mark.parametrize("make_model", [
     lambda depth: sin_drift_model(depth, initial_state=0.8, noise_gain=0.6),
-    quadratic_noise_model,
+    lambda depth: quadratic_noise_model(depth, initial_state=0.8),
 ], ids=["sin-drift", "quadratic-noise"])
 def test_rho_matches_leaf_oracle(q, depth, hurst, make_model):
     # rho_n = l_u + E[(p_n + q_n eta_n)(b_u + sigma_u xi_n) | n]: the library's

@@ -20,6 +20,7 @@ from fgncontrol.dynamics import (
     _step,
     constant_control,
     cost,
+    double_well_model,
     forward,
     perturb,
     random_control,
@@ -49,73 +50,43 @@ from fgncontrol.noise import fgn_covariance
 from fgncontrol.selftest import _random_lq_spec
 
 
-def drift_only_model(horizon, x0, drift_fn, drift_x, drift_u):
-    """Pure-drift model with zero running cost and identity terminal cost."""
-
-    def active(n):
-        return 1.0 if n < horizon else 0.0
-
+def additive_noise_model(horizon, x0, phi, phi_x, phi_xx=lambda x: 0.0, noise=1.0):
+    """b = 0, sigma = noise: the state is x0 plus `noise` times the running noise sum."""
     return ModelSpec(
         horizon=horizon,
         initial_state=x0,
-        b=lambda n, x, u: active(n) * drift_fn(x, u),
-        sigma=lambda n, x, u: np.zeros_like(x),
-        l=lambda n, x, u: np.zeros_like(x),
-        phi=lambda x: x,
-        b_x=lambda n, x, u: active(n) * drift_x(x, u),
-        b_u=lambda n, x, u: active(n) * drift_u(x, u),
-        sigma_x=lambda n, x, u: np.zeros_like(x),
-        sigma_u=lambda n, x, u: np.zeros_like(x),
-        l_x=lambda n, x, u: np.zeros_like(x),
-        l_u=lambda n, x, u: np.zeros_like(x),
-        phi_x=lambda x: np.ones_like(x),
-    )
-
-
-def additive_noise_model(horizon, x0, phi, phi_x, phi_xx=lambda x: 0.0):
-    """b = 0, sigma = 1: the state is x0 plus the running noise sum."""
-
-    def active(n):
-        return 1.0 if n < horizon else 0.0
-
-    return ModelSpec(
-        horizon=horizon,
-        initial_state=x0,
-        b=lambda n, x, u: np.zeros_like(x),
-        sigma=lambda n, x, u: active(n) * np.ones_like(x),
-        l=lambda n, x, u: np.zeros_like(x),
+        b=lambda n, x, u: 0.0,
+        sigma=lambda n, x, u: noise,
+        l=lambda n, x, u: 0.0,
         phi=phi,
-        b_x=lambda n, x, u: np.zeros_like(x),
-        b_u=lambda n, x, u: np.zeros_like(x),
-        sigma_x=lambda n, x, u: np.zeros_like(x),
-        sigma_u=lambda n, x, u: np.zeros_like(x),
-        l_x=lambda n, x, u: np.zeros_like(x),
-        l_u=lambda n, x, u: np.zeros_like(x),
+        b_x=lambda n, x, u: 0.0,
+        b_u=lambda n, x, u: 0.0,
+        sigma_x=lambda n, x, u: 0.0,
+        sigma_u=lambda n, x, u: 0.0,
+        l_x=lambda n, x, u: 0.0,
+        l_u=lambda n, x, u: 0.0,
         phi_x=phi_x,
         phi_xx=phi_xx,
     )
 
 
 def one_step_lq_model(a0, b0, c0, d0, q0, r0, g, x0):
-    def active(n):
-        return 1.0 if n < 1 else 0.0
-
     return ModelSpec(
         horizon=1,
         initial_state=x0,
-        b=lambda n, x, u: active(n) * (a0 * x + b0 * u),
-        sigma=lambda n, x, u: active(n) * (c0 * x + d0 * u),
-        l=lambda n, x, u: active(n) * 0.5 * (q0 * x**2 + r0 * u**2),
+        b=lambda n, x, u: a0 * x + b0 * u,
+        sigma=lambda n, x, u: c0 * x + d0 * u,
+        l=lambda n, x, u: 0.5 * (q0 * x**2 + r0 * u**2),
         phi=lambda x: 0.5 * g * x**2,
-        b_x=lambda n, x, u: active(n) * a0 * np.ones_like(x),
-        b_u=lambda n, x, u: active(n) * b0 * np.ones_like(u),
-        sigma_x=lambda n, x, u: active(n) * c0 * np.ones_like(x),
-        sigma_u=lambda n, x, u: active(n) * d0 * np.ones_like(u),
-        l_x=lambda n, x, u: active(n) * q0 * x,
-        l_u=lambda n, x, u: active(n) * r0 * u,
+        b_x=lambda n, x, u: a0,
+        b_u=lambda n, x, u: b0,
+        sigma_x=lambda n, x, u: c0,
+        sigma_u=lambda n, x, u: d0,
+        l_x=lambda n, x, u: q0 * x,
+        l_u=lambda n, x, u: r0 * u,
         phi_x=lambda x: g * x,
-        l_xx=lambda n, x, u: active(n) * q0,
-        l_uu=lambda n, x, u: active(n) * r0,
+        l_xx=lambda n, x, u: q0,
+        l_uu=lambda n, x, u: r0,
         phi_xx=lambda x: g,
     )
 
@@ -149,24 +120,11 @@ class TestModelSpecValidation:
         sin_drift_model(3)
 
     def test_wrong_derivative_rejected(self):
-        def active(n):
-            return 1.0 if n < 1 else 0.0
-
         with pytest.raises(DerivativeMismatch):
-            ModelSpec(
-                horizon=1,
-                initial_state=0.0,
-                b=lambda n, x, u: active(n) * x**2,
-                sigma=lambda n, x, u: np.zeros_like(x),
-                l=lambda n, x, u: np.zeros_like(x),
-                phi=lambda x: x,
-                b_x=lambda n, x, u: active(n) * np.ones_like(x),  # should be 2x
-                b_u=lambda n, x, u: np.zeros_like(u),
-                sigma_x=lambda n, x, u: np.zeros_like(x),
-                sigma_u=lambda n, x, u: np.zeros_like(u),
-                l_x=lambda n, x, u: np.zeros_like(x),
-                l_u=lambda n, x, u: np.zeros_like(u),
-                phi_x=lambda x: np.ones_like(x),
+            dataclasses.replace(
+                additive_noise_model(1, 0.0, phi=lambda x: x, phi_x=lambda x: 1.0),
+                b=lambda n, x, u: x**2,
+                b_x=lambda n, x, u: 1.0,  # should be 2x
             )
 
     def test_wrong_phi_derivative_rejected(self):
@@ -175,11 +133,11 @@ class TestModelSpecValidation:
 
     @pytest.mark.parametrize("name, bad", [("b_x", np.nan), ("b", np.nan), ("b_x", np.inf)])
     def test_non_finite_derivative_or_difference_rejected(self, name, bad):
-        # bad for x > 0 at the stages before N, in b_x or in b itself; a
-        # non-finite value is named as such, before any difference is taken
+        # bad for x > 0 at every stage, in b_x or in b itself; a non-finite
+        # value is named as such, before any difference is taken
         model = sin_drift_model(3)
         fn = getattr(model, name)
-        changed = {name: lambda n, x, u: np.where(x > 0, bad, fn(n, x, u)) if n < 3 else fn(n, x, u)}
+        changed = {name: lambda n, x, u: np.where(x > 0, bad, fn(n, x, u))}
         if name == "b":
             error, message = InvalidSpec, "^b is not finite at a spot point of stage 0$"
         else:
@@ -195,25 +153,43 @@ class TestModelSpecValidation:
             dataclasses.replace(
                 model,
                 l_u=lambda n, x, u: 2.0 * model.l_u(n, x, u) if n == 2 else model.l_u(n, x, u),
-                sigma_x=lambda n, x, u: np.ones_like(x) if n == 0 else model.sigma_x(n, x, u),
+                sigma_x=lambda n, x, u: 1.0 if n == 0 else model.sigma_x(n, x, u),
             )
+
+    @pytest.mark.parametrize("make_model", [
+        sin_drift_model,
+        double_well_model,
+        lambda horizon: as_model(_random_lq_spec(np.random.default_rng([0, 3, horizon]), horizon)),
+    ], ids=["sin_drift", "double_well", "lq"])
+    def test_package_model_constants_are_scalars(self, make_model):
+        # a coefficient that returns equal values on two different random level
+        # tables is a constant, and returns it 0-d, so that `_factor` keeps it
+        # a scalar and a scalar zero drops its term
+        model = make_model(3)
+        rng = np.random.default_rng(6)
+        stage = [f"{value}{wrt}" for value in ("b", "sigma", "l")
+                 for wrt in ("", "_x", "_u", "_xx", "_uu", "_xu")]
+        for n in range(3):
+            x, u, x2, u2 = rng.standard_normal((4, 3**n))
+            calls = [(name, getattr(model, name)(n, x, u), getattr(model, name)(n, x2, u2))
+                     for name in stage]
+            calls += [(name, getattr(model, name)(x), getattr(model, name)(x2))
+                      for name in ("phi", "phi_x", "phi_xx")]
+            for name, first, second in calls:
+                if np.array_equal(first, second):
+                    assert np.ndim(first) == np.ndim(second) == 0, (name, n)
 
 
 class TestForward:
     def test_no_dynamics_keeps_state(self, lat):
-        model = drift_only_model(
-            3, 1.5,
-            drift_fn=lambda x, u: np.zeros_like(x),
-            drift_x=lambda x, u: np.zeros_like(x),
-            drift_u=lambda x, u: np.zeros_like(x),
-        )
+        model = additive_noise_model(3, 1.5, phi=lambda x: x, phi_x=lambda x: 1.0, noise=0.0)
         u = constant_control(lat, 3, 0.0)
         x = forward(model, u, lat)
         for n in range(4):
             assert np.all(x[n].values == 1.5)
 
     def test_additive_noise_is_partial_sum(self, lat):
-        model = additive_noise_model(3, 2.0, phi=lambda x: x, phi_x=lambda x: np.ones_like(x))
+        model = additive_noise_model(3, 2.0, phi=lambda x: x, phi_x=lambda x: 1.0)
         u = constant_control(lat, 3, 0.0)
         x = forward(model, u, lat)
         acc = lat.constant(2.0, 0)
@@ -260,23 +236,10 @@ class TestForward:
 
     def test_non_finite_state_raises(self, lat):
         # drift scale 1e200 with x0 = 1e200 overflows at the first step
-        def active(n):
-            return 1.0 if n < 2 else 0.0
-
-        model = ModelSpec(
-            horizon=2,
-            initial_state=1e200,
-            b=lambda n, x, u: active(n) * x * 1e200,
-            sigma=lambda n, x, u: np.zeros_like(x),
-            l=lambda n, x, u: np.zeros_like(x),
-            phi=lambda x: x,
-            b_x=lambda n, x, u: active(n) * np.full_like(x, 1e200),
-            b_u=lambda n, x, u: np.zeros_like(u),
-            sigma_x=lambda n, x, u: np.zeros_like(x),
-            sigma_u=lambda n, x, u: np.zeros_like(u),
-            l_x=lambda n, x, u: np.zeros_like(x),
-            l_u=lambda n, x, u: np.zeros_like(u),
-            phi_x=lambda x: np.ones_like(x),
+        model = dataclasses.replace(
+            additive_noise_model(2, 1e200, phi=lambda x: x, phi_x=lambda x: 1.0, noise=0.0),
+            b=lambda n, x, u: x * 1e200,
+            b_x=lambda n, x, u: 1e200,
         )
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
             forward(model, constant_control(lat, 2, 0.0), lat)
@@ -284,7 +247,7 @@ class TestForward:
 
 class TestCost:
     def test_identity_terminal_cost(self, lat):
-        model = additive_noise_model(2, 3.25, phi=lambda x: x, phi_x=lambda x: np.ones_like(x))
+        model = additive_noise_model(2, 3.25, phi=lambda x: x, phi_x=lambda x: 1.0)
         u = constant_control(lat, 2, 0.0)
         x = forward(model, u, lat)
         # E[X_2] = x0 since every xi has mean zero

@@ -36,22 +36,16 @@ def lat():
 
 def model(b=None, b_x=None, b_u=None, l=None, phi=None, phi_x=None, phi_xx=None, x0=0.0):
     """A model on N stages with noise 0.5 u and, unless replaced, zero drift,
-    running cost u^2 / 2 and terminal cost x^2 / 2; every stage coefficient
-    is 0 at the final stage.  A replaced drift or running cost states no
-    second derivative."""
-
-    def staged(f):
-        return lambda n, x, u: f(n, x, u) if n < N else 0.0
-
+    running cost u^2 / 2 and terminal cost x^2 / 2.  A replaced drift or
+    running cost states no second derivative."""
     zero = lambda n, x, u: 0.0
     return ModelSpec(
         horizon=N, initial_state=x0,
-        b=staged(b or zero), b_x=staged(b_x or zero), b_u=staged(b_u or zero),
-        sigma=staged(lambda n, x, u: 0.5 * u), sigma_x=zero,
-        sigma_u=staged(lambda n, x, u: 0.5),
-        l=staged(l or (lambda n, x, u: 0.5 * u**2)), l_x=zero,
-        l_u=staged(zero if l else (lambda n, x, u: u)),
-        l_uu=staged(zero if l else (lambda n, x, u: 1.0)),
+        b=b or zero, b_x=b_x or zero, b_u=b_u or zero,
+        sigma=lambda n, x, u: 0.5 * u, sigma_x=zero, sigma_u=lambda n, x, u: 0.5,
+        l=l or (lambda n, x, u: 0.5 * u**2), l_x=zero,
+        l_u=zero if l else (lambda n, x, u: u),
+        l_uu=zero if l else (lambda n, x, u: 1.0),
         phi=phi or (lambda x: 0.5 * x**2), phi_x=phi_x or (lambda x: x),
         phi_xx=phi_xx or (lambda x: 1.0),
     )
